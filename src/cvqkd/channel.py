@@ -233,18 +233,23 @@ def fading_pdf(tau, fading: FadingModel):
     return float(out) if arr.ndim == 0 else out
 
 
-def fading_probability(tau_lo: float, tau_hi: float, fading: FadingModel) -> float:
+def fading_probability(tau_lo, tau_hi, fading: FadingModel):
     """P(tau_lo <= tau <= tau_hi), exact in deflection space.
 
     tau(r) decreases with r, so the event maps to r(tau_hi) <= r <= r(tau_lo)
     and the Weibull CDF gives exp(-r(tau_hi)^2/2sp^2) - exp(-r(tau_lo)^2/2sp^2).
+    tau_lo and tau_hi broadcast against each other, so one call prices every
+    bin of a lattice; scalar windows return a float.
     """
-    if not 0.0 < tau_lo <= tau_hi <= fading.eta * (1.0 + 1e-12):
+    lo = np.asarray(tau_lo, dtype=float)
+    hi = np.asarray(tau_hi, dtype=float)
+    if not np.all((0.0 < lo) & (lo <= hi) & (hi <= fading.eta * (1.0 + 1e-12))):
         raise ValueError("need 0 < tau_lo <= tau_hi <= eta")
     two_sp2 = 2.0 * fading.sigma_p ** 2
-    r_hi = deflection_for_tau(min(tau_hi, fading.eta), fading)
-    r_lo = deflection_for_tau(tau_lo, fading)
-    return math.exp(-r_hi ** 2 / two_sp2) - math.exp(-r_lo ** 2 / two_sp2)
+    r_hi = deflection_for_tau(np.minimum(hi, fading.eta), fading)
+    r_lo = deflection_for_tau(lo, fading)
+    out = np.exp(-np.square(r_hi) / two_sp2) - np.exp(-np.square(r_lo) / two_sp2)
+    return float(out) if out.ndim == 0 else out
 
 
 def fading_probability_quadrature(tau_lo: float, tau_hi: float,

@@ -14,7 +14,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -402,25 +401,13 @@ def evaluate_coverage(scenario: Scenario, x: float, seed: int) -> dict:
     return row
 
 
-def _sweep_worker(args) -> dict:
-    scenario, x, clamp = args
-    return evaluate_rate_point(scenario, x, clamp)
-
-
-def run_sweep(scenario: Scenario, clamp: bool, jobs: int = 1) -> list:
+def run_sweep(scenario: Scenario, clamp: bool) -> list:
+    """Rate rows over the configured grid, in abscissa order, in one process."""
     if scenario.sweep is None:
         raise ConfigError("the sweep command needs a [sweep] section")
     _, start, stop, points = scenario.sweep
-    xs = np.linspace(start, stop, points)
-    work = [(scenario, float(x), clamp) for x in xs]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_worker, work))
-    else:
-        rows = [_sweep_worker(item) for item in work]
-    name = _abscissa_name(scenario)
-    rows.sort(key=lambda row: row[name])
-    return rows
+    return [evaluate_rate_point(scenario, float(x), clamp)
+            for x in np.linspace(start, stop, points)]
 
 
 def _format_cell(value) -> str:
@@ -502,7 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None)
         cmd.add_argument("--format", choices=("csv", "json"), default="csv")
         cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--jobs", type=int, default=1)
+        cmd.add_argument("--jobs", type=int, default=1,
+                         help="accepted for compatibility; has no effect "
+                              "(sweeps run in one process)")
         cmd.add_argument("--clamp", choices=("on", "off"), default="on")
     sub.choices["simulate"].add_argument(
         "--dump", default=None, metavar="PATH",
@@ -528,7 +517,7 @@ def main(argv=None) -> int:
             rows = [evaluate_rate_point(scenario, _need_point(scenario), clamp)]
             base = RATE_COLUMNS
         elif args.command == "sweep":
-            rows = run_sweep(scenario, clamp, max(1, args.jobs))
+            rows = run_sweep(scenario, clamp)
             base = RATE_COLUMNS
         elif args.command == "simulate":
             if scenario.simulate is None:

@@ -88,6 +88,16 @@ def parse_quantity(text: str) -> float:
     return value * scale
 
 
+def parse_count(section: str, key: str, text: str) -> int:
+    """Parse an integer-valued quantity such as '32' or '1e6'; fractional or
+    non-finite values are rejected rather than truncated."""
+    value = parse_quantity(text)
+    if not math.isfinite(value) or value != math.floor(value):
+        raise ConfigError(f"[{section}] {key} must be an integer, got {text!r} "
+                          "(rule: integer-count)")
+    return int(value)
+
+
 def parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in _TRUE:
@@ -287,7 +297,8 @@ def resolve_scenario(text: str) -> Scenario:
         if key in raw_protocol and channel != "optical-mobile":
             raise ConfigError(f"[protocol] {key} only applies to optical-mobile")
     f_th = parse_quantity(raw_protocol.get("f_th", "0.8"))
-    bins = int(parse_quantity(raw_protocol.get("bins", "50")))
+    bins = parse_count("protocol", "bins", raw_protocol.get("bins", "50"))
+    d = parse_count("protocol", "d", raw_protocol["d"])
     try:
         params = ProtocolParams(
             n_total=parse_quantity(raw_protocol["n_total"]),
@@ -297,7 +308,7 @@ def resolve_scenario(text: str) -> Scenario:
             p_ec=parse_quantity(raw_protocol["p_ec"]),
             eps_pe=eps_pe, eps_s=eps_s, eps_h=eps_h, eps_cor=eps_cor,
             mu=parse_quantity(raw_protocol["mu"]),
-            d=int(parse_quantity(raw_protocol["d"])), f_et=f_et)
+            d=d, f_et=f_et)
     except ValueError as exc:
         raise ConfigError(f"invalid [protocol] block: {exc}") from exc
 
@@ -353,7 +364,7 @@ def _resolve_sweep(parser, channel) -> tuple | None:
                           f"{expected!r} (rule: sweep-variable-mismatch)")
     start = parse_quantity(raw["start"])
     stop = parse_quantity(raw["stop"])
-    points = int(parse_quantity(raw["points"]))
+    points = parse_count("sweep", "points", raw["points"])
     if points < 1:
         raise ConfigError("[sweep] points must be >= 1")
     if stop < start:
@@ -382,7 +393,7 @@ def _resolve_simulate(parser, channel) -> dict | None:
     raw = dict(parser.items("simulate"))
     _check_keys("simulate", raw, _SIMULATE_KEYS)
     _require("simulate", raw, ("pulses",))
-    out = {"pulses": int(parse_quantity(raw["pulses"]))}
+    out = {"pulses": parse_count("simulate", "pulses", raw["pulses"])}
     if out["pulses"] < 1:
         raise ConfigError("[simulate] pulses must be >= 1")
     if "pilot_rate" in raw:
@@ -399,8 +410,8 @@ def _resolve_coverage(parser) -> dict | None:
     raw = dict(parser.items("coverage"))
     _check_keys("coverage", raw, _COVERAGE_KEYS)
     _require("coverage", raw, ("rounds", "pulses", "eps_pe"))
-    out = {"rounds": int(parse_quantity(raw["rounds"])),
-           "pulses": int(parse_quantity(raw["pulses"])),
+    out = {"rounds": parse_count("coverage", "rounds", raw["rounds"]),
+           "pulses": parse_count("coverage", "pulses", raw["pulses"]),
            "eps_pe": parse_quantity(raw["eps_pe"])}
     if out["rounds"] < 1 or out["pulses"] < 1:
         raise ConfigError("[coverage] rounds and pulses must be >= 1")

@@ -451,8 +451,7 @@ def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
     tau_min = f_th * tau_max
     lattice = FadingLattice(tau_min=tau_min, tau_max=tau_max, bins=bins)
     edges = lattice.edges
-    p_bins = np.array([fading_probability(edges[k], edges[k + 1], fading)
-                       for k in range(bins)])
+    p_bins = fading_probability(edges[:-1], edges[1:], fading)
     p_delta = fading_probability(tau_min, tau_max, fading)
     if p_delta < p_delta_min:
         raise ValueError("post-selection window has negligible probability; "

@@ -6,6 +6,8 @@ Covariance matrices are real symmetric 2n x 2n arrays ordered as
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Symmetry is relative to the matrix scale; bona fide eigenvalues may sit a
@@ -40,8 +42,17 @@ def entropic_h(x):
     """Bosonic entropy h(x) = ((x+1)/2)log2((x+1)/2) - ((x-1)/2)log2((x-1)/2).
 
     Accepts scalars or arrays. Values inside [1 - 1e-9, 1) are clamped to 1
-    (spectral round-off); anything lower is a domain error.
+    (spectral round-off); anything lower is a domain error. Python numbers
+    take a math-module path; everything else goes through numpy.
     """
+    if isinstance(x, (float, int)):
+        if x < 1.0 - BONA_FIDE_TOL:
+            raise ValueError(f"entropic_h domain error: symplectic value below 1: {float(x)}")
+        if x <= 1.0:
+            return 0.0
+        plus = (x + 1.0) / 2.0
+        minus = (x - 1.0) / 2.0
+        return plus * math.log2(plus) - minus * math.log2(minus)
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 1.0 - BONA_FIDE_TOL):
         raise ValueError(f"entropic_h domain error: symplectic value below 1: {arr.min()}")

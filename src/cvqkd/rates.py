@@ -25,7 +25,6 @@ import numpy as np
 from .gaussian import (
     I2,
     Z2,
-    CovarianceMatrix,
     condition_on_heterodyne,
     condition_on_homodyne,
     entropic_h,
@@ -150,9 +149,11 @@ def bob_variance(ch: ChannelPoint) -> float:
 def eve_joint_cm(ch: ChannelPoint, trust: TrustLevel) -> EveState:
     """Assemble Eve's dilation for the requested trust level.
 
-    The result is checked to be a bona fide state. Raises for an identity
-    channel (eta_ch = 1 for the passive level, tau = 1 otherwise), where the
-    dilation degenerates; callers report the zero-Holevo limit instead.
+    This is the matrix path that :func:`holevo_standard` replaces with
+    invariants; it remains as the oracle of that closed form. Its entries
+    grow like omega ~ 2 n_E / (1 - eta), so round-off ruins its spectra as
+    eta -> 1. Raises for an identity channel (eta_ch = 1 for the passive
+    level, tau = 1 otherwise), where the dilation degenerates.
     """
     trust = TrustLevel(trust)
     tau = ch.tau
@@ -177,13 +178,13 @@ def eve_joint_cm(ch: ChannelPoint, trust: TrustLevel) -> EveState:
         theta = math.sqrt(tau * (1.0 - tau)) * (omega - mu)
         psi = math.sqrt(tau * (omega ** 2 - 1.0))
         phi = tau * omega + (1.0 - tau) * mu
-    state = EveState(b=b, omega=omega, gamma=gamma, theta=theta, psi=psi, phi=phi)
-    CovarianceMatrix(state.joint).require_physical()
-    return state
+    return EveState(b=b, omega=omega, gamma=gamma, theta=theta, psi=psi, phi=phi)
 
 
 def _chi_from_conditioning(v_eve: np.ndarray, cross: np.ndarray, b: float,
                            nu_det: int) -> float:
+    """chi(E:y) from the spectra of Eve's matrix before and after Bob's
+    measurement (the eigenvalue oracle of :func:`holevo_standard`)."""
     nu = symplectic_spectrum(v_eve)
     if nu_det == 1:
         cond = condition_on_homodyne(v_eve, cross, b)
@@ -193,18 +194,102 @@ def _chi_from_conditioning(v_eve: np.ndarray, cross: np.ndarray, b: float,
     return float(np.sum(entropic_h(nu)) - np.sum(entropic_h(nu_cond)))
 
 
-def holevo_standard(ch: ChannelPoint, trust: TrustLevel) -> float:
-    """Holevo bound chi(E:y) from Eve's dilation, any trust level.
+def _two_mode_entropy(delta: float, root_det: float, split: float) -> float:
+    """h(nu+) + h(nu-) of a two-mode state from its invariants.
 
-    Returns the identity-channel limit 0 when the dilation degenerates.
+    delta = nu+^2 + nu-^2, root_det = nu+ nu- and split = nu+^2 - nu-^2
+    >= 0, which callers supply free of cancellation; nu- = root_det / nu+.
+    """
+    nu_plus = math.sqrt(max((delta + split) / 2.0, 0.0))
+    return entropic_h(nu_plus) + entropic_h(root_det / nu_plus)
+
+
+def holevo_standard(ch: ChannelPoint, trust: TrustLevel) -> float:
+    """Holevo bound chi(E:y) from the symplectic invariants of Eve's state.
+
+    Eve's two modes and her state conditioned on Bob's outcome are both
+    two-mode states, so chi = h(nu+) + h(nu-) - h(nu+') - h(nu-') follows
+    from Delta = nu+^2 + nu-^2 and sqrt(det) = nu+ nu- (Weedbrook et al.,
+    Rev. Mod. Phys. 84, 621 (2012)). The dilation of :func:`eve_joint_cm`
+    has omega = 2 n_E / eps + 1 with eps = 1 - eta, and its entries diverge
+    as eta -> 1; here every quantity is written in s = eps * omega
+    = 2 n_E + eps, which stays O(1):
+
+    * eta = eta_ch, kappa = eta_eff, n_E = n_b (passive Eve); otherwise
+      eta = tau, kappa = 1 and n_E = eta_eff n_b (trusted noise) or nbar;
+    * Eve: sqrt(det) = mu s + eta, Delta = s^2 + 2 eta mu s + eps^2 mu^2
+      + 2 eta and nu+ - nu- = |s - eps mu|;
+    * the dilation's g = phi gamma^2 + omega theta^2 - 2 psi theta gamma and
+      t = theta^2 - gamma^2 are polynomials in s, and Bob's measurement
+      (k = 1/(b+1) heterodyne, 1/b homodyne) leaves
+      sqrt(det') = sqrt(det) - k g (heterodyne) or
+      det' = (sqrt(det) - k g) sqrt(det) (homodyne);
+    * heterodyne: nu+' - nu-' = |s - eps mu + k t|;
+    * homodyne: in Eve's Williamson frame the conditional matrix is
+      diag(nu1^2, nu2^2) - k b b^T with b_i = sqrt(nu_i) a_i, where a is
+      Bob's q-correlation with Eve's normal modes; nu+'^2 - nu-'^2 is then
+      the root of a sum of squares, exact to round-off even when both
+      conditional eigenvalues approach 1.
+
+    Returns the identity-channel limit 0 when 1 - eta < IDENTITY_GUARD.
+    Each eigenvalue passes the domain check of :func:`entropic_h`.
     """
     trust = TrustLevel(trust)
-    if trust is TrustLevel.PASSIVE and ch.eta_ch >= 1.0 - IDENTITY_GUARD:
+    if trust is TrustLevel.PASSIVE:
+        eta, kappa, n_e = ch.eta_ch, ch.eta_eff, ch.n_b
+    else:
+        eta, kappa = ch.tau, 1.0
+        n_e = ch.eta_eff * ch.n_b if trust is TrustLevel.TRUSTED_NOISE else ch.nbar
+    if eta >= 1.0 - IDENTITY_GUARD:
         return 0.0
-    if trust is not TrustLevel.PASSIVE and ch.tau >= 1.0 - IDENTITY_GUARD:
-        return 0.0
-    state = eve_joint_cm(ch, trust)
-    return _chi_from_conditioning(state.v_eve, state.cross, state.b, ch.nu_det)
+    mu = ch.mu
+    eps = 1.0 - eta
+    s = 2.0 * n_e + eps
+    lag = s - eps * mu                       # nu1 - nu2 = phi - omega = -lag
+    root_det = mu * s + eta
+    delta = s * s + 2.0 * eta * mu * s + (eps * mu) ** 2 + 2.0 * eta
+    sigma = math.sqrt(delta + 2.0 * root_det)    # nu+ + nu-
+    g = kappa * (eta * (mu * mu + 1.0) * s - 2.0 * eta * mu * eps
+                 + mu * (s * s - eps * eps))
+    t = kappa * (-s * s - 2.0 * eta * mu * s + eps * (eta * mu * mu + 1.0))
+    b = bob_variance(ch)
+    if ch.nu_det == 2:
+        k = 1.0 / (b + 1.0)
+        root_det_c = root_det - k * g
+        delta_c = (lag + k * t) ** 2 + 2.0 * root_det_c
+        split_c = abs(lag + k * t) * math.sqrt(delta_c + 2.0 * root_det_c)
+    else:
+        k = 1.0 / b
+        # The two-mode squeezer (cosh r, sinh r) that brings Eve's state to
+        # Williamson form maps Bob's q-correlations (theta, gamma) to
+        # a = (cosh r theta - sinh r gamma, cosh r gamma - sinh r theta).
+        # With x^ = sqrt(eps) x for x in (cosh r, sinh r, theta, gamma),
+        # every hatted value is O(1): sinh^2 = 2 eta (s^2 - eps^2)
+        # / (sigma ((1 + eta) s + eps^2 mu + eps sigma)), cosh^2 = sinh^2
+        # + eps, theta^ = sqrt(kappa eta) lag, gamma^ = sqrt(kappa (s^2 -
+        # eps^2)), and a = (...)^ / eps, rationalised with theta^2 - gamma^2
+        # = eps t where its two terms would cancel (theta^ > 0).
+        q = 4.0 * n_e * (n_e + eps)          # s^2 - eps^2
+        theta_h = math.sqrt(kappa * eta) * lag
+        gamma_h = math.sqrt(kappa * q)
+        sinh2_h = 2.0 * eta * q / (sigma * ((1.0 + eta) * s + eps * eps * mu
+                                            + eps * sigma))
+        sinh_h, cosh_h = math.sqrt(sinh2_h), math.sqrt(sinh2_h + eps)
+        if theta_h > 0.0:
+            a1 = (sinh2_h * t + theta_h ** 2) / (cosh_h * theta_h + sinh_h * gamma_h)
+            den = cosh_h * gamma_h + sinh_h * theta_h   # 0 only when n_E = 0
+            a2 = (gamma_h ** 2 - sinh2_h * t) / den if den > 0.0 else 0.0
+        else:
+            a1 = (cosh_h * theta_h - sinh_h * gamma_h) / eps
+            a2 = (cosh_h * gamma_h - sinh_h * theta_h) / eps
+        nu1 = (sigma - lag) / 2.0
+        nu2 = (sigma + lag) / 2.0
+        b1, b2 = math.sqrt(nu1) * a1, math.sqrt(nu2) * a2
+        root_det_c = math.sqrt(max((root_det - k * g) * root_det, 0.0))
+        delta_c = delta - k * (b1 * b1 + b2 * b2)
+        split_c = math.hypot(-sigma * lag - k * (b1 * b1 - b2 * b2), 2.0 * k * b1 * b2)
+    return (_two_mode_entropy(delta, root_det, abs(lag) * sigma)
+            - _two_mode_entropy(delta_c, root_det_c, split_c))
 
 
 def holevo_untrusted_closed_form(ch: ChannelPoint) -> float:

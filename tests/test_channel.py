@@ -257,6 +257,32 @@ class TestFadingDistribution:
         assert all(a < b for a, b in zip(ps, ps[1:]))
         assert all(0.0 < p < 1.0 for p in ps)
 
+    def test_probability_broadcasts_over_windows(self):
+        fad = fading_at(5.0)
+        edges = np.linspace(0.5 * fad.eta, fad.eta, 9)
+        got = fading_probability(edges[:-1], edges[1:], fad)
+        assert got.shape == (8,)
+        for k in range(8):
+            assert got[k] == pytest.approx(
+                fading_probability(float(edges[k]), float(edges[k + 1]), fad),
+                rel=1e-12)
+        assert got.sum() == pytest.approx(fading_probability(edges[0], edges[-1], fad),
+                                          rel=1e-12)
+        assert isinstance(fading_probability(edges[0], edges[-1], fad), float)
+        lows = np.array([0.1, 0.5, 0.9]) * fad.eta
+        assert fading_probability(lows, fad.eta, fad) == pytest.approx(
+            [fading_probability(float(lo), fad.eta, fad) for lo in lows], rel=1e-12)
+
+    def test_probability_validates_every_window(self):
+        fad = fading_at(5.0)
+        good = np.array([0.5, 0.6]) * fad.eta
+        for lo, hi in ((np.array([0.5 * fad.eta, 0.0]), good),
+                       (good[::-1], good),                        # lo > hi
+                       (good, np.array([fad.eta, 1.1 * fad.eta])),
+                       (np.array([0.5 * fad.eta, np.nan]), good)):
+            with pytest.raises(ValueError):
+                fading_probability(lo, hi, fad)
+
     def test_pdf_rejects_out_of_support(self):
         fad = fading_at(5.0)
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -13,6 +14,8 @@ import pytest
 from cvqkd import __version__
 from cvqkd.cli import main, scenario_echo, scenario_hash
 from cvqkd.config import ConfigError, parse_quantity, resolve_scenario
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 FIBER = """
 [scenario]
@@ -271,6 +274,41 @@ class TestResolution:
                                              "[protocol]\nf_th = 0.9"))
 
 
+class TestIntegerCounts:
+    """Counts must be integer-valued; nothing is truncated silently."""
+
+    CASES = {
+        "d": (lambda: fiber(), "d = 32", "d = 32.7"),
+        "bins": (lambda: mobile(), "m_pl = 5e5", "m_pl = 5e5\nbins = 50.9"),
+        "sweep_points": (lambda: fiber(points="10.5"), None, None),
+        "simulate_pulses": (lambda: fiber(), "[simulate]\npulses = 20000",
+                            "[simulate]\npulses = 20000.5"),
+        "coverage_pulses": (lambda: fiber(), "pulses = 2000\n",
+                            "pulses = 2000.5\n"),
+        "coverage_rounds": (lambda: fiber(), "rounds = 40", "rounds = 40.25"),
+    }
+
+    @pytest.mark.parametrize("key", sorted(CASES))
+    def test_rejects_fractional_count(self, key):
+        make, old, new = self.CASES[key]
+        text = make()
+        if old is not None:
+            assert old in text
+            text = text.replace(old, new)
+        with pytest.raises(ConfigError, match="integer-count"):
+            resolve_scenario(text)
+
+    def test_integer_valued_forms_accepted(self):
+        text = fiber(points="1e1").replace("d = 32", "d = 3.2e1") \
+            .replace("rounds = 40", "rounds = 4e1")
+        scenario = resolve_scenario(text)
+        assert scenario.params.d == 32 and isinstance(scenario.params.d, int)
+        assert scenario.sweep[3] == 10 and isinstance(scenario.sweep[3], int)
+        assert scenario.coverage["rounds"] == 40
+        assert resolve_scenario(mobile().replace(
+            "m_pl = 5e5", "m_pl = 5e5\nbins = 2^5")).bins == 32
+
+
 class TestRateCommand:
     def test_fiber_two_db_anchor_row(self, tmp_path):
         code, blob = run_cli(tmp_path, fiber(), ["rate"])
@@ -326,6 +364,21 @@ class TestSweepCommand:
         assert blob_1 == blob_2
         xs = [float(r["loss_db"]) for r in read_csv(blob_1)]
         assert xs == sorted(xs)
+
+    def test_shipped_optical_fixed_passive_eve_has_no_failed_rows(self, tmp_path):
+        # 1 - eta_ch falls to 1e-12 near z = 10 m; the dilation's omega
+        # reaches 1e10 there, which the eigenvalue path could not handle
+        text = (CONFIGS / "wireless_fixed.ini").read_text()
+        text = text.replace("trust = 3", "trust = 1").replace("points = 100",
+                                                              "points = 400")
+        code, blob = run_cli(tmp_path, text, ["sweep"])
+        rows = read_csv(blob)
+        assert len(rows) == 400
+        assert [r["reason"] for r in rows if r["reason"]] == []
+        assert code == 0
+        # the model rate cannot grow as the link lengthens
+        asym = [float(r["rate_asym_raw"]) for r in rows]
+        assert all(b <= a + 1e-12 for a, b in zip(asym, asym[1:]))
 
     def test_deterministic_bytes(self, tmp_path):
         blobs = {run_cli(tmp_path, fiber(points=4),

@@ -372,6 +372,27 @@ class TestMobileWorstCase:
         assert fs.bin_probabilities.sum() == pytest.approx(fs.p_delta, rel=1e-9)
         assert fs.m_delta == pytest.approx(2.0 * 1e6 * fs.p_delta, rel=1e-12)
 
+    def test_window_priced_in_two_calls(self, monkeypatch):
+        # one broadcast call prices every bin, a second the whole window
+        from cvqkd import channel, finite_size
+
+        calls = []
+
+        def counting(lo, hi, fad):
+            calls.append(np.size(lo))
+            return channel.fading_probability(lo, hi, fad)
+
+        monkeypatch.setattr(finite_size, "fading_probability", counting)
+        fad = self.fading()
+        fs = mobile_worst_case(self.params(), fad, self.TH_EL, self.TH_PH,
+                               "llo", 0.7, 0.019, 9.0, 2, f_th=0.8, bins=50)
+        assert calls == [50, 1]
+        edges = fs.lattice.edges
+        for k in (0, 17, 49):
+            assert fs.bin_probabilities[k] == pytest.approx(
+                channel.fading_probability(float(edges[k]), float(edges[k + 1]), fad),
+                rel=1e-12)
+
     def test_noise_bounds(self):
         fs = mobile_worst_case(self.params(), self.fading(), self.TH_EL, self.TH_PH,
                                "llo", 0.7, 0.019, 9.0, 2, f_th=0.8, bins=50)

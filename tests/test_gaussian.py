@@ -73,6 +73,22 @@ class TestEntropicH:
     def test_scalar_returns_float(self):
         assert isinstance(entropic_h(3.0), float)
 
+    def test_scalar_path_matches_array_path(self):
+        # Python numbers take the math-module path; arrays take numpy
+        xs = [1.0 - 5e-10, 1.0, 1.0 + 1e-12, 1.0 + 1e-6, 1.5, 3, 40.0, 1e6]
+        arr = entropic_h(np.array(xs, dtype=float))
+        for x, expect in zip(xs, arr):
+            assert entropic_h(x) == pytest.approx(expect, rel=1e-14, abs=1e-300)
+            assert entropic_h(np.float64(x)) == pytest.approx(expect, rel=1e-14,
+                                                              abs=1e-300)
+
+    def test_scalar_path_domain_error_matches(self):
+        for bad in (0.9, 1.0 - 2e-9, -1.0):
+            with pytest.raises(ValueError, match="entropic_h domain error"):
+                entropic_h(bad)
+            with pytest.raises(ValueError, match="entropic_h domain error"):
+                entropic_h(np.array([bad]))
+
 
 class TestSymplecticForm:
     def test_antisymmetric_and_squares_to_minus_identity(self):
