@@ -13,11 +13,7 @@ from .gaussian import (
 from .noise import (
     ReceiverOptics,
     SetupConfig,
-    hybrid_trust_split,
-    fov_from_sensor,
-    interferometric_filter,
     microwave_thermal_photons,
-    setup_noise,
     sky_background_photons,
     theta_el,
     theta_ph,

@@ -12,29 +12,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import i0e, ive
 
 
 @dataclass(frozen=True)
 class BeamConfig:
-    """Gaussian beam leaving Alice's telescope.
-
-    curvature is the initial phase-front radius R0 in metres; math.inf means
-    a collimated launch. focused=True pins R0 = z at the evaluation distance
-    (beam focused on the receiver plane).
-    """
+    """Collimated Gaussian beam leaving Alice's telescope."""
 
     wavelength: float
     waist: float
-    curvature: float = math.inf
-    focused: bool = False
 
     def __post_init__(self):
         if self.wavelength <= 0.0 or self.waist <= 0.0:
             raise ValueError("wavelength and waist must be positive")
-        if not self.focused and self.curvature == 0.0:
-            raise ValueError("curvature must be nonzero (use focused=True for R0 = z)")
 
     @property
     def rayleigh_range(self) -> float:
@@ -42,22 +32,10 @@ class BeamConfig:
 
 
 def spot_size(beam: BeamConfig, z: float) -> float:
-    """Beam-spot radius w_z at distance z.
-
-    w_z^2 = w0^2 [(1 - z/R0)^2 + (z/z_R)^2]; the collimated case drops the
-    curvature term and the focused case keeps only the diffraction term
-    (lambda z / pi w0)^2.
-    """
+    """Beam-spot radius w_z = w0 sqrt(1 + (z/z_R)^2) at distance z."""
     if z < 0.0:
         raise ValueError("distance must be non-negative")
-    zr = beam.rayleigh_range
-    if beam.focused:
-        return beam.waist * (z / zr)
-    if math.isinf(beam.curvature):
-        geometric = 1.0
-    else:
-        geometric = (1.0 - z / beam.curvature) ** 2
-    return beam.waist * math.sqrt(geometric + (z / zr) ** 2)
+    return beam.waist * math.sqrt(1.0 + (z / beam.rayleigh_range) ** 2)
 
 
 def diffraction_transmissivity(beam: BeamConfig, z: float, aperture_radius: float,
@@ -75,14 +53,6 @@ def diffraction_transmissivity(beam: BeamConfig, z: float, aperture_radius: floa
         return eta_atm
     eta_d = -math.expm1(-2.0 * aperture_radius ** 2 / wz ** 2)
     return eta_d * eta_atm
-
-
-def far_field_transmissivity(beam: BeamConfig, z: float, aperture_radius: float) -> float:
-    """Far-field approximation eta_d ~ 2 a_R^2 / w_z^2 (exceeds 1 near field)."""
-    if aperture_radius <= 0.0:
-        raise ValueError("aperture radius must be positive")
-    wz = spot_size(beam, z)
-    return 2.0 * aperture_radius ** 2 / wz ** 2
 
 
 def microwave_transmissivity(gain: float, aperture_radius: float, z: float) -> float:
@@ -104,15 +74,6 @@ def microwave_best_range(gain: float, aperture_radius: float) -> float:
 
 
 # --- pointing-error fading -------------------------------------------------
-
-def weibull_deflection_pdf(r, sigma_p: float):
-    """Beam-deflection radius density P(r) = (r / sigma_p^2) exp(-r^2 / 2 sigma_p^2)."""
-    if sigma_p <= 0.0:
-        raise ValueError("sigma_p must be positive")
-    arr = np.asarray(r, dtype=float)
-    out = arr / sigma_p ** 2 * np.exp(-arr * arr / (2.0 * sigma_p ** 2))
-    return float(out) if arr.ndim == 0 else out
-
 
 def sample_deflections(sigma_p: float, size: int, rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF draws r = sigma_p * sqrt(-2 ln u) of the deflection radius."""
@@ -136,6 +97,7 @@ def pointing_tau_exact(r: float, w_z: float, aperture_radius: float, eta: float)
         raise ValueError("deflection must be non-negative")
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
+    from scipy.integrate import quad  # oracle only; kept off the import path
 
     def overlap(displacement: float) -> float:
         def integrand(rho: float) -> float:
@@ -261,6 +223,8 @@ def fading_probability_quadrature(tau_lo: float, tau_hi: float,
     """
     if not 0.0 < tau_lo <= tau_hi <= fading.eta * (1.0 + 1e-12):
         raise ValueError("need 0 < tau_lo <= tau_hi <= eta")
+    from scipy.integrate import quad  # oracle only; kept off the import path
+
     s_lo = math.log(fading.eta / min(tau_hi, fading.eta))
     s_hi = math.log(fading.eta / tau_lo)
 

@@ -100,21 +100,32 @@ def scenario_hash(scenario: Scenario) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _trust_enum(scenario: Scenario) -> TrustLevel:
-    return TrustLevel(scenario.trust)
+def _model_point(scenario: Scenario, x: float) -> dict:
+    """Model operating point at abscissa x.
 
-
-def _security_enum(scenario: Scenario) -> SecurityType:
-    return SecurityType(scenario.security)
-
-
-def _model_eta_ch(scenario: Scenario, x: float) -> tuple:
-    """Channel transmissivity at abscissa x, with any clamp warning."""
+    Every channel gives eta_ch, tau and the warnings raised so far. The
+    constant channels add the model noise nbar (and the setup photons n_ex
+    on optical links); optical-mobile adds the FadingModel and its
+    worst-case FadingEstimatorSet "fs" over the post-selection window.
+    """
     p = scenario.physics
+    eta_eff = p["eta_eff"]
+    if scenario.channel == "optical-mobile":
+        beam = BeamConfig(wavelength=p["lambda"], waist=p["w0"])
+        fading = FadingModel.from_geometry(beam, x, p["a_r"], p["sigma_p"],
+                                           eta_eff, p.get("eta_atm", 1.0))
+        fs = mobile_worst_case(scenario.params, fading,
+                               scenario.derived["theta_el"],
+                               scenario.derived["theta_ph"], scenario.lo_kind,
+                               eta_eff, p["n_b"], scenario.sigma_x2,
+                               scenario.nu_det, f_th=scenario.f_th,
+                               bins=scenario.bins,
+                               n_other=p.get("n_other", 0.0))
+        return {"eta_ch": fading.eta / eta_eff, "tau": fading.eta,
+                "fading": fading, "fs": fs, "warnings": list(fs.warnings)}
     warnings = []
     if scenario.channel == "fixed-loss":
-        tau_total = 10.0 ** (-x / 10.0)
-        eta_ch = tau_total / p["eta_eff"]
+        eta_ch = 10.0 ** (-x / 10.0) / eta_eff
         if eta_ch > 1.0:
             eta_ch = 1.0
             warnings.append("eta_ch_clamped")
@@ -122,12 +133,18 @@ def _model_eta_ch(scenario: Scenario, x: float) -> tuple:
         beam = BeamConfig(wavelength=p["lambda"], waist=p["w0"])
         eta_ch = diffraction_transmissivity(beam, x, p["a_r"],
                                             p.get("eta_atm", 1.0))
-    elif scenario.channel == "microwave":
-        eta_ch = microwave_transmissivity(p["g"], p["a_r"], x)
     else:
-        raise ValueError("optical-mobile points are evaluated via the fading "
-                         "pipeline")
-    return eta_ch, warnings
+        eta_ch = microwave_transmissivity(p["g"], p["a_r"], x)
+    tau = eta_ch * eta_eff
+    if scenario.channel == "microwave":
+        return {"eta_ch": eta_ch, "tau": tau, "nbar": scenario.derived["n_th"],
+                "warnings": warnings}
+    n_ex = setup_noise_from_thetas(scenario.derived["theta_el"],
+                                   scenario.derived["theta_ph"],
+                                   scenario.lo_kind, tau,
+                                   n_other=p.get("n_other", 0.0))
+    return {"eta_ch": eta_ch, "tau": tau, "n_ex": n_ex,
+            "nbar": eta_eff * p["n_b"] + n_ex, "warnings": warnings}
 
 
 def _finite_rate(scenario: Scenario, r_pe: float, p_delta: float) -> tuple:
@@ -144,18 +161,28 @@ def _finite_rate(scenario: Scenario, r_pe: float, p_delta: float) -> tuple:
     return rate, total_epsilon(prm)
 
 
-def _evaluate_fixed(scenario: Scenario, x: float) -> dict:
-    """Rate row for the non-fading channels."""
+def _rate_row(scenario: Scenario, x: float) -> dict:
+    """Rate row at abscissa x: model rate, worst-case rate, composable rate."""
     p = scenario.physics
     prm = scenario.params
-    trust, security = _trust_enum(scenario), _security_enum(scenario)
-    eta_ch, warnings = _model_eta_ch(scenario, x)
+    trust = TrustLevel(scenario.trust)
+    security = SecurityType(scenario.security)
+    pt = _model_point(scenario, x)
+    eta_ch, tau, warnings = pt["eta_ch"], pt["tau"], pt["warnings"]
     eta_eff = p["eta_eff"]
-    tau = eta_ch * eta_eff
-    plob = NAN
+    asym, plob, p_delta = NAN, NAN, 1.0
 
-    if scenario.channel == "microwave":
-        n_th = scenario.derived["n_th"]
+    if scenario.channel == "optical-mobile":
+        fs = pt["fs"]
+        n_b_wc = 0.0 if scenario.trust == 3 else fs.n_b_ub
+        wc = ChannelPoint.from_estimates(fs.tau_lb, eta_eff, fs.n_ub, n_b_wc,
+                                         scenario.nu_det, prm.mu)
+        rep = asymptotic_rate(wc, trust, security, prm.beta)
+        mi, chi, r_pe = rep.mutual_information, rep.holevo, rep.rate
+        p_delta = fs.p_delta
+        est_cols = {"tau_lo": fs.tau_lb, "tau_hi": NAN, "n_hi": fs.n_ub}
+    elif scenario.channel == "microwave":
+        n_th = pt["nbar"]
         sx2 = scenario.sigma_x2
         model = ChannelPoint.from_estimates(tau, eta_eff, n_th, 0.0,
                                             scenario.nu_det, prm.mu)
@@ -180,81 +207,57 @@ def _evaluate_fixed(scenario: Scenario, x: float) -> dict:
         est_cols = {"tau_lo": tau_lo, "tau_hi": NAN, "n_hi": n_hi}
         plob = plob_thermal_bound(tau, n_th)
     else:
-        tel = scenario.derived["theta_el"]
-        tph = scenario.derived["theta_ph"]
-        n_ex = setup_noise_from_thetas(tel, tph, scenario.lo_kind, tau,
-                                       n_other=p.get("n_other", 0.0))
+        nbar = pt["nbar"]
         model = ChannelPoint(eta_ch=eta_ch, eta_eff=eta_eff, n_b=p["n_b"],
-                             n_ex=n_ex, nu_det=scenario.nu_det, mu=prm.mu)
+                             n_ex=pt["n_ex"], nu_det=scenario.nu_det, mu=prm.mu)
         asym = asymptotic_rate(model, trust, security, prm.beta).rate
-        est = worst_case_estimators(tau, model.nbar, scenario.sigma_x2,
-                                    2.0 * model.nbar + scenario.nu_det,
+        est = worst_case_estimators(tau, nbar, scenario.sigma_x2,
+                                    2.0 * nbar + scenario.nu_det,
                                     scenario.nu_det * prm.m, prm.w)
         warnings.extend(est.warnings)
         if scenario.trust == 3:
             n_b_wc = 0.0
         else:
-            bounds = setup_and_background_bounds(est, tel, tph,
+            bounds = setup_and_background_bounds(est,
+                                                 scenario.derived["theta_el"],
+                                                 scenario.derived["theta_ph"],
                                                  scenario.lo_kind, eta_eff)
             warnings.extend(w for w in bounds.warnings if w not in warnings)
             n_b_wc = bounds.n_b_hi
         wc = ChannelPoint.from_estimates(est.tau_lo, eta_eff, est.n_hi, n_b_wc,
                                          scenario.nu_det, prm.mu)
         rep = asymptotic_rate(wc, trust, security, prm.beta)
-        mi, chi = rep.mutual_information, rep.holevo
-        r_pe = rep.rate
+        mi, chi, r_pe = rep.mutual_information, rep.holevo, rep.rate
         est_cols = {"tau_lo": est.tau_lo, "tau_hi": est.tau_hi,
                     "n_hi": est.n_hi}
 
-    rate_raw, epsilon = _finite_rate(scenario, r_pe, 1.0)
+    rate_raw, epsilon = _finite_rate(scenario, r_pe, p_delta)
     return {"eta_ch": eta_ch, "tau": tau, "mi": mi, "chi": chi, "r_pe": r_pe,
             "rate_asym_raw": asym, "rate_raw": rate_raw, "plob": plob,
-            "epsilon": epsilon, "p_delta": 1.0,
+            "epsilon": epsilon, "p_delta": p_delta,
             "warnings": ";".join(warnings), "reason": "", **est_cols}
 
 
-def _evaluate_mobile(scenario: Scenario, z_max: float) -> dict:
-    p = scenario.physics
-    prm = scenario.params
-    trust, security = _trust_enum(scenario), _security_enum(scenario)
-    beam = BeamConfig(wavelength=p["lambda"], waist=p["w0"])
-    fading = FadingModel.from_geometry(beam, z_max, p["a_r"], p["sigma_p"],
-                                       p["eta_eff"], p.get("eta_atm", 1.0))
-    fs = mobile_worst_case(prm, fading, scenario.derived["theta_el"],
-                           scenario.derived["theta_ph"], scenario.lo_kind,
-                           p["eta_eff"], p["n_b"], scenario.sigma_x2,
-                           scenario.nu_det, f_th=scenario.f_th,
-                           bins=scenario.bins)
-    n_b_wc = 0.0 if scenario.trust == 3 else fs.n_b_ub
-    wc = ChannelPoint.from_estimates(fs.tau_lb, p["eta_eff"], fs.n_ub, n_b_wc,
-                                     scenario.nu_det, prm.mu)
-    rep = asymptotic_rate(wc, trust, security, prm.beta)
-    rate_raw, epsilon = _finite_rate(scenario, rep.rate, fs.p_delta)
-    return {"eta_ch": fading.eta / p["eta_eff"], "tau": fading.eta,
-            "mi": rep.mutual_information, "chi": rep.holevo, "r_pe": rep.rate,
-            "rate_asym_raw": NAN, "rate_raw": rate_raw, "plob": NAN,
-            "epsilon": epsilon, "tau_lo": fs.tau_lb, "tau_hi": NAN,
-            "n_hi": fs.n_ub, "p_delta": fs.p_delta,
-            "warnings": ";".join(fs.warnings), "reason": ""}
+def _guarded_row(evaluate, columns: tuple, scenario: Scenario, x: float,
+                 *args) -> dict:
+    """evaluate(scenario, x, *args) with the abscissa column set; a failure
+    becomes a NaN row whose reason names the exception."""
+    try:
+        row = evaluate(scenario, x, *args)
+    except Exception as exc:  # per-point failures must not kill the sweep
+        row = {col: NAN for col in columns}
+        row["warnings"] = ""
+        row["reason"] = f"{type(exc).__name__}: {exc}"
+    row[_abscissa_name(scenario)] = x
+    return row
 
 
 def evaluate_rate_point(scenario: Scenario, x: float, clamp: bool) -> dict:
     """One complete rate row at abscissa x; failures become NaN rows."""
-    name = _abscissa_name(scenario)
-    try:
-        if scenario.channel == "optical-mobile":
-            row = _evaluate_mobile(scenario, x)
-        else:
-            row = _evaluate_fixed(scenario, x)
-    except Exception as exc:  # per-point failures must not kill the sweep
-        row = {col: NAN for col in RATE_COLUMNS}
-        row["warnings"] = ""
-        row["reason"] = f"{type(exc).__name__}: {exc}"
-    row["rate_asym"] = _clamp(row.get("rate_asym_raw", NAN)) if clamp \
-        else row.get("rate_asym_raw", NAN)
-    row["rate"] = _clamp(row.get("rate_raw", NAN)) if clamp \
-        else row.get("rate_raw", NAN)
-    row[name] = x
+    row = _guarded_row(_rate_row, RATE_COLUMNS, scenario, x)
+    row["rate_asym"] = _clamp(row["rate_asym_raw"]) if clamp \
+        else row["rate_asym_raw"]
+    row["rate"] = _clamp(row["rate_raw"]) if clamp else row["rate_raw"]
     return row
 
 
@@ -265,14 +268,12 @@ def _clamp(value: float) -> float:
 
 
 def _mobile_noise_map(scenario: Scenario):
-    tel = scenario.derived["theta_el"]
-    tph = scenario.derived["theta_ph"]
-    eta_eff = scenario.physics["eta_eff"]
-    n_b = scenario.physics["n_b"]
-    n_other = scenario.physics.get("n_other", 0.0)
-    if scenario.lo_kind == "tlo":
-        return lambda tau: eta_eff * n_b + tel / tau + n_other
-    return lambda tau: eta_eff * n_b + tel + tph * tau + n_other
+    """Per-pulse noise photons nbar(tau) of a mobile link."""
+    p = scenario.physics
+    background = p["eta_eff"] * p["n_b"]
+    return lambda tau: background + setup_noise_from_thetas(
+        scenario.derived["theta_el"], scenario.derived["theta_ph"],
+        scenario.lo_kind, tau, p.get("n_other", 0.0))
 
 
 def _dump_block(block, bins, path: str, tau_const: float = None) -> None:
@@ -290,115 +291,81 @@ def _dump_block(block, bins, path: str, tau_const: float = None) -> None:
                              int(bins[i])))
 
 
+def _simulation_row(scenario: Scenario, x: float, seed: int,
+                    dump: str) -> dict:
+    pulses = scenario.simulate["pulses"]
+    pt = _model_point(scenario, x)
+    if scenario.channel == "optical-mobile":
+        fs = pt["fs"]
+        block = simulate_fading_block(
+            pt["fading"], _mobile_noise_map(scenario), scenario.nu_det,
+            scenario.sigma_x2, pulses, seed,
+            pilot_rate=scenario.simulate.get("pilot_rate", 0.0))
+        if dump:
+            _dump_block(block, fs.lattice.assign(block.tau_samples), dump)
+        faded = defade_block(block, fs.lattice, seed + 1)
+        snap = faded.estimators()
+        keep = slice(None) if faded.pilot_mask is None else ~faded.pilot_mask
+        return {"pulses": pulses, "kept_pairs": faded.pairs,
+                "p_delta_model": fs.p_delta,
+                "p_delta_emp": faded.pairs / block.pairs,
+                "tau_min": fs.lattice.tau_min, "n_star_model": fs.n_star,
+                "defade_var_model": fs.lattice.tau_min * scenario.sigma_x2
+                + 2.0 * fs.n_star + scenario.nu_det,
+                "tau_hat": snap.tau_hat, "n_hat": snap.n_hat,
+                "defade_var": float(np.mean(faded.y[keep] ** 2)),
+                "warnings": ";".join(pt["warnings"]), "reason": ""}
+    tau, nbar, warnings = pt["tau"], pt["nbar"], pt["warnings"]
+    block = simulate_block(tau, nbar, scenario.nu_det, scenario.sigma_x2,
+                           pulses, seed)
+    if dump:
+        _dump_block(block, np.full(block.pairs, -1), dump, tau_const=tau)
+    snap = block.estimators()
+    est = worst_case_estimators(snap.tau_hat, max(snap.n_hat, 0.0),
+                                scenario.sigma_x2, snap.sigma_z2_hat,
+                                snap.m_p, scenario.params.w)
+    warnings.extend(est.warnings)
+    return {"pulses": pulses, "m_p": snap.m_p, "tau_model": tau,
+            "nbar_model": nbar, "tau_hat": snap.tau_hat,
+            "sigma_z2_hat": snap.sigma_z2_hat, "n_hat": snap.n_hat,
+            "tau_lo": est.tau_lo, "tau_hi": est.tau_hi, "n_hi": est.n_hi,
+            "warnings": ";".join(warnings), "reason": ""}
+
+
 def evaluate_simulation(scenario: Scenario, x: float, seed: int,
                         dump: str = None) -> dict:
-    name = _abscissa_name(scenario)
-    pulses = scenario.simulate["pulses"]
-    prm = scenario.params
-    try:
-        if scenario.channel == "optical-mobile":
-            p = scenario.physics
-            beam = BeamConfig(wavelength=p["lambda"], waist=p["w0"])
-            fading = FadingModel.from_geometry(beam, x, p["a_r"], p["sigma_p"],
-                                               p["eta_eff"],
-                                               p.get("eta_atm", 1.0))
-            fs = mobile_worst_case(prm, fading, scenario.derived["theta_el"],
-                                   scenario.derived["theta_ph"],
-                                   scenario.lo_kind, p["eta_eff"], p["n_b"],
-                                   scenario.sigma_x2, scenario.nu_det,
-                                   f_th=scenario.f_th, bins=scenario.bins)
-            block = simulate_fading_block(
-                fading, _mobile_noise_map(scenario), scenario.nu_det,
-                scenario.sigma_x2, pulses, seed,
-                pilot_rate=scenario.simulate.get("pilot_rate", 0.0))
-            if dump:
-                _dump_block(block, fs.lattice.assign(block.tau_samples), dump)
-            faded = defade_block(block, fs.lattice, seed + 1)
-            snap = faded.estimators()
-            keep = slice(None) if faded.pilot_mask is None \
-                else ~faded.pilot_mask
-            defade_var = float(np.mean(faded.y[keep] ** 2))
-            row = {"pulses": pulses, "kept_pairs": faded.pairs,
-                   "p_delta_model": fs.p_delta,
-                   "p_delta_emp": faded.pairs / block.pairs,
-                   "tau_min": fs.lattice.tau_min, "n_star_model": fs.n_star,
-                   "defade_var_model": fs.lattice.tau_min * scenario.sigma_x2
-                   + 2.0 * fs.n_star + scenario.nu_det,
-                   "tau_hat": snap.tau_hat, "n_hat": snap.n_hat,
-                   "defade_var": defade_var,
-                   "warnings": ";".join(fs.warnings), "reason": ""}
-        else:
-            eta_ch, warnings = _model_eta_ch(scenario, x)
-            tau = eta_ch * scenario.physics["eta_eff"]
-            if scenario.channel == "microwave":
-                nbar = scenario.derived["n_th"]
-            else:
-                n_ex = setup_noise_from_thetas(
-                    scenario.derived["theta_el"], scenario.derived["theta_ph"],
-                    scenario.lo_kind, tau,
-                    n_other=scenario.physics.get("n_other", 0.0))
-                nbar = scenario.physics["eta_eff"] * scenario.physics["n_b"] + n_ex
-            block = simulate_block(tau, nbar, scenario.nu_det,
-                                   scenario.sigma_x2, pulses, seed)
-            if dump:
-                _dump_block(block, np.full(block.pairs, -1), dump,
-                            tau_const=tau)
-            snap = block.estimators()
-            est = worst_case_estimators(snap.tau_hat, max(snap.n_hat, 0.0),
-                                        scenario.sigma_x2, snap.sigma_z2_hat,
-                                        snap.m_p, prm.w)
-            warnings.extend(est.warnings)
-            row = {"pulses": pulses, "m_p": snap.m_p, "tau_model": tau,
-                   "nbar_model": nbar, "tau_hat": snap.tau_hat,
-                   "sigma_z2_hat": snap.sigma_z2_hat, "n_hat": snap.n_hat,
-                   "tau_lo": est.tau_lo, "tau_hi": est.tau_hi,
-                   "n_hi": est.n_hi, "warnings": ";".join(warnings),
-                   "reason": ""}
-    except Exception as exc:
-        cols = SIM_MOBILE_COLUMNS if scenario.channel == "optical-mobile" \
-            else SIM_COLUMNS
-        row = {col: NAN for col in cols}
-        row["warnings"] = ""
-        row["reason"] = f"{type(exc).__name__}: {exc}"
-    row[name] = x
-    return row
+    """Monte Carlo block at abscissa x against its model values."""
+    columns = SIM_MOBILE_COLUMNS if scenario.channel == "optical-mobile" \
+        else SIM_COLUMNS
+    return _guarded_row(_simulation_row, columns, scenario, x, seed, dump)
+
+
+def _coverage_row(scenario: Scenario, x: float, seed: int) -> dict:
+    cov = scenario.coverage
+    pt = _model_point(scenario, x)
+    report = estimator_coverage_experiment(
+        pt["tau"], pt["nbar"], scenario.nu_det, scenario.sigma_x2,
+        cov["pulses"], cov["rounds"], cov["eps_pe"], seed)
+    return {"rounds": report.rounds, "pulses": cov["pulses"],
+            "eps_pe": report.eps_pe, "w": report.w,
+            "tau_low_failures": report.tau_low_failures,
+            "tau_high_failures": report.tau_high_failures,
+            "n_failures": report.n_failures,
+            "tau_low_rate": report.tau_low_rate,
+            "tau_high_rate": report.tau_high_rate,
+            "n_rate": report.n_rate,
+            "warnings": ";".join(pt["warnings"]), "reason": ""}
 
 
 def evaluate_coverage(scenario: Scenario, x: float, seed: int) -> dict:
-    name = _abscissa_name(scenario)
-    cov = scenario.coverage
-    try:
-        if scenario.channel == "optical-mobile":
-            raise ConfigError("coverage applies to the constant-transmissivity "
-                              "channels")
-        eta_ch, warnings = _model_eta_ch(scenario, x)
-        tau = eta_ch * scenario.physics["eta_eff"]
-        if scenario.channel == "microwave":
-            nbar = scenario.derived["n_th"]
-        else:
-            n_ex = setup_noise_from_thetas(
-                scenario.derived["theta_el"], scenario.derived["theta_ph"],
-                scenario.lo_kind, tau,
-                n_other=scenario.physics.get("n_other", 0.0))
-            nbar = scenario.physics["eta_eff"] * scenario.physics["n_b"] + n_ex
-        report = estimator_coverage_experiment(
-            tau, nbar, scenario.nu_det, scenario.sigma_x2, cov["pulses"],
-            cov["rounds"], cov["eps_pe"], seed)
-        row = {"rounds": report.rounds, "pulses": cov["pulses"],
-               "eps_pe": report.eps_pe, "w": report.w,
-               "tau_low_failures": report.tau_low_failures,
-               "tau_high_failures": report.tau_high_failures,
-               "n_failures": report.n_failures,
-               "tau_low_rate": report.tau_low_rate,
-               "tau_high_rate": report.tau_high_rate,
-               "n_rate": report.n_rate,
-               "warnings": ";".join(warnings), "reason": ""}
-    except Exception as exc:
-        row = {col: NAN for col in COVERAGE_COLUMNS}
-        row["warnings"] = ""
-        row["reason"] = f"{type(exc).__name__}: {exc}"
-    row[name] = x
-    return row
+    """Estimator-bound coverage experiment at abscissa x.
+
+    A fading channel is a configuration error, raised before evaluation.
+    """
+    if scenario.channel == "optical-mobile":
+        raise ConfigError("coverage applies to the constant-transmissivity "
+                          "channels")
+    return _guarded_row(_coverage_row, COVERAGE_COLUMNS, scenario, x, seed)
 
 
 def run_sweep(scenario: Scenario, clamp: bool) -> list:

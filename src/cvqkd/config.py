@@ -143,8 +143,7 @@ class Scenario:
                            nep=p["nep"], lo_power=p["p_lo"],
                            lo_pulse_duration=p["dt_lo"], linewidth=p["l_w"],
                            clock=p["c"], nu_det=self.nu_det,
-                           sigma_x2=self.sigma_x2, lo_kind=self.lo_kind,
-                           n_other=p.get("n_other", 0.0))
+                           sigma_x2=self.sigma_x2, lo_kind=self.lo_kind)
 
 
 _SCENARIO_KEYS = {"channel", "protocol", "lo", "trust", "security", "attack"}

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import erfcinv, gammaln
 
 from .channel import FadingModel, fading_probability
+from .noise import setup_noise_from_thetas
 
 # Below this the Gaussian tail bound w = sqrt(2 ln(1/eps)) replaces the
 # inverse-erf evaluation.
@@ -186,16 +187,10 @@ def setup_and_background_bounds(est: EstimatorSet, th_el: float, th_ph: float,
     minimises them (tau'' for a transmitted LO, tau' for a local LO); the
     background bound is n_b' = (nbar' - n_ex_bc)/eta_eff, floored at zero.
     """
-    if lo_kind not in ("tlo", "llo"):
-        raise ValueError("lo_kind must be 'tlo' or 'llo'")
     if not 0.0 < eta_eff <= 1.0:
         raise ValueError("eta_eff must lie in (0, 1]")
-    if lo_kind == "tlo":
-        if est.tau_hi <= 0.0:
-            raise ValueError("tau_hi must be positive for a transmitted LO")
-        n_ex_bc = th_el / est.tau_hi
-    else:
-        n_ex_bc = th_el + th_ph * est.tau_lo
+    n_ex_bc = setup_noise_from_thetas(
+        th_el, th_ph, lo_kind, est.tau_hi if lo_kind == "tlo" else est.tau_lo)
     n_b_hi = (est.n_hi - n_ex_bc) / eta_eff
     warnings = est.warnings
     if n_b_hi < 0.0:
@@ -433,16 +428,18 @@ class FadingEstimatorSet:
 def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
                       th_ph: float, lo_kind: str, eta_eff: float, n_b: float,
                       sigma_x2: float, nu_det: int, f_th: float = 0.8,
-                      bins: int = 50, p_delta_min: float = 1e-6) -> FadingEstimatorSet:
+                      bins: int = 50, p_delta_min: float = 1e-6,
+                      n_other: float = 0.0) -> FadingEstimatorSet:
     """Worst-case estimates over the fading window [f_th * eta, eta].
 
-    The setup noise is bounded over the whole window (TLO: Theta_el/tau_min;
-    LLO: Theta_el + Theta_ph at unit transmissivity), the disclosed pairs
-    shrink to m_Delta = nu_det * m * p_Delta, and the surviving-signal noise
-    average n_star uses the bin lower edges.
+    The setup noise is bounded over the whole window (TLO at tau_min; LLO at
+    unit transmissivity, since its phase share grows with tau) and its best
+    case taken at the other end; the disclosed pairs shrink to
+    m_Delta = nu_det * m * p_Delta, and the surviving-signal noise average
+    n_star uses the bin lower edges. The untrusted n_other photons enter the
+    worst case and n_star but not the best-case setup share, so Eve is
+    credited with them through n_b_ub.
     """
-    if lo_kind not in ("tlo", "llo"):
-        raise ValueError("lo_kind must be 'tlo' or 'llo'")
     if not 0.0 < f_th < 1.0:
         raise ValueError("f_th must lie in (0, 1)")
     if nu_det not in (1, 2):
@@ -457,14 +454,9 @@ def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
         raise ValueError("post-selection window has negligible probability; "
                          "reduce the range or lower f_th")
 
-    if lo_kind == "tlo":
-        n_ex_wc = th_el / tau_min
-        n_ex_bc = th_el
-        n_ex_of = lambda t: th_el / t
-    else:
-        n_ex_wc = th_el + th_ph  # phase photons grow with tau, bounded at tau = 1
-        n_ex_bc = th_el + th_ph * tau_min
-        n_ex_of = lambda t: th_el + th_ph * t
+    tau_wc, tau_bc = (tau_min, 1.0) if lo_kind == "tlo" else (1.0, tau_min)
+    n_ex_wc = setup_noise_from_thetas(th_el, th_ph, lo_kind, tau_wc, n_other)
+    n_ex_bc = setup_noise_from_thetas(th_el, th_ph, lo_kind, tau_bc)
 
     n_wc = eta_eff * n_b + n_ex_wc
     sigma_wc2 = 2.0 * n_wc + nu_det
@@ -483,7 +475,8 @@ def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
         n_b_ub = 0.0
 
     lower = lattice.lower_edges
-    n_k = eta_eff * n_b + n_ex_of(lower)
+    n_k = eta_eff * n_b + setup_noise_from_thetas(th_el, th_ph, lo_kind, lower,
+                                                  n_other)
     n_star = tau_min / p_delta * float(np.sum(p_bins / lower * n_k))
     return FadingEstimatorSet(lattice=lattice, p_delta=p_delta,
                               bin_probabilities=p_bins, n_ex_wc=n_ex_wc, n_wc=n_wc,

@@ -124,33 +124,11 @@ class CovarianceMatrix:
     def symplectic_spectrum(self) -> np.ndarray:
         return symplectic_spectrum(self.entries)
 
-    def is_physical(self, tol: float = BONA_FIDE_TOL) -> bool:
-        return bool(self.symplectic_spectrum().min() >= 1.0 - tol)
-
     def require_physical(self, tol: float = BONA_FIDE_TOL) -> "CovarianceMatrix":
         spectrum = self.symplectic_spectrum()
         if spectrum.min() < 1.0 - tol:
             raise ValueError(f"covariance matrix is not bona fide: min eigenvalue {spectrum.min()}")
         return self
-
-    @classmethod
-    def vacuum(cls, n_modes: int) -> "CovarianceMatrix":
-        return cls(np.eye(2 * n_modes))
-
-    @classmethod
-    def thermal(cls, variance: float) -> "CovarianceMatrix":
-        """Single thermal mode with quadrature variance `variance` = 2*nbar + 1."""
-        if variance < 1.0:
-            raise ValueError("thermal variance must be >= 1")
-        return cls(variance * np.eye(2))
-
-    @classmethod
-    def tmsv(cls, mu: float) -> "CovarianceMatrix":
-        """Two-mode squeezed vacuum with local variance mu >= 1."""
-        if mu < 1.0:
-            raise ValueError("tmsv variance must be >= 1")
-        c = np.sqrt(mu * mu - 1.0)
-        return cls(two_mode_blocks(mu * I2, mu * I2, c * Z2))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CovarianceMatrix(n_modes={self.n_modes})"

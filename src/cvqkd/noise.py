@@ -8,11 +8,15 @@ xi = 2*nbar/tau.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.constants import h as PLANCK
-from scipy.constants import k as BOLTZMANN
+import numpy as np
+
+# Exact by definition in the 2019 SI (speed of light in m/s, Planck constant
+# in J s, Boltzmann constant in J/K).
+SPEED_OF_LIGHT = 299792458.0
+PLANCK = 6.62607015e-34
+BOLTZMANN = 1.380649e-23
 
 LO_KINDS = ("tlo", "llo")
 
@@ -43,10 +47,6 @@ class SetupConfig:
         Modulation variance sigma_x^2 = mu - 1 in shot-noise units.
     lo_kind : str
         "tlo" (transmitted LO) or "llo" (local LO regenerated at Bob).
-    n_other : float
-        Additional untrusted setup photons, default 0.
-    tlo_phase_photons : float
-        Residual TLO phase-noise photons, default 0.
     """
 
     wavelength: float
@@ -59,8 +59,6 @@ class SetupConfig:
     nu_det: int
     sigma_x2: float
     lo_kind: str = "llo"
-    n_other: float = 0.0
-    tlo_phase_photons: float = 0.0
 
     def __post_init__(self):
         for name in ("wavelength", "detector_bandwidth", "nep", "lo_power",
@@ -75,8 +73,6 @@ class SetupConfig:
             raise ValueError("sigma_x2 must be non-negative")
         if self.lo_kind not in LO_KINDS:
             raise ValueError(f"lo_kind must be one of {LO_KINDS}")
-        if self.n_other < 0.0 or self.tlo_phase_photons < 0.0:
-            raise ValueError("photon offsets must be non-negative")
 
     @property
     def carrier_frequency(self) -> float:
@@ -114,28 +110,31 @@ def theta_ph(cfg: SetupConfig) -> float:
     return math.pi * cfg.sigma_x2 * cfg.linewidth / cfg.clock
 
 
-def setup_noise_from_thetas(th_el: float, th_ph: float, lo_kind: str, tau: float,
-                            n_other: float = 0.0, tlo_phase_photons: float = 0.0) -> float:
+def setup_noise_from_thetas(th_el: float, th_ph: float, lo_kind: str, tau,
+                            n_other: float = 0.0):
     """Setup photons n_ex at channel transmissivity tau.
 
     TLO: the electronic contribution is referred back through the channel,
-    n_ex = Theta_el / tau (+ residual phase photons). LLO: the LO never
-    crosses the channel but the regenerated phase reference adds photons
-    proportionally to tau, n_ex = Theta_el + Theta_ph * tau.
+    n_ex = Theta_el / tau. LLO: the LO never crosses the channel but the
+    regenerated phase reference adds photons proportionally to tau,
+    n_ex = Theta_el + Theta_ph * tau. Both add the untrusted n_other.
+
+    A float tau must lie in (0, 1]. An array of pulse transmissivities may
+    also hold 0, where a deflected pulse's tau underflows; its TLO noise is
+    then infinite and post-selection discards the pulse.
     """
     if lo_kind not in LO_KINDS:
         raise ValueError(f"lo_kind must be one of {LO_KINDS}")
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("tau must lie in (0, 1]")
+    if isinstance(tau, (float, int)):
+        if not 0.0 < tau <= 1.0:
+            raise ValueError("tau must lie in (0, 1]")
+    else:
+        tau = np.asarray(tau, dtype=float)
+        if not np.all((0.0 <= tau) & (tau <= 1.0)):
+            raise ValueError("tau must lie in [0, 1]")
     if lo_kind == "tlo":
-        return th_el / tau + tlo_phase_photons + n_other
+        return th_el / tau + n_other
     return th_el + th_ph * tau + n_other
-
-
-def setup_noise(cfg: SetupConfig, tau: float) -> float:
-    """Setup photons n_ex for a configured receiver at transmissivity tau."""
-    return setup_noise_from_thetas(theta_el(cfg), theta_ph(cfg), cfg.lo_kind, tau,
-                                   cfg.n_other, cfg.tlo_phase_photons)
 
 
 def xi_from_photons(nbar: float, tau: float) -> float:
@@ -145,56 +144,6 @@ def xi_from_photons(nbar: float, tau: float) -> float:
     if nbar < 0.0:
         raise ValueError("nbar must be non-negative")
     return 2.0 * nbar / tau
-
-def photons_from_xi(xi: float, tau: float) -> float:
-    """Inverse of :func:`xi_from_photons`: nbar = xi*tau/2."""
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    if xi < 0.0:
-        raise ValueError("xi must be non-negative")
-    return xi * tau / 2.0
-
-
-def noise_budget(n_b: float, n_ex: float, eta_eff: float, tau: float) -> dict:
-    """Split the total noise into channel and setup excess-noise shares.
-
-    Returns nbar (total photons), xi_tot, xi_ch = 2*eta_eff*n_b/tau and
-    xi_ex = 2*n_ex/tau, with xi_tot = xi_ch + xi_ex.
-    """
-    nbar = eta_eff * n_b + n_ex
-    return {
-        "nbar": nbar,
-        "xi_tot": xi_from_photons(nbar, tau),
-        "xi_ch": xi_from_photons(eta_eff * n_b, tau),
-        "xi_ex": xi_from_photons(n_ex, tau),
-    }
-
-
-def hybrid_trust_split(n_b: float, n_ex_untrusted: float, eta_eff: float) -> float:
-    """Move untrusted setup photons into the channel-background slot.
-
-    Returns the adjusted background n_b + n_ex_untrusted / eta_eff, so that
-    eta_eff * n_b_adj reproduces the photons Eve is credited with.
-    """
-    if not 0.0 < eta_eff <= 1.0:
-        raise ValueError("eta_eff must lie in (0, 1]")
-    if n_b < 0.0 or n_ex_untrusted < 0.0:
-        raise ValueError("photon numbers must be non-negative")
-    return n_b + n_ex_untrusted / eta_eff
-
-
-def fov_from_sensor(sensor_size: float, focal_length: float) -> float:
-    """Solid-angle field of view Omega = (2*arctan(l_D / (2 f_D)))^2 in sr."""
-    if sensor_size <= 0.0 or focal_length <= 0.0:
-        raise ValueError("sensor size and focal length must be positive")
-    return (2.0 * math.atan(sensor_size / (2.0 * focal_length))) ** 2
-
-
-def interferometric_filter(wavelength: float, bandwidth: float) -> float:
-    """Wavelength acceptance Delta_lambda = lambda^2 * Delta_nu / c in metres."""
-    if wavelength <= 0.0 or bandwidth <= 0.0:
-        raise ValueError("wavelength and bandwidth must be positive")
-    return wavelength ** 2 * bandwidth / SPEED_OF_LIGHT
 
 
 def optical_etendue(optics: ReceiverOptics, detector_bandwidth: float) -> float:

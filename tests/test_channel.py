@@ -15,14 +15,12 @@ from cvqkd.channel import (
     fading_pdf,
     fading_probability,
     fading_probability_quadrature,
-    far_field_transmissivity,
     microwave_best_range,
     microwave_transmissivity,
     pointing_tau_approx,
     pointing_tau_exact,
     sample_deflections,
     spot_size,
-    weibull_deflection_pdf,
 )
 
 # Collimated 800 nm beam with 1 mm waist onto a 1 cm aperture: the
@@ -47,17 +45,6 @@ class TestBeamGeometry:
         zs = np.linspace(0.0, 100.0, 50)
         ws = [spot_size(BEAM, z) for z in zs]
         assert all(a < b for a, b in zip(ws, ws[1:]))
-
-    def test_focused_spot_size(self):
-        focused = BeamConfig(wavelength=800e-9, waist=1e-3, focused=True)
-        z = 25.0
-        assert spot_size(focused, z) == pytest.approx(1e-3 * z / BEAM.rayleigh_range)
-
-    def test_curved_matches_focused_at_focus(self):
-        z = 25.0
-        curved = BeamConfig(wavelength=800e-9, waist=1e-3, curvature=z)
-        focused = BeamConfig(wavelength=800e-9, waist=1e-3, focused=True)
-        assert spot_size(curved, z) == pytest.approx(spot_size(focused, z), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -88,11 +75,15 @@ class TestDiffractionTransmissivity:
         )
 
     def test_far_field_limit(self):
+        # far from the aperture eta_d tends to 2 a_R^2 / w_z^2, the far-field
+        # parameter of the fading fit, which exceeds 1 in the near field
+        def far(z):
+            return 2.0 * APERTURE**2 / spot_size(BEAM, z) ** 2
+
         z = 5000.0
         exact = diffraction_transmissivity(BEAM, z, APERTURE)
-        far = far_field_transmissivity(BEAM, z, APERTURE)
-        assert far == pytest.approx(exact, rel=1e-4)
-        assert far_field_transmissivity(BEAM, 1.0, APERTURE) > 1.0  # invalid near field
+        assert far(z) == pytest.approx(exact, rel=1e-4)
+        assert far(1.0) > 1.0
 
 
 class TestMicrowaveBroadcast:
@@ -121,13 +112,6 @@ class TestMicrowaveBroadcast:
 
 
 class TestDeflectionStatistics:
-    def test_pdf_normalises_and_peaks_at_sigma(self):
-        sigma = 3e-3
-        val, _ = quad(lambda r: weibull_deflection_pdf(r, sigma), 0.0, 20.0 * sigma)
-        assert val == pytest.approx(1.0, abs=1e-9)
-        rs = np.linspace(1e-5, 5 * sigma, 2001)
-        assert rs[np.argmax(weibull_deflection_pdf(rs, sigma))] == pytest.approx(sigma, rel=1e-2)
-
     def test_sampling_matches_cdf(self):
         sigma = 8.725e-3
         rng = np.random.default_rng(2024)

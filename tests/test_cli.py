@@ -5,6 +5,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -467,6 +470,31 @@ class TestSimulateCommand:
             float(row["defade_var_model"]), rel=0.05)
 
 
+    def test_mobile_counts_untrusted_photons(self, tmp_path):
+        # n_other photons reach the de-fading model as they reach the
+        # simulated pulses: the measured de-faded variance stays within three
+        # standard errors, defade_var_model * sqrt(2 / kept_pairs), of the
+        # model value
+        text = mobile("sigma_p = 1.745 mrad\nn_other = 0.05").replace(
+            "pulses = 20000", "pulses = 200000")
+        code, blob = run_cli(tmp_path, text, ["simulate", "--seed", "4"])
+        assert code == 0
+        row = read_csv(blob)[0]
+        model = float(row["defade_var_model"])
+        sigma = model * math.sqrt(2.0 / int(row["kept_pairs"]))
+        assert abs(float(row["defade_var"]) - model) <= 3.0 * sigma
+
+
+class TestMobileUntrustedNoise:
+    def test_rate_credits_n_other_to_eve(self, tmp_path):
+        _, base = run_cli(tmp_path, mobile(), ["rate"])
+        _, noisy = run_cli(tmp_path, mobile("sigma_p = 1.745 mrad\nn_other = 0.05"),
+                           ["rate"])
+        base, noisy = read_csv(base)[0], read_csv(noisy)[0]
+        assert float(noisy["n_hi"]) >= float(base["n_hi"]) + 0.05
+        assert float(noisy["rate_raw"]) < float(base["rate_raw"])
+
+
 class TestCoverageCommand:
     def test_failure_rates_bounded(self, tmp_path):
         code, blob = run_cli(tmp_path, fiber(), ["coverage", "--seed", "2"])
@@ -475,6 +503,27 @@ class TestCoverageCommand:
         assert int(row["rounds"]) == 40
         for col in ("tau_low_rate", "tau_high_rate", "n_rate"):
             assert 0.0 <= float(row[col]) <= 0.2
+
+    def test_mobile_coverage_is_config_error(self, tmp_path, capsys):
+        text = mobile() + "\n[coverage]\nrounds = 4\npulses = 2000\neps_pe = 0.05\n"
+        code, blob = run_cli(tmp_path, text, ["coverage", "--seed", "2"])
+        assert code == 1
+        assert blob == b""
+        assert "constant-transmissivity" in capsys.readouterr().err
+
+
+class TestImportFloor:
+    def test_cli_import_skips_integrate_and_constants(self):
+        # quadrature is an oracle and c, h, k_B are literals: neither scipy
+        # module belongs on the start-up path of the command line
+        probe = ("import sys, cvqkd.cli; print(sorted(m for m in sys.modules "
+                 "if m.startswith(('scipy.integrate', 'scipy.constants'))))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.stdout.strip() == "[]"
 
 
 class TestExitCodes:

@@ -406,6 +406,25 @@ class TestMobileWorstCase:
         assert fs.n_ub > fs.n_wc
         assert fs.tau_lb < fs.lattice.tau_min
 
+    def test_untrusted_photons_credited_to_eve(self):
+        # n_other enters the worst case and the de-faded average, not the
+        # best-case setup share, so n_b_ub carries it to Eve
+        n_other = 0.05
+        for lo_kind, th_ph in (("llo", self.TH_PH), ("tlo", 0.0)):
+            base = mobile_worst_case(self.params(), self.fading(), self.TH_EL, th_ph,
+                                     lo_kind, 0.7, 0.019, 9.0, 2)
+            fs = mobile_worst_case(self.params(), self.fading(), self.TH_EL, th_ph,
+                                   lo_kind, 0.7, 0.019, 9.0, 2, n_other=n_other)
+            assert fs.n_wc == pytest.approx(base.n_wc + n_other, rel=1e-12)
+            assert fs.n_ub >= base.n_ub + n_other
+            assert fs.n_ex_bc == base.n_ex_bc
+            assert fs.n_b_ub >= base.n_b_ub + n_other / 0.7
+            # de-fading to tau_min scales each bin's noise by tau_min / tau_k
+            lower = fs.lattice.lower_edges
+            shift = n_other * fs.lattice.tau_min / fs.p_delta * float(
+                np.sum(fs.bin_probabilities / lower))
+            assert fs.n_star == pytest.approx(base.n_star + shift, rel=1e-12)
+
     def test_defaded_average_uses_bin_lower_edges(self):
         fs = mobile_worst_case(self.params(), self.fading(), self.TH_EL, self.TH_PH,
                                "llo", 0.7, 0.019, 9.0, 2, f_th=0.8, bins=50)

@@ -142,28 +142,31 @@ class TestSymplecticSpectrum:
             symplectic_spectrum(np.eye(3))
 
 
+def tmsv(mu: float) -> np.ndarray:
+    """Two-mode squeezed vacuum with local variance mu >= 1."""
+    c = math.sqrt(mu * mu - 1.0)
+    return two_mode_blocks(mu * np.eye(2), mu * np.eye(2), c * np.diag([1.0, -1.0]))
+
+
 class TestCovarianceMatrix:
     def test_vacuum_and_thermal(self):
-        assert np.allclose(CovarianceMatrix.vacuum(2).symplectic_spectrum(), 1.0)
-        th = CovarianceMatrix.thermal(3.0)
+        assert np.allclose(CovarianceMatrix(np.eye(4)).symplectic_spectrum(), 1.0)
+        th = CovarianceMatrix(3.0 * np.eye(2))
         assert th.symplectic_spectrum() == pytest.approx(3.0)
-        with pytest.raises(ValueError):
-            CovarianceMatrix.thermal(0.5)
 
     def test_tmsv_is_pure_with_correct_blocks(self):
         mu = 4.0
-        cm = CovarianceMatrix.tmsv(mu)
+        cm = CovarianceMatrix(tmsv(mu))
         assert np.allclose(cm.symplectic_spectrum(), 1.0, atol=1e-12)
-        c = math.sqrt(mu * mu - 1.0)
-        expect = two_mode_blocks(mu * np.eye(2), mu * np.eye(2), c * np.diag([1.0, -1.0]))
-        assert np.allclose(cm.entries, expect)
+        # each half alone is thermal with variance mu
+        assert np.allclose(symplectic_spectrum(cm.entries[:2, :2]), mu)
+        assert np.allclose(symplectic_spectrum(cm.entries[2:, 2:]), mu)
 
     def test_require_physical(self):
         squeezed_below_vacuum = CovarianceMatrix(np.diag([0.3, 0.3]))
-        assert not squeezed_below_vacuum.is_physical()
         with pytest.raises(ValueError):
             squeezed_below_vacuum.require_physical()
-        CovarianceMatrix.tmsv(10.0).require_physical()
+        CovarianceMatrix(tmsv(10.0)).require_physical()
 
     def test_symmetry_enforced_on_construction(self):
         bad = np.eye(4)
@@ -181,7 +184,7 @@ class TestConditioning:
         """
         mu, omega = 5.0, 2.4
         v = np.zeros((6, 6))
-        v[:4, :4] = CovarianceMatrix.tmsv(mu).entries
+        v[:4, :4] = tmsv(mu)
         v[4:, 4:] = omega * np.eye(2)
         s_eve = np.eye(6)
         s_eve[2:, 2:] = random_symplectic(2, rng)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cvqkd.gaussian import CovarianceMatrix, entropic_h, two_mode_blocks
-from cvqkd.noise import hybrid_trust_split
 from cvqkd.rates import (
     ChannelPoint,
     SecurityType,
@@ -153,7 +152,7 @@ class TestHybridTrustEquivalence:
             for nu_det in (1, 2):
                 ch3 = ChannelPoint(eta_ch=tau / 0.7, eta_eff=0.7, n_b=0.019,
                                    n_ex=0.003, nu_det=nu_det, mu=10.0)
-                n_b_adj = hybrid_trust_split(0.019, 0.003, 0.7)
+                n_b_adj = 0.019 + 0.003 / 0.7  # setup photons moved into n_b
                 ch2 = ChannelPoint(eta_ch=tau / 0.7, eta_eff=0.7, n_b=n_b_adj,
                                    n_ex=0.0, nu_det=nu_det, mu=10.0)
                 assert holevo_standard(ch2, TrustLevel.TRUSTED_NOISE) == pytest.approx(
