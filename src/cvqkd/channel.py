@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e, ive
 
 
 @dataclass(frozen=True)
@@ -98,6 +97,7 @@ def pointing_tau_exact(r: float, w_z: float, aperture_radius: float, eta: float)
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
     from scipy.integrate import quad  # oracle only; kept off the import path
+    from scipy.special import i0e
 
     def overlap(displacement: float) -> float:
         def integrand(rho: float) -> float:
@@ -110,6 +110,34 @@ def pointing_tau_exact(r: float, w_z: float, aperture_radius: float, eta: float)
 
     reference = -math.expm1(-2.0 * aperture_radius ** 2 / w_z ** 2)
     return eta * overlap(r) / reference
+
+
+def _scaled_bessel_i01(x: float) -> tuple:
+    """(exp(-x) I0(x), exp(-x) I1(x)) for x >= 0, in bounded time: the
+    power series below x = 25, the Hankel expansion (2 pi x)^-1/2 sum_k
+    prod_{j<=k} ((2j - 1)^2 - 4 nu^2) / (j 8x) from 25 up, where its smallest
+    term, about exp(-2x), is far below round-off."""
+    if x < 25.0:
+        q = 0.25 * x * x
+        t0, t1, s0, s1, k = 1.0, 0.5 * x, 1.0, 0.5 * x, 0
+        while t0 > 1.1e-16 * s0:
+            k += 1
+            t0 *= q / (k * k)
+            t1 *= q / (k * (k + 1))
+            s0 += t0
+            s1 += t1
+        scale = math.exp(-x)
+    else:
+        t0, t1, s0, s1, k = 1.0, 1.0, 1.0, 1.0, 0
+        while abs(t1) > 1.1e-16 * s1:
+            k += 1
+            odd2 = (2 * k - 1) ** 2
+            t0 *= odd2 / (8.0 * k * x)
+            t1 *= (odd2 - 4) / (8.0 * k * x)
+            s0 += t0
+            s1 += t1
+        scale = 1.0 / math.sqrt(2.0 * math.pi * x)
+    return s0 * scale, s1 * scale
 
 
 @dataclass(frozen=True)
@@ -148,8 +176,7 @@ class FadingModel:
         wz = spot_size(beam, z)
         eta_d = -math.expm1(-2.0 * aperture_radius ** 2 / wz ** 2)
         eta_far = 2.0 * aperture_radius ** 2 / wz ** 2
-        lam0 = float(ive(0, 2.0 * eta_far))  # Lambda_n(x) = exp(-2x) I_n(2x)
-        lam1 = float(ive(1, 2.0 * eta_far))
+        lam0, lam1 = _scaled_bessel_i01(2.0 * eta_far)  # exp(-2x) I_n(2x)
         log_term = math.log(2.0 * eta_d / (1.0 - lam0))
         if log_term <= 0.0:
             raise ValueError("fading fit undefined: ln(2 eta_d / (1 - Lambda_0)) <= 0")

@@ -69,6 +69,9 @@ COVERAGE_COLUMNS = ("rounds", "pulses", "eps_pe", "w", "tau_low_failures",
                     "tau_high_failures", "n_failures", "tau_low_rate",
                     "tau_high_rate", "n_rate", "warnings", "reason")
 PROVENANCE_COLUMNS = ("scenario_hash", "seed", "version")
+# the closed list of codes a warnings cell may hold (README, "CLI")
+WARNING_CODES = ("eta_ch_clamped", "tau_lo_floored", "n_b_hi_floored",
+                 "tau_lb_floored", "n_b_ub_floored")
 
 NAN = float("nan")
 
@@ -186,8 +189,9 @@ def _rate_row(scenario: Scenario, x: float) -> dict:
         sx2 = scenario.sigma_x2
         model = ChannelPoint.from_estimates(tau, eta_eff, n_th, 0.0,
                                             scenario.nu_det, prm.mu)
-        tau_lo, n_hi, n_lo = microwave_estimators(tau, n_th, sx2, prm.m,
-                                                  scenario.nu_det, prm.w)
+        tau_lo, n_hi, n_lo, floored = microwave_estimators(
+            tau, n_th, sx2, prm.m, scenario.nu_det, prm.w)
+        warnings.extend(floored)
         wc = ChannelPoint.from_estimates(tau_lo, eta_eff, n_hi, 0.0,
                                          scenario.nu_det, prm.mu)
         if security is SecurityType.LOS:
@@ -277,18 +281,21 @@ def _mobile_noise_map(scenario: Scenario):
 
 
 def _dump_block(block, bins, path: str, tau_const: float = None) -> None:
-    """Write one simulated block as CSV, one row per disclosed pair."""
+    """Write one simulated block as CSV, one row per disclosed pair,
+    formatting 1024 rows per write so that extra memory stays small."""
     tau = block.tau_samples if block.tau_samples is not None \
         else np.full(block.pairs, tau_const)
     pilot = block.pilot_mask if block.pilot_mask is not None \
         else np.zeros(block.pairs, dtype=bool)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("index", "pilot_flag", "x", "y", "tau_sample", "bin"))
-        for i in range(block.pairs):
-            writer.writerow((i, int(pilot[i]), "%.17g" % block.x[i],
-                             "%.17g" % block.y[i], "%.17g" % tau[i],
-                             int(bins[i])))
+        handle.write("index,pilot_flag,x,y,tau_sample,bin\n")
+        for start in range(0, block.pairs, 1024):
+            stop = min(start + 1024, block.pairs)
+            table = np.column_stack((np.arange(start, stop), pilot[start:stop],
+                                     block.x[start:stop], block.y[start:stop],
+                                     tau[start:stop], bins[start:stop]))
+            handle.write("%d,%d,%.17g,%.17g,%.17g,%d\n" * (stop - start)
+                         % tuple(table.ravel().tolist()))
 
 
 def _simulation_row(scenario: Scenario, x: float, seed: int,

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfcinv, gammaln
 
 from .channel import FadingModel, fading_probability
 from .noise import setup_noise_from_thetas
 
 # Below this the Gaussian tail bound w = sqrt(2 ln(1/eps)) replaces the
-# inverse-erf evaluation.
+# normal quantile.
 ERFINV_FLOOR = 1e-17
 
 # Worst-case transmissivities are floored here instead of zero so downstream
@@ -29,13 +29,14 @@ TAU_FLOOR = 1e-12
 def confidence_w(eps_pe: float) -> float:
     """Confidence parameter w with 1 - erf(w/sqrt(2)) = 2 * eps_pe.
 
-    erfinv(1 - 2 eps) is evaluated as erfcinv(2 eps), which stays accurate
-    when 1 - 2 eps is no longer representable.
+    w = sqrt(2) erfcinv(2 eps) is the upper eps-quantile of the standard
+    normal, -Phi^-1(eps), taken from the lower tail (Wichura's AS241), so it
+    stays accurate when 1 - 2 eps is no longer representable.
     """
     if not 0.0 < eps_pe <= 0.5:
         raise ValueError("eps_pe must lie in (0, 0.5]")
     if eps_pe > ERFINV_FLOOR:
-        return math.sqrt(2.0) * float(erfcinv(2.0 * eps_pe))
+        return -NormalDist().inv_cdf(eps_pe)
     return math.sqrt(2.0 * math.log(1.0 / eps_pe))
 
 
@@ -207,11 +208,11 @@ def setup_and_background_bounds(est: EstimatorSet, th_el: float, th_ph: float,
 
 def microwave_estimators(tau: float, n_th: float, sigma_x2: float, m: float,
                          nu_det: int, w: float) -> tuple:
-    """(tau', n_th', n_th'') bounds for a thermal-modulated microwave link.
+    """(tau', n_th', n_th'', warnings) for a thermal-modulated microwave link.
 
     tau' = tau - 2w sqrt((2 tau^2 + tau (2 n_th + nu_det)/sigma_x2)/(nu_det m)),
-    n_th' and n_th'' shift n_th by +-w (2 n_th + nu_det)/sqrt(2 nu_det m);
-    n_th'' is floored at zero.
+    floored at TAU_FLOOR with a warning; n_th' and n_th'' shift n_th by
+    +-w (2 n_th + nu_det)/sqrt(2 nu_det m); n_th'' is floored at zero.
     """
     if tau <= 0.0 or sigma_x2 <= 0.0 or m <= 0 or w < 0.0 or n_th < 0.0:
         raise ValueError("tau, sigma_x2, m must be positive; w, n_th non-negative")
@@ -220,8 +221,10 @@ def microwave_estimators(tau: float, n_th: float, sigma_x2: float, m: float,
     sigma_z2 = 2.0 * n_th + nu_det
     m_p = nu_det * m
     tau_lo = tau - 2.0 * w * math.sqrt((2.0 * tau * tau + tau * sigma_z2 / sigma_x2) / m_p)
+    warnings = ("tau_lo_floored",) if tau_lo <= TAU_FLOOR else ()
     shift = w * sigma_z2 / math.sqrt(2.0 * m_p)
-    return max(tau_lo, TAU_FLOOR), n_th + shift, max(n_th - shift, 0.0)
+    return (max(tau_lo, TAU_FLOOR), n_th + shift, max(n_th - shift, 0.0),
+            warnings)
 
 
 # --- composable corrections -------------------------------------------------
@@ -306,13 +309,9 @@ def energy_test_threshold(n_transmit: float, m_et: float, c_et: float = None) ->
 
 
 def _log2_binomial(k: float, r: int) -> float:
-    """log2 of the generalised binomial C(k + r, r) for real k >= 0."""
-    if k + r < 1e6:
-        product = 1.0
-        for j in range(1, r + 1):
-            product *= (k + j) / j
-        return math.log2(product)
-    return float(gammaln(k + r + 1.0) - gammaln(k + 1.0) - gammaln(r + 1.0)) / math.log(2.0)
+    """log2 of the generalised binomial C(k + r, r) for real k >= 0, as a
+    sum of r log-ratios: no log-gamma difference cancels, at any k."""
+    return sum(math.log2((k + j) / j) for j in range(1, r + 1))
 
 
 def general_attack_extension(params: ProtocolParams, n_transmit: float, eps: float,

@@ -106,12 +106,15 @@ def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
     rng = stream_rng(seed, 2 << 40)
     r = sample_deflections(fading.sigma_p, pulses, rng)
     tau_pulse = pointing_tau_approx(r, fading)
-    n_pulse = np.asarray(n_of_tau(tau_pulse), dtype=float)
+    # a far-deflected pulse's tau underflows, so its TLO noise Theta_el / tau
+    # is infinite; post-selection discards the pulse
+    with np.errstate(divide="ignore", over="ignore"):
+        n_pulse = np.asarray(n_of_tau(tau_pulse), dtype=float)
+        sigma_z = np.sqrt(2.0 * np.repeat(n_pulse, nu_det) + nu_det)
     if n_pulse.shape != tau_pulse.shape or np.any(n_pulse < 0.0):
         raise ValueError("n_of_tau must map tau samples to non-negative photons")
 
     tau_pair = np.repeat(tau_pulse, nu_det)
-    sigma_z = np.sqrt(2.0 * np.repeat(n_pulse, nu_det) + nu_det)
     pairs = nu_det * pulses
     x = _chunked_normals(seed, 0, math.sqrt(sigma_x2), pairs)
     z = _chunked_normals(seed, 1 << 40, 1.0, pairs) * sigma_z

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import ive
 from scipy.stats import kstest
 
 from cvqkd.channel import (
     BeamConfig,
     FadingModel,
+    _scaled_bessel_i01,
     deflection_for_tau,
     diffraction_transmissivity,
     fading_pdf,
@@ -176,6 +178,18 @@ class TestFadingModel:
             exact = np.array([pointing_tau_exact(r, wz, APERTURE, fad.eta) for r in rs])
             approx = pointing_tau_approx(rs, fad)
             assert np.max(np.abs(approx - exact) / exact) <= 0.05
+
+    def test_scaled_bessel_against_scipy(self):
+        # Lambda_n(x/2) = exp(-x) I_n(x) for x = 2 eta_far; tolerance fixed
+        # before the run: 1e-14 relative to scipy's ive, over 1e-6..1500 and
+        # on both sides of the series/Hankel switch at x = 25
+        xs = np.concatenate((np.geomspace(1e-6, 1500.0, 4000),
+                             np.linspace(24.0, 26.0, 201),
+                             [np.nextafter(25.0, 0.0), 25.0]))
+        got = np.array([_scaled_bessel_i01(float(x)) for x in xs])
+        for n in (0, 1):
+            ref = ive(n, xs)
+            assert np.all(np.abs(got[:, n] - ref) <= 1e-14 * ref)
 
     def test_deflection_round_trip(self):
         fad = fading_at(5.0)

@@ -6,8 +6,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -15,10 +17,11 @@ import numpy as np
 import pytest
 
 from cvqkd import __version__
-from cvqkd.cli import main, scenario_echo, scenario_hash
+from cvqkd.cli import WARNING_CODES, main, scenario_echo, scenario_hash
 from cvqkd.config import ConfigError, parse_quantity, resolve_scenario
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 FIBER = """
 [scenario]
@@ -513,17 +516,61 @@ class TestCoverageCommand:
 
 
 class TestImportFloor:
-    def test_cli_import_skips_integrate_and_constants(self):
-        # quadrature is an oracle and c, h, k_B are literals: neither scipy
-        # module belongs on the start-up path of the command line
-        probe = ("import sys, cvqkd.cli; print(sorted(m for m in sys.modules "
-                 "if m.startswith(('scipy.integrate', 'scipy.constants'))))")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-c", probe], check=True,
-                             capture_output=True, text=True,
+    def test_cli_loads_no_scipy(self, tmp_path):
+        # scipy serves only the oracles, which import it when called: a rate
+        # row on every shipped config, from a fresh interpreter, loads none
+        # of it
+        probe = ("import sys, cvqkd.cli\n"
+                 "codes = [cvqkd.cli.main(['rate', '--config', cfg, '--out', "
+                 "sys.argv[1]]) for cfg in sys.argv[2:]]\n"
+                 "print(codes, sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))")
+        configs = sorted(str(cfg) for cfg in CONFIGS.glob("*.ini"))
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", probe,
+                              str(tmp_path / "row.csv"), *configs],
+                             check=True, capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": path})
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.strip() == f"{[0] * len(configs)} []"
+
+
+class TestWarningCodes:
+    def test_readme_table_lists_exactly_the_codes(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("The `warnings` column holds")[1].split("###")[0]
+        listed = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+        assert sorted(listed) == sorted(WARNING_CODES)
+
+    def test_every_raised_code_is_listed(self):
+        raised = set()
+        for module in (ROOT / "src" / "cvqkd").glob("*.py"):
+            raised.update(re.findall(r"\"(\w+_(?:floored|clamped))\"",
+                                     module.read_text(encoding="utf-8")))
+        assert raised == set(WARNING_CODES)
+
+    def test_microwave_floor_is_reported(self, tmp_path):
+        code, blob = run_cli(
+            tmp_path,
+            MICROWAVE.format(trust=3, security="standard", distance="40 m"),
+            ["rate"])
+        assert code == 0
+        row = read_csv(blob)[0]
+        assert float(row["tau_lo"]) == 1e-12
+        assert row["warnings"] == "tau_lo_floored"
+
+    def test_tlo_mobile_simulate_is_silent(self, tmp_path, capsys):
+        # about 17 % of pulses at 5 m have tau underflow to 0, where the TLO
+        # noise Theta_el / tau is infinite; those pulses are post-selected
+        # away and raise no numpy warning
+        text = mobile().replace("lo = llo", "lo = tlo")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, blob = run_cli(tmp_path, text, ["simulate", "--seed", "4"])
+        assert code == 0
+        assert read_csv(blob)[0]["reason"] == ""
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
 
 
 class TestExitCodes:

@@ -8,8 +8,10 @@ general attacks p_ec = 0.1 with epsilons 1e-43 and energy-test fraction 0.2.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import erfcinv
 
 from cvqkd.channel import BeamConfig, FadingModel
 from cvqkd.finite_size import (
@@ -62,6 +64,19 @@ class TestConfidence:
         for bad in (0.0, 0.50001, -0.1, 1.0):
             with pytest.raises(ValueError):
                 confidence_w(bad)
+
+    def test_normal_quantile_against_erfcinv_and_mpmath(self):
+        # tolerance fixed before the run: 1e-15 relative to scipy's erfcinv
+        # and to a 50-digit sqrt(2) erfinv(1 - 2 eps), over the whole
+        # quantile branch
+        for eps in np.append(np.geomspace(1.0001e-17, 0.5, 120)[:-1], 0.4999):
+            eps = float(eps)
+            w = confidence_w(eps)
+            scipy_w = math.sqrt(2.0) * float(erfcinv(2.0 * eps))
+            with mpmath.workdps(50):
+                exact = mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.mpf(eps))
+            assert abs(w - scipy_w) <= 1e-15 * scipy_w
+            assert abs(w - exact) <= 1e-15 * exact
 
 
 class TestProtocolParams:
@@ -181,7 +196,9 @@ class TestSetupAndBackgroundBounds:
 class TestMicrowaveEstimators:
     def test_formulas(self):
         tau, n_th, sx2, m, nu_det, w = 0.8, 0.1024, 20.0, 5e6, 2, 6.34
-        tau_lo, n_hi, n_lo = microwave_estimators(tau, n_th, sx2, m, nu_det, w)
+        tau_lo, n_hi, n_lo, warnings = microwave_estimators(tau, n_th, sx2, m,
+                                                            nu_det, w)
+        assert warnings == ()
         sz2 = 2.0 * n_th + nu_det
         m_p = nu_det * m
         assert tau_lo == pytest.approx(
@@ -193,8 +210,10 @@ class TestMicrowaveEstimators:
         assert n_lo >= 0.0
 
     def test_floors(self):
-        tau_lo, n_hi, n_lo = microwave_estimators(0.5, 1e-9, 20.0, 10, 2, 6.34)
+        tau_lo, n_hi, n_lo, warnings = microwave_estimators(0.5, 1e-9, 20.0,
+                                                            10, 2, 6.34)
         assert tau_lo == TAU_FLOOR
+        assert warnings == ("tau_lo_floored",)
         assert n_lo == 0.0
         assert n_hi > 1e-9
 
@@ -288,13 +307,18 @@ class TestGeneralAttackExtension:
             assert 2.0 * math.ceil(_log2_binomial(float(k), 4)) == terms_phi
 
     def test_log2_binomial_large_argument_path(self):
+        # against a 60-digit log2 C(k + 4, 4) within 1e-12 bits, with the
+        # same ceil, for cutoffs from 1 to 1e16; a log-gamma difference is
+        # off by up to 28 bits here and flips the ceil from k of about 1e13
         from cvqkd.finite_size import _log2_binomial
 
-        k = 2_000_000
-        # gammaln path; its ~1e-11 accuracy is harmless under the later ceil
-        assert _log2_binomial(float(k), 4) == pytest.approx(
-            math.log2(math.comb(k + 4, 4)), rel=1e-9
-        )
+        for k in np.append(np.geomspace(1.0, 1e16, 241), [2e6, 3e13]):
+            k = float(k)
+            with mpmath.workdps(60):
+                exact = mpmath.log(mpmath.binomial(mpmath.mpf(k) + 4, 4), 2)
+            got = _log2_binomial(k, 4)
+            assert abs(got - exact) <= 1e-12
+            assert math.ceil(got) == int(mpmath.ceil(exact))
 
     def test_epsilon_degradation_law(self):
         terms = general_attack_extension(GENERAL, 4.5, total_epsilon(GENERAL))
