@@ -70,6 +70,7 @@ from .simulate import (
     simulate_block,
     simulate_fading_block,
     stream_rng,
+    sufficient_statistics_coverage,
 )
 
 __version__ = "0.1.0"

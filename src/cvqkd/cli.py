@@ -49,9 +49,9 @@ from .rates import (
 )
 from .simulate import (
     defade_block,
-    estimator_coverage_experiment,
     simulate_block,
     simulate_fading_block,
+    sufficient_statistics_coverage,
 )
 
 RESULT_SCHEMA = "cvqkd-results/1"
@@ -350,17 +350,12 @@ def evaluate_simulation(scenario: Scenario, x: float, seed: int,
 def _coverage_row(scenario: Scenario, x: float, seed: int) -> dict:
     cov = scenario.coverage
     pt = _model_point(scenario, x)
-    report = estimator_coverage_experiment(
+    report = sufficient_statistics_coverage(
         pt["tau"], pt["nbar"], scenario.nu_det, scenario.sigma_x2,
         cov["pulses"], cov["rounds"], cov["eps_pe"], seed)
-    return {"rounds": report.rounds, "pulses": cov["pulses"],
-            "eps_pe": report.eps_pe, "w": report.w,
-            "tau_low_failures": report.tau_low_failures,
-            "tau_high_failures": report.tau_high_failures,
-            "n_failures": report.n_failures,
+    return {**asdict(report), "pulses": cov["pulses"],
             "tau_low_rate": report.tau_low_rate,
-            "tau_high_rate": report.tau_high_rate,
-            "n_rate": report.n_rate,
+            "tau_high_rate": report.tau_high_rate, "n_rate": report.n_rate,
             "warnings": ";".join(pt["warnings"]), "reason": ""}
 
 

@@ -325,8 +325,8 @@ def resolve_scenario(text: str) -> Scenario:
 
     sweep = _resolve_sweep(parser, channel)
     point = _resolve_point(parser, channel)
-    simulate = _resolve_simulate(parser, channel)
-    coverage = _resolve_coverage(parser)
+    simulate = _resolve_simulate(parser, channel, nu_det)
+    coverage = _resolve_coverage(parser, nu_det)
 
     derived = {"nu_det": nu_det, "sigma_x2": params.mu - 1.0, "n": params.n,
                "w": params.w, "eps_total": total_epsilon(params)}
@@ -386,15 +386,20 @@ def _resolve_point(parser, channel) -> tuple | None:
     return (key, parse_quantity(raw[key]))
 
 
-def _resolve_simulate(parser, channel) -> dict | None:
+def _require_pairs(section: str, pulses: int, nu_det: int) -> None:
+    if nu_det * pulses < 2:
+        raise ConfigError(f"[{section}] nu * pulses = {nu_det} x {pulses} is "
+                          "below 2 disclosed pairs (rule: min-disclosed-pairs)")
+
+
+def _resolve_simulate(parser, channel, nu_det) -> dict | None:
     if not parser.has_section("simulate"):
         return None
     raw = dict(parser.items("simulate"))
     _check_keys("simulate", raw, _SIMULATE_KEYS)
     _require("simulate", raw, ("pulses",))
     out = {"pulses": parse_count("simulate", "pulses", raw["pulses"])}
-    if out["pulses"] < 1:
-        raise ConfigError("[simulate] pulses must be >= 1")
+    _require_pairs("simulate", out["pulses"], nu_det)
     if "pilot_rate" in raw:
         if channel != "optical-mobile":
             raise ConfigError("[simulate] pilot_rate only applies to "
@@ -403,7 +408,7 @@ def _resolve_simulate(parser, channel) -> dict | None:
     return out
 
 
-def _resolve_coverage(parser) -> dict | None:
+def _resolve_coverage(parser, nu_det) -> dict | None:
     if not parser.has_section("coverage"):
         return None
     raw = dict(parser.items("coverage"))
@@ -412,7 +417,8 @@ def _resolve_coverage(parser) -> dict | None:
     out = {"rounds": parse_count("coverage", "rounds", raw["rounds"]),
            "pulses": parse_count("coverage", "pulses", raw["pulses"]),
            "eps_pe": parse_quantity(raw["eps_pe"])}
-    if out["rounds"] < 1 or out["pulses"] < 1:
-        raise ConfigError("[coverage] rounds and pulses must be >= 1")
+    if out["rounds"] < 1:
+        raise ConfigError("[coverage] rounds must be >= 1")
+    _require_pairs("coverage", out["pulses"], nu_det)
     confidence_w(out["eps_pe"])  # validates the range
     return out

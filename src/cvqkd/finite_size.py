@@ -36,7 +36,7 @@ def confidence_w(eps_pe: float) -> float:
     if not 0.0 < eps_pe <= 0.5:
         raise ValueError("eps_pe must lie in (0, 0.5]")
     if eps_pe > ERFINV_FLOOR:
-        return -NormalDist().inv_cdf(eps_pe)
+        return 0.0 - NormalDist().inv_cdf(eps_pe)  # +0.0, not -0.0, at 1/2
     return math.sqrt(2.0 * math.log(1.0 / eps_pe))
 
 

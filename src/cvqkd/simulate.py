@@ -68,6 +68,16 @@ class SimBlock:
         return empirical_estimators(self.x[keep], self.y[keep], self.nu_det)
 
 
+def _check_block(tau: float, nbar: float, nu_det: int, sigma_x2: float,
+                 pulses: int) -> None:
+    if not 0.0 < tau <= 1.0:
+        raise ValueError("tau must lie in (0, 1]")
+    if nbar < 0.0 or sigma_x2 <= 0.0 or pulses < 1:
+        raise ValueError("nbar must be >= 0, sigma_x2 > 0, pulses >= 1")
+    if nu_det not in (1, 2):
+        raise ValueError("nu_det must be 1 or 2")
+
+
 def simulate_block(tau: float, nbar: float, nu_det: int, sigma_x2: float,
                    pulses: int, seed: int) -> SimBlock:
     """Simulate y = sqrt(tau) x + z with var x = sigma_x2, var z = 2 nbar + nu_det.
@@ -75,12 +85,7 @@ def simulate_block(tau: float, nbar: float, nu_det: int, sigma_x2: float,
     Produces nu_det disclosed pairs per pulse (heterodyne reveals both
     quadratures of each pulse).
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("tau must lie in (0, 1]")
-    if nbar < 0.0 or sigma_x2 <= 0.0 or pulses < 1:
-        raise ValueError("nbar must be >= 0, sigma_x2 > 0, pulses >= 1")
-    if nu_det not in (1, 2):
-        raise ValueError("nu_det must be 1 or 2")
+    _check_block(tau, nbar, nu_det, sigma_x2, pulses)
     pairs = nu_det * pulses
     x = _chunked_normals(seed, 0, math.sqrt(sigma_x2), pairs)
     z = _chunked_normals(seed, 1 << 40, math.sqrt(2.0 * nbar + nu_det), pairs)
@@ -188,6 +193,24 @@ class CoverageReport:
         return self.n_failures / self.rounds
 
 
+def _coverage_report(stats, tau: float, nbar: float, nu_det: int,
+                     sigma_x2: float, pulses: int, rounds: int,
+                     eps_pe: float) -> CoverageReport:
+    """Count failures of the bounds at eps_pe from each (T_hat, sigma_z2_hat)."""
+    from .finite_size import worst_case_estimators
+
+    w = confidence_w(eps_pe)
+    failures = [0, 0, 0]
+    for t_hat, sigma_z2_hat in stats:
+        est = worst_case_estimators(t_hat * t_hat,
+                                    max((sigma_z2_hat - nu_det) / 2.0, 0.0),
+                                    sigma_x2, sigma_z2_hat, nu_det * pulses, w)
+        failures[0] += est.tau_lo > tau
+        failures[1] += est.tau_hi < tau
+        failures[2] += est.n_hi < nbar
+    return CoverageReport(rounds, eps_pe, w, *failures)
+
+
 def estimator_coverage_experiment(tau: float, nbar: float, nu_det: int,
                                   sigma_x2: float, pulses: int, rounds: int,
                                   eps_pe: float, seed: int) -> CoverageReport:
@@ -197,24 +220,39 @@ def estimator_coverage_experiment(tau: float, nbar: float, nu_det: int,
     the confidence bounds at eps_pe, and records one-sided failures
     tau' > tau, tau'' < tau and nbar' < nbar.
     """
-    from .finite_size import worst_case_estimators
-
     if rounds < 1:
         raise ValueError("at least one round required")
-    w = confidence_w(eps_pe)
-    tau_low_fail = tau_high_fail = n_fail = 0
-    for k in range(rounds):
-        block = simulate_block(tau, nbar, nu_det, sigma_x2, pulses,
-                               seed=(seed + 977 * k) & _MASK64)
-        snap = block.estimators()
-        est = worst_case_estimators(snap.tau_hat, max(snap.n_hat, 0.0), sigma_x2,
-                                    snap.sigma_z2_hat, snap.m_p, w)
-        if est.tau_lo > tau:
-            tau_low_fail += 1
-        if est.tau_hi < tau:
-            tau_high_fail += 1
-        if est.n_hi < nbar:
-            n_fail += 1
-    return CoverageReport(rounds=rounds, eps_pe=eps_pe, w=w,
-                          tau_low_failures=tau_low_fail,
-                          tau_high_failures=tau_high_fail, n_failures=n_fail)
+    snaps = (simulate_block(tau, nbar, nu_det, sigma_x2, pulses,
+                            seed=(seed + 977 * k) & _MASK64).estimators()
+             for k in range(rounds))
+    return _coverage_report(((s.t_hat, s.sigma_z2_hat) for s in snaps), tau,
+                            nbar, nu_det, sigma_x2, pulses, rounds, eps_pe)
+
+
+def _sufficient_statistics(tau: float, nbar: float, nu_det: int,
+                           sigma_x2: float, pulses: int, rounds: int, seed: int):
+    """Yield each round's (T_hat, sigma_z2_hat) from their exact law: with
+    m = nu_det pulses and sigma_z^2 = 2 nbar + nu_det, Sxx ~ sigma_x^2 chi^2(m),
+    T_hat | Sxx ~ sqrt(tau) + sigma_z N(0, 1) / sqrt(Sxx) and the residual sum
+    of squares RSS ~ sigma_z^2 chi^2(m - 1), independent of both (Cochran);
+    sigma_z2_hat = RSS / m. One stream, 65,536 rounds at a time."""
+    m, sigma_z2 = nu_det * pulses, 2.0 * nbar + nu_det
+    rng = stream_rng(seed, 6 << 40)
+    for start in range(0, rounds, 1 << 16):
+        count = min(1 << 16, rounds - start)
+        sxx = sigma_x2 * rng.chisquare(m, count)
+        t_hat = math.sqrt(tau) + np.sqrt(sigma_z2 / sxx) * rng.standard_normal(count)
+        sigma_z2_hat = sigma_z2 * rng.chisquare(m - 1, count) / m
+        yield from zip(t_hat.tolist(), sigma_z2_hat.tolist())
+
+
+def sufficient_statistics_coverage(tau: float, nbar: float, nu_det: int,
+                                   sigma_x2: float, pulses: int, rounds: int,
+                                   eps_pe: float, seed: int) -> CoverageReport:
+    """estimator_coverage_experiment at O(1) cost per round, exact in law."""
+    _check_block(tau, nbar, nu_det, sigma_x2, pulses)
+    if rounds < 1 or nu_det * pulses < 2:
+        raise ValueError("at least one round and two disclosed pairs required")
+    return _coverage_report(
+        _sufficient_statistics(tau, nbar, nu_det, sigma_x2, pulses, rounds, seed),
+        tau, nbar, nu_det, sigma_x2, pulses, rounds, eps_pe)

@@ -315,6 +315,31 @@ class TestIntegerCounts:
             "m_pl = 5e5", "m_pl = 5e5\nbins = 2^5")).bins == 32
 
 
+class TestDisclosedPairs:
+    """Rule min-disclosed-pairs: the estimators need nu * pulses >= 2."""
+
+    HOMODYNE = fiber().replace("protocol = heterodyne", "protocol = homodyne")
+
+    @pytest.mark.parametrize("section, old", [
+        ("coverage", "pulses = 2000\n"), ("simulate", "pulses = 20000\n")])
+    def test_one_homodyne_pulse_rejected(self, tmp_path, capsys, section,
+                                         old):
+        text = self.HOMODYNE.replace(old, "pulses = 1\n")
+        with pytest.raises(ConfigError, match=rf"\[{section}\].*"
+                                               "min-disclosed-pairs"):
+            resolve_scenario(text)
+        code, blob = run_cli(tmp_path, text, [section, "--seed", "1"])
+        assert code == 1
+        assert blob == b""
+        assert "min-disclosed-pairs" in capsys.readouterr().err
+
+    def test_one_heterodyne_pulse_accepted(self):
+        text = fiber().replace("pulses = 2000\n", "pulses = 1\n") \
+            .replace("pulses = 20000\n", "pulses = 1\n")
+        scenario = resolve_scenario(text)
+        assert scenario.coverage["pulses"] == scenario.simulate["pulses"] == 1
+
+
 class TestRateCommand:
     def test_fiber_two_db_anchor_row(self, tmp_path):
         code, blob = run_cli(tmp_path, fiber(), ["rate"])
@@ -506,6 +531,37 @@ class TestCoverageCommand:
         assert int(row["rounds"]) == 40
         for col in ("tau_low_rate", "tau_high_rate", "n_rate"):
             assert 0.0 <= float(row[col]) <= 0.2
+
+    def test_seeds_977_apart_differ(self, tmp_path):
+        # the per-pulse path seeded round k with seed + 977 k, so seeds 17
+        # and 994 shared all rounds but one and printed the same counts
+        text = fiber().replace("rounds = 40", "rounds = 400") \
+            .replace("eps_pe = 0.05", "eps_pe = 0.3")
+        rows = []
+        for seed in ("17", "994"):
+            code, blob = run_cli(tmp_path, text, ["coverage", "--seed", seed])
+            assert code == 0
+            row = read_csv(blob)[0]
+            rows.append({k: v for k, v in row.items() if k != "seed"})
+        assert rows[0] != rows[1]
+
+    def test_zero_margin_prints_positive_zero(self, tmp_path):
+        text = fiber().replace("eps_pe = 0.05", "eps_pe = 0.5")
+        code, blob = run_cli(tmp_path, text, ["coverage", "--seed", "1"])
+        assert code == 0
+        assert read_csv(blob)[0]["w"] == "0"
+
+    def test_in_process_matches_subprocess(self, tmp_path):
+        code, blob = run_cli(tmp_path, fiber(), ["coverage", "--seed", "8"])
+        assert code == 0
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-m", "cvqkd.cli", "coverage",
+                              "--config", str(tmp_path / "scenario.ini"),
+                              "--seed", "8"],
+                             check=True, capture_output=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.stdout == blob
 
     def test_mobile_coverage_is_config_error(self, tmp_path, capsys):
         text = mobile() + "\n[coverage]\nrounds = 4\npulses = 2000\neps_pe = 0.05\n"

@@ -2,6 +2,7 @@
 statistics, de-fading, and confidence-bound coverage."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from cvqkd.channel import BeamConfig, FadingModel, fading_probability
 from cvqkd.finite_size import FadingLattice
 from cvqkd.rates import ChannelPoint, mutual_information
 from cvqkd.simulate import (
+    _sufficient_statistics,
     defade_block,
     estimator_coverage_experiment,
     simulate_block,
     simulate_fading_block,
     stream_rng,
+    sufficient_statistics_coverage,
 )
 
 BEAM = BeamConfig(wavelength=800e-9, waist=1e-3)
@@ -325,3 +328,89 @@ class TestZeroMarginCoverage:
         for rate in (report.tau_low_rate, report.tau_high_rate,
                      report.n_rate):
             assert 0.38 <= rate <= 0.62
+
+
+def noise_failure_probability(nbar, nu_det, pulses, w):
+    """Exact P(nbar' < nbar) per round for nbar' = max(n_hat, 0) + w s /
+    sqrt(2m), with s = RSS / m and RSS / sigma_z^2 ~ chi^2(m - 1): nbar'
+    grows with s, so the round fails iff s is below one threshold."""
+    from scipy.special import gammainc
+
+    m = nu_det * pulses
+    slope = w / math.sqrt(2.0 * m)
+    if slope * nu_det >= nbar:
+        threshold = nbar / slope
+    else:
+        threshold = (nbar + nu_det / 2.0) / (0.5 + slope)
+    sigma_z2 = 2.0 * nbar + nu_det
+    return float(gammainc((m - 1) / 2.0, m * threshold / (2.0 * sigma_z2)))
+
+
+class TestSufficientStatisticsSampler:
+    """The O(1)-per-round sampler against the per-pulse path and the exact
+    law. Every p-value threshold was fixed before the first run: at these
+    settings the per-pulse path itself reads p from 0.03 to 0.72 against the
+    exact law, so 1e-3 is as tight as stays reliable."""
+
+    TAU, NBAR, NU, SX2, PULSES = 0.3, 0.05, 2, 9.0, 2_000
+
+    def sampled(self, rounds, seed, pulses=PULSES):
+        return np.array(list(_sufficient_statistics(
+            self.TAU, self.NBAR, self.NU, self.SX2, pulses, rounds, seed)))
+
+    def test_matches_per_pulse_path(self):
+        from scipy.stats import ks_2samp
+
+        per_pulse = np.array([
+            (snap.t_hat, snap.sigma_z2_hat) for snap in (
+                simulate_block(self.TAU, self.NBAR, self.NU, self.SX2,
+                               self.PULSES, seed=50_000 + k).estimators()
+                for k in range(3_000))])
+        sampled = self.sampled(3_000, seed=23)
+        for col in (0, 1):  # T_hat, sigma_z2_hat
+            assert ks_2samp(sampled[:, col], per_pulse[:, col]).pvalue > 1e-3
+
+    def test_residual_follows_chi_square(self):
+        from scipy.stats import chi2, kstest
+
+        m = self.NU * self.PULSES
+        rss = m * self.sampled(20_000, seed=29)[:, 1] / (2.0 * self.NBAR + self.NU)
+        assert kstest(rss, chi2(m - 1).cdf).pvalue > 1e-3
+
+    def test_paper_scale_block(self):
+        # m = 2e9 disclosed pairs per round, out of reach pulse by pulse
+        start = time.monotonic()
+        rounds, pulses, eps_pe = 20_000, 10**9, 0.01
+        report = sufficient_statistics_coverage(
+            self.TAU, self.NBAR, self.NU, self.SX2, pulses, rounds, eps_pe,
+            seed=31)
+        assert time.monotonic() - start < 1.0
+        p_n = noise_failure_probability(self.NBAR, self.NU, pulses, report.w)
+        band = 5.0 * math.sqrt(p_n * (1.0 - p_n) / rounds) + 0.5 / rounds
+        assert abs(report.n_rate - p_n) <= band
+        limit = eps_pe + 3.0 * math.sqrt(eps_pe * (1.0 - eps_pe) / rounds)
+        assert report.tau_low_rate <= limit
+        assert report.tau_high_rate <= limit
+
+    def test_rounds_span_chunks(self):
+        stats = self.sampled((1 << 16) + 3, seed=37)
+        assert stats.shape == ((1 << 16) + 3, 2)
+        assert len(np.unique(stats[:, 0])) == stats.shape[0]
+
+    def test_reproducible_and_seed_keyed(self):
+        a = sufficient_statistics_coverage(0.3, 0.05, 2, 9.0, 2_000, 400,
+                                           0.5, seed=41)
+        assert a == sufficient_statistics_coverage(0.3, 0.05, 2, 9.0, 2_000,
+                                                   400, 0.5, seed=41)
+        assert self.sampled(50, seed=41).tolist() != \
+            self.sampled(50, seed=42).tolist()
+
+    def test_validation(self):
+        for args in ((0.3, 0.05, 1, 9.0, 1, 10),   # one disclosed pair
+                     (0.3, 0.05, 2, 9.0, 100, 0),  # no rounds
+                     (1.5, 0.05, 2, 9.0, 100, 10),
+                     (0.3, -0.1, 2, 9.0, 100, 10),
+                     (0.3, 0.05, 3, 9.0, 100, 10),
+                     (0.3, 0.05, 2, 0.0, 100, 10)):
+            with pytest.raises(ValueError):
+                sufficient_statistics_coverage(*args, 0.01, 1)
