@@ -49,15 +49,14 @@ from .finite_size import (
     FadingLattice,
     GeneralAttackTerms,
     ProtocolParams,
+    background_bound,
     composable_rate,
     composable_rate_general,
     confidence_w,
     delta_aep,
     empirical_estimators,
     general_attack_extension,
-    microwave_estimators,
     mobile_worst_case,
-    setup_and_background_bounds,
     theta_term,
     total_epsilon,
     worst_case_estimators,

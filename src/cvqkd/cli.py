@@ -27,12 +27,11 @@ from .channel import (
 )
 from .config import ConfigError, Scenario, resolve_scenario
 from .finite_size import (
+    background_bound,
     composable_rate,
     composable_rate_general,
     general_attack_extension,
-    microwave_estimators,
     mobile_worst_case,
-    setup_and_background_bounds,
     total_epsilon,
     worst_case_estimators,
 )
@@ -168,78 +167,64 @@ def _rate_row(scenario: Scenario, x: float) -> dict:
     """Rate row at abscissa x: model rate, worst-case rate, composable rate."""
     p = scenario.physics
     prm = scenario.params
+    nu, sx2 = scenario.nu_det, scenario.sigma_x2
     trust = TrustLevel(scenario.trust)
     security = SecurityType(scenario.security)
+    los_microwave = scenario.channel == "microwave" and security is SecurityType.LOS
     pt = _model_point(scenario, x)
     eta_ch, tau, warnings = pt["eta_ch"], pt["tau"], pt["warnings"]
     eta_eff = p["eta_eff"]
-    asym, plob, p_delta = NAN, NAN, 1.0
+    asym, plob, p_delta, n_b_hi = NAN, NAN, 1.0, 0.0
 
     if scenario.channel == "optical-mobile":
         fs = pt["fs"]
-        n_b_wc = 0.0 if scenario.trust == 3 else fs.n_b_ub
-        wc = ChannelPoint.from_estimates(fs.tau_lb, eta_eff, fs.n_ub, n_b_wc,
-                                         scenario.nu_det, prm.mu)
-        rep = asymptotic_rate(wc, trust, security, prm.beta)
-        mi, chi, r_pe = rep.mutual_information, rep.holevo, rep.rate
+        tau_lo, tau_hi, n_hi, n_b_hi = fs.tau_lb, NAN, fs.n_ub, fs.n_b_ub
         p_delta = fs.p_delta
-        est_cols = {"tau_lo": fs.tau_lb, "tau_hi": NAN, "n_hi": fs.n_ub}
-    elif scenario.channel == "microwave":
-        n_th = pt["nbar"]
-        sx2 = scenario.sigma_x2
-        model = ChannelPoint.from_estimates(tau, eta_eff, n_th, 0.0,
-                                            scenario.nu_det, prm.mu)
-        tau_lo, n_hi, n_lo, floored = microwave_estimators(
-            tau, n_th, sx2, prm.m, scenario.nu_det, prm.w)
-        warnings.extend(floored)
-        wc = ChannelPoint.from_estimates(tau_lo, eta_eff, n_hi, 0.0,
-                                         scenario.nu_det, prm.mu)
-        if security is SecurityType.LOS:
-            mi_model = mutual_information(model)
-            chi_model = holevo_los_from_coefficients(
-                *microwave_los_cm(tau, sx2, n_th), scenario.nu_det)
-            asym = prm.beta * mi_model - chi_model
-            mi = mutual_information(wc)
-            chi = holevo_los_from_coefficients(
-                *microwave_los_cm(tau_lo, sx2, n_lo), scenario.nu_det)
-        else:
-            rep_model = asymptotic_rate(model, trust, security, prm.beta)
-            asym = rep_model.rate
-            rep = asymptotic_rate(wc, trust, security, prm.beta)
-            mi, chi = rep.mutual_information, rep.holevo
-        r_pe = prm.beta * mi - chi
-        est_cols = {"tau_lo": tau_lo, "tau_hi": NAN, "n_hi": n_hi}
-        plob = plob_thermal_bound(tau, n_th)
     else:
         nbar = pt["nbar"]
-        model = ChannelPoint(eta_ch=eta_ch, eta_eff=eta_eff, n_b=p["n_b"],
-                             n_ex=pt["n_ex"], nu_det=scenario.nu_det, mu=prm.mu)
-        asym = asymptotic_rate(model, trust, security, prm.beta).rate
-        est = worst_case_estimators(tau, nbar, scenario.sigma_x2,
-                                    2.0 * nbar + scenario.nu_det,
-                                    scenario.nu_det * prm.m, prm.w)
-        warnings.extend(est.warnings)
-        if scenario.trust == 3:
-            n_b_wc = 0.0
+        if scenario.channel == "microwave":
+            model = ChannelPoint.from_estimates(tau, eta_eff, nbar, 0.0, nu, prm.mu)
         else:
-            bounds = setup_and_background_bounds(est,
-                                                 scenario.derived["theta_el"],
-                                                 scenario.derived["theta_ph"],
-                                                 scenario.lo_kind, eta_eff)
-            warnings.extend(w for w in bounds.warnings if w not in warnings)
-            n_b_wc = bounds.n_b_hi
-        wc = ChannelPoint.from_estimates(est.tau_lo, eta_eff, est.n_hi, n_b_wc,
-                                         scenario.nu_det, prm.mu)
+            model = ChannelPoint(eta_ch=eta_ch, eta_eff=eta_eff, n_b=p["n_b"],
+                                 n_ex=pt["n_ex"], nu_det=nu, mu=prm.mu)
+        if los_microwave:
+            asym = prm.beta * mutual_information(model) - \
+                holevo_los_from_coefficients(*microwave_los_cm(tau, sx2, nbar), nu)
+        else:
+            asym = asymptotic_rate(model, trust, security, prm.beta).rate
+        est = worst_case_estimators(tau, nbar, sx2, 2.0 * nbar + nu, nu * prm.m,
+                                    prm.w)
+        warnings.extend(est.warnings)
+        tau_lo, tau_hi, n_hi = est.tau_lo, est.tau_hi, est.n_hi
+        if scenario.channel != "microwave" and scenario.trust != 3:
+            # the best-case setup share sits at the bound that minimises it
+            n_ex_bc = setup_noise_from_thetas(
+                scenario.derived["theta_el"], scenario.derived["theta_ph"],
+                scenario.lo_kind, est.tau_hi if scenario.lo_kind == "tlo" else tau_lo)
+            n_b_hi, floored = background_bound(n_hi, n_ex_bc, eta_eff)
+            if floored:
+                warnings.append("n_b_hi_floored")
+
+    wc = ChannelPoint.from_estimates(tau_lo, eta_eff, n_hi,
+                                     0.0 if scenario.trust == 3 else n_b_hi, nu,
+                                     prm.mu)
+    if los_microwave:
+        mi = mutual_information(wc)
+        chi = holevo_los_from_coefficients(
+            *microwave_los_cm(tau_lo, sx2, est.n_lo), nu)
+    else:
         rep = asymptotic_rate(wc, trust, security, prm.beta)
-        mi, chi, r_pe = rep.mutual_information, rep.holevo, rep.rate
-        est_cols = {"tau_lo": est.tau_lo, "tau_hi": est.tau_hi,
-                    "n_hi": est.n_hi}
+        mi, chi = rep.mutual_information, rep.holevo
+    r_pe = prm.beta * mi - chi
+    if scenario.channel == "microwave":
+        tau_hi, plob = NAN, plob_thermal_bound(tau, nbar)
 
     rate_raw, epsilon = _finite_rate(scenario, r_pe, p_delta)
     return {"eta_ch": eta_ch, "tau": tau, "mi": mi, "chi": chi, "r_pe": r_pe,
             "rate_asym_raw": asym, "rate_raw": rate_raw, "plob": plob,
-            "epsilon": epsilon, "p_delta": p_delta,
-            "warnings": ";".join(warnings), "reason": "", **est_cols}
+            "epsilon": epsilon, "p_delta": p_delta, "tau_lo": tau_lo,
+            "tau_hi": tau_hi, "n_hi": n_hi, "warnings": ";".join(warnings),
+            "reason": ""}
 
 
 def _guarded_row(evaluate, columns: tuple, scenario: Scenario, x: float,

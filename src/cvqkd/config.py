@@ -25,6 +25,7 @@ import configparser
 import io
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .channel import microwave_best_range
@@ -78,8 +79,9 @@ def parse_quantity(text: str) -> float:
     num, unit = match.group("num"), match.group("unit") or ""
     power = _POWER_RE.match(num)
     try:
-        value = float(power.group("base")) ** float(power.group("exp")) if power \
-            else float(num)
+        # math.pow rejects what ** would make complex or divide by zero
+        value = math.pow(float(power.group("base")), float(power.group("exp"))) \
+            if power else float(num)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot parse number {num!r} in {text!r}") from exc
     scale = _UNIT_SCALE.get(unit.lower())
@@ -200,6 +202,32 @@ def _choice(section: str, key: str, value: str, allowed) -> str:
     return lowered
 
 
+@contextmanager
+def _valid_block(section: str):
+    """Report a ValueError or an arithmetic fault (overflow, division by zero)
+    raised while building the section's quantities as a ConfigError naming
+    the section."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, ArithmeticError) as exc:
+        detail = exc if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+        raise ConfigError(f"invalid [{section}] block: {detail}") from exc
+
+
+def _check_physics_range(physics: dict) -> None:
+    """Rule physics-range: efficiencies in (0, 1], photon numbers >= 0."""
+    for key in ("eta_eff", "eta_atm"):
+        if key in physics and not 0.0 < physics[key] <= 1.0:
+            raise ConfigError(f"[physics] {key} must lie in (0, 1], got "
+                              f"{physics[key]!r} (rule: physics-range)")
+    for key in ("n_b", "n_other"):
+        if key in physics and not physics[key] >= 0.0:
+            raise ConfigError(f"[physics] {key} must be >= 0, got "
+                              f"{physics[key]!r} (rule: physics-range)")
+
+
 def resolve_scenario(text: str) -> Scenario:
     """Parse and validate a scenario file, computing the derived header."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -263,6 +291,7 @@ def resolve_scenario(text: str) -> Scenario:
         else None
     _require("physics", raw_physics, _PHYSICS_REQUIRED[channel], rule)
     physics = {k: parse_quantity(v) for k, v in raw_physics.items()}
+    _check_physics_range(physics)
 
     # protocol block
     if not parser.has_section("protocol"):
@@ -298,7 +327,7 @@ def resolve_scenario(text: str) -> Scenario:
     f_th = parse_quantity(raw_protocol.get("f_th", "0.8"))
     bins = parse_count("protocol", "bins", raw_protocol.get("bins", "50"))
     d = parse_count("protocol", "d", raw_protocol["d"])
-    try:
+    with _valid_block("protocol"):
         params = ProtocolParams(
             n_total=parse_quantity(raw_protocol["n_total"]),
             m=parse_quantity(raw_protocol["m"]),
@@ -308,8 +337,8 @@ def resolve_scenario(text: str) -> Scenario:
             eps_pe=eps_pe, eps_s=eps_s, eps_h=eps_h, eps_cor=eps_cor,
             mu=parse_quantity(raw_protocol["mu"]),
             d=d, f_et=f_et)
-    except ValueError as exc:
-        raise ConfigError(f"invalid [protocol] block: {exc}") from exc
+        derived = {"nu_det": nu_det, "sigma_x2": params.mu - 1.0, "n": params.n,
+                   "w": params.w, "eps_total": total_epsilon(params)}
 
     # sky background may be given directly (n_b) or derived from the receiver
     if channel in ("optical-fixed", "optical-mobile") and "n_b" not in physics:
@@ -317,36 +346,37 @@ def resolve_scenario(text: str) -> Scenario:
         if not needed <= set(physics):
             raise ConfigError("optical channels need n_b or all of omega_fov, "
                               "dlambda, b_sky to derive it")
-        optics = ReceiverOptics(aperture_radius=physics["a_r"],
-                                fov=physics["omega_fov"],
-                                spectral_filter=physics["dlambda"])
-        physics["n_b"] = sky_background_photons(optics, physics["lambda"],
-                                                physics["w"], physics["b_sky"])
+        with _valid_block("physics"):
+            optics = ReceiverOptics(aperture_radius=physics["a_r"],
+                                    fov=physics["omega_fov"],
+                                    spectral_filter=physics["dlambda"])
+            physics["n_b"] = sky_background_photons(optics, physics["lambda"],
+                                                    physics["w"], physics["b_sky"])
 
     sweep = _resolve_sweep(parser, channel)
     point = _resolve_point(parser, channel)
     simulate = _resolve_simulate(parser, channel, nu_det)
     coverage = _resolve_coverage(parser, nu_det)
 
-    derived = {"nu_det": nu_det, "sigma_x2": params.mu - 1.0, "n": params.n,
-               "w": params.w, "eps_total": total_epsilon(params)}
     scenario = Scenario(channel=channel, nu_det=nu_det, lo_kind=lo_kind,
                         trust=trust, security=security, attack=attack,
                         physics=physics, params=params,
                         improved_aep=improved_aep, f_th=f_th, bins=bins,
                         sweep=sweep, point=point, simulate=simulate,
                         coverage=coverage, derived=derived)
-    if channel == "microwave":
-        derived["n_th"] = microwave_thermal_photons(
-            physics["lambda"], physics["t"], physics["omega_fov"], physics["a_r"])
-        derived["z_best"] = microwave_best_range(physics["g"], physics["a_r"])
-    else:
-        cfg = scenario.setup_config()
-        derived["theta_el"] = theta_el(cfg)
-        derived["theta_ph"] = theta_ph(cfg)
-        if lo_kind == "llo":
-            derived["xi_llo"] = 2.0 * derived["theta_ph"]
-        derived["n_b"] = physics["n_b"]
+    with _valid_block("physics"):
+        if channel == "microwave":
+            derived["n_th"] = microwave_thermal_photons(
+                physics["lambda"], physics["t"], physics["omega_fov"],
+                physics["a_r"])
+            derived["z_best"] = microwave_best_range(physics["g"], physics["a_r"])
+        else:
+            cfg = scenario.setup_config()
+            derived["theta_el"] = theta_el(cfg)
+            derived["theta_ph"] = theta_ph(cfg)
+            if lo_kind == "llo":
+                derived["xi_llo"] = 2.0 * derived["theta_ph"]
+            derived["n_b"] = physics["n_b"]
     return scenario
 
 
@@ -420,5 +450,6 @@ def _resolve_coverage(parser, nu_det) -> dict | None:
     if out["rounds"] < 1:
         raise ConfigError("[coverage] rounds must be >= 1")
     _require_pairs("coverage", out["pulses"], nu_det)
-    confidence_w(out["eps_pe"])  # validates the range
+    with _valid_block("coverage"):
+        confidence_w(out["eps_pe"])  # validates the range
     return out

@@ -140,20 +140,11 @@ def empirical_estimators(x: np.ndarray, y: np.ndarray, nu_det: int) -> Estimator
 class EstimatorSet:
     """Worst-case channel estimates at confidence w."""
 
-    tau_hat: float
-    n_hat: float
-    sigma_z2: float
-    sigma_x2: float
-    m_p: float
-    w: float
     tau_lo: float
     tau_hi: float
     n_hi: float
+    n_lo: float
     warnings: tuple = ()
-    n_ex_bc: float = float("nan")
-    n_b_hi: float = float("nan")
-    xi_tot_hi: float = float("nan")
-    xi_ch_hi: float = float("nan")
 
 
 def worst_case_estimators(tau: float, nbar: float, sigma_x2: float, sigma_z2: float,
@@ -161,9 +152,14 @@ def worst_case_estimators(tau: float, nbar: float, sigma_x2: float, sigma_z2: fl
     """Confidence bounds around (tau, nbar) after m_p disclosed pairs.
 
     tau' = tau - 2w sqrt((2 tau^2 + tau sigma_z^2 / sigma_x^2) / m_p),
-    tau'' its mirror image upward, and nbar' = nbar + w sigma_z^2 / sqrt(2 m_p).
+    tau'' its mirror image upward (capped at 1), nbar' = nbar + shift and
+    nbar'' = max(nbar - shift, 0) with shift = w sigma_z^2 / sqrt(2 m_p).
     sigma_z2 may be the measured residual variance or the model value
-    2 nbar + nu_det. tau' is floored at 0 with a warning.
+    2 nbar + nu_det. tau' is floored at TAU_FLOOR with a warning.
+
+    This is the one estimation law of every channel: the constant links
+    pass the model point with m_p = nu_det m, and the mobile window its
+    worst case (tau_min, n_wc) with m_p = nu_det m p_Delta.
     """
     if tau <= 0.0 or sigma_x2 <= 0.0 or m_p <= 0 or w < 0.0 or nbar < 0.0:
         raise ValueError("tau, sigma_x2, m_p must be positive; w, nbar non-negative")
@@ -173,58 +169,19 @@ def worst_case_estimators(tau: float, nbar: float, sigma_x2: float, sigma_z2: fl
     if tau_lo <= TAU_FLOOR:
         warnings = ("tau_lo_floored",)
         tau_lo = TAU_FLOOR
-    tau_hi = min(tau + margin, 1.0)
-    n_hi = nbar + w * sigma_z2 / math.sqrt(2.0 * m_p)
-    return EstimatorSet(tau_hat=tau, n_hat=nbar, sigma_z2=sigma_z2, sigma_x2=sigma_x2,
-                        m_p=m_p, w=w, tau_lo=tau_lo, tau_hi=tau_hi, n_hi=n_hi,
+    shift = w * sigma_z2 / math.sqrt(2.0 * m_p)
+    return EstimatorSet(tau_lo=tau_lo, tau_hi=min(tau + margin, 1.0),
+                        n_hi=nbar + shift, n_lo=max(nbar - shift, 0.0),
                         warnings=warnings)
 
 
-def setup_and_background_bounds(est: EstimatorSet, th_el: float, th_ph: float,
-                                lo_kind: str, eta_eff: float) -> EstimatorSet:
-    """Split the worst-case noise into setup and background shares.
-
-    The best-case setup photons n_ex_bc use the transmissivity bound that
-    minimises them (tau'' for a transmitted LO, tau' for a local LO); the
-    background bound is n_b' = (nbar' - n_ex_bc)/eta_eff, floored at zero.
-    """
+def background_bound(n_hi: float, n_ex_bc: float, eta_eff: float) -> tuple:
+    """(n_b', floored): the background bound n_b' = (n_hi - n_ex_bc) / eta_eff
+    left once the best-case setup photons n_ex_bc are trusted, floored at 0."""
     if not 0.0 < eta_eff <= 1.0:
         raise ValueError("eta_eff must lie in (0, 1]")
-    n_ex_bc = setup_noise_from_thetas(
-        th_el, th_ph, lo_kind, est.tau_hi if lo_kind == "tlo" else est.tau_lo)
-    n_b_hi = (est.n_hi - n_ex_bc) / eta_eff
-    warnings = est.warnings
-    if n_b_hi < 0.0:
-        warnings = warnings + ("n_b_hi_floored",)
-        n_b_hi = 0.0
-    tau_ref = est.tau_hat if "tau_lo_floored" in est.warnings else est.tau_lo
-    return EstimatorSet(tau_hat=est.tau_hat, n_hat=est.n_hat, sigma_z2=est.sigma_z2,
-                        sigma_x2=est.sigma_x2, m_p=est.m_p, w=est.w,
-                        tau_lo=est.tau_lo, tau_hi=est.tau_hi, n_hi=est.n_hi,
-                        warnings=warnings, n_ex_bc=n_ex_bc, n_b_hi=n_b_hi,
-                        xi_tot_hi=2.0 * est.n_hi / tau_ref,
-                        xi_ch_hi=2.0 * eta_eff * n_b_hi / tau_ref)
-
-
-def microwave_estimators(tau: float, n_th: float, sigma_x2: float, m: float,
-                         nu_det: int, w: float) -> tuple:
-    """(tau', n_th', n_th'', warnings) for a thermal-modulated microwave link.
-
-    tau' = tau - 2w sqrt((2 tau^2 + tau (2 n_th + nu_det)/sigma_x2)/(nu_det m)),
-    floored at TAU_FLOOR with a warning; n_th' and n_th'' shift n_th by
-    +-w (2 n_th + nu_det)/sqrt(2 nu_det m); n_th'' is floored at zero.
-    """
-    if tau <= 0.0 or sigma_x2 <= 0.0 or m <= 0 or w < 0.0 or n_th < 0.0:
-        raise ValueError("tau, sigma_x2, m must be positive; w, n_th non-negative")
-    if nu_det not in (1, 2):
-        raise ValueError("nu_det must be 1 or 2")
-    sigma_z2 = 2.0 * n_th + nu_det
-    m_p = nu_det * m
-    tau_lo = tau - 2.0 * w * math.sqrt((2.0 * tau * tau + tau * sigma_z2 / sigma_x2) / m_p)
-    warnings = ("tau_lo_floored",) if tau_lo <= TAU_FLOOR else ()
-    shift = w * sigma_z2 / math.sqrt(2.0 * m_p)
-    return (max(tau_lo, TAU_FLOOR), n_th + shift, max(n_th - shift, 0.0),
-            warnings)
+    n_b = (n_hi - n_ex_bc) / eta_eff
+    return (0.0, True) if n_b < 0.0 else (n_b, False)
 
 
 # --- composable corrections -------------------------------------------------
@@ -414,7 +371,6 @@ class FadingEstimatorSet:
     bin_probabilities: np.ndarray
     n_ex_wc: float
     n_wc: float
-    sigma_wc2: float
     m_delta: float
     tau_lb: float
     n_ub: float
@@ -458,20 +414,13 @@ def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
     n_ex_bc = setup_noise_from_thetas(th_el, th_ph, lo_kind, tau_bc)
 
     n_wc = eta_eff * n_b + n_ex_wc
-    sigma_wc2 = 2.0 * n_wc + nu_det
     m_delta = nu_det * params.m * p_delta
-    w = params.w
-    tau_lb = tau_min - 2.0 * w * math.sqrt(
-        (2.0 * tau_min ** 2 + tau_min * sigma_wc2 / sigma_x2) / m_delta)
-    warnings = ()
-    if tau_lb <= TAU_FLOOR:
-        warnings = ("tau_lb_floored",)
-        tau_lb = TAU_FLOOR
-    n_ub = n_wc + w * sigma_wc2 / math.sqrt(2.0 * m_delta)
-    n_b_ub = (n_ub - n_ex_bc) / eta_eff
-    if n_b_ub < 0.0:
+    est = worst_case_estimators(tau_min, n_wc, sigma_x2, 2.0 * n_wc + nu_det,
+                                m_delta, params.w)
+    warnings = ("tau_lb_floored",) if est.warnings else ()
+    n_b_ub, floored = background_bound(est.n_hi, n_ex_bc, eta_eff)
+    if floored:
         warnings = warnings + ("n_b_ub_floored",)
-        n_b_ub = 0.0
 
     lower = lattice.lower_edges
     n_k = eta_eff * n_b + setup_noise_from_thetas(th_el, th_ph, lo_kind, lower,
@@ -479,6 +428,6 @@ def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
     n_star = tau_min / p_delta * float(np.sum(p_bins / lower * n_k))
     return FadingEstimatorSet(lattice=lattice, p_delta=p_delta,
                               bin_probabilities=p_bins, n_ex_wc=n_ex_wc, n_wc=n_wc,
-                              sigma_wc2=sigma_wc2, m_delta=m_delta, tau_lb=tau_lb,
-                              n_ub=n_ub, n_ex_bc=n_ex_bc, n_b_ub=n_b_ub,
+                              m_delta=m_delta, tau_lb=est.tau_lo, n_ub=est.n_hi,
+                              n_ex_bc=n_ex_bc, n_b_ub=n_b_ub,
                               n_star=n_star, warnings=warnings)

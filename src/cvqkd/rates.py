@@ -393,10 +393,6 @@ class RateReport:
     rate: float
     mutual_information: float
     holevo: float
-    trust: TrustLevel
-    security: SecurityType
-    beta: float
-    channel: ChannelPoint
 
 
 def asymptotic_rate(ch: ChannelPoint, trust: TrustLevel, security: SecurityType,
@@ -406,9 +402,7 @@ def asymptotic_rate(ch: ChannelPoint, trust: TrustLevel, security: SecurityType,
         raise ValueError("beta must lie in (0, 1]")
     mi = mutual_information(ch)
     chi = holevo(ch, trust, security)
-    return RateReport(rate=beta * mi - chi, mutual_information=mi, holevo=chi,
-                      trust=TrustLevel(trust), security=SecurityType(security),
-                      beta=beta, channel=ch)
+    return RateReport(rate=beta * mi - chi, mutual_information=mi, holevo=chi)
 
 
 def plob_thermal_bound(tau: float, n_th: float) -> float:

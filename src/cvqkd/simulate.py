@@ -19,6 +19,7 @@ from .finite_size import (
     FadingLattice,
     confidence_w,
     empirical_estimators,
+    worst_case_estimators,
 )
 
 _CHUNK = 1 << 18
@@ -132,29 +133,18 @@ def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
                     tau_samples=tau_pair, pilot_mask=pilot_mask)
 
 
-def defade_block(block: SimBlock, lattice: FadingLattice, seed: int,
-                 pilot_noise: float = 0.0) -> SimBlock:
+def defade_block(block: SimBlock, lattice: FadingLattice, seed: int) -> SimBlock:
     """Map a fading block onto the constant-transmissivity tau_min channel.
 
     Pairs outside [tau_min, tau_max] are post-selected away. Each kept pair
     in bin k (nominal transmissivity tau_k, the bin lower edge) becomes
     y~ = sqrt(tau_min / tau_k) y + sqrt(1 - tau_min / tau_k) xi with
     xi ~ N(0, nu_det), so every surviving pair looks like a tau_min pulse.
-
-    By default bins are assigned from the true sampled tau (ideal bright
-    pilots); pilot_noise > 0 adds a per-pulse Gaussian error to the pilot
-    estimate before binning.
+    Bins are assigned from the true sampled tau (ideal bright pilots).
     """
     if block.tau_samples is None:
         raise ValueError("block carries no fading metadata")
-    if pilot_noise < 0.0:
-        raise ValueError("pilot_noise must be >= 0")
-    tau_est = block.tau_samples
-    if pilot_noise > 0.0:
-        pulses = block.pairs // block.nu_det
-        err = _chunked_normals(seed, 5 << 40, pilot_noise, pulses)
-        tau_est = tau_est + np.repeat(err, block.nu_det)
-    bins = lattice.assign(tau_est)
+    bins = lattice.assign(block.tau_samples)
     keep = bins >= 0
     if not np.any(keep):
         raise ValueError("post-selection removed every pair")
@@ -197,8 +187,6 @@ def _coverage_report(stats, tau: float, nbar: float, nu_det: int,
                      sigma_x2: float, pulses: int, rounds: int,
                      eps_pe: float) -> CoverageReport:
     """Count failures of the bounds at eps_pe from each (T_hat, sigma_z2_hat)."""
-    from .finite_size import worst_case_estimators
-
     w = confidence_w(eps_pe)
     failures = [0, 0, 0]
     for t_hat, sigma_z2_hat in stats:

@@ -186,7 +186,8 @@ class TestQuantities:
                                                              rel=1e-15)
 
     def test_rejects_garbage(self):
-        for bad in ("", "furlongs", "1 lightyear", "^3", "--2 m"):
+        # 0^-1 divides by zero and -8^0.5 has no real value
+        for bad in ("", "furlongs", "1 lightyear", "^3", "--2 m", "0^-1", "-8^0.5"):
             with pytest.raises(ConfigError):
                 parse_quantity(bad)
 
@@ -278,6 +279,83 @@ class TestResolution:
         with pytest.raises(ConfigError, match="f_th"):
             resolve_scenario(fiber().replace("[protocol]",
                                              "[protocol]\nf_th = 0.9"))
+
+
+def shipped(name: str, old: str, new: str) -> str:
+    text = (CONFIGS / name).read_text(encoding="utf-8")
+    assert text.count(old) == 1, old
+    return text.replace(old, new)
+
+
+def assert_config_error(tmp_path, capsys, text, message):
+    """The rate command exits 1 with no output and a one-line error that
+    holds message, and never a traceback."""
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    code = main(["rate", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert message in err
+    assert "Traceback" not in err
+
+
+class TestInvalidPhysicsBlock:
+    """A ValueError from the physics of a block is a ConfigError."""
+
+    CASES = {
+        "nep": ("fiber_fixed_loss.ini", "nep = 6 pW/rtHz", "nep = 0 pW/rtHz"),
+        "temperature": ("microwave.ini", "t = 290 K", "t = 0 K"),
+        "gain": ("microwave.ini", "g = 10", "g = 0"),
+        "sky_aperture": ("wireless_fixed.ini", "a_r = 1 cm\nn_b = 0.019",
+                         "a_r = 0 cm\nomega_fov = 1e-4 sr\ndlambda = 0.1 pm\n"
+                         "b_sky = 0.15"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_1_without_traceback(self, tmp_path, capsys, case):
+        assert_config_error(tmp_path, capsys, shipped(*self.CASES[case]),
+                            "invalid [physics] block")
+
+    def test_overflow_is_a_config_error(self, tmp_path, capsys):
+        text = shipped("fiber_fixed_loss.ini", "nep = 6 pW/rtHz", "nep = 1e200 W/rtHz")
+        assert_config_error(tmp_path, capsys, text,
+                            "invalid [physics] block: OverflowError")
+
+    def test_eps_pe_above_one_half(self, tmp_path, capsys):
+        assert_config_error(tmp_path, capsys,
+                            shipped("fiber_fixed_loss.ini", "eps = 2^-33", "eps = 0.7"),
+                            "invalid [protocol] block: eps_pe must lie in (0, 0.5]")
+        assert_config_error(tmp_path, capsys,
+                            shipped("coverage.ini", "eps_pe = 0.01", "eps_pe = 0.7"),
+                            "invalid [coverage] block: eps_pe must lie in (0, 0.5]")
+
+
+class TestPhysicsRange:
+    """Rule physics-range: eta_eff and eta_atm in (0, 1], n_b and n_other
+    non-negative."""
+
+    CASES = {
+        "eta_eff_zero": ("fiber_fixed_loss.ini", "eta_eff = 0.7", "eta_eff = 0"),
+        "eta_eff_negative": ("fiber_fixed_loss.ini", "eta_eff = 0.7", "eta_eff = -0.2"),
+        "eta_eff_above_one": ("fiber_fixed_loss.ini", "eta_eff = 0.7", "eta_eff = 1.5"),
+        "eta_atm_zero": ("wireless_fixed.ini", "a_r = 1 cm", "a_r = 1 cm\neta_atm = 0"),
+        "n_b_negative": ("fiber_fixed_loss.ini", "n_b = 0.002", "n_b = -0.01"),
+        "n_other_mobile": ("mobile.ini", "n_b = 0.019", "n_b = 0.019\nn_other = -0.01"),
+        "n_other_fixed": ("wireless_fixed.ini", "n_b = 0.019",
+                          "n_b = 0.019\nn_other = -0.01"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected(self, tmp_path, capsys, case):
+        assert_config_error(tmp_path, capsys, shipped(*self.CASES[case]),
+                            "(rule: physics-range)")
+
+    def test_bounds_accepted(self):
+        text = shipped("wireless_fixed.ini", "eta_eff = 0.7\n",
+                       "eta_eff = 1\neta_atm = 1\nn_other = 0\n")
+        scenario = resolve_scenario(text.replace("n_b = 0.019", "n_b = 0"))
+        assert scenario.physics["eta_atm"] == 1.0
+        assert scenario.physics["n_b"] == scenario.physics["n_other"] == 0.0
 
 
 class TestIntegerCounts:

@@ -7,17 +7,21 @@ general attacks p_ec = 0.1 with epsilons 1e-43 and energy-test fraction 0.2.
 """
 
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import erfcinv
 
+from cvqkd import cli, finite_size
 from cvqkd.channel import BeamConfig, FadingModel
+from cvqkd.config import resolve_scenario
 from cvqkd.finite_size import (
     TAU_FLOOR,
     FadingLattice,
     ProtocolParams,
+    background_bound,
     composable_rate,
     composable_rate_general,
     confidence_w,
@@ -25,14 +29,13 @@ from cvqkd.finite_size import (
     empirical_estimators,
     energy_test_threshold,
     general_attack_extension,
-    microwave_estimators,
     mobile_worst_case,
-    setup_and_background_bounds,
     theta_term,
     total_epsilon,
     worst_case_estimators,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 COLLECTIVE = ProtocolParams(n_total=1e7, m=1e6, beta=0.95, p_ec=0.9,
                             eps_pe=2.0**-33, eps_s=2.0**-33, eps_h=2.0**-33,
                             eps_cor=2.0**-33, mu=10.0, d=32)
@@ -140,16 +143,41 @@ class TestWorstCaseEstimators:
     def test_zero_confidence_collapses(self):
         est = worst_case_estimators(0.3, 0.05, 9.0, 2.1, 1e6, 0.0)
         assert est.tau_lo == est.tau_hi == 0.3
-        assert est.n_hi == 0.05
+        assert est.n_hi == est.n_lo == 0.05
 
     def test_formulas(self):
         tau, nbar, sx2, sz2, m_p, w = 0.3, 0.05, 9.0, 2.1, 1e6, 6.34
         est = worst_case_estimators(tau, nbar, sx2, sz2, m_p, w)
         margin = 2.0 * w * math.sqrt((2.0 * tau**2 + tau * sz2 / sx2) / m_p)
+        shift = w * sz2 / math.sqrt(2.0 * m_p)
         assert est.tau_lo == pytest.approx(tau - margin, rel=1e-12)
         assert est.tau_hi == pytest.approx(tau + margin, rel=1e-12)
-        assert est.n_hi == pytest.approx(nbar + w * sz2 / math.sqrt(2.0 * m_p), rel=1e-12)
+        assert est.n_hi == pytest.approx(nbar + shift, rel=1e-12)
+        assert est.n_lo == pytest.approx(nbar - shift, rel=1e-12)
         assert est.warnings == ()
+
+    def test_microwave_inputs(self):
+        # a thermal microwave link discloses nu_det m pairs whose residual
+        # variance is the model value 2 n_th + nu_det
+        tau, n_th, sx2, m, nu_det, w = 0.8, 0.1024, 20.0, 5e6, 2, 6.34
+        sz2, m_p = 2.0 * n_th + nu_det, nu_det * m
+        est = worst_case_estimators(tau, n_th, sx2, sz2, m_p, w)
+        assert est.warnings == ()
+        assert est.tau_lo == pytest.approx(
+            tau - 2.0 * w * math.sqrt((2.0 * tau**2 + tau * sz2 / sx2) / m_p), rel=1e-12
+        )
+        shift = w * sz2 / math.sqrt(2.0 * m_p)
+        assert est.n_hi == pytest.approx(n_th + shift, rel=1e-12)
+        assert est.n_lo == pytest.approx(n_th - shift, rel=1e-12)
+        assert est.n_lo >= 0.0
+
+    def test_floors_with_lower_noise_bound(self):
+        n_th = 1e-9
+        est = worst_case_estimators(0.5, n_th, 20.0, 2.0 * n_th + 2, 2 * 10, 6.34)
+        assert est.tau_lo == TAU_FLOOR
+        assert est.warnings == ("tau_lo_floored",)
+        assert est.n_lo == 0.0
+        assert est.n_hi > n_th
 
     def test_large_samples_converge(self):
         est = worst_case_estimators(0.3, 0.05, 9.0, 2.1, 1e12, 6.34)
@@ -167,55 +195,59 @@ class TestWorstCaseEstimators:
 
 
 class TestSetupAndBackgroundBounds:
-    EST = worst_case_estimators(0.3, 0.05, 9.0, 2.1, 1e6, 6.34)
+    """The fixed-link split of nbar' into trusted setup photons n_ex_bc and
+    the background bound n_b' = (nbar' - n_ex_bc) / eta_eff."""
 
-    def test_llo_split(self):
-        out = setup_and_background_bounds(self.EST, 1.45e-3, 9.05e-3, "llo", 0.7)
-        assert out.n_ex_bc == pytest.approx(1.45e-3 + 9.05e-3 * self.EST.tau_lo, rel=1e-12)
-        assert out.n_b_hi == pytest.approx((self.EST.n_hi - out.n_ex_bc) / 0.7, rel=1e-12)
-        assert out.xi_tot_hi == pytest.approx(2.0 * self.EST.n_hi / self.EST.tau_lo, rel=1e-12)
-        assert out.xi_ch_hi == pytest.approx(2.0 * 0.7 * out.n_b_hi / self.EST.tau_lo, rel=1e-12)
+    CONFIG = (ROOT / "configs" / "fiber_fixed_loss.ini").read_text(encoding="utf-8")
 
-    def test_tlo_uses_upper_transmissivity(self):
-        out = setup_and_background_bounds(self.EST, 1.45e-3, 0.0, "tlo", 0.7)
-        assert out.n_ex_bc == pytest.approx(1.45e-3 / self.EST.tau_hi, rel=1e-12)
+    def recorded_split(self, monkeypatch, lo_kind):
+        # the rate row's arguments to background_bound, and the row
+        calls = []
 
-    def test_background_floor_warning(self):
-        small_noise = worst_case_estimators(0.3, 1e-6, 9.0, 2.0, 1e8, 6.34)
-        out = setup_and_background_bounds(small_noise, 1.45e-3, 0.0, "llo", 0.7)
-        assert out.n_b_hi == 0.0
-        assert "n_b_hi_floored" in out.warnings
+        def recording(n_hi, n_ex_bc, eta_eff):
+            calls.append((n_hi, n_ex_bc, eta_eff))
+            return background_bound(n_hi, n_ex_bc, eta_eff)
+
+        monkeypatch.setattr(cli, "background_bound", recording)
+        text = self.CONFIG.replace("trust = 3", "trust = 1") \
+            .replace("lo = llo", f"lo = {lo_kind}")
+        scenario = resolve_scenario(text)
+        row = cli.evaluate_rate_point(scenario, 2.0, clamp=False)
+        assert row["reason"] == ""
+        assert len(calls) == 1
+        return scenario, row, calls[0]
+
+    def test_llo_split(self, monkeypatch):
+        # a local LO's phase share grows with tau, so its best case is tau'
+        scenario, row, (n_hi, n_ex_bc, eta_eff) = self.recorded_split(monkeypatch, "llo")
+        derived = scenario.derived
+        assert n_hi == row["n_hi"]
+        assert eta_eff == 0.7
+        assert n_ex_bc == pytest.approx(
+            derived["theta_el"] + derived["theta_ph"] * row["tau_lo"], rel=1e-12)
+        n_b, floored = background_bound(n_hi, n_ex_bc, eta_eff)
+        assert n_b == pytest.approx((n_hi - n_ex_bc) / 0.7, rel=1e-12)
+        assert not floored
+
+    def test_tlo_uses_upper_transmissivity(self, monkeypatch):
+        scenario, row, (_, n_ex_bc, _) = self.recorded_split(monkeypatch, "tlo")
+        assert n_ex_bc == pytest.approx(scenario.derived["theta_el"] / row["tau_hi"],
+                                        rel=1e-12)
+
+    def test_background_floor_warning(self, monkeypatch):
+        assert background_bound(1e-6, 1.45e-3, 0.7) == (0.0, True)
+        assert background_bound(0.05, 1.45e-3, 0.7) == pytest.approx(
+            ((0.05 - 1.45e-3) / 0.7, False), rel=1e-12)
+        # a floored bound reaches the fixed row's warnings cell
+        monkeypatch.setattr(cli, "background_bound", lambda *args: (0.0, True))
+        scenario = resolve_scenario(self.CONFIG.replace("trust = 3", "trust = 2"))
+        row = cli.evaluate_rate_point(scenario, 2.0, clamp=False)
+        assert row["warnings"] == "n_b_hi_floored"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            setup_and_background_bounds(self.EST, 1e-3, 1e-3, "xlo", 0.7)
-        with pytest.raises(ValueError):
-            setup_and_background_bounds(self.EST, 1e-3, 1e-3, "llo", 0.0)
-
-
-class TestMicrowaveEstimators:
-    def test_formulas(self):
-        tau, n_th, sx2, m, nu_det, w = 0.8, 0.1024, 20.0, 5e6, 2, 6.34
-        tau_lo, n_hi, n_lo, warnings = microwave_estimators(tau, n_th, sx2, m,
-                                                            nu_det, w)
-        assert warnings == ()
-        sz2 = 2.0 * n_th + nu_det
-        m_p = nu_det * m
-        assert tau_lo == pytest.approx(
-            tau - 2.0 * w * math.sqrt((2.0 * tau**2 + tau * sz2 / sx2) / m_p), rel=1e-12
-        )
-        shift = w * sz2 / math.sqrt(2.0 * m_p)
-        assert n_hi == pytest.approx(n_th + shift, rel=1e-12)
-        assert n_lo == pytest.approx(n_th - shift, rel=1e-12)
-        assert n_lo >= 0.0
-
-    def test_floors(self):
-        tau_lo, n_hi, n_lo, warnings = microwave_estimators(0.5, 1e-9, 20.0,
-                                                            10, 2, 6.34)
-        assert tau_lo == TAU_FLOOR
-        assert warnings == ("tau_lo_floored",)
-        assert n_lo == 0.0
-        assert n_hi > 1e-9
+        for eta_eff in (0.0, -0.2, 1.5):
+            with pytest.raises(ValueError):
+                background_bound(0.05, 1e-3, eta_eff)
 
 
 class TestComposableTerms:
@@ -429,6 +461,39 @@ class TestMobileWorstCase:
         assert fs.n_star <= fs.n_wc
         assert fs.n_ub > fs.n_wc
         assert fs.tau_lb < fs.lattice.tau_min
+
+    def test_window_uses_the_one_estimator_law(self, monkeypatch):
+        # the worst case of the window, (tau_min, n_wc), enters the fixed-link
+        # estimators with m_Delta disclosed pairs
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return worst_case_estimators(*args)
+
+        monkeypatch.setattr(finite_size, "worst_case_estimators", recording)
+        prm = self.params()
+        fs = mobile_worst_case(prm, self.fading(), self.TH_EL, self.TH_PH,
+                               "llo", 0.7, 0.019, 9.0, 2)
+        assert calls == [(fs.lattice.tau_min, fs.n_wc, 9.0, 2.0 * fs.n_wc + 2,
+                          fs.m_delta, prm.w)]
+        est = worst_case_estimators(*calls[0])
+        assert (fs.tau_lb, fs.n_ub) == (est.tau_lo, est.n_hi)
+        assert fs.n_b_ub == background_bound(est.n_hi, fs.n_ex_bc, 0.7)[0]
+
+    def test_floors_carry_window_codes(self, monkeypatch):
+        tiny = ProtocolParams(n_total=1e4, m=20.0, beta=0.95, p_ec=0.9,
+                              eps_pe=2.0**-33, eps_s=2.0**-33, eps_h=2.0**-33,
+                              eps_cor=2.0**-33, mu=10.0, d=32)
+        fs = mobile_worst_case(tiny, self.fading(), self.TH_EL, self.TH_PH,
+                               "llo", 0.7, 0.019, 9.0, 2)
+        assert fs.tau_lb == TAU_FLOOR
+        assert fs.warnings == ("tau_lb_floored",)
+        monkeypatch.setattr(finite_size, "background_bound", lambda *args: (0.0, True))
+        fs = mobile_worst_case(self.params(), self.fading(), self.TH_EL, self.TH_PH,
+                               "llo", 0.7, 0.019, 9.0, 2)
+        assert fs.n_b_ub == 0.0
+        assert fs.warnings == ("n_b_ub_floored",)
 
     def test_untrusted_photons_credited_to_eve(self):
         # n_other enters the worst case and the de-faded average, not the

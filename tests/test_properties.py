@@ -1,13 +1,18 @@
 """Invariants of the rate rows over random valid fixed-loss and optical-fixed
 points: trust ordering, line-of-sight over standard security, composable
-below asymptotic, and fixed-loss rates that do not rise with loss."""
+below asymptotic, and fixed-loss rates that do not rise with loss. Also:
+arbitrary values in a config's [physics] and [protocol] keys resolve to a
+Scenario or fail with a ConfigError, never another exception."""
+
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvqkd.cli import evaluate_rate_point
-from cvqkd.config import resolve_scenario
+from cvqkd.config import ConfigError, Scenario, resolve_scenario
 
 TEMPLATE = """
 [scenario]
@@ -159,3 +164,43 @@ class TestFixedLossMonotone:
         near = row(link, trust, "standard", low)
         far = row(link, trust, "standard", high)
         assert at_most(max(far["rate_raw"], 0.0), max(near["rate_raw"], 0.0))
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+FUZZ_EXAMPLES = 120  # per shipped config
+
+# numbers as floats, integers and base^exponent powers, or any text at all
+VALUES = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-10**30, 10**30).map(str),
+    st.tuples(st.integers(-20, 20), st.floats(-400.0, 400.0)).map(
+        lambda power: f"{power[0]}^{power[1]}"),
+    st.text(),
+)
+
+
+def section_keys(text: str, section: str) -> list:
+    body = text.split(f"[{section}]")[1].split("\n[")[0]
+    return re.findall(r"^(\w+) = ", body, flags=re.MULTILINE)
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.ini")))
+class TestConfigFuzz:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=FUZZ_EXAMPLES)
+    @given(data=st.data())
+    def test_scenario_or_config_error(self, config, data):
+        text = (CONFIGS / config).read_text(encoding="utf-8")
+        for section in ("physics", "protocol"):
+            keys = data.draw(st.lists(st.sampled_from(section_keys(text, section)),
+                                      unique=True, min_size=1))
+            for key in keys:
+                head, tail = text.split(f"[{section}]")
+                line = re.search(rf"^{key} = .*$", tail, flags=re.MULTILINE)
+                tail = tail[:line.start()] + f"{key} = {data.draw(VALUES)}" \
+                    + tail[line.end():]
+                text = f"{head}[{section}]{tail}"
+        try:
+            assert isinstance(resolve_scenario(text), Scenario)
+        except ConfigError:
+            pass

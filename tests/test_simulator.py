@@ -284,39 +284,6 @@ class TestSingleBinLattice:
         assert np.array_equal(faded.x, block.x[keep])
 
 
-class TestNoisyPilots:
-    def setup_method(self):
-        self.fad = fading_at(5.0)
-        self.lat = FadingLattice(tau_min=0.8 * self.fad.eta,
-                                 tau_max=self.fad.eta, bins=50)
-        self.block = simulate_fading_block(self.fad,
-                                           lambda t: 0.02 + 0.0 * t, 2, 9.0,
-                                           20_000, seed=41)
-
-    def test_zero_noise_matches_default(self):
-        a = defade_block(self.block, self.lat, seed=42)
-        b = defade_block(self.block, self.lat, seed=42, pilot_noise=0.0)
-        assert np.array_equal(a.y, b.y)
-        assert np.array_equal(a.bins, b.bins)
-
-    def test_noise_perturbs_bin_assignment(self):
-        clean = defade_block(self.block, self.lat, seed=42)
-        noisy = defade_block(self.block, self.lat, seed=42, pilot_noise=0.02)
-        assert noisy.pairs != clean.pairs \
-            or not np.array_equal(noisy.bins, clean.bins)
-
-    def test_noise_is_shared_within_a_pulse(self):
-        # both quadrature pairs of a pulse see one pilot estimate, so they
-        # are kept or dropped together and land in the same bin
-        noisy = defade_block(self.block, self.lat, seed=42, pilot_noise=0.05)
-        assert noisy.pairs % 2 == 0
-        assert np.array_equal(noisy.bins[0::2], noisy.bins[1::2])
-
-    def test_negative_noise_rejected(self):
-        with pytest.raises(ValueError):
-            defade_block(self.block, self.lat, seed=42, pilot_noise=-0.1)
-
-
 class TestZeroMarginCoverage:
     def test_w_zero_fails_half_the_time(self):
         # eps_pe = 0.5 gives w = 0: each one-sided bound is the bare
