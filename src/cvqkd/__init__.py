@@ -1,15 +1,8 @@
 """Composable finite-size secret-key rates for Gaussian-modulated
 coherent-state quantum key distribution."""
 
-from .gaussian import (
-    CovarianceMatrix,
-    condition_on_heterodyne,
-    condition_on_homodyne,
-    entropic_h,
-    symplectic_form,
-    symplectic_spectrum,
-    two_mode_symplectic_spectrum,
-)
+import importlib
+
 from .noise import (
     ReceiverOptics,
     SetupConfig,
@@ -36,6 +29,7 @@ from .rates import (
     SecurityType,
     TrustLevel,
     asymptotic_rate,
+    entropic_h,
     holevo,
     holevo_los,
     holevo_standard,
@@ -61,15 +55,22 @@ from .finite_size import (
     total_epsilon,
     worst_case_estimators,
 )
-from .simulate import (
-    CoverageReport,
-    SimBlock,
-    defade_block,
-    estimator_coverage_experiment,
-    simulate_block,
-    simulate_fading_block,
-    stream_rng,
-    sufficient_statistics_coverage,
-)
+
+# the array-backed modules load numpy on first use of one of their names
+_LAZY = {**dict.fromkeys(("CovarianceMatrix", "condition_on_heterodyne",
+                          "condition_on_homodyne", "symplectic_form",
+                          "symplectic_spectrum", "two_mode_symplectic_spectrum"),
+                         "gaussian"),
+         **dict.fromkeys(("CoverageReport", "SimBlock", "defade_block",
+                          "estimator_coverage_experiment", "simulate_block",
+                          "simulate_fading_block", "stream_rng",
+                          "sufficient_statistics_coverage"), "simulate")}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __version__ = "0.1.0"

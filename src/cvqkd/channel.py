@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class BeamConfig:
@@ -74,8 +72,11 @@ def microwave_best_range(gain: float, aperture_radius: float) -> float:
 
 # --- pointing-error fading -------------------------------------------------
 
-def sample_deflections(sigma_p: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws r = sigma_p * sqrt(-2 ln u) of the deflection radius."""
+def sample_deflections(sigma_p: float, size: int, rng):
+    """Inverse-CDF draws r = sigma_p * sqrt(-2 ln u) of the deflection radius,
+    from a numpy Generator."""
+    import numpy as np
+
     if sigma_p <= 0.0:
         raise ValueError("sigma_p must be positive")
     u = rng.random(size)
@@ -187,7 +188,10 @@ class FadingModel:
 
 
 def pointing_tau_approx(r, fading: FadingModel):
-    """Approximate instantaneous transmissivity tau(r) = eta exp[-(r/r0)^gamma]."""
+    """Approximate instantaneous transmissivity tau(r) = eta exp[-(r/r0)^gamma],
+    element-wise over an array of deflections."""
+    import numpy as np
+
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("deflection must be non-negative")
@@ -195,50 +199,40 @@ def pointing_tau_approx(r, fading: FadingModel):
     return float(out) if arr.ndim == 0 else out
 
 
-def deflection_for_tau(tau, fading: FadingModel):
+def deflection_for_tau(tau: float, fading: FadingModel) -> float:
     """Inverse of the tau(r) approximation: r = r0 * ln(eta/tau)^(1/gamma)."""
-    arr = np.asarray(tau, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr > fading.eta * (1.0 + 1e-12)):
+    if not 0.0 < tau <= fading.eta * (1.0 + 1e-12):
         raise ValueError("tau must lie in (0, eta]")
-    ratio = np.clip(fading.eta / arr, 1.0, None)
-    out = fading.r0 * np.log(ratio) ** (1.0 / fading.gamma)
-    return float(out) if arr.ndim == 0 else out
+    return fading.r0 * math.log(max(fading.eta / tau, 1.0)) ** (1.0 / fading.gamma)
 
 
-def fading_pdf(tau, fading: FadingModel):
+def fading_pdf(tau: float, fading: FadingModel) -> float:
     """Density of the instantaneous transmissivity under beam wandering.
 
     P(tau) = r0^2 / (gamma sigma_p^2 tau) * ln(eta/tau)^(2/gamma - 1)
              * exp[-(r0^2 / 2 sigma_p^2) ln(eta/tau)^(2/gamma)] on (0, eta).
     """
-    arr = np.asarray(tau, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= fading.eta):
+    if not 0.0 < tau < fading.eta:
         raise ValueError("fading pdf is supported on (0, eta)")
-    log_ratio = np.log(fading.eta / arr)
+    log_ratio = math.log(fading.eta / tau)
     power = 2.0 / fading.gamma
-    out = (fading.r0 ** 2 / (fading.gamma * fading.sigma_p ** 2 * arr)
-           * log_ratio ** (power - 1.0)
-           * np.exp(-fading.r0 ** 2 / (2.0 * fading.sigma_p ** 2) * log_ratio ** power))
-    return float(out) if arr.ndim == 0 else out
+    return (fading.r0 ** 2 / (fading.gamma * fading.sigma_p ** 2 * tau)
+            * log_ratio ** (power - 1.0)
+            * math.exp(-fading.r0 ** 2 / (2.0 * fading.sigma_p ** 2) * log_ratio ** power))
 
 
-def fading_probability(tau_lo, tau_hi, fading: FadingModel):
+def fading_probability(tau_lo: float, tau_hi: float, fading: FadingModel) -> float:
     """P(tau_lo <= tau <= tau_hi), exact in deflection space.
 
     tau(r) decreases with r, so the event maps to r(tau_hi) <= r <= r(tau_lo)
     and the Weibull CDF gives exp(-r(tau_hi)^2/2sp^2) - exp(-r(tau_lo)^2/2sp^2).
-    tau_lo and tau_hi broadcast against each other, so one call prices every
-    bin of a lattice; scalar windows return a float.
     """
-    lo = np.asarray(tau_lo, dtype=float)
-    hi = np.asarray(tau_hi, dtype=float)
-    if not np.all((0.0 < lo) & (lo <= hi) & (hi <= fading.eta * (1.0 + 1e-12))):
+    if not 0.0 < tau_lo <= tau_hi <= fading.eta * (1.0 + 1e-12):
         raise ValueError("need 0 < tau_lo <= tau_hi <= eta")
     two_sp2 = 2.0 * fading.sigma_p ** 2
-    r_hi = deflection_for_tau(np.minimum(hi, fading.eta), fading)
-    r_lo = deflection_for_tau(lo, fading)
-    out = np.exp(-np.square(r_hi) / two_sp2) - np.exp(-np.square(r_lo) / two_sp2)
-    return float(out) if out.ndim == 0 else out
+    r_hi = deflection_for_tau(min(tau_hi, fading.eta), fading)
+    r_lo = deflection_for_tau(tau_lo, fading)
+    return math.exp(-r_hi * r_hi / two_sp2) - math.exp(-r_lo * r_lo / two_sp2)
 
 
 def fading_probability_quadrature(tau_lo: float, tau_hi: float,

@@ -15,8 +15,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
-
-import numpy as np
+from numbers import Integral
 
 from . import __version__
 from .channel import (
@@ -45,12 +44,6 @@ from .rates import (
     microwave_los_cm,
     mutual_information,
     plob_thermal_bound,
-)
-from .simulate import (
-    defade_block,
-    simulate_block,
-    simulate_fading_block,
-    sufficient_statistics_coverage,
 )
 
 RESULT_SCHEMA = "cvqkd-results/1"
@@ -268,6 +261,8 @@ def _mobile_noise_map(scenario: Scenario):
 def _dump_block(block, bins, path: str, tau_const: float = None) -> None:
     """Write one simulated block as CSV, one row per disclosed pair,
     formatting 1024 rows per write so that extra memory stays small."""
+    import numpy as np
+
     tau = block.tau_samples if block.tau_samples is not None \
         else np.full(block.pairs, tau_const)
     pilot = block.pilot_mask if block.pilot_mask is not None \
@@ -285,6 +280,10 @@ def _dump_block(block, bins, path: str, tau_const: float = None) -> None:
 
 def _simulation_row(scenario: Scenario, x: float, seed: int,
                     dump: str) -> dict:
+    import numpy as np
+
+    from .simulate import defade_block, simulate_block, simulate_fading_block
+
     pulses = scenario.simulate["pulses"]
     pt = _model_point(scenario, x)
     if scenario.channel == "optical-mobile":
@@ -333,6 +332,8 @@ def evaluate_simulation(scenario: Scenario, x: float, seed: int,
 
 
 def _coverage_row(scenario: Scenario, x: float, seed: int) -> dict:
+    from .simulate import sufficient_statistics_coverage
+
     cov = scenario.coverage
     pt = _model_point(scenario, x)
     report = sufficient_statistics_coverage(
@@ -355,19 +356,33 @@ def evaluate_coverage(scenario: Scenario, x: float, seed: int) -> dict:
     return _guarded_row(_coverage_row, COVERAGE_COLUMNS, scenario, x, seed)
 
 
+def _sweep_grid(start: float, stop: float, points: int) -> list:
+    """numpy.linspace(start, stop, points), bit for bit, by its own formula:
+    start + i * step (i / div * delta where step underflows to 0), with the
+    last point set to stop."""
+    div = max(points - 1, 1)
+    delta = stop - start
+    step = delta / div
+    grid = [(i * step if step else i / div * delta) + start
+            for i in range(points)]
+    if points > 1:
+        grid[-1] = stop
+    return grid
+
+
 def run_sweep(scenario: Scenario, clamp: bool) -> list:
     """Rate rows over the configured grid, in abscissa order, in one process."""
     if scenario.sweep is None:
         raise ConfigError("the sweep command needs a [sweep] section")
     _, start, stop, points = scenario.sweep
-    return [evaluate_rate_point(scenario, float(x), clamp)
-            for x in np.linspace(start, stop, points)]
+    return [evaluate_rate_point(scenario, x, clamp)
+            for x in _sweep_grid(start, stop, points)]
 
 
 def _format_cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if isinstance(value, Integral) and not isinstance(value, bool):
         return str(int(value))
     return "%.17g" % float(value)
 
@@ -382,7 +397,7 @@ def emit_csv(rows: list, columns: tuple, out) -> None:
 def _json_cell(value):
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if isinstance(value, Integral) and not isinstance(value, bool):
         return int(value)
     value = float(value)
     return None if math.isnan(value) else value

@@ -327,6 +327,11 @@ def resolve_scenario(text: str) -> Scenario:
     f_th = parse_quantity(raw_protocol.get("f_th", "0.8"))
     bins = parse_count("protocol", "bins", raw_protocol.get("bins", "50"))
     d = parse_count("protocol", "d", raw_protocol["d"])
+    mu = parse_quantity(raw_protocol["mu"])
+    if not mu > 1.0:
+        raise ConfigError(f"[protocol] mu must be > 1, since no key is distilled "
+                          f"without modulation (sigma_x^2 = mu - 1), got "
+                          f"{raw_protocol['mu']!r} (rule: positive-modulation)")
     with _valid_block("protocol"):
         params = ProtocolParams(
             n_total=parse_quantity(raw_protocol["n_total"]),
@@ -335,7 +340,7 @@ def resolve_scenario(text: str) -> Scenario:
             beta=parse_quantity(raw_protocol["beta"]),
             p_ec=parse_quantity(raw_protocol["p_ec"]),
             eps_pe=eps_pe, eps_s=eps_s, eps_h=eps_h, eps_cor=eps_cor,
-            mu=parse_quantity(raw_protocol["mu"]),
+            mu=mu,
             d=d, f_et=f_et)
         derived = {"nu_det": nu_det, "sigma_x2": params.mu - 1.0, "n": params.n,
                    "w": params.w, "eps_total": total_epsilon(params)}

@@ -9,10 +9,10 @@ and, for fully general attacks, the energy-test dimension cutoff.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
-
-import numpy as np
 
 from .channel import FadingModel, fading_probability
 from .noise import setup_noise_from_thetas
@@ -115,12 +115,14 @@ class EstimatorSnapshot:
     m_p: int
 
 
-def empirical_estimators(x: np.ndarray, y: np.ndarray, nu_det: int) -> EstimatorSnapshot:
-    """Maximum-likelihood estimates from disclosed quadrature pairs.
+def empirical_estimators(x, y, nu_det: int) -> EstimatorSnapshot:
+    """Maximum-likelihood estimates from disclosed quadrature pairs (arrays).
 
     T_hat = sum(xy)/sum(x^2), sigma_z2_hat the mean squared residual,
     tau_hat = T_hat^2 and n_hat = (sigma_z2_hat - nu_det)/2.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
@@ -345,15 +347,19 @@ class FadingLattice:
             raise ValueError("at least one bin required")
 
     @property
-    def edges(self) -> np.ndarray:
+    def edges(self):
+        import numpy as np
+
         return np.linspace(self.tau_min, self.tau_max, self.bins + 1)
 
     @property
-    def lower_edges(self) -> np.ndarray:
+    def lower_edges(self):
         return self.edges[:-1]
 
-    def assign(self, tau: np.ndarray) -> np.ndarray:
+    def assign(self, tau):
         """Bin index per sample; -1 marks post-selected (out-of-window) pulses."""
+        import numpy as np
+
         tau = np.asarray(tau, dtype=float)
         idx = np.floor((tau - self.tau_min) / (self.tau_max - self.tau_min)
                        * self.bins).astype(int)
@@ -364,11 +370,18 @@ class FadingLattice:
 
 @dataclass(frozen=True)
 class FadingEstimatorSet:
-    """Worst-case bounds for a post-selected fading channel."""
+    """Worst-case bounds for a post-selected fading channel.
+
+    The per-bin figures, which only the simulator reads, are computed on
+    first access: bin_probabilities p_k, and n_star = tau_min / p_Delta
+    * sum_k p_k n(tau_k) / tau_k over the bin lower edges tau_k, with n(tau)
+    the noise photons of the link at transmissivity tau.
+    """
 
     lattice: FadingLattice
+    fading: FadingModel
+    noise: Callable
     p_delta: float
-    bin_probabilities: np.ndarray
     n_ex_wc: float
     n_wc: float
     m_delta: float
@@ -376,8 +389,23 @@ class FadingEstimatorSet:
     n_ub: float
     n_ex_bc: float
     n_b_ub: float
-    n_star: float
     warnings: tuple = ()
+
+    @cached_property
+    def bin_probabilities(self):
+        import numpy as np
+
+        edges = self.lattice.edges
+        return np.array([fading_probability(lo, hi, self.fading)
+                         for lo, hi in zip(edges[:-1], edges[1:])])
+
+    @cached_property
+    def n_star(self) -> float:
+        import numpy as np
+
+        lower = self.lattice.lower_edges
+        return self.lattice.tau_min / self.p_delta * float(
+            np.sum(self.bin_probabilities / lower * self.noise(lower)))
 
 
 def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
@@ -402,8 +430,6 @@ def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
     tau_max = fading.eta
     tau_min = f_th * tau_max
     lattice = FadingLattice(tau_min=tau_min, tau_max=tau_max, bins=bins)
-    edges = lattice.edges
-    p_bins = fading_probability(edges[:-1], edges[1:], fading)
     p_delta = fading_probability(tau_min, tau_max, fading)
     if p_delta < p_delta_min:
         raise ValueError("post-selection window has negligible probability; "
@@ -422,12 +448,11 @@ def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
     if floored:
         warnings = warnings + ("n_b_ub_floored",)
 
-    lower = lattice.lower_edges
-    n_k = eta_eff * n_b + setup_noise_from_thetas(th_el, th_ph, lo_kind, lower,
-                                                  n_other)
-    n_star = tau_min / p_delta * float(np.sum(p_bins / lower * n_k))
-    return FadingEstimatorSet(lattice=lattice, p_delta=p_delta,
-                              bin_probabilities=p_bins, n_ex_wc=n_ex_wc, n_wc=n_wc,
+    def noise(tau):
+        return eta_eff * n_b + setup_noise_from_thetas(th_el, th_ph, lo_kind,
+                                                       tau, n_other)
+
+    return FadingEstimatorSet(lattice=lattice, fading=fading, noise=noise,
+                              p_delta=p_delta, n_ex_wc=n_ex_wc, n_wc=n_wc,
                               m_delta=m_delta, tau_lb=est.tau_lo, n_ub=est.n_hi,
-                              n_ex_bc=n_ex_bc, n_b_ub=n_b_ub,
-                              n_star=n_star, warnings=warnings)
+                              n_ex_bc=n_ex_bc, n_b_ub=n_b_ub, warnings=warnings)

@@ -6,14 +6,13 @@ Covariance matrices are real symmetric 2n x 2n arrays ordered as
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-# Symmetry is relative to the matrix scale; bona fide eigenvalues may sit a
-# hair below 1 through rounding, hence the one-sided tolerance.
+# entropic_h is the scalar kernel of the rate path, re-exported here
+from .rates import BONA_FIDE_TOL, entropic_h  # noqa: F401
+
+# Symmetry is relative to the matrix scale.
 SYMMETRY_RTOL = 1e-12
-BONA_FIDE_TOL = 1e-9
 
 Z2 = np.diag([1.0, -1.0])
 I2 = np.eye(2)
@@ -36,36 +35,6 @@ def _as_matrix(V) -> np.ndarray:
     if np.abs(entries - entries.T).max() > SYMMETRY_RTOL * scale:
         raise ValueError("covariance matrix is not symmetric within 1e-12 relative tolerance")
     return 0.5 * (entries + entries.T)
-
-
-def entropic_h(x):
-    """Bosonic entropy h(x) = ((x+1)/2)log2((x+1)/2) - ((x-1)/2)log2((x-1)/2).
-
-    Accepts scalars or arrays. Values inside [1 - 1e-9, 1) are clamped to 1
-    (spectral round-off); anything lower is a domain error. Python numbers
-    take a math-module path; everything else goes through numpy.
-    """
-    if isinstance(x, (float, int)):
-        if x < 1.0 - BONA_FIDE_TOL:
-            raise ValueError(f"entropic_h domain error: symplectic value below 1: {float(x)}")
-        if x <= 1.0:
-            return 0.0
-        plus = (x + 1.0) / 2.0
-        minus = (x - 1.0) / 2.0
-        return plus * math.log2(plus) - minus * math.log2(minus)
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 1.0 - BONA_FIDE_TOL):
-        raise ValueError(f"entropic_h domain error: symplectic value below 1: {arr.min()}")
-    arr = np.maximum(arr, 1.0)
-    plus = (arr + 1.0) / 2.0
-    minus = (arr - 1.0) / 2.0
-    # minus*log2(minus) -> 0 as minus -> 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term_minus = np.where(minus > 0.0, minus * np.log2(np.where(minus > 0.0, minus, 1.0)), 0.0)
-    out = plus * np.log2(plus) - term_minus
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
 
 
 def symplectic_spectrum(V) -> np.ndarray:

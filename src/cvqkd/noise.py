@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # Exact by definition in the 2019 SI (speed of light in m/s, Planck constant
 # in J s, Boltzmann constant in J/K).
 SPEED_OF_LIGHT = 299792458.0
@@ -129,6 +127,8 @@ def setup_noise_from_thetas(th_el: float, th_ph: float, lo_kind: str, tau,
         if not 0.0 < tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
     else:
+        import numpy as np
+
         tau = np.asarray(tau, dtype=float)
         if not np.all((0.0 <= tau) & (tau <= 1.0)):
             raise ValueError("tau must lie in [0, 1]")

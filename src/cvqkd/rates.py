@@ -20,20 +20,24 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .gaussian import (
-    I2,
-    Z2,
-    condition_on_heterodyne,
-    condition_on_homodyne,
-    entropic_h,
-    symplectic_spectrum,
-    two_mode_blocks,
-    two_mode_symplectic_spectrum,
-)
-
 IDENTITY_GUARD = 1e-12
+# Bona fide symplectic eigenvalues may sit a hair below 1 through rounding.
+BONA_FIDE_TOL = 1e-9
+
+
+def entropic_h(x: float) -> float:
+    """Bosonic entropy h(x) = ((x+1)/2)log2((x+1)/2) - ((x-1)/2)log2((x-1)/2).
+
+    Values inside [1 - BONA_FIDE_TOL, 1) are clamped to 1 (spectral
+    round-off); anything lower is a domain error.
+    """
+    if x < 1.0 - BONA_FIDE_TOL:
+        raise ValueError(f"entropic_h domain error: symplectic value below 1: {float(x)}")
+    if x <= 1.0:
+        return 0.0
+    plus = (x + 1.0) / 2.0
+    minus = (x - 1.0) / 2.0
+    return plus * math.log2(plus) - minus * math.log2(minus)
 
 
 class TrustLevel(enum.IntEnum):
@@ -127,18 +131,24 @@ class EveState:
     phi: float
 
     @property
-    def v_eve(self) -> np.ndarray:
+    def v_eve(self):
+        from .gaussian import I2, Z2, two_mode_blocks
+
         return two_mode_blocks(self.phi * I2, self.omega * I2, self.psi * Z2)
 
     @property
-    def cross(self) -> np.ndarray:
+    def cross(self):
+        import numpy as np
+
+        from .gaussian import I2, Z2
+
         return np.hstack([self.theta * I2, self.gamma * Z2])
 
     @property
-    def joint(self) -> np.ndarray:
-        top = np.hstack([self.b * I2, self.cross])
-        bottom = np.hstack([self.cross.T, self.v_eve])
-        return np.vstack([top, bottom])
+    def joint(self):
+        from .gaussian import I2, two_mode_blocks
+
+        return two_mode_blocks(self.b * I2, self.v_eve, self.cross)
 
 
 def bob_variance(ch: ChannelPoint) -> float:
@@ -181,17 +191,19 @@ def eve_joint_cm(ch: ChannelPoint, trust: TrustLevel) -> EveState:
     return EveState(b=b, omega=omega, gamma=gamma, theta=theta, psi=psi, phi=phi)
 
 
-def _chi_from_conditioning(v_eve: np.ndarray, cross: np.ndarray, b: float,
-                           nu_det: int) -> float:
+def _chi_from_conditioning(v_eve, cross, b: float, nu_det: int) -> float:
     """chi(E:y) from the spectra of Eve's matrix before and after Bob's
     measurement (the eigenvalue oracle of :func:`holevo_standard`)."""
+    from .gaussian import (condition_on_heterodyne, condition_on_homodyne,
+                           symplectic_spectrum)
+
     nu = symplectic_spectrum(v_eve)
     if nu_det == 1:
         cond = condition_on_homodyne(v_eve, cross, b)
     else:
         cond = condition_on_heterodyne(v_eve, cross, b)
     nu_cond = symplectic_spectrum(cond)
-    return float(np.sum(entropic_h(nu)) - np.sum(entropic_h(nu_cond)))
+    return float(sum(map(entropic_h, nu)) - sum(map(entropic_h, nu_cond)))
 
 
 def _two_mode_entropy(delta: float, root_det: float, split: float) -> float:
@@ -302,12 +314,13 @@ def holevo_untrusted_closed_form(ch: ChannelPoint) -> float:
     tau = ch.tau
     if tau >= 1.0 - IDENTITY_GUARD:
         return 0.0
+    from .gaussian import I2, Z2, two_mode_blocks, two_mode_symplectic_spectrum
+
     mu = ch.mu
     b = bob_variance(ch)
     c2 = tau * (mu * mu - 1.0)
     v_ab = two_mode_blocks(mu * I2, b * I2, math.sqrt(c2) * Z2)
-    nu = two_mode_symplectic_spectrum(v_ab)
-    total = float(np.sum(entropic_h(nu)))
+    total = float(sum(map(entropic_h, two_mode_symplectic_spectrum(v_ab))))
     if ch.nu_det == 1:
         cond_arg = math.sqrt(mu * (mu - c2 / b))
     else:

@@ -36,6 +36,18 @@ def fading_at(z: float, pointing: float = POINTING, eta_eff: float = 0.7) -> Fad
     return FadingModel.from_geometry(BEAM, z, APERTURE, pointing, eta_eff)
 
 
+def numpy_window_probability(lo, hi, fad: FadingModel) -> tuple:
+    """The broadcast numpy closed form of P(lo <= tau <= hi) over arrays of
+    windows: (exp(-r(hi)^2 / 2 sp^2), that term minus exp(-r(lo)^2 / 2 sp^2))
+    with r(tau) = r0 ln(eta / tau)^(1 / gamma)."""
+    def deflection(tau):
+        return fad.r0 * np.log(np.clip(fad.eta / tau, 1.0, None)) ** (1.0 / fad.gamma)
+
+    two_sp2 = 2.0 * fad.sigma_p ** 2
+    larger = np.exp(-np.square(deflection(np.minimum(hi, fad.eta))) / two_sp2)
+    return larger, larger - np.exp(-np.square(deflection(lo)) / two_sp2)
+
+
 class TestBeamGeometry:
     def test_rayleigh_range(self):
         assert BEAM.rayleigh_range == pytest.approx(math.pi * 1e-6 / 800e-9, rel=1e-12)
@@ -196,7 +208,8 @@ class TestFadingModel:
         # below ~0.2 r0 the map rounds tau to eta itself; beyond ~2 r0 tau
         # underflows: both ends destroy the deflection information
         rs = np.linspace(2.5e-3, 1.5e-2, 17)
-        assert np.allclose(deflection_for_tau(pointing_tau_approx(rs, fad), fad), rs, rtol=1e-7)
+        back = [deflection_for_tau(float(tau), fad) for tau in pointing_tau_approx(rs, fad)]
+        assert np.allclose(back, rs, rtol=1e-7)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -255,29 +268,47 @@ class TestFadingDistribution:
         assert all(a < b for a, b in zip(ps, ps[1:]))
         assert all(0.0 < p < 1.0 for p in ps)
 
-    def test_probability_broadcasts_over_windows(self):
+    def test_probability_additive_over_windows(self):
+        # the bins of a window, priced one scalar call each, sum to it
         fad = fading_at(5.0)
         edges = np.linspace(0.5 * fad.eta, fad.eta, 9)
-        got = fading_probability(edges[:-1], edges[1:], fad)
-        assert got.shape == (8,)
-        for k in range(8):
-            assert got[k] == pytest.approx(
-                fading_probability(float(edges[k]), float(edges[k + 1]), fad),
-                rel=1e-12)
-        assert got.sum() == pytest.approx(fading_probability(edges[0], edges[-1], fad),
-                                          rel=1e-12)
+        got = [fading_probability(lo, hi, fad) for lo, hi in zip(edges[:-1], edges[1:])]
+        assert math.fsum(got) == pytest.approx(
+            fading_probability(edges[0], edges[-1], fad), rel=1e-12)
+        assert all(isinstance(p, float) for p in got)
         assert isinstance(fading_probability(edges[0], edges[-1], fad), float)
-        lows = np.array([0.1, 0.5, 0.9]) * fad.eta
-        assert fading_probability(lows, fad.eta, fad) == pytest.approx(
-            [fading_probability(float(lo), fad.eta, fad) for lo in lows], rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_scalar_probability_matches_numpy_closed_form(self):
+        # Tolerances fixed before the run. Against the broadcast numpy form it
+        # replaced: within 1e-12 of the larger Weibull CDF term over 50-bin
+        # lattices at 1-80 m, since a narrow bin is the difference of two
+        # nearly equal terms (largest seen 3.5e-14). Against the pdf
+        # quadrature: within 1e-5 absolute on the bins at 5, 20 and 45 m.
+        # A first run at 1e-6 failed on the top bin at 5 m, where quad is
+        # 1.09e-6 from both closed forms, which agree to 1e-16 there.
+        for z in np.geomspace(1.0, 80.0, 12):
+            fad = fading_at(float(z))
+            for f_th in (0.1, 0.5, 0.8, 0.95):
+                edges = np.linspace(f_th * fad.eta, fad.eta, 51)
+                larger, expect = numpy_window_probability(edges[:-1], edges[1:], fad)
+                got = np.array([fading_probability(lo, hi, fad)
+                                for lo, hi in zip(edges[:-1], edges[1:])])
+                assert np.all(np.abs(got - expect) <= 1e-12 * larger)
+        for z in (5.0, 20.0, 45.0):
+            fad = fading_at(z)
+            edges = np.linspace(0.8 * fad.eta, fad.eta, 11)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                assert fading_probability(lo, hi, fad) == pytest.approx(
+                    fading_probability_quadrature(lo, hi, fad), abs=1e-5)
 
     def test_probability_validates_every_window(self):
         fad = fading_at(5.0)
-        good = np.array([0.5, 0.6]) * fad.eta
-        for lo, hi in ((np.array([0.5 * fad.eta, 0.0]), good),
-                       (good[::-1], good),                        # lo > hi
-                       (good, np.array([fad.eta, 1.1 * fad.eta])),
-                       (np.array([0.5 * fad.eta, np.nan]), good)):
+        for lo, hi in ((0.0, 0.6 * fad.eta),
+                       (0.6 * fad.eta, 0.5 * fad.eta),            # lo > hi
+                       (0.5 * fad.eta, 1.1 * fad.eta),
+                       (math.nan, 0.6 * fad.eta),
+                       (0.5 * fad.eta, math.nan)):
             with pytest.raises(ValueError):
                 fading_probability(lo, hi, fad)
 

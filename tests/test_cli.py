@@ -15,9 +15,11 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvqkd import __version__
-from cvqkd.cli import WARNING_CODES, main, scenario_echo, scenario_hash
+from cvqkd.cli import WARNING_CODES, _sweep_grid, main, scenario_echo, scenario_hash
 from cvqkd.config import ConfigError, parse_quantity, resolve_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -358,6 +360,18 @@ class TestPhysicsRange:
         assert scenario.physics["n_b"] == scenario.physics["n_other"] == 0.0
 
 
+class TestPositiveModulation:
+    """Rule positive-modulation: mu > 1. With mu = 1 the modulation variance
+    mu - 1 is 0, and every rate row used to be a NaN row (exit 2)."""
+
+    @pytest.mark.parametrize("config, line", [("fiber_fixed_loss.ini", "mu = 10\n"),
+                                              ("microwave.ini", "mu = 21\n"),
+                                              ("mobile.ini", "mu = 10\n")])
+    def test_mu_one_rejected(self, tmp_path, capsys, config, line):
+        assert_config_error(tmp_path, capsys, shipped(config, line, "mu = 1\n"),
+                            "(rule: positive-modulation)")
+
+
 class TestIntegerCounts:
     """Counts must be integer-valued; nothing is truncated silently."""
 
@@ -525,6 +539,27 @@ class TestSweepCommand:
         assert blob.endswith(b"\n")
 
 
+class TestSweepGrid:
+    """The sweep grid is numpy.linspace's own formula in pure Python."""
+
+    # bit for bit, signed zeros included; finite ends up to 1e300 so that
+    # stop - start stays finite, subnormals included
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(start=st.floats(-1e300, 1e300), stop=st.floats(-1e300, 1e300),
+           points=st.integers(1, 200))
+    @example(start=0.0, stop=10.0, points=1)
+    @example(start=0.0, stop=10.0, points=2)
+    @example(start=2.5, stop=2.5, points=5)
+    @example(start=7.0, stop=-3.0, points=11)
+    @example(start=-0.0, stop=0.0, points=1)
+    @example(start=0.0, stop=5e-324, points=7)      # the step underflows to 0
+    def test_bit_identical_to_numpy_linspace(self, start, stop, points):
+        grid = _sweep_grid(start, stop, points)
+        assert all(type(x) is float for x in grid)
+        assert np.array(grid, dtype=float).tobytes() == \
+            np.linspace(start, stop, points).tobytes()
+
+
 class TestJsonSchema:
     def schema(self):
         import cvqkd
@@ -649,6 +684,19 @@ class TestCoverageCommand:
         assert "constant-transmissivity" in capsys.readouterr().err
 
 
+def fresh_interpreter(probe: str, *args: str) -> str:
+    """Stdout of probe run in a new interpreter with src on the path."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", probe, *args], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}).stdout.strip()
+
+
+LOADED = ("print(codes, sorted(m for m in sys.modules "
+          "if m.split('.')[0] in {names!r}))")
+
+
 class TestImportFloor:
     def test_cli_loads_no_scipy(self, tmp_path):
         # scipy serves only the oracles, which import it when called: a rate
@@ -657,16 +705,42 @@ class TestImportFloor:
         probe = ("import sys, cvqkd.cli\n"
                  "codes = [cvqkd.cli.main(['rate', '--config', cfg, '--out', "
                  "sys.argv[1]]) for cfg in sys.argv[2:]]\n"
-                 "print(codes, sorted(m for m in sys.modules "
-                 "if m.split('.')[0] == 'scipy'))")
+                 + LOADED.format(names=("scipy",)))
         configs = sorted(str(cfg) for cfg in CONFIGS.glob("*.ini"))
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                             os.environ.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-c", probe,
-                              str(tmp_path / "row.csv"), *configs],
-                             check=True, capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": path})
-        assert out.stdout.strip() == f"{[0] * len(configs)} []"
+        assert fresh_interpreter(probe, str(tmp_path / "row.csv"), *configs) \
+            == f"{[0] * len(configs)} []"
+
+    def test_rate_and_sweep_load_no_numpy(self, tmp_path):
+        # the closed-form commands run on the standard library alone: rate on
+        # every shipped config and sweep on every one with a [sweep] section
+        # (coverage.ini has none) exit 0 and leave no numpy or scipy module
+        configs = sorted(CONFIGS.glob("*.ini"))
+        runs = [("rate", str(cfg)) for cfg in configs] + [
+            ("sweep", str(cfg)) for cfg in configs
+            if "[sweep]" in cfg.read_text(encoding="utf-8")]
+        assert len(runs) == 2 * len(configs) - 1
+        probe = ("import sys, cvqkd.cli\n"
+                 "codes = [cvqkd.cli.main([cmd, '--config', cfg, '--out', "
+                 "sys.argv[1]]) for cmd, cfg in zip(sys.argv[2::2], "
+                 "sys.argv[3::2])]\n"
+                 + LOADED.format(names=("numpy", "scipy")))
+        flat = [arg for run in runs for arg in run]
+        assert fresh_interpreter(probe, str(tmp_path / "rows.csv"), *flat) \
+            == f"{[0] * len(runs)} []"
+
+    def test_package_import_loads_no_numpy(self):
+        # the gaussian and simulate names resolve on first use (PEP 562)
+        probe = ("import sys, cvqkd\n"
+                 "codes = []\n"
+                 + LOADED.format(names=("numpy", "scipy")) + "\n"
+                 "from cvqkd import simulate_block, symplectic_spectrum\n"
+                 "import cvqkd.gaussian, cvqkd.simulate\n"
+                 "print(simulate_block is cvqkd.simulate.simulate_block,\n"
+                 "      symplectic_spectrum is cvqkd.gaussian.symplectic_spectrum,\n"
+                 "      cvqkd.entropic_h is cvqkd.gaussian.entropic_h,\n"
+                 "      'numpy' in sys.modules, hasattr(cvqkd, 'no_such_name'))")
+        assert fresh_interpreter(probe).splitlines() == [
+            "[] []", "True True True True False"]
 
 
 class TestWarningCodes:

@@ -428,26 +428,53 @@ class TestMobileWorstCase:
         assert fs.bin_probabilities.sum() == pytest.approx(fs.p_delta, rel=1e-9)
         assert fs.m_delta == pytest.approx(2.0 * 1e6 * fs.p_delta, rel=1e-12)
 
-    def test_window_priced_in_two_calls(self, monkeypatch):
-        # one broadcast call prices every bin, a second the whole window
+    def test_window_priced_in_one_call(self, monkeypatch):
+        # the rate path prices only the window; the bins are priced, one
+        # scalar call each, when the simulator first reads them
         from cvqkd import channel, finite_size
 
         calls = []
 
         def counting(lo, hi, fad):
-            calls.append(np.size(lo))
+            calls.append((lo, hi))
             return channel.fading_probability(lo, hi, fad)
 
         monkeypatch.setattr(finite_size, "fading_probability", counting)
         fad = self.fading()
         fs = mobile_worst_case(self.params(), fad, self.TH_EL, self.TH_PH,
                                "llo", 0.7, 0.019, 9.0, 2, f_th=0.8, bins=50)
-        assert calls == [50, 1]
+        assert calls == [(fs.lattice.tau_min, fs.lattice.tau_max)]
+        probabilities = fs.bin_probabilities
+        assert fs.bin_probabilities is probabilities  # priced once
+        assert len(calls) == 51
         edges = fs.lattice.edges
         for k in (0, 17, 49):
-            assert fs.bin_probabilities[k] == pytest.approx(
-                channel.fading_probability(float(edges[k]), float(edges[k + 1]), fad),
-                rel=1e-12)
+            assert probabilities[k] == channel.fading_probability(edges[k], edges[k + 1], fad)
+
+    def test_bins_sum_to_window_and_n_star_matches_numpy(self):
+        # Tolerances fixed before the run: rel 1e-12 for both. The bins sum
+        # to p_Delta, and n_star equals the numpy computation it replaced,
+        # written out here with the broadcast closed form of each bin.
+        for z in (1.0, 5.0, 10.0, 30.0, 60.0):
+            fad = self.fading(z)
+            for lo_kind, th_ph in (("llo", self.TH_PH), ("tlo", 0.0)):
+                fs = mobile_worst_case(self.params(), fad, self.TH_EL, th_ph,
+                                       lo_kind, 0.7, 0.019, 9.0, 2, n_other=0.01)
+                assert math.fsum(fs.bin_probabilities) == pytest.approx(fs.p_delta,
+                                                                        rel=1e-12)
+                edges = np.linspace(fs.lattice.tau_min, fs.lattice.tau_max, 51)
+                lower = edges[:-1]
+
+                def weibull_cdf(tau):
+                    r = fad.r0 * np.log(np.clip(fad.eta / tau, 1.0, None)) ** (1.0 / fad.gamma)
+                    return np.exp(-np.square(r) / (2.0 * fad.sigma_p ** 2))
+
+                p_k = weibull_cdf(np.minimum(edges[1:], fad.eta)) - weibull_cdf(lower)
+                setup = self.TH_EL / lower if lo_kind == "tlo" \
+                    else self.TH_EL + th_ph * lower
+                n_k = 0.7 * 0.019 + setup + 0.01
+                expect = fs.lattice.tau_min / fs.p_delta * float(np.sum(p_k / lower * n_k))
+                assert fs.n_star == pytest.approx(expect, rel=1e-12)
 
     def test_noise_bounds(self):
         fs = mobile_worst_case(self.params(), self.fading(), self.TH_EL, self.TH_PH,

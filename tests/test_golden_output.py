@@ -380,9 +380,9 @@ GOLDEN = {
     'mobile-long-sweep:rate:json':
         (0, 'c8106c18a36e51925dd7b0e9243b4370977533e0945613c1022788a71f28cbde'),
     'mobile-long-sweep:sweep:csv':
-        (0, '979849e48cb370afcbf06d39aea2a3ec3ebe267e40685e0204573329bbaefd13'),
+        (0, 'b3ac40a788093937e8bcd1b18de67bcc2b462cc5d3a590e766f8d01b2623f954'),
     'mobile-long-sweep:sweep:json':
-        (0, '5f325266e7fdf6e4aae0980eada665434acc616a40dac9ef15091ae9099a07ea'),
+        (0, '0362e51dd4934fba80e09ab4258b430894ce83b6ea7ba27abd06134d23f75ae1'),
     'mobile-long-sweep:simulate:csv':
         (0, '63e1faa77a1a35c192bcfa44b6deee0cfc17c39dafa9a592477d791844b52de8'),
     'mobile-long-sweep:simulate:json':
@@ -396,9 +396,9 @@ GOLDEN = {
     'mobile-long-sweep-tlo-trust2:rate:json':
         (0, '051645ca2fccc9bafdcaff0accb5dedcc3e4a51cdb187fd5a84d8ccdc5e43ca4'),
     'mobile-long-sweep-tlo-trust2:sweep:csv':
-        (0, '31d429b5df667f3e9624e401279f04a3834e3eb1e9c5f06216ace46d6807d561'),
+        (0, 'b005fb33ebc8814f1426249cb7fbc4595155798edb5b3286d5c2bbb4bc93e66c'),
     'mobile-long-sweep-tlo-trust2:sweep:json':
-        (0, 'b814a3f24f387f638f0edb476723026dd67565f2e6b21eeec1118a117ed6c6dc'),
+        (0, '76ea4673a53bd9abbc9a9b2ca1057b8f0a2e1f803187cf4927db714df8731ba9'),
     'mobile-long-sweep-tlo-trust2:simulate:csv':
         (0, '9ae14003237ab2c7e3304fbab762cca82d9f662a4dd42885ab246e5ac9cf2850'),
     'mobile-long-sweep-tlo-trust2:simulate:json':
@@ -412,9 +412,9 @@ GOLDEN = {
     'mobile-m2e3-trust3:rate:json':
         (0, '8a59d7a75784d7eb4cb4a45459014db637fa96037984195e3d8284c352eb091e'),
     'mobile-m2e3-trust3:sweep:csv':
-        (0, 'f4ee5f65d816cbc8af5dd364e752e106d42911febe3477b214405e26f5802ebf'),
+        (0, '7fa5525b1a78c3d4e447b972ab326dd630a3f1eef0defa3398085274ec59608b'),
     'mobile-m2e3-trust3:sweep:json':
-        (0, '41f10fa336ad9570dd48bba4c931ace0ca0e922986dff657cdb1dcda1830b407'),
+        (0, '3de26f6fde248d7e028f3e399e712c64bc572c1edb7e414bc9cb5341542504ea'),
     'mobile-m2e3-trust3:simulate:csv':
         (0, 'a942882b986d0db8713e2a2c003d331645e9774ffdcf82e5d79bc0ca5bd9e10a'),
     'mobile-m2e3-trust3:simulate:json':
