@@ -206,6 +206,15 @@ def deflection_for_tau(tau: float, fading: FadingModel) -> float:
     return fading.r0 * math.log(max(fading.eta / tau, 1.0)) ** (1.0 / fading.gamma)
 
 
+def _log_ratio_density(s: float, fading: FadingModel) -> float:
+    """Density of s = ln(eta/tau), tau P(tau), written in s: it stays exact
+    where tau rounds to eta."""
+    power = 2.0 / fading.gamma
+    return (fading.r0 ** 2 / (fading.gamma * fading.sigma_p ** 2)
+            * s ** (power - 1.0)
+            * math.exp(-fading.r0 ** 2 / (2.0 * fading.sigma_p ** 2) * s ** power))
+
+
 def fading_pdf(tau: float, fading: FadingModel) -> float:
     """Density of the instantaneous transmissivity under beam wandering.
 
@@ -214,11 +223,7 @@ def fading_pdf(tau: float, fading: FadingModel) -> float:
     """
     if not 0.0 < tau < fading.eta:
         raise ValueError("fading pdf is supported on (0, eta)")
-    log_ratio = math.log(fading.eta / tau)
-    power = 2.0 / fading.gamma
-    return (fading.r0 ** 2 / (fading.gamma * fading.sigma_p ** 2 * tau)
-            * log_ratio ** (power - 1.0)
-            * math.exp(-fading.r0 ** 2 / (2.0 * fading.sigma_p ** 2) * log_ratio ** power))
+    return _log_ratio_density(math.log(fading.eta / tau), fading) / tau
 
 
 def fading_probability(tau_lo: float, tau_hi: float, fading: FadingModel) -> float:
@@ -239,8 +244,9 @@ def fading_probability_quadrature(tau_lo: float, tau_hi: float,
                                   fading: FadingModel) -> float:
     """Consistency path for :func:`fading_probability`: integrate the pdf.
 
-    Integrates in s = ln(eta/tau); the substitution spreads the mass that
-    piles up against tau = eta over a well-conditioned interval.
+    Integrates the density of s = ln(eta/tau) over t = ln s. At short range
+    nearly all the mass sits within an ulp of tau = eta (s ~ 1e-20), on an
+    integrable spike of the density in s; in t it is a smooth bump.
     """
     if not 0.0 < tau_lo <= tau_hi <= fading.eta * (1.0 + 1e-12):
         raise ValueError("need 0 < tau_lo <= tau_hi <= eta")
@@ -248,10 +254,13 @@ def fading_probability_quadrature(tau_lo: float, tau_hi: float,
 
     s_lo = math.log(fading.eta / min(tau_hi, fading.eta))
     s_hi = math.log(fading.eta / tau_lo)
+    if s_hi <= s_lo:
+        return 0.0
 
-    def integrand(s: float) -> float:
-        tau = fading.eta * math.exp(-s)
-        return fading_pdf(tau, fading) * tau
+    def integrand(t: float) -> float:
+        s = math.exp(t)
+        return _log_ratio_density(s, fading) * s if s > 0.0 else 0.0
 
-    val, _ = quad(integrand, s_lo, s_hi, limit=400)
+    val, _ = quad(integrand, math.log(s_lo) if s_lo > 0.0 else -math.inf,
+                  math.log(s_hi), limit=400)
     return val

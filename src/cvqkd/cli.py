@@ -8,7 +8,7 @@ reason), 1 configuration or usage error.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import hashlib
 import io
 import json
@@ -19,12 +19,11 @@ from numbers import Integral
 
 from . import __version__
 from .channel import (
-    BeamConfig,
     FadingModel,
     diffraction_transmissivity,
     microwave_transmissivity,
 )
-from .config import ConfigError, Scenario, resolve_scenario
+from .config import SWEEP_VARIABLE, ConfigError, Scenario, resolve_scenario
 from .finite_size import (
     background_bound,
     composable_rate,
@@ -38,7 +37,6 @@ from .noise import setup_noise_from_thetas
 from .rates import (
     ChannelPoint,
     SecurityType,
-    TrustLevel,
     asymptotic_rate,
     holevo_los_from_coefficients,
     microwave_los_cm,
@@ -67,13 +65,10 @@ WARNING_CODES = ("eta_ch_clamped", "tau_lo_floored", "n_b_hi_floored",
 
 NAN = float("nan")
 
-
-def _abscissa_name(scenario: Scenario) -> str:
-    from .config import SWEEP_VARIABLE
-
-    variable = SWEEP_VARIABLE[scenario.channel]
-    return {"loss_db": "loss_db", "distance": "distance_m",
-            "z_max": "z_max_m"}[variable]
+# channel -> name of the abscissa column
+ABSCISSA = {channel: {"loss_db": "loss_db", "distance": "distance_m",
+                      "z_max": "z_max_m"}[variable]
+            for channel, variable in SWEEP_VARIABLE.items()}
 
 
 def scenario_echo(scenario: Scenario) -> dict:
@@ -90,8 +85,9 @@ def scenario_echo(scenario: Scenario) -> dict:
     return echo
 
 
-def scenario_hash(scenario: Scenario) -> str:
-    blob = json.dumps(scenario_echo(scenario), sort_keys=True).encode()
+def scenario_hash(scenario: Scenario, echo: dict = None) -> str:
+    """sha256 prefix of the scenario echo; pass the echo if already built."""
+    blob = json.dumps(echo or scenario_echo(scenario), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -106,8 +102,8 @@ def _model_point(scenario: Scenario, x: float) -> dict:
     p = scenario.physics
     eta_eff = p["eta_eff"]
     if scenario.channel == "optical-mobile":
-        beam = BeamConfig(wavelength=p["lambda"], waist=p["w0"])
-        fading = FadingModel.from_geometry(beam, x, p["a_r"], p["sigma_p"],
+        fading = FadingModel.from_geometry(scenario.beam, x, p["a_r"],
+                                           p["sigma_p"],
                                            eta_eff, p.get("eta_atm", 1.0))
         fs = mobile_worst_case(scenario.params, fading,
                                scenario.derived["theta_el"],
@@ -125,8 +121,7 @@ def _model_point(scenario: Scenario, x: float) -> dict:
             eta_ch = 1.0
             warnings.append("eta_ch_clamped")
     elif scenario.channel == "optical-fixed":
-        beam = BeamConfig(wavelength=p["lambda"], waist=p["w0"])
-        eta_ch = diffraction_transmissivity(beam, x, p["a_r"],
+        eta_ch = diffraction_transmissivity(scenario.beam, x, p["a_r"],
                                             p.get("eta_atm", 1.0))
     else:
         eta_ch = microwave_transmissivity(p["g"], p["a_r"], x)
@@ -161,8 +156,7 @@ def _rate_row(scenario: Scenario, x: float) -> dict:
     p = scenario.physics
     prm = scenario.params
     nu, sx2 = scenario.nu_det, scenario.sigma_x2
-    trust = TrustLevel(scenario.trust)
-    security = SecurityType(scenario.security)
+    trust, security = scenario.trust_level, scenario.security_type
     los_microwave = scenario.channel == "microwave" and security is SecurityType.LOS
     pt = _model_point(scenario, x)
     eta_ch, tau, warnings = pt["eta_ch"], pt["tau"], pt["warnings"]
@@ -230,7 +224,7 @@ def _guarded_row(evaluate, columns: tuple, scenario: Scenario, x: float,
         row = {col: NAN for col in columns}
         row["warnings"] = ""
         row["reason"] = f"{type(exc).__name__}: {exc}"
-    row[_abscissa_name(scenario)] = x
+    row[ABSCISSA[scenario.channel]] = x
     return row
 
 
@@ -380,21 +374,32 @@ def run_sweep(scenario: Scenario, clamp: bool) -> list:
 
 
 def _format_cell(value) -> str:
+    """One CSV cell. A string is quoted by csv's QUOTE_MINIMAL rule for this
+    dialect: if it holds a comma, a double quote or a newline, with its
+    quotes doubled. An integer prints as one, anything else as %.17g."""
     if isinstance(value, str):
+        if "," in value or '"' in value or "\n" in value:
+            return '"' + value.replace('"', '""') + '"'
         return value
     if isinstance(value, Integral) and not isinstance(value, bool):
         return str(int(value))
     return "%.17g" % float(value)
 
 
-def emit_csv(rows: list, columns: tuple, out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
+def emit_csv(rows: list, columns: tuple, out, provenance: dict) -> None:
+    """Header and one line per row. The provenance cells, the same on every
+    row, follow the columns and are formatted once."""
+    tail = "".join("," + _format_cell(v) for v in provenance.values()) + "\n"
+    out.write(",".join(map(_format_cell, (*columns, *provenance))) + "\n")
     for row in rows:
-        writer.writerow([_format_cell(row[col]) for col in columns])
+        out.write(",".join(["%.17g" % v if type(v) is float
+                            else _format_cell(v)
+                            for v in map(row.__getitem__, columns)]) + tail)
 
 
 def _json_cell(value):
+    if type(value) is float:
+        return None if value != value else value
     if isinstance(value, str):
         return value
     if isinstance(value, Integral) and not isinstance(value, bool):
@@ -403,37 +408,37 @@ def _json_cell(value):
     return None if math.isnan(value) else value
 
 
-def emit_json(rows: list, columns: tuple, scenario: Scenario, seed: int,
+def emit_json(rows: list, columns: tuple, echo: dict, provenance: dict,
               command: str, out) -> None:
+    """The JSON document; each row ends with the provenance cells."""
+    tail = [_json_cell(v) for v in provenance.values()]
     payload = {
         "schema": RESULT_SCHEMA,
-        "version": __version__,
+        "version": provenance["version"],
         "command": command,
-        "seed": seed,
-        "scenario_hash": scenario_hash(scenario),
-        "scenario": scenario_echo(scenario),
-        "columns": list(columns),
-        "rows": [[_json_cell(row[col]) for col in columns] for row in rows],
+        "seed": provenance["seed"],
+        "scenario_hash": provenance["scenario_hash"],
+        "scenario": echo,
+        "columns": [*columns, *provenance],
+        "rows": [[_json_cell(row[col]) for col in columns] + tail
+                 for row in rows],
     }
     json.dump(payload, out, sort_keys=True, indent=1, allow_nan=False)
     out.write("\n")
 
 
 def _emit(rows, base_columns, scenario, args, command) -> None:
-    sc_hash = scenario_hash(scenario)
-    for row in rows:
-        row["scenario_hash"] = sc_hash
-        row["seed"] = args.seed
-        row["version"] = __version__
-    columns = (_abscissa_name(scenario),) + tuple(base_columns) \
-        + PROVENANCE_COLUMNS
+    echo = scenario_echo(scenario)
+    provenance = dict(zip(PROVENANCE_COLUMNS, (scenario_hash(scenario, echo),
+                                               args.seed, __version__)))
+    columns = (ABSCISSA[scenario.channel], *base_columns)
     sink = open(args.out, "w", encoding="utf-8", newline="") if args.out \
         else io.StringIO()
     try:
         if args.format == "csv":
-            emit_csv(rows, columns, sink)
+            emit_csv(rows, columns, sink, provenance)
         else:
-            emit_json(rows, columns, scenario, args.seed, command, sink)
+            emit_json(rows, columns, echo, provenance, command, sink)
         if not args.out:
             sys.stdout.write(sink.getvalue())
     finally:
@@ -446,7 +451,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing is stateless)."""
     parser = _Parser(prog="cvqkd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (("rate", "evaluate the configured [point]"),

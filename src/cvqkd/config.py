@@ -27,8 +27,9 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .channel import microwave_best_range
+from .channel import BeamConfig, microwave_best_range
 from .finite_size import ProtocolParams, confidence_w, total_epsilon
 from .noise import (
     ReceiverOptics,
@@ -38,6 +39,7 @@ from .noise import (
     theta_el,
     theta_ph,
 )
+from .rates import SecurityType, TrustLevel
 
 
 class ConfigError(ValueError):
@@ -115,7 +117,8 @@ class Scenario:
 
     derived echoes the scenario-level quantities computed during resolution
     (setup-noise coefficients, thermal photon numbers, block arithmetic,
-    confidence parameter, epsilon budget).
+    confidence parameter, epsilon budget). The rate kernels' trust and
+    security enums and the optical beam are built on first use, once.
     """
 
     channel: str
@@ -138,6 +141,18 @@ class Scenario:
     @property
     def sigma_x2(self) -> float:
         return self.params.mu - 1.0
+
+    @cached_property
+    def trust_level(self) -> TrustLevel:
+        return TrustLevel(self.trust)
+
+    @cached_property
+    def security_type(self) -> SecurityType:
+        return SecurityType(self.security)
+
+    @cached_property
+    def beam(self) -> BeamConfig:
+        return BeamConfig(self.physics["lambda"], self.physics["w0"])
 
     def setup_config(self) -> SetupConfig:
         p = self.physics

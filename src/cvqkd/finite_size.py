@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from statistics import NormalDist
 
 from .channel import FadingModel, fading_probability
@@ -91,7 +91,7 @@ class ProtocolParams:
             return remaining / (1.0 + self.f_et)
         return remaining
 
-    @property
+    @cached_property
     def w(self) -> float:
         return confidence_w(self.eps_pe)
 
@@ -187,7 +187,9 @@ def background_bound(n_hi: float, n_ex_bc: float, eta_eff: float) -> tuple:
 
 
 # --- composable corrections -------------------------------------------------
+# delta_aep and theta_term are cached per argument tuple (errors are not).
 
+@lru_cache(maxsize=64)
 def delta_aep(d: int, p_ec: float, eps_s: float, improved: bool = False) -> float:
     """Asymptotic-equipartition penalty.
 
@@ -206,6 +208,7 @@ def delta_aep(d: int, p_ec: float, eps_s: float, improved: bool = False) -> floa
     return 4.0 * prefactor * math.sqrt(inner)
 
 
+@lru_cache(maxsize=64)
 def theta_term(p_ec: float, eps_s: float, eps_h: float) -> float:
     """Correction Theta = log2[p_ec (1 - eps_s^2/3)] + 2 log2(sqrt(2) eps_h)."""
     if not 0.0 < p_ec <= 1.0:

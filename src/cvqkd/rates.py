@@ -51,6 +51,11 @@ class SecurityType(enum.Enum):
     LOS = "los"
 
 
+def _member(kind: type, value):
+    """value as a member of the enum kind; a member passes through as is."""
+    return value if type(value) is kind else kind(value)
+
+
 @dataclass(frozen=True)
 class ChannelPoint:
     """One operating point of the link.
@@ -165,7 +170,7 @@ def eve_joint_cm(ch: ChannelPoint, trust: TrustLevel) -> EveState:
     eta -> 1. Raises for an identity channel (eta_ch = 1 for the passive
     level, tau = 1 otherwise), where the dilation degenerates.
     """
-    trust = TrustLevel(trust)
+    trust = _member(TrustLevel, trust)
     tau = ch.tau
     mu = ch.mu
     b = bob_variance(ch)
@@ -246,7 +251,7 @@ def holevo_standard(ch: ChannelPoint, trust: TrustLevel) -> float:
     Returns the identity-channel limit 0 when 1 - eta < IDENTITY_GUARD.
     Each eigenvalue passes the domain check of :func:`entropic_h`.
     """
-    trust = TrustLevel(trust)
+    trust = _member(TrustLevel, trust)
     if trust is TrustLevel.PASSIVE:
         eta, kappa, n_e = ch.eta_ch, ch.eta_eff, ch.n_b
     else:
@@ -330,7 +335,7 @@ def holevo_untrusted_closed_form(ch: ChannelPoint) -> float:
 
 def los_coefficients(ch: ChannelPoint, trust: TrustLevel) -> tuple:
     """(b, theta, phi) of the restricted Bob-Eve state for line-of-sight security."""
-    trust = TrustLevel(trust)
+    trust = _member(TrustLevel, trust)
     if trust is TrustLevel.UNTRUSTED:
         raise ValueError("line-of-sight security requires a trusted noise source")
     tau = ch.tau
@@ -365,7 +370,7 @@ def holevo_los_from_coefficients(b: float, theta: float, phi: float,
 
 def holevo_los(ch: ChannelPoint, trust: TrustLevel) -> float:
     """Line-of-sight Holevo bound; zero in the identity-channel limit."""
-    trust = TrustLevel(trust)
+    trust = _member(TrustLevel, trust)
     if trust is TrustLevel.UNTRUSTED:
         raise ValueError("line-of-sight security requires a trusted noise source")
     if trust is TrustLevel.PASSIVE and ch.eta_ch >= 1.0 - IDENTITY_GUARD:
@@ -395,7 +400,7 @@ def microwave_los_cm(tau: float, sigma_x2: float, n_th: float) -> tuple:
 
 
 def holevo(ch: ChannelPoint, trust: TrustLevel, security: SecurityType) -> float:
-    security = SecurityType(security)
+    security = _member(SecurityType, security)
     if security is SecurityType.LOS:
         return holevo_los(ch, trust)
     return holevo_standard(ch, trust)

@@ -10,6 +10,8 @@ import re
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from numbers import Integral
 from pathlib import Path
 
 import jsonschema
@@ -19,7 +21,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvqkd import __version__
-from cvqkd.cli import WARNING_CODES, _sweep_grid, main, scenario_echo, scenario_hash
+from cvqkd.cli import (
+    WARNING_CODES,
+    _json_cell,
+    _sweep_grid,
+    emit_csv,
+    main,
+    scenario_echo,
+    scenario_hash,
+)
 from cvqkd.config import ConfigError, parse_quantity, resolve_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -537,6 +547,124 @@ class TestSweepCommand:
         _, blob = run_cli(tmp_path, fiber(points=3), ["sweep"])
         assert b"\r" not in blob
         assert blob.endswith(b"\n")
+
+
+def _csv_writer_cell(value) -> str:
+    """The cell rule the CSV writer was fed before it wrote rows itself."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return str(int(value))
+    return "%.17g" % float(value)
+
+
+def _json_cell_rule(value):
+    """The JSON cell rule before the float fast path."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    value = float(value)
+    return None if math.isnan(value) else value
+
+
+ODD_STRINGS = ("a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\n", "",
+               " lead", "trail ", '"', ",", "\n", "ünïcödé µ→∞", '"q",\n"')
+ODD_NUMBERS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+               1.7976931348623157e308, np.float64(0.1), np.float64(math.nan),
+               np.float64(-0.0), True, False, np.int64(7), 10**20, -3, 1.5)
+
+
+class TestEmitters:
+    """emit_csv writes its own rows; the running interpreter's csv.writer,
+    fed the old cells, is its oracle."""
+
+    COLUMNS = ("x", "odd,name", 'q"name', "s", "n")
+
+    def rows(self):
+        strings, numbers = ODD_STRINGS, ODD_NUMBERS
+        return [{"x": float(i), "odd,name": strings[i % len(strings)],
+                 'q"name': numbers[i % len(numbers)],
+                 "s": strings[(3 * i + 1) % len(strings)],
+                 "n": numbers[(5 * i + 2) % len(numbers)]}
+                for i in range(3 * len(strings) * len(numbers))]
+
+    @staticmethod
+    def oracle(rows, columns) -> str:
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_csv_writer_cell(row[col]) for col in columns])
+        return out.getvalue()
+
+    def test_csv_matches_csv_writer(self):
+        rows = self.rows()
+        out = io.StringIO()
+        emit_csv(rows, self.COLUMNS, out, {})
+        assert out.getvalue() == self.oracle(rows, self.COLUMNS)
+
+    def test_csv_provenance_cells_match_csv_writer(self):
+        rows = self.rows()
+        provenance = {"scenario_hash": "0123abcd", "seed": np.int64(12),
+                      "version": "1,0 \"rc\""}
+        out = io.StringIO()
+        emit_csv(rows, self.COLUMNS, out, provenance)
+        full = [{**row, **provenance} for row in rows]
+        assert out.getvalue() == self.oracle(full, (*self.COLUMNS, *provenance))
+
+    def test_csv_round_trips_through_csv_reader(self):
+        # a lone "\r" is left unquoted, as csv.writer leaves it on 3.11, and
+        # a reader then splits the line; every other string reads back whole
+        rows = [row for row in self.rows()
+                if "\r" not in row["odd,name"] + row["s"]]
+        out = io.StringIO()
+        emit_csv(rows, self.COLUMNS, out, {})
+        back = list(csv.reader(io.StringIO(out.getvalue(), newline="")))
+        assert tuple(back[0]) == self.COLUMNS
+        assert [(r[1], r[3]) for r in back[1:]] == \
+            [(row["odd,name"], row["s"]) for row in rows]
+
+    def test_json_cell_matches_old_rule(self):
+        for value in (*ODD_STRINGS, *ODD_NUMBERS):
+            got, want = _json_cell(value), _json_cell_rule(value)
+            assert type(got) is type(want), value
+            assert json.dumps(got) == json.dumps(want), value
+
+
+class TestSharedParser:
+    """One parser serves every main() call in a process: alternating calls
+    give the bytes and exit code each gives in a fresh interpreter."""
+
+    def test_alternating_calls_match_fresh_processes(self, tmp_path):
+        good = tmp_path / "fiber.ini"
+        good.write_text(fiber(points=4))
+        bad = tmp_path / "bad.ini"
+        bad.write_text(fiber().replace("mu = 10", "mu = 1"))
+        calls = [["rate", "--config", str(good), "--clamp", "off"],
+                 ["sweep", "--config", str(good), "--format", "json",
+                  "--seed", "9"],
+                 ["simulate", "--config", str(good), "--seed", "3"],
+                 ["rate", "--config", str(bad)],
+                 ["rate", "--config", str(good)],
+                 ["rate", "--config", str(good), "--format", "yaml"],
+                 ["sweep", "--config", str(good)]]
+
+        def in_process(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            return code, out.getvalue(), err.getvalue()
+
+        results = [in_process(argv) for argv in calls + calls]
+        assert results[:len(calls)] == results[len(calls):]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        for argv, (code, out, err) in zip(calls, results):
+            proc = subprocess.run([sys.executable, "-m", "cvqkd.cli", *argv],
+                                  env=env, capture_output=True, text=True)
+            assert (code, out, err) == (proc.returncode, proc.stdout,
+                                        proc.stderr), argv
+        assert [r[0] for r in results[:len(calls)]] == [0, 0, 0, 1, 0, 1, 0]
 
 
 class TestSweepGrid:

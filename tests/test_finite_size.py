@@ -6,6 +6,7 @@ beta = 0.95; collective attacks use p_ec = 0.9 with all epsilons 2^-33,
 general attacks p_ec = 0.1 with epsilons 1e-43 and energy-test fraction 0.2.
 """
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -99,6 +100,18 @@ class TestProtocolParams:
 
     def test_w_property(self):
         assert COLLECTIVE.w == confidence_w(2.0**-33)
+
+    def test_cached_w_follows_replace(self):
+        # w is computed once per instance; a replaced block gets its own
+        params = ProtocolParams(n_total=1e7, m=1e6, beta=0.95, p_ec=0.9,
+                                eps_pe=2.0**-33, eps_s=2.0**-33,
+                                eps_h=2.0**-33, eps_cor=2.0**-33, mu=10.0)
+        assert params.w == params.w == confidence_w(2.0**-33)
+        other = dataclasses.replace(params, eps_pe=1e-5)
+        assert other.w == confidence_w(1e-5)
+        assert params.w == confidence_w(2.0**-33)
+        assert dataclasses.asdict(other) == {**dataclasses.asdict(params),
+                                             "eps_pe": 1e-5}
 
     def test_validation(self):
         base = dict(n_total=1e7, m=1e6, beta=0.95, p_ec=0.9, eps_pe=2.0**-33,
@@ -302,6 +315,26 @@ class TestComposableTerms:
             composable_rate(0.8, COLLECTIVE, p_delta=0.0)
         with pytest.raises(ValueError):
             delta_aep(1, 0.9, 0.5)
+
+    def test_cached_terms_raise_on_every_invalid_call(self):
+        # the values are kept per argument tuple; an exception is not, so a
+        # repeated invalid call raises again, before and after valid ones
+        bad_aep = [(1, 0.9, 0.5), (32, 0.0, 0.5), (32, 1.5, 0.5), (32, 0.9, 0.0),
+                   (32, 0.9, 1.0), (32, math.nan, 0.5)]
+        bad_theta = [(0.0, 0.5, 0.5), (1.5, 0.5, 0.5), (0.9, 0.0, 0.5),
+                     (0.9, 0.5, 1.0), (0.9, 0.5, math.nan)]
+        for _ in range(3):
+            assert delta_aep(32, 0.9, 2.0**-33) == pytest.approx(
+                169.26083501934139, rel=1e-12)
+            assert theta_term(0.9, 2.0**-33, 2.0**-33) == pytest.approx(
+                -65.15200309344505, rel=1e-12)
+            for args in bad_aep:
+                for improved in (False, True):
+                    with pytest.raises(ValueError):
+                        delta_aep(*args, improved=improved)
+            for args in bad_theta:
+                with pytest.raises(ValueError):
+                    theta_term(*args)
 
 
 class TestGeneralAttackExtension:

@@ -1,14 +1,16 @@
 """Golden output: the exit code and the sha256 of stdout for every shipped
 config x {rate, sweep, simulate, coverage} x {csv, json}, run in-process with
 --seed 5, plus config variants that reach every floor path (small blocks,
-zero background, a long mobile sweep, a far microwave link).
+zero background, a long mobile sweep, a far microwave link), and the sha256
+of the file that `simulate --dump` writes on a fixed link and on a mobile
+link with pilots (DUMP_GOLDEN).
 
 A change that keeps the rows must keep every digest. A change that alters
 rows on purpose regenerates the table with
 
     PYTHONPATH=src python tests/test_golden_output.py
 
-pastes it over GOLDEN, and declares in CHANGES.md which rows moved and by
+pastes it over GOLDEN (and DUMP_GOLDEN), and declares in CHANGES.md which rows moved and by
 how much.
 """
 
@@ -72,10 +74,18 @@ VARIANTS = {
 }
 
 
+# simulate --dump runs: name -> (shipped config, [(old, new) text edits])
+DUMPS = {
+    "coverage-dump": ("coverage.ini", []),
+    "mobile-pilot-dump": ("mobile.ini", [("pulses = 200000",
+                                          "pulses = 200000\npilot_rate = 0.1")]),
+}
+
+
 def config_text(name: str) -> str:
     """Text of a shipped config (by stem) or of a named variant."""
-    if name in VARIANTS:
-        base, edits = VARIANTS[name]
+    if name in VARIANTS or name in DUMPS:
+        base, edits = {**VARIANTS, **DUMPS}[name]
         text = (CONFIGS / base).read_text(encoding="utf-8")
         for old, new in edits:
             assert text.count(old) == 1, (name, old)
@@ -100,6 +110,26 @@ def run_case(case: str, workdir: Path) -> tuple:
         code = main([command, "--config", str(path), "--format", fmt,
                      "--seed", SEED])
     return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def run_dump(name: str, workdir: Path) -> tuple:
+    """(exit code, sha256 of the dump file) of one in-process simulate."""
+    path = workdir / f"{name}.ini"
+    path.write_text(config_text(name), encoding="utf-8")
+    dump = workdir / f"{name}.csv"
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["simulate", "--config", str(path), "--seed", SEED,
+                     "--dump", str(dump)])
+    with open(dump, "rb") as handle:
+        return code, hashlib.file_digest(handle, "sha256").hexdigest()
+
+
+DUMP_GOLDEN = {
+    'coverage-dump':
+        (0, 'abd65199614a34b4cd0e58415dcaf70ea2f8649b594653a7c6936220744896db'),
+    'mobile-pilot-dump':
+        (0, '9e8de534c7bda4da05d8e97296122c62ed25ed0e1804f8dd055a541da745c70b'),
+}
 
 
 GOLDEN = {
@@ -531,6 +561,11 @@ def test_table_covers_exactly_the_cases():
     assert sorted(GOLDEN) == sorted(cases())
 
 
+@pytest.mark.parametrize("name", sorted(DUMPS))
+def test_dump_matches_golden(name, tmp_path):
+    assert run_dump(name, tmp_path) == DUMP_GOLDEN[name]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -539,4 +574,8 @@ if __name__ == "__main__":
         for case in cases():
             code, digest = run_case(case, Path(tmp))
             sys.stdout.write(f"    {case!r}:\n        ({code}, {digest!r}),\n")
+        sys.stdout.write("}\nDUMP_GOLDEN = {\n")
+        for name in DUMPS:
+            code, digest = run_dump(name, Path(tmp))
+            sys.stdout.write(f"    {name!r}:\n        ({code}, {digest!r}),\n")
         sys.stdout.write("}\n")
