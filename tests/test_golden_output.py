@@ -54,6 +54,16 @@ VARIANTS = {
                               ("lo = llo", "lo = tlo")]),
     "wireless-nb0-trust1": ("wireless_fixed.ini",
                             [("n_b = 0.019", "n_b = 0"), ("trust = 3", "trust = 1")]),
+    **{f"fiber-los-trust{trust}": ("fiber_fixed_loss.ini", [
+        ("trust = 3\nsecurity = standard", f"trust = {trust}\nsecurity = los")])
+       for trust in (1, 2)},
+    "wireless-los-trust1": ("wireless_fixed.ini", [
+        ("trust = 3\nsecurity = standard", "trust = 1\nsecurity = los")]),
+    # tau = 1: unit receiver efficiency at zero loss, Eve untrusted
+    **{f"fiber-identity-{kind[:3]}": ("fiber_fixed_loss.ini", [
+        ("protocol = heterodyne", f"protocol = {kind}"),
+        ("eta_eff = 0.7", "eta_eff = 1"), ("loss_db = 2", "loss_db = 0")])
+       for kind in ("homodyne", "heterodyne")},
     "mobile-long-sweep": ("mobile.ini", [LONG_MOBILE_SWEEP]),
     "mobile-long-sweep-tlo-trust2": ("mobile.ini",
                                      [LONG_MOBILE_SWEEP, ("lo = llo", "lo = tlo"),
@@ -228,6 +238,70 @@ GOLDEN = {
     'wireless_general:coverage:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'wireless_general:coverage:json':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'fiber-identity-het:rate:csv':
+        (0, '956d01edfae9deeb77a5b8e420ee2ab63bb95c3f1081cfbeb0c587ebd6b9d833'),
+    'fiber-identity-het:rate:json':
+        (0, '5f87cce9d36073322ed1d52d9b3c0b18661e1cc528bd7c8045fba424b04ccb63'),
+    'fiber-identity-het:sweep:csv':
+        (0, '54543b982499f46f064cd1702393ac69259f8e5b46b4c0a2933b22187c03cb8a'),
+    'fiber-identity-het:sweep:json':
+        (0, 'eb788f1bd19641eeefaf1e92fe0020de8dc8e6a4e22847601f4856e4696b442f'),
+    'fiber-identity-het:simulate:csv':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'fiber-identity-het:simulate:json':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'fiber-identity-het:coverage:csv':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'fiber-identity-het:coverage:json':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'fiber-identity-hom:rate:csv':
+        (0, 'e7834c23853e333dc17b1332bca774e1fecc30dd362526fdf0862f99f324ed55'),
+    'fiber-identity-hom:rate:json':
+        (0, '86ce232baf09e77e560cc7d662be1f4b6100c8519223d047748c1427a7d5b2e3'),
+    'fiber-identity-hom:sweep:csv':
+        (0, '7438903f1c9e40b60c03f59304e74edf4ed7965a7cacceb9707590d1fc44df81'),
+    'fiber-identity-hom:sweep:json':
+        (0, '9ae80be52fd63cbf0426e28c30f9ab66614cc3cb1aec18605a48663243c7b2d6'),
+    'fiber-identity-hom:simulate:csv':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'fiber-identity-hom:simulate:json':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'fiber-identity-hom:coverage:csv':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'fiber-identity-hom:coverage:json':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'fiber-los-trust1:rate:csv':
+        (0, '873b73ef7afcb7429a815de006c7b516d7f3a954bea079f014a516b78ae132e7'),
+    'fiber-los-trust1:rate:json':
+        (0, '589f3a724dc893505a317f3ed9f0f9498e3c663c5561fbb99502878abbb38d94'),
+    'fiber-los-trust1:sweep:csv':
+        (0, 'f79a227ca0581910b41003f730fd5520a4802b65cc891df93797524f109fa534'),
+    'fiber-los-trust1:sweep:json':
+        (0, '5557658b94c3751235899ee86e3955d9fea95eff2abfaa4ab816a5b836b2d36c'),
+    'fiber-los-trust1:simulate:csv':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'fiber-los-trust1:simulate:json':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'fiber-los-trust1:coverage:csv':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'fiber-los-trust1:coverage:json':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'fiber-los-trust2:rate:csv':
+        (0, '1fa3062a633f5c68f890018624b26f7a0f96a4ac31861e907d000dbe92f4ccbe'),
+    'fiber-los-trust2:rate:json':
+        (0, '1db092c097c5e9face7a7e7af85160dbb8132efa0369fc911ca9617356668fd8'),
+    'fiber-los-trust2:sweep:csv':
+        (0, '84b51e020d21b213b4d30381d09a3cf002472a4be970c0d82f9c7c068a285b13'),
+    'fiber-los-trust2:sweep:json':
+        (0, 'b429ee2836885c310ff332e98024ffa8a3d49b5e579c34580ff5a59b9ace9a51'),
+    'fiber-los-trust2:simulate:csv':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'fiber-los-trust2:simulate:json':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'fiber-los-trust2:coverage:csv':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'fiber-los-trust2:coverage:json':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'fiber-m2e3-llo-trust1:rate:csv':
         (0, '5e7f9cbc58bc8c493ad2ee8922a980236b84ff8c903e7b91c7336b70533c0464'),
@@ -468,6 +542,22 @@ GOLDEN = {
     'mobile-nb0:coverage:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'mobile-nb0:coverage:json':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'wireless-los-trust1:rate:csv':
+        (0, 'cf7ba6498e09502df77643d5596b99a2d6373b78b58fba98766960d7e159c27a'),
+    'wireless-los-trust1:rate:json':
+        (0, 'fa74687a227667d27fb761f96d477e5cfc3c38bbeff6d2a0f9783847433afa1c'),
+    'wireless-los-trust1:sweep:csv':
+        (0, 'f111e512693591c707083cde97783380d4f4b0d2761afa93da906d472bd2ab50'),
+    'wireless-los-trust1:sweep:json':
+        (0, 'bf5e7ed5867b9dccd23e4cecf8675f75cd0c6db8546e92d091e8df2ea59be117'),
+    'wireless-los-trust1:simulate:csv':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'wireless-los-trust1:simulate:json':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'wireless-los-trust1:coverage:csv':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'wireless-los-trust1:coverage:json':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'wireless-m2e3-llo-trust1:rate:csv':
         (0, 'fea1d30f241b1132ab9c4cc8048b7ab24562a6ae201b64f41d532d93d4fd0809'),
