@@ -34,7 +34,7 @@ from .rates import (
     holevo_los,
     holevo_standard,
     holevo_untrusted_closed_form,
-    microwave_los_cm,
+    microwave_los_rate,
     mutual_information,
     plob_thermal_bound,
 )

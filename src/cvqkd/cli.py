@@ -38,9 +38,7 @@ from .rates import (
     ChannelPoint,
     SecurityType,
     asymptotic_rate,
-    holevo_los_from_coefficients,
-    microwave_los_cm,
-    mutual_information,
+    microwave_los_rate,
     plob_thermal_bound,
 )
 
@@ -174,11 +172,8 @@ def _rate_row(scenario: Scenario, x: float) -> dict:
         else:
             model = ChannelPoint(eta_ch=eta_ch, eta_eff=eta_eff, n_b=p["n_b"],
                                  n_ex=pt["n_ex"], nu_det=nu, mu=prm.mu)
-        if los_microwave:
-            asym = prm.beta * mutual_information(model) - \
-                holevo_los_from_coefficients(*microwave_los_cm(tau, sx2, nbar), nu)
-        else:
-            asym = asymptotic_rate(model, trust, security, prm.beta).rate
+        asym = (microwave_los_rate(model, nbar, prm.beta) if los_microwave
+                else asymptotic_rate(model, trust, security, prm.beta)).rate
         est = worst_case_estimators(tau, nbar, sx2, 2.0 * nbar + nu, nu * prm.m,
                                     prm.w)
         warnings.extend(est.warnings)
@@ -195,14 +190,9 @@ def _rate_row(scenario: Scenario, x: float) -> dict:
     wc = ChannelPoint.from_estimates(tau_lo, eta_eff, n_hi,
                                      0.0 if scenario.trust == 3 else n_b_hi, nu,
                                      prm.mu)
-    if los_microwave:
-        mi = mutual_information(wc)
-        chi = holevo_los_from_coefficients(
-            *microwave_los_cm(tau_lo, sx2, est.n_lo), nu)
-    else:
-        rep = asymptotic_rate(wc, trust, security, prm.beta)
-        mi, chi = rep.mutual_information, rep.holevo
-    r_pe = prm.beta * mi - chi
+    rep = microwave_los_rate(wc, est.n_lo, prm.beta) if los_microwave \
+        else asymptotic_rate(wc, trust, security, prm.beta)
+    mi, chi, r_pe = rep.mutual_information, rep.holevo, rep.rate
     if scenario.channel == "microwave":
         tau_hi, plob = NAN, plob_thermal_bound(tau, nbar)
 
@@ -374,11 +364,12 @@ def run_sweep(scenario: Scenario, clamp: bool) -> list:
 
 
 def _format_cell(value) -> str:
-    """One CSV cell. A string is quoted by csv's QUOTE_MINIMAL rule for this
-    dialect: if it holds a comma, a double quote or a newline, with its
-    quotes doubled. An integer prints as one, anything else as %.17g."""
+    """One CSV cell. A string is quoted by csv's QUOTE_MINIMAL rule for a
+    CR LF line terminator: if it holds a comma, a double quote, a line feed
+    or a carriage return, with its quotes doubled. An integer prints as
+    one, anything else as %.17g."""
     if isinstance(value, str):
-        if "," in value or '"' in value or "\n" in value:
+        if "," in value or '"' in value or "\n" in value or "\r" in value:
             return '"' + value.replace('"', '""') + '"'
         return value
     if isinstance(value, Integral) and not isinstance(value, bool):

@@ -411,8 +411,8 @@ def _resolve_sweep(parser, channel) -> tuple | None:
     if variable != expected:
         raise ConfigError(f"[sweep] variable for channel {channel!r} must be "
                           f"{expected!r} (rule: sweep-variable-mismatch)")
-    start = parse_quantity(raw["start"])
-    stop = parse_quantity(raw["stop"])
+    start = _abscissa("sweep", "start", raw["start"])
+    stop = _abscissa("sweep", "stop", raw["stop"])
     points = parse_count("sweep", "points", raw["points"])
     if points < 1:
         raise ConfigError("[sweep] points must be >= 1")
@@ -433,7 +433,14 @@ def _resolve_point(parser, channel) -> tuple | None:
     if key != expected:
         raise ConfigError(f"[point] key for channel {channel!r} must be "
                           f"{expected!r} (rule: sweep-variable-mismatch)")
-    return (key, parse_quantity(raw[key]))
+    return (key, _abscissa("point", key, raw[key]))
+
+
+def _abscissa(section: str, key: str, text: str) -> float:
+    value = parse_quantity(text)
+    if math.isfinite(value):
+        return value
+    raise ConfigError(f"[{section}] {key} must be finite, got {text!r} (rule: finite-abscissa)")
 
 
 def _require_pairs(section: str, pulses: int, nu_det: int) -> None:

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 IDENTITY_GUARD = 1e-12
+LN2 = math.log(2.0)
 # Bona fide symplectic eigenvalues may sit a hair below 1 through rounding.
 BONA_FIDE_TOL = 1e-9
 
@@ -221,6 +222,17 @@ def _two_mode_entropy(delta: float, root_det: float, split: float) -> float:
     return entropic_h(nu_plus) + entropic_h(root_det / nu_plus)
 
 
+def _environment(ch: ChannelPoint, trust: TrustLevel) -> tuple:
+    """(eta, kappa, n_E) of Eve's dilation: eta = eta_ch, kappa = eta_eff,
+    n_E = n_b (passive Eve); otherwise eta = tau, kappa = 1 and
+    n_E = eta_eff n_b (trusted noise) or nbar."""
+    trust = _member(TrustLevel, trust)
+    if trust is TrustLevel.PASSIVE:
+        return ch.eta_ch, ch.eta_eff, ch.n_b
+    n_e = ch.eta_eff * ch.n_b if trust is TrustLevel.TRUSTED_NOISE else ch.nbar
+    return ch.tau, 1.0, n_e
+
+
 def holevo_standard(ch: ChannelPoint, trust: TrustLevel) -> float:
     """Holevo bound chi(E:y) from the symplectic invariants of Eve's state.
 
@@ -230,10 +242,10 @@ def holevo_standard(ch: ChannelPoint, trust: TrustLevel) -> float:
     Rev. Mod. Phys. 84, 621 (2012)). The dilation of :func:`eve_joint_cm`
     has omega = 2 n_E / eps + 1 with eps = 1 - eta, and its entries diverge
     as eta -> 1; here every quantity is written in s = eps * omega
-    = 2 n_E + eps, which stays O(1):
+    = 2 n_E + eps, which stays O(1) and holds at eps = 0 too, the bright
+    environment limit (omega -> inf at fixed s):
 
-    * eta = eta_ch, kappa = eta_eff, n_E = n_b (passive Eve); otherwise
-      eta = tau, kappa = 1 and n_E = eta_eff n_b (trusted noise) or nbar;
+    * (eta, kappa, n_E) from :func:`_environment`;
     * Eve: sqrt(det) = mu s + eta, Delta = s^2 + 2 eta mu s + eps^2 mu^2
       + 2 eta and nu+ - nu- = |s - eps mu|;
     * the dilation's g = phi gamma^2 + omega theta^2 - 2 psi theta gamma and
@@ -248,20 +260,14 @@ def holevo_standard(ch: ChannelPoint, trust: TrustLevel) -> float:
       the root of a sum of squares, exact to round-off even when both
       conditional eigenvalues approach 1.
 
-    Returns the identity-channel limit 0 when 1 - eta < IDENTITY_GUARD.
     Each eigenvalue passes the domain check of :func:`entropic_h`.
     """
-    trust = _member(TrustLevel, trust)
-    if trust is TrustLevel.PASSIVE:
-        eta, kappa, n_e = ch.eta_ch, ch.eta_eff, ch.n_b
-    else:
-        eta, kappa = ch.tau, 1.0
-        n_e = ch.eta_eff * ch.n_b if trust is TrustLevel.TRUSTED_NOISE else ch.nbar
-    if eta >= 1.0 - IDENTITY_GUARD:
-        return 0.0
+    eta, kappa, n_e = _environment(ch, trust)
     mu = ch.mu
     eps = 1.0 - eta
     s = 2.0 * n_e + eps
+    if s == 0.0:        # the identity channel into a vacuum environment
+        return 0.0
     lag = s - eps * mu                       # nu1 - nu2 = phi - omega = -lag
     root_det = mu * s + eta
     delta = s * s + 2.0 * eta * mu * s + (eps * mu) ** 2 + 2.0 * eta
@@ -293,8 +299,10 @@ def holevo_standard(ch: ChannelPoint, trust: TrustLevel) -> float:
                                             + eps * sigma))
         sinh_h, cosh_h = math.sqrt(sinh2_h), math.sqrt(sinh2_h + eps)
         if theta_h > 0.0:
-            a1 = (sinh2_h * t + theta_h ** 2) / (cosh_h * theta_h + sinh_h * gamma_h)
-            den = cosh_h * gamma_h + sinh_h * theta_h   # 0 only when n_E = 0
+            # den = 0 when n_E = 0, or when O(sqrt n_E) underflows at eps = 0
+            den = cosh_h * theta_h + sinh_h * gamma_h
+            a1 = (sinh2_h * t + theta_h ** 2) / den if den > 0.0 else 0.0
+            den = cosh_h * gamma_h + sinh_h * theta_h
             a2 = (gamma_h ** 2 - sinh2_h * t) / den if den > 0.0 else 0.0
         else:
             a1 = (cosh_h * theta_h - sinh_h * gamma_h) / eps
@@ -316,14 +324,11 @@ def holevo_untrusted_closed_form(ch: ChannelPoint) -> float:
     V_AB = [[mu I, c Z], [c Z, b I]] with c = sqrt(tau (mu^2 - 1)) and the
     post-measurement entropy in closed form.
     """
-    tau = ch.tau
-    if tau >= 1.0 - IDENTITY_GUARD:
-        return 0.0
     from .gaussian import I2, Z2, two_mode_blocks, two_mode_symplectic_spectrum
 
     mu = ch.mu
     b = bob_variance(ch)
-    c2 = tau * (mu * mu - 1.0)
+    c2 = ch.tau * (mu * mu - 1.0)
     v_ab = two_mode_blocks(mu * I2, b * I2, math.sqrt(c2) * Z2)
     total = float(sum(map(entropic_h, two_mode_symplectic_spectrum(v_ab))))
     if ch.nu_det == 1:
@@ -333,70 +338,70 @@ def holevo_untrusted_closed_form(ch: ChannelPoint) -> float:
     return total - entropic_h(cond_arg)
 
 
-def los_coefficients(ch: ChannelPoint, trust: TrustLevel) -> tuple:
-    """(b, theta, phi) of the restricted Bob-Eve state for line-of-sight security."""
-    trust = _member(TrustLevel, trust)
-    if trust is TrustLevel.UNTRUSTED:
-        raise ValueError("line-of-sight security requires a trusted noise source")
-    tau = ch.tau
-    mu = ch.mu
-    b = bob_variance(ch)
-    if trust is TrustLevel.PASSIVE:
-        if ch.eta_ch >= 1.0 - IDENTITY_GUARD:
-            raise ValueError("identity channel: no leakage mode at eta_ch = 1")
-        omega = 2.0 * ch.n_b / (1.0 - ch.eta_ch) + 1.0
-        theta = math.sqrt(tau * (1.0 - ch.eta_ch)) * (omega - mu)
-        phi = ch.eta_ch * omega + (1.0 - ch.eta_ch) * mu
-    else:
-        if tau >= 1.0 - IDENTITY_GUARD:
-            raise ValueError("identity channel: no leakage mode at tau = 1")
-        omega = 2.0 * ch.eta_eff * ch.n_b / (1.0 - tau) + 1.0
-        theta = math.sqrt(tau * (1.0 - tau)) * (omega - mu)
-        phi = tau * omega + (1.0 - tau) * mu
-    return b, theta, phi
+@dataclass(frozen=True)
+class RateReport:
+    rate: float
+    mutual_information: float
+    holevo: float
 
 
-def holevo_los_from_coefficients(b: float, theta: float, phi: float,
-                                 nu_det: int) -> float:
-    """chi(E:y) for a single leakage mode with V_BE = [[b I, theta I], [theta I, phi I]]."""
+def _g(n: float) -> float:
+    """g = n log2(1 + 1/n) of a thermal state with n >= 0 photons: its
+    entropy less log2(n + 1), bounded by 1/ln 2."""
+    return n * math.log1p(1.0 / n) / LN2 if n > 0.0 else 0.0
+
+
+def holevo_los_from_coefficients(b: float, eps_theta2: float, eps_phi: float,
+                                 eps: float, nu_det: int) -> float:
+    """chi(E:y) = h(phi) - h(phi') of a leakage mode with V_BE = [[b I,
+    theta I], [theta I, phi I]], from eps theta^2 and eps phi, which stay
+    O(1) as the leakage eps -> 0. Bob's measurement leaves eps phi' =
+    eps phi - eps theta^2 / (b + 1) (heterodyne) or sqrt(eps phi (eps phi -
+    eps theta^2 / b)) (homodyne), and eps (phi - phi') is formed without
+    that difference. With h(x) = log2((x + 1)/2) + g((x - 1)/2), chi =
+    log2(1 + eps (phi - phi') / (eps phi' + eps)) + g - g', whose g terms
+    are both 1/ln 2 at eps = 0."""
+    if eps_phi == 0.0:      # no leakage out of a vacuum environment
+        return 0.0
     if nu_det == 1:
-        cond_arg = math.sqrt(phi * (phi - theta * theta / b))
-    elif nu_det == 2:
-        cond_arg = phi - theta * theta / (b + 1.0)
+        eps_phi_c = math.sqrt(eps_phi) * math.sqrt(eps_phi - eps_theta2 / b)
+        drop = eps_phi * (eps_theta2 / b) / (eps_phi + eps_phi_c)
     else:
-        raise ValueError("nu_det must be 1 or 2")
-    return entropic_h(phi) - entropic_h(cond_arg)
+        drop = eps_theta2 / (b + 1.0)
+        eps_phi_c = eps_phi - drop
+    chi = math.log1p(drop / (eps_phi_c + eps)) / LN2
+    if eps > 0.0:
+        chi += _g((eps_phi - eps) / (2.0 * eps)) - _g((eps_phi_c - eps) / (2.0 * eps))
+    return chi
 
 
 def holevo_los(ch: ChannelPoint, trust: TrustLevel) -> float:
-    """Line-of-sight Holevo bound; zero in the identity-channel limit."""
-    trust = _member(TrustLevel, trust)
-    if trust is TrustLevel.UNTRUSTED:
+    """Line-of-sight Holevo bound: Eve holds only the leakage mode of the
+    dilation of :func:`eve_joint_cm`, whose eps phi = eta s + eps^2 mu and
+    eps theta^2 = kappa eta (s - eps mu)^2 (s = 2 n_E + eps)."""
+    if _member(TrustLevel, trust) is TrustLevel.UNTRUSTED:
         raise ValueError("line-of-sight security requires a trusted noise source")
-    if trust is TrustLevel.PASSIVE and ch.eta_ch >= 1.0 - IDENTITY_GUARD:
-        return 0.0
-    if ch.tau >= 1.0 - IDENTITY_GUARD:
-        return 0.0
-    b, theta, phi = los_coefficients(ch, trust)
-    return holevo_los_from_coefficients(b, theta, phi, ch.nu_det)
+    eta, kappa, n_e = _environment(ch, trust)
+    eps = 1.0 - eta
+    s = 2.0 * n_e + eps
+    lag = s - eps * ch.mu
+    return holevo_los_from_coefficients(bob_variance(ch), kappa * eta * lag * lag,
+                                        eta * s + eps * eps * ch.mu, eps, ch.nu_det)
 
 
-def microwave_los_cm(tau: float, sigma_x2: float, n_th: float) -> tuple:
-    """(b, theta, phi) for a thermal-modulated microwave link under
-    line-of-sight security.
-
-    Bob holds n_R = tau * sigma_x^2 / 2 + n_th photons, Eve's leakage mode
-    carries the reflected modulation: theta = -sqrt(tau (1 - tau)) sigma_x^2,
-    phi = (1 - tau) sigma_x^2 + 2 n_th + 1.
-    """
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1) for a leakage mode to exist")
-    if sigma_x2 < 0.0 or n_th < 0.0:
-        raise ValueError("sigma_x2 and n_th must be non-negative")
-    b = tau * sigma_x2 + 2.0 * n_th + 1.0
-    theta = -math.sqrt(tau * (1.0 - tau)) * sigma_x2
-    phi = (1.0 - tau) * sigma_x2 + 2.0 * n_th + 1.0
-    return b, theta, phi
+def microwave_los_rate(ch: ChannelPoint, n_th: float, beta: float) -> RateReport:
+    """Line-of-sight rate of a thermal-modulated microwave link: I(x:y) of
+    the point, and chi of the leakage mode at n_th thermal photons, with
+    b = tau sigma_x^2 + 2 n_th + 1, phi = eps sigma_x^2 + 2 n_th + 1 and the
+    reflected modulation theta^2 = tau eps sigma_x^4 (eps = 1 - tau)."""
+    if n_th < 0.0:
+        raise ValueError("n_th must be non-negative")
+    tau, sx2 = ch.tau, ch.sigma_x2
+    eps = 1.0 - tau
+    chi = holevo_los_from_coefficients(
+        tau * sx2 + 2.0 * n_th + 1.0, tau * (eps * sx2) ** 2,
+        eps * (eps * sx2 + 2.0 * n_th + 1.0), eps, ch.nu_det)
+    return _report(ch, beta, chi)
 
 
 def holevo(ch: ChannelPoint, trust: TrustLevel, security: SecurityType) -> float:
@@ -406,20 +411,16 @@ def holevo(ch: ChannelPoint, trust: TrustLevel, security: SecurityType) -> float
     return holevo_standard(ch, trust)
 
 
-@dataclass(frozen=True)
-class RateReport:
-    rate: float
-    mutual_information: float
-    holevo: float
-
-
 def asymptotic_rate(ch: ChannelPoint, trust: TrustLevel, security: SecurityType,
                     beta: float) -> RateReport:
     """R = beta * I(x:y) - chi(E:y), not clamped at zero."""
+    return _report(ch, beta, holevo(ch, trust, security))
+
+
+def _report(ch: ChannelPoint, beta: float, chi: float) -> RateReport:
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
     mi = mutual_information(ch)
-    chi = holevo(ch, trust, security)
     return RateReport(rate=beta * mi - chi, mutual_information=mi, holevo=chi)
 
 

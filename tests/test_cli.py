@@ -417,6 +417,30 @@ class TestIntegerCounts:
             "m_pl = 5e5", "m_pl = 5e5\nbins = 2^5")).bins == 32
 
 
+class TestFiniteAbscissa:
+    """A non-finite [point] value or [sweep] end is a ConfigError naming
+    the rule, in either format, never a traceback or a NaN row."""
+
+    EDITS = {"point": ("rate", "loss_db = 2", "loss_db = {}"),
+             "start": ("sweep", "start = 0", "start = {}"),
+             "stop": ("sweep", "stop = 20", "stop = {}")}
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    @pytest.mark.parametrize("value", ("inf", "-inf"))
+    @pytest.mark.parametrize("key", sorted(EDITS))
+    def test_rejects_infinite_abscissa(self, tmp_path, capsys, key, value, fmt):
+        command, old, new = self.EDITS[key]
+        text = fiber()
+        assert text.count(old) == 1
+        path = tmp_path / "bad.ini"
+        path.write_text(text.replace(old, new.format(value)))
+        code = main([command, "--config", str(path), "--format", fmt])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert "(rule: finite-abscissa)" in err
+        assert "Traceback" not in err
+
+
 class TestDisclosedPairs:
     """Rule min-disclosed-pairs: the estimators need nu * pulses >= 2."""
 
@@ -568,7 +592,7 @@ def _json_cell_rule(value):
     return None if math.isnan(value) else value
 
 
-ODD_STRINGS = ("a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\n", "",
+ODD_STRINGS = ("a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\n", "\r", "",
                " lead", "trail ", '"', ",", "\n", "ünïcödé µ→∞", '"q",\n"')
 ODD_NUMBERS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                1.7976931348623157e308, np.float64(0.1), np.float64(math.nan),
@@ -577,7 +601,9 @@ ODD_NUMBERS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
 
 class TestEmitters:
     """emit_csv writes its own rows; the running interpreter's csv.writer,
-    fed the old cells, is its oracle."""
+    fed the old cells, is its oracle. With a CR LF terminator csv.writer
+    quotes a cell that holds a carriage return; the oracle then ends each
+    row with a line feed alone."""
 
     COLUMNS = ("x", "odd,name", 'q"name', "s", "n")
 
@@ -591,12 +617,15 @@ class TestEmitters:
 
     @staticmethod
     def oracle(rows, columns) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_writer_cell(row[col]) for col in columns])
-        return out.getvalue()
+        lines = []
+        for cells in (columns, *([_csv_writer_cell(row[col]) for col in columns]
+                                 for row in rows)):
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\r\n").writerow(cells)
+            line = out.getvalue()
+            assert line.endswith("\r\n")
+            lines.append(line[:-2] + "\n")
+        return "".join(lines)
 
     def test_csv_matches_csv_writer(self):
         rows = self.rows()
@@ -614,10 +643,8 @@ class TestEmitters:
         assert out.getvalue() == self.oracle(full, (*self.COLUMNS, *provenance))
 
     def test_csv_round_trips_through_csv_reader(self):
-        # a lone "\r" is left unquoted, as csv.writer leaves it on 3.11, and
-        # a reader then splits the line; every other string reads back whole
-        rows = [row for row in self.rows()
-                if "\r" not in row["odd,name"] + row["s"]]
+        # every string reads back whole, carriage returns included
+        rows = self.rows()
         out = io.StringIO()
         emit_csv(rows, self.COLUMNS, out, {})
         back = list(csv.reader(io.StringIO(out.getvalue(), newline="")))

@@ -1,7 +1,8 @@
 """Golden output: the exit code and the sha256 of stdout for every shipped
 config x {rate, sweep, simulate, coverage} x {csv, json}, run in-process with
 --seed 5, plus config variants that reach every floor path (small blocks,
-zero background, a long mobile sweep, a far microwave link), and the sha256
+zero background, a long mobile sweep, a far microwave link), optical
+line-of-sight rows and a tau = 1 row, and the sha256
 of the file that `simulate --dump` writes on a fixed link and on a mobile
 link with pilots (DUMP_GOLDEN).
 
@@ -240,13 +241,13 @@ GOLDEN = {
     'wireless_general:coverage:json':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'fiber-identity-het:rate:csv':
-        (0, '956d01edfae9deeb77a5b8e420ee2ab63bb95c3f1081cfbeb0c587ebd6b9d833'),
+        (0, 'f82daf26eaf8c79787735b4be81e48531edf0b678a3fc6a9351801e9ccd1bf53'),
     'fiber-identity-het:rate:json':
-        (0, '5f87cce9d36073322ed1d52d9b3c0b18661e1cc528bd7c8045fba424b04ccb63'),
+        (0, '295ff16b7198429759683c160d4a903e4159752441fb756b0964789d00d76ba3'),
     'fiber-identity-het:sweep:csv':
-        (0, '54543b982499f46f064cd1702393ac69259f8e5b46b4c0a2933b22187c03cb8a'),
+        (0, 'c65da249bd3d71068b1702acf5ce65108c3e8bd54ccbe8910baea5e588514c6e'),
     'fiber-identity-het:sweep:json':
-        (0, 'eb788f1bd19641eeefaf1e92fe0020de8dc8e6a4e22847601f4856e4696b442f'),
+        (0, 'dae5d959d21413ce42c6f0332e9c8aa1ff091ee5748a00261070ded2b953cf26'),
     'fiber-identity-het:simulate:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'fiber-identity-het:simulate:json':
@@ -256,13 +257,13 @@ GOLDEN = {
     'fiber-identity-het:coverage:json':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'fiber-identity-hom:rate:csv':
-        (0, 'e7834c23853e333dc17b1332bca774e1fecc30dd362526fdf0862f99f324ed55'),
+        (0, '9b5074e38aeb9e4c7b027d114037886e47cfc8412a6d09dadaf195afebdd5e0d'),
     'fiber-identity-hom:rate:json':
-        (0, '86ce232baf09e77e560cc7d662be1f4b6100c8519223d047748c1427a7d5b2e3'),
+        (0, '83994c1fce932875e17b9e23a83505a9c5341417a48af893daeaa7f1f3708d60'),
     'fiber-identity-hom:sweep:csv':
-        (0, '7438903f1c9e40b60c03f59304e74edf4ed7965a7cacceb9707590d1fc44df81'),
+        (0, '9126df9c9b6397d106b497e3dd33e67949b7a69afc6d36a257c3e2b773618005'),
     'fiber-identity-hom:sweep:json':
-        (0, '9ae80be52fd63cbf0426e28c30f9ab66614cc3cb1aec18605a48663243c7b2d6'),
+        (0, '1f8eb390e6743cee4331f39eb0ebfe9abb2e13f917b51bcc073459fdeca7ea31'),
     'fiber-identity-hom:simulate:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'fiber-identity-hom:simulate:json':
@@ -272,13 +273,13 @@ GOLDEN = {
     'fiber-identity-hom:coverage:json':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'fiber-los-trust1:rate:csv':
-        (0, '873b73ef7afcb7429a815de006c7b516d7f3a954bea079f014a516b78ae132e7'),
+        (0, 'b34949dfdd0ba006f92b7951ca6e191fdd845a41a708fb460aed292604e9210d'),
     'fiber-los-trust1:rate:json':
-        (0, '589f3a724dc893505a317f3ed9f0f9498e3c663c5561fbb99502878abbb38d94'),
+        (0, 'b08f0d36ac44b7f74421ca8d1d98a0f0cef0f961edfd6acd8b0369bbc7fe5e74'),
     'fiber-los-trust1:sweep:csv':
-        (0, 'f79a227ca0581910b41003f730fd5520a4802b65cc891df93797524f109fa534'),
+        (0, '6ebb5f973fe773ce02e649fa599990adcfb19c63a79bb0f0074e73f917abc15b'),
     'fiber-los-trust1:sweep:json':
-        (0, '5557658b94c3751235899ee86e3955d9fea95eff2abfaa4ab816a5b836b2d36c'),
+        (0, '5d8be8341cf596c968b769b1bc5e4721c45b14a6614759c44c4997fb549a93e6'),
     'fiber-los-trust1:simulate:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'fiber-los-trust1:simulate:json':
@@ -288,13 +289,13 @@ GOLDEN = {
     'fiber-los-trust1:coverage:json':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'fiber-los-trust2:rate:csv':
-        (0, '1fa3062a633f5c68f890018624b26f7a0f96a4ac31861e907d000dbe92f4ccbe'),
+        (0, '6b49343bdb3838d66f86831df324ae117918facb552282ddd11c18b010798387'),
     'fiber-los-trust2:rate:json':
-        (0, '1db092c097c5e9face7a7e7af85160dbb8132efa0369fc911ca9617356668fd8'),
+        (0, '7b359f46836f63e3b1a1300c1e3d915721bfed208d07cf5e4bb3a04d92dcc255'),
     'fiber-los-trust2:sweep:csv':
-        (0, '84b51e020d21b213b4d30381d09a3cf002472a4be970c0d82f9c7c068a285b13'),
+        (0, '0490f8ba2dda0440f05ffbc0528f781dacb3610aa52330347e3cf0eb39e11b71'),
     'fiber-los-trust2:sweep:json':
-        (0, 'b429ee2836885c310ff332e98024ffa8a3d49b5e579c34580ff5a59b9ace9a51'),
+        (0, '10dd32e4268ca21ab20cffce3988e040fef77ce22c803cc1926a6514ebdbfc62'),
     'fiber-los-trust2:simulate:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'fiber-los-trust2:simulate:json':
@@ -308,9 +309,9 @@ GOLDEN = {
     'fiber-m2e3-llo-trust1:rate:json':
         (0, 'fdb8f07a95f82cf69699bb70cd6997de55dc85929cab4392ce675d2ea2a2b182'),
     'fiber-m2e3-llo-trust1:sweep:csv':
-        (0, '2e9939e855585c0cb0a014ad670f934f067d6294adaa868f96d903f3136341d3'),
+        (0, 'a896b0ab14471ddb5fd143b9c877406024ddfd32b3e01684cd41dc75156ecaa6'),
     'fiber-m2e3-llo-trust1:sweep:json':
-        (0, '9d8e7e05ec0c5de736d8ab021a5cfc41a7e57e5e1873c5ea685c1ea173c76406'),
+        (0, 'f5afc0cfe560c6586b6818d50b3a453910b0f9298f23c8db46246e88408a0582'),
     'fiber-m2e3-llo-trust1:simulate:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'fiber-m2e3-llo-trust1:simulate:json':
@@ -356,9 +357,9 @@ GOLDEN = {
     'fiber-m2e3-tlo-trust1:rate:json':
         (0, '93831faafddc1cd03f9787c0b1db094c95656e15a433e83b08d8f0b8c397a50f'),
     'fiber-m2e3-tlo-trust1:sweep:csv':
-        (0, '41d2d0c0f42c01b7b8902557959957620ec13e39e5dec16a425f13f2c5f9bb58'),
+        (0, '7b5665f47610ff525be947d2a482d4614b6c4ecfef4246725457175939a0ec8d'),
     'fiber-m2e3-tlo-trust1:sweep:json':
-        (0, '16a2949dce46ec4f0217c842a26e4b508ac4ca08d547f7bb0d89dacce670c315'),
+        (0, '9311a85b6bf033eca78add0ff317a980ebd229b611d4c54f340011cd5da59ecf'),
     'fiber-m2e3-tlo-trust1:simulate:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'fiber-m2e3-tlo-trust1:simulate:json':
@@ -448,13 +449,13 @@ GOLDEN = {
     'microwave-40m:coverage:json':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'microwave-40m-los:rate:csv':
-        (0, '8d209959c5beb74a119bd644a207f8170becf5444c71d44f23946da40a57120e'),
+        (0, '8e62133f21673931e6264765c2c93b44824d5f25852c41d2d216046fc9991593'),
     'microwave-40m-los:rate:json':
-        (0, 'a92fb992c115aeb4941ae369488f90a892ec7bc30118798470a90621113c6edd'),
+        (0, '760720f18d6bd6f84b11ee06591bac4c44058fd69471b1c3628747b6d3eaf41b'),
     'microwave-40m-los:sweep:csv':
-        (0, 'f2572f1121a101c9121458ca0c2c24ef13031a8668a3c941d86adb863d9f97d3'),
+        (0, '51b87d233bfb16b47ebf4681f319f2d11af8feb73e88fc42814906740280c250'),
     'microwave-40m-los:sweep:json':
-        (0, '741df237a0b15f1e80b272a1a81c6661f5b8d9bc306f4a76c08c5774ce67e6fc'),
+        (0, '6f2bd2c4f6cf73eaa79bfbaa4b237cac8a5c9d2ececa0708d8365de7b467594d'),
     'microwave-40m-los:simulate:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'microwave-40m-los:simulate:json':
@@ -464,13 +465,13 @@ GOLDEN = {
     'microwave-40m-los:coverage:json':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'microwave-m2e3-los:rate:csv':
-        (0, 'd23b35be6e393f851ce389a6b997af5c095d42999c95b8e47195cf20c9e77dc4'),
+        (0, 'c65f457ba6456187fa67c375ce0b4bc8dfdd29f289a8c03b698c5587c7a5b93d'),
     'microwave-m2e3-los:rate:json':
-        (0, '0e3812b3524139bb469424b80364bec14a075b941b853adaba57048b00fb3586'),
+        (0, 'f303ff98dfc3099c4697c1feaabd6e4758ea8f05576a0e5c228b5b4c4c9dd8cc'),
     'microwave-m2e3-los:sweep:csv':
-        (0, 'e20ce5b1ac035b002f293a4d88ae306d4d2c5ac711968b33086dd685face97e1'),
+        (0, 'fe5efbf7e13e02beced72d1c7b5e27e2dcccc518963f7fbc352c34aa1f945597'),
     'microwave-m2e3-los:sweep:json':
-        (0, '76eec91d741a22673ab38a8f0300c5eb550d05f51e80cbc6100ca2a4ffbe4cd2'),
+        (0, 'a1533f7aec421c1a5fce8068ee7712ee49d381b9d67193fb42689818c3bbc914'),
     'microwave-m2e3-los:simulate:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'microwave-m2e3-los:simulate:json':
@@ -544,13 +545,13 @@ GOLDEN = {
     'mobile-nb0:coverage:json':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'wireless-los-trust1:rate:csv':
-        (0, 'cf7ba6498e09502df77643d5596b99a2d6373b78b58fba98766960d7e159c27a'),
+        (0, '834552b796f92f33f38ee18eba45d3fcf11e2f39bdf4b38a32f17c1bb990ef7f'),
     'wireless-los-trust1:rate:json':
-        (0, 'fa74687a227667d27fb761f96d477e5cfc3c38bbeff6d2a0f9783847433afa1c'),
+        (0, '2b3551daf1ae60ae7f65b9ba73dc6aa997b7ae239251758339391470ae59093d'),
     'wireless-los-trust1:sweep:csv':
-        (0, 'f111e512693591c707083cde97783380d4f4b0d2761afa93da906d472bd2ab50'),
+        (0, '175e91f299f739f69cc4a8a5748ce56214ce9523483a712bb93576e4b0cb99f6'),
     'wireless-los-trust1:sweep:json':
-        (0, 'bf5e7ed5867b9dccd23e4cecf8675f75cd0c6db8546e92d091e8df2ea59be117'),
+        (0, 'e9ff645e65fb23efe9b957fb8b5c811e9bf9184af0b95e5d5f426543735a1f46'),
     'wireless-los-trust1:simulate:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'wireless-los-trust1:simulate:json':
@@ -564,9 +565,9 @@ GOLDEN = {
     'wireless-m2e3-llo-trust1:rate:json':
         (0, '7e954d2ce9e209e7ac474a233b09cad3967550976cc8e92d567479d37775abed'),
     'wireless-m2e3-llo-trust1:sweep:csv':
-        (0, '4edff49bc74e8347734c2383de6cd6f80a0c85c432bdc5ece5600612ef56e95a'),
+        (0, '23e4cfb098920c889f81040bcd8d984a1bc6915e93cb22a4e904af31cd409bd8'),
     'wireless-m2e3-llo-trust1:sweep:json':
-        (0, '86f7d720bc21d99825a3302be4ffd7749fea79a92c96dc4f8a528138f313c5c9'),
+        (0, '61e111bc8c25d0477fa1e35380cc06fc49d114b49fde177e1b02793b492970a8'),
     'wireless-m2e3-llo-trust1:simulate:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'wireless-m2e3-llo-trust1:simulate:json':
@@ -596,9 +597,9 @@ GOLDEN = {
     'wireless-m2e3-tlo-trust1:rate:json':
         (0, '2c40ef3c7b70c8f055f122817a0e8e8d79d95696795018709cfeb49a2cc18a84'),
     'wireless-m2e3-tlo-trust1:sweep:csv':
-        (0, '4576ab67f45791b5937a74a6b2a051bf36f06ad0a88cbe726c035d5c5bdaeaf3'),
+        (0, 'dbe52cab59162b85b509d8f686a3a91382caf795e9fb7a547b640f66f8abfd55'),
     'wireless-m2e3-tlo-trust1:sweep:json':
-        (0, 'b39a9ceeddb20b6951355983478b231fd05560c96018a9cdae243741085d6bd3'),
+        (0, '9afeb1dadf2273fdd2413a39e16d78c8073aed0723dda030d8b8e547d7a7beea'),
     'wireless-m2e3-tlo-trust1:simulate:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'wireless-m2e3-tlo-trust1:simulate:json':
@@ -628,9 +629,9 @@ GOLDEN = {
     'wireless-nb0-trust1:rate:json':
         (0, '4b7474d8fef0d475924ee4d8f41ffc591ff23be7f84b675bf2a25ddd37910812'),
     'wireless-nb0-trust1:sweep:csv':
-        (0, '399f6e4cc21878fcd28fcb549ccc6beed4476c1ced9b023fc8b412b5b952c1df'),
+        (0, '0474316982dd2c32a2af4f1e3958cd3616887d59fd107985bc7ef1a8e15c523f'),
     'wireless-nb0-trust1:sweep:json':
-        (0, '5b2fb204083f11dda1743c34098db6501937671bd81398d4b10bde73edf3a9de'),
+        (0, 'e3877c96527d97a80acab25c1aa04e7c4401dbd5addb99a9f4cc5b5c4da41a90'),
     'wireless-nb0-trust1:simulate:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'wireless-nb0-trust1:simulate:json':

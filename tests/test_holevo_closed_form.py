@@ -1,15 +1,21 @@
-"""The closed-form Holevo kernel against an 80-digit evaluation of Eve's
-dilation and against the eigenvalue path it replaced.
+"""The closed-form Holevo kernels against high-precision evaluations of
+Eve's dilation and against the eigenvalue path they replaced.
 
 `holevo_standard` computes chi(E:y) from symplectic invariants written in
-variables that stay O(1) as the dilation's transmissivity eta -> 1. The
-references here build the dilation itself: `mp_chi` repeats
-`eve_joint_cm` at 80 digits and takes symplectic spectra as eigenvalues of
-i Omega V; the eigenvalue oracle is `eve_joint_cm` + `_chi_from_conditioning`
-in double precision.
+variables that stay O(1) as the dilation's transmissivity eta -> 1, and
+`holevo_los_from_coefficients` computes the line-of-sight bound from the
+eps-scaled leakage mode (eps = 1 - eta). The references here build the
+dilation itself: `mp_chi` repeats `eve_joint_cm` at 80 digits and takes
+symplectic spectra as eigenvalues of i Omega V, and `mp_los_chi` takes
+h(phi) - h(phi') of its leakage mode at 60 digits. At eta = 1 both take the
+limit by evaluating at 1 - eta = 1e-30 (80 digits) or 1e-25 (60 digits),
+whose distance from the limit is far below double precision. The
+eigenvalue oracle is `eve_joint_cm` + `_chi_from_conditioning` in double
+precision.
 """
 
 import itertools
+import math
 
 import mpmath as mp
 import pytest
@@ -19,13 +25,18 @@ from hypothesis import strategies as st
 from cvqkd.gaussian import CovarianceMatrix
 from cvqkd.rates import (
     ChannelPoint,
+    SecurityType,
     TrustLevel,
     _chi_from_conditioning,
     eve_joint_cm,
+    holevo,
+    holevo_los,
     holevo_standard,
+    microwave_los_rate,
 )
 
 DPS = 80
+LOS_DPS = 60
 
 
 def _mp_h(x):
@@ -47,20 +58,26 @@ def _mp_entropy(v):
     return sum(_mp_h((mods[2 * i] + mods[2 * i + 1]) / 2) for i in range(n))
 
 
+def mp_dilation(ch: ChannelPoint, trust: TrustLevel, limit) -> tuple:
+    """(b, mu, eta, kappa, n_E) of the point at the working precision; an
+    identity channel (eta_ch = 1) is taken at eta_ch = 1 - limit."""
+    eta_ch = mp.mpf(ch.eta_ch) if ch.eta_ch < 1.0 else 1 - limit
+    eta_eff = mp.mpf(ch.eta_eff)
+    n_b, n_ex, mu = mp.mpf(ch.n_b), mp.mpf(ch.n_ex), mp.mpf(ch.mu)
+    tau = eta_ch * eta_eff
+    nbar = eta_eff * n_b + n_ex
+    b = tau * (mu - 1) + 2 * nbar + 1
+    if trust is TrustLevel.PASSIVE:
+        return b, mu, eta_ch, eta_eff, n_b
+    n_e = eta_eff * n_b if trust is TrustLevel.TRUSTED_NOISE else nbar
+    return b, mu, tau, mp.mpf(1), n_e
+
+
 def mp_chi(ch: ChannelPoint, trust: TrustLevel) -> float:
     """chi(E:y) of the dilation of `eve_joint_cm`, evaluated at 80 digits
     from the point's double-precision fields."""
     with mp.workdps(DPS):
-        eta_ch, eta_eff = mp.mpf(ch.eta_ch), mp.mpf(ch.eta_eff)
-        n_b, n_ex, mu = mp.mpf(ch.n_b), mp.mpf(ch.n_ex), mp.mpf(ch.mu)
-        tau = eta_ch * eta_eff
-        nbar = eta_eff * n_b + n_ex
-        b = tau * (mu - 1) + 2 * nbar + 1
-        if trust is TrustLevel.PASSIVE:
-            eta, kappa, n_e = eta_ch, eta_eff, n_b
-        else:
-            eta, kappa = tau, mp.mpf(1)
-            n_e = eta_eff * n_b if trust is TrustLevel.TRUSTED_NOISE else nbar
+        b, mu, eta, kappa, n_e = mp_dilation(ch, trust, mp.mpf(10) ** -30)
         omega = 2 * n_e / (1 - eta) + 1
         gamma = mp.sqrt(kappa * (1 - eta) * (omega ** 2 - 1))
         theta = mp.sqrt(kappa * eta * (1 - eta)) * (omega - mu)
@@ -105,9 +122,7 @@ class TestNearIdentityRegression:
 
     @pytest.mark.parametrize("trust,nu_det", itertools.product(TrustLevel, (1, 2)))
     def test_matches_80_digit_dilation(self, trust, nu_det):
-        # 1 - eta = 1e-12 is IDENTITY_GUARD itself, where the identity limit
-        # 0 is returned; 2e-12 is the closest decade point outside it
-        for eps in (2e-12, 1e-10, 1e-8, 1e-6):
+        for eps in (0.0, 1e-15, 1e-12, 2e-12, 1e-10, 1e-8, 1e-6):
             for n_e in (0.0, 0.019):
                 ch = dilation_point(trust, nu_det, eps, n_e)
                 chi = holevo_standard(ch, trust)
@@ -180,7 +195,117 @@ class TestEightyDigitReference:
         ch = dilation_point(trust, nu_det, eps, (omega - 1.0) * eps / 2.0, mu,
                             eta_eff, n_ex=share, share=share)
         chi = holevo_standard(ch, trust)
-        if chi == 0.0:  # identity-channel guard
-            return
         ref = mp_chi(ch, trust)
         assert abs(chi - ref) <= 1e-9 * max(abs(ref), 1e-3), (chi, ref)
+
+
+# Eve's thermal photons: none, subnormal, the shipped backgrounds, bright
+N_E = (0.0, 2.2e-311, 0.002, 0.019, 10.0)
+
+
+class TestIdentityLimit:
+    """eta = 1 itself, where the closed form takes the bright-environment
+    limit omega -> inf at fixed s = (1 - eta) omega = 2 n_E."""
+
+    @pytest.mark.parametrize("trust,nu_det", itertools.product(TrustLevel, (1, 2)))
+    def test_matches_80_digit_limit(self, trust, nu_det):
+        for n_e in N_E:
+            ch = dilation_point(trust, nu_det, 0.0, n_e)
+            chi = holevo_standard(ch, trust)
+            ref = mp_chi(ch, trust)
+            assert abs(chi - ref) <= 1e-12 + 1e-9 * abs(ref), (n_e, chi, ref)
+
+    def test_vacuum_environment_leaks_nothing(self):
+        for trust, nu_det in itertools.product(TrustLevel, (1, 2)):
+            ch = dilation_point(trust, nu_det, 0.0, 0.0)
+            assert holevo_standard(ch, trust) == 0.0
+            if trust is not TrustLevel.UNTRUSTED:
+                assert holevo_los(ch, trust) == 0.0
+
+
+def mp_los_chi(ch: ChannelPoint, trust: TrustLevel) -> float:
+    """h(phi) - h(phi') of the leakage mode of `eve_joint_cm`'s dilation,
+    V_BE = [[b I, theta I], [theta I, phi I]], at 60 digits."""
+    with mp.workdps(LOS_DPS):
+        b, mu, eta, kappa, n_e = mp_dilation(ch, trust, mp.mpf(10) ** -25)
+        omega = 2 * n_e / (1 - eta) + 1
+        theta2 = kappa * eta * (1 - eta) * (omega - mu) ** 2
+        phi = eta * omega + (1 - eta) * mu
+        return float(_mp_leakage_chi(b, theta2, phi, ch.nu_det))
+
+
+def _mp_leakage_chi(b, theta2, phi, nu_det):
+    if nu_det == 1:
+        cond = mp.sqrt(phi * (phi - theta2 / b))
+    else:
+        cond = phi - theta2 / (b + 1)
+    return _mp_h(phi) - _mp_h(cond)
+
+
+def mp_microwave_chi(tau: float, sigma_x2: float, n_th: float, nu_det: int):
+    """The microwave leakage mode: b = tau sigma_x^2 + 2 n_th + 1,
+    theta^2 = tau (1 - tau) sigma_x^4, phi = (1 - tau) sigma_x^2 + 2 n_th + 1."""
+    with mp.workdps(LOS_DPS):
+        tau, sx2, n_th = mp.mpf(tau), mp.mpf(sigma_x2), mp.mpf(n_th)
+        return float(_mp_leakage_chi(tau * sx2 + 2 * n_th + 1,
+                                     tau * (1 - tau) * sx2 ** 2,
+                                     (1 - tau) * sx2 + 2 * n_th + 1, nu_det))
+
+
+def close(chi: float, ref: float) -> bool:
+    return abs(chi - ref) <= 1e-12 + 1e-9 * abs(ref)
+
+
+class TestLineOfSightKernel:
+    @pytest.mark.parametrize("trust,nu_det", itertools.product(
+        (TrustLevel.PASSIVE, TrustLevel.TRUSTED_NOISE), (1, 2)))
+    def test_matches_60_digit_leakage_mode(self, trust, nu_det):
+        for eps in (0.0, 1e-15, 1e-13, 2e-12, 1e-9, 1e-6, 1e-2, 0.5, 0.999):
+            for n_e in N_E:
+                ch = dilation_point(trust, nu_det, eps, n_e)
+                chi, ref = holevo_los(ch, trust), mp_los_chi(ch, trust)
+                assert close(chi, ref), (eps, n_e, chi, ref)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(nu_det=DETECTIONS, log_tau=st.floats(-6.0, math.log10(0.99)),
+           n_th=st.one_of(st.just(0.0), st.floats(0.0, 100.0)), mu=MUS,
+           eta_eff=EFFICIENCIES)
+    def test_microwave_matches_60_digit_leakage_mode(self, nu_det, log_tau, n_th,
+                                                     mu, eta_eff):
+        tau = 10.0 ** log_tau
+        ch = ChannelPoint.from_estimates(tau * eta_eff, eta_eff, n_th, 0.0,
+                                         nu_det, mu)
+        chi = microwave_los_rate(ch, n_th, 0.95).holevo
+        ref = mp_microwave_chi(ch.tau, ch.sigma_x2, n_th, nu_det)
+        assert close(chi, ref), (chi, ref)
+
+    def test_microwave_rate_composition(self):
+        ch = ChannelPoint.from_estimates(0.5, 0.8, 0.1, 0.0, 2, 21.0)
+        rep = microwave_los_rate(ch, 0.05, 0.98)
+        assert rep.rate == 0.98 * rep.mutual_information - rep.holevo
+        assert close(rep.holevo, mp_microwave_chi(ch.tau, 20.0, 0.05, 2))
+
+
+# 1 - eta on both sides of the old identity guard at 1e-12, and at 0
+ACROSS_GUARD = (0.0, 1.1102230246251565e-16, 5e-13, 1e-12, 2e-12)
+
+
+class TestContinuityAcrossIdentity:
+    """Both bounds are continuous in eta up to eta = 1: near eta = 1,
+    chi(eps) - chi(0) is O(eps mu log(1 / eps)) and so below 1e-7 bits for
+    eps <= 2e-12 and mu <= 1000, while the 1e-12 guard that used to return 0 stepped by up
+    to 0.66 bits."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(trust=TRUSTS, security=st.sampled_from(list(SecurityType)),
+           nu_det=DETECTIONS, n_e=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+           mu=MUS, eta_eff=EFFICIENCIES, n_ex=st.floats(0.0, 0.1),
+           share=SHARES)
+    def test_continuous_at_eta_one(self, trust, security, nu_det, n_e, mu,
+                                   eta_eff, n_ex, share):
+        if security is SecurityType.LOS and trust is TrustLevel.UNTRUSTED:
+            trust = TrustLevel.TRUSTED_NOISE
+        chis = [holevo(dilation_point(trust, nu_det, eps, n_e, mu, eta_eff,
+                                      n_ex, share), trust, security)
+                for eps in ACROSS_GUARD]
+        assert max(chis) - min(chis) <= 1e-7, chis

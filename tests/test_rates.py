@@ -15,14 +15,27 @@ from cvqkd.rates import (
     eve_joint_cm,
     holevo,
     holevo_los,
-    holevo_los_from_coefficients,
     holevo_standard,
     holevo_untrusted_closed_form,
-    los_coefficients,
-    microwave_los_cm,
+    microwave_los_rate,
     mutual_information,
     plob_thermal_bound,
 )
+
+
+def leakage_chi(b: float, theta: float, phi: float, nu_det: int) -> float:
+    """h(phi) - h(phi') of a leakage mode with V_BE = [[b I, theta I],
+    [theta I, phi I]] after Bob's homodyne (1) or heterodyne (2)."""
+    if nu_det == 1:
+        cond = math.sqrt(phi * (phi - theta * theta / b))
+    else:
+        cond = phi - theta * theta / (b + 1.0)
+    return entropic_h(phi) - entropic_h(cond)
+
+
+def require_bona_fide(b: float, theta: float, phi: float) -> None:
+    v = two_mode_blocks(b * np.eye(2), phi * np.eye(2), theta * np.eye(2))
+    CovarianceMatrix(v).require_physical()
 
 
 def point(tau=0.25, eta_eff=1.0, n_b=0.0, n_ex=0.01, nu_det=2, mu=10.0) -> ChannelPoint:
@@ -95,6 +108,16 @@ class TestDualDerivation:
                         chi_cf = holevo_untrusted_closed_form(ch)
                         assert abs(chi_cm - chi_cf) <= 1e-9
 
+    def test_closed_form_at_identity_channel(self):
+        # at tau = 1 untrusted Eve still holds nbar thermal photons: the
+        # purified Alice-Bob state gives 0.28185 (homodyne) and 0.49086
+        # (heterodyne) bits at nbar = 0.01, mu = 10
+        for nu_det, expect in ((1, 0.28185), (2, 0.49086)):
+            ch = point(tau=1.0, n_ex=0.01, nu_det=nu_det, mu=10.0)
+            chi_cf = holevo_untrusted_closed_form(ch)
+            assert chi_cf == pytest.approx(expect, abs=1e-5)
+            assert abs(holevo_standard(ch, TrustLevel.UNTRUSTED) - chi_cf) <= 1e-9
+
     def test_eve_dilation_is_bona_fide_across_grid(self):
         for trust in TrustLevel:
             for tau in np.linspace(0.05, 0.95, 7):
@@ -162,11 +185,15 @@ class TestHybridTrustEquivalence:
 
 class TestIdentityChannel:
     def test_holevo_vanishes(self):
+        # eta = 1 into a vacuum environment leaks nothing; untrusted Eve
+        # still owns the setup photons, a bright environment as eta -> 1
         ch = ChannelPoint(eta_ch=1.0, eta_eff=1.0, n_b=0.0, n_ex=0.01, nu_det=2, mu=10.0)
-        for trust in TrustLevel:
-            assert holevo_standard(ch, trust) == 0.0
         for trust in (TrustLevel.PASSIVE, TrustLevel.TRUSTED_NOISE):
+            assert holevo_standard(ch, trust) == 0.0
             assert holevo_los(ch, trust) == 0.0
+        chi3 = holevo_standard(ch, TrustLevel.UNTRUSTED)
+        assert chi3 == pytest.approx(holevo_untrusted_closed_form(ch), abs=1e-9)
+        assert chi3 > 0.4
 
     def test_dilation_constructor_raises(self):
         ch = ChannelPoint(eta_ch=1.0, eta_eff=1.0, n_b=0.0, n_ex=0.01, nu_det=2, mu=10.0)
@@ -174,16 +201,20 @@ class TestIdentityChannel:
             eve_joint_cm(ch, TrustLevel.PASSIVE)
         with pytest.raises(ValueError):
             eve_joint_cm(ch, TrustLevel.UNTRUSTED)
-        with pytest.raises(ValueError):
-            los_coefficients(ch, TrustLevel.PASSIVE)
 
-    def test_passive_guard_keys_on_external_channel(self):
-        # eta_ch = 1 with lossy detection: passive Eve sees nothing, the
-        # untrusted level still holds the eta_eff loss.
-        ch = ChannelPoint(eta_ch=1.0, eta_eff=0.7, n_b=0.019, n_ex=0.003,
-                          nu_det=2, mu=10.0)
-        assert holevo_standard(ch, TrustLevel.PASSIVE) == 0.0
-        assert holevo_standard(ch, TrustLevel.UNTRUSTED) > 0.0
+    def test_passive_limit_keys_on_external_channel(self):
+        # eta_ch = 1 with lossy detection: passive Eve's dilation sits at its
+        # bright-environment limit, the untrusted level still holds the
+        # eta_eff loss
+        def chi(eta_ch, trust):
+            ch = ChannelPoint(eta_ch=eta_ch, eta_eff=0.7, n_b=0.019, n_ex=0.003,
+                              nu_det=2, mu=10.0)
+            return holevo_standard(ch, trust)
+
+        limit = chi(1.0, TrustLevel.PASSIVE)
+        assert limit > 0.0
+        assert limit == pytest.approx(chi(1.0 - 1e-9, TrustLevel.PASSIVE), abs=1e-6)
+        assert chi(1.0, TrustLevel.UNTRUSTED) > limit
 
 
 class TestLineOfSight:
@@ -191,8 +222,6 @@ class TestLineOfSight:
         ch = point(n_b=0.01, n_ex=0.001, eta_eff=0.7)
         with pytest.raises(ValueError):
             holevo_los(ch, TrustLevel.UNTRUSTED)
-        with pytest.raises(ValueError):
-            los_coefficients(ch, TrustLevel.UNTRUSTED)
 
     def test_noiseless_background_leaks_nothing(self):
         # with n_b = 0 the leakage mode is vacuum-correlated only through
@@ -203,34 +232,54 @@ class TestLineOfSight:
         assert chi >= 0.0
 
     def test_coefficients_build_physical_state(self):
-        ch = ChannelPoint(eta_ch=0.5, eta_eff=0.7, n_b=0.019, n_ex=0.003,
-                          nu_det=2, mu=10.0)
-        for trust in (TrustLevel.PASSIVE, TrustLevel.TRUSTED_NOISE):
-            b, theta, phi = los_coefficients(ch, trust)
-            v = two_mode_blocks(b * np.eye(2), phi * np.eye(2), theta * np.eye(2))
-            CovarianceMatrix(v).require_physical()
+        # the leakage mode of Eve's dilation is bona fide, and the scaled
+        # kernel is h(phi) - h(phi') of it
+        for nu_det in (1, 2):
+            ch = ChannelPoint(eta_ch=0.5, eta_eff=0.7, n_b=0.019, n_ex=0.003,
+                              nu_det=nu_det, mu=10.0)
+            for trust in (TrustLevel.PASSIVE, TrustLevel.TRUSTED_NOISE):
+                state = eve_joint_cm(ch, trust)
+                require_bona_fide(state.b, state.theta, state.phi)
+                assert holevo_los(ch, trust) == pytest.approx(
+                    leakage_chi(state.b, state.theta, state.phi, nu_det), abs=1e-13)
+
+
+def microwave_mode(tau: float, sigma_x2: float, n_th: float) -> tuple:
+    """(b, theta, phi) of the microwave leakage mode: Bob holds
+    n_R = tau sigma_x^2 / 2 + n_th photons and Eve the reflected modulation."""
+    return (tau * sigma_x2 + 2.0 * n_th + 1.0,
+            -math.sqrt(tau * (1.0 - tau)) * sigma_x2,
+            (1.0 - tau) * sigma_x2 + 2.0 * n_th + 1.0)
+
+
+def microwave_point(tau: float, nu_det: int = 2, mu: float = 21.0) -> ChannelPoint:
+    return ChannelPoint.from_estimates(tau, 1.0, 0.1, 0.0, nu_det, mu)
 
 
 class TestMicrowaveLoS:
     def test_coefficient_anchor(self):
-        b, theta, phi = microwave_los_cm(tau=0.5, sigma_x2=20.0, n_th=0.1)
-        assert b == pytest.approx(11.2)
-        assert theta == pytest.approx(-10.0)
-        assert phi == pytest.approx(11.2)
+        b, theta, phi = microwave_mode(tau=0.5, sigma_x2=20.0, n_th=0.1)
+        assert (b, theta, phi) == pytest.approx((11.2, -10.0, 11.2))
+        chi = microwave_los_rate(microwave_point(0.5), 0.1, 0.98).holevo
+        assert chi == pytest.approx(entropic_h(11.2) - entropic_h(11.2 - 100.0 / 12.2),
+                                    abs=1e-13)
 
     def test_state_physical_and_chi_positive(self):
-        for tau in np.linspace(0.05, 0.95, 10):
-            b, theta, phi = microwave_los_cm(float(tau), 20.0, 0.1024)
-            v = two_mode_blocks(b * np.eye(2), phi * np.eye(2), theta * np.eye(2))
-            CovarianceMatrix(v).require_physical()
-            chi = holevo_los_from_coefficients(b, theta, phi, nu_det=2)
-            assert chi >= 0.0
+        for nu_det in (1, 2):
+            for tau in np.linspace(0.05, 0.95, 10):
+                b, theta, phi = microwave_mode(float(tau), 20.0, 0.1024)
+                require_bona_fide(b, theta, phi)
+                ch = microwave_point(float(tau), nu_det)
+                chi = microwave_los_rate(ch, 0.1024, 0.98).holevo
+                assert chi >= 0.0
+                assert chi == pytest.approx(leakage_chi(b, theta, phi, nu_det),
+                                            abs=1e-13)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            microwave_los_cm(1.0, 20.0, 0.1)
+            microwave_los_rate(microwave_point(0.5), -0.1, 0.98)
         with pytest.raises(ValueError):
-            microwave_los_cm(0.5, -1.0, 0.1)
+            microwave_los_rate(microwave_point(0.5), 0.1, 0.0)
 
 
 class TestAsymptoticRate:
