@@ -194,7 +194,8 @@ def _rate_row(scenario: Scenario, x: float) -> dict:
         else asymptotic_rate(wc, trust, security, prm.beta)
     mi, chi, r_pe = rep.mutual_information, rep.holevo, rep.rate
     if scenario.channel == "microwave":
-        tau_hi, plob = NAN, plob_thermal_bound(tau, nbar)
+        # the ceiling is unbounded at tau = 1, and JSON has no inf
+        tau_hi, plob = NAN, plob_thermal_bound(tau, nbar) if tau < 1.0 else NAN
 
     rate_raw, epsilon = _finite_rate(scenario, r_pe, p_delta)
     return {"eta_ch": eta_ch, "tau": tau, "mi": mi, "chi": chi, "r_pe": r_pe,

@@ -9,6 +9,7 @@ and, for fully general attacks, the energy-test dimension cutoff.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -115,11 +116,33 @@ class EstimatorSnapshot:
     m_p: int
 
 
+CHUNK = 1 << 18  # pairs per Monte Carlo chunk
+
+
+def _workers() -> int:
+    """CPUs this process may run on (1 where the OS cannot say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def map_chunks(fn: Callable, count: int) -> list:
+    """fn(start, stop) over the CHUNK-sized ranges of range(count), in order;
+    inline for one chunk or CPU, else on a thread pool closed before return."""
+    starts = range(0, count, CHUNK)
+    stops = [min(start + CHUNK, count) for start in starts]
+    workers = min(len(starts), _workers())
+    if workers <= 1:
+        return list(map(fn, starts, stops))
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, starts, stops))
+
+
 def empirical_estimators(x, y, nu_det: int) -> EstimatorSnapshot:
     """Maximum-likelihood estimates from disclosed quadrature pairs (arrays).
 
     T_hat = sum(xy)/sum(x^2), sigma_z2_hat the mean squared residual,
-    tau_hat = T_hat^2 and n_hat = (sigma_z2_hat - nu_det)/2.
+    tau_hat = T_hat^2 and n_hat = (sigma_z2_hat - nu_det)/2, each sum an fsum
+    of per-chunk np.add.reduce sums, so that no BLAS or thread count enters.
     """
     import numpy as np
 
@@ -129,9 +152,19 @@ def empirical_estimators(x, y, nu_det: int) -> EstimatorSnapshot:
         raise ValueError("x and y must be equal-length 1-d arrays with >= 2 entries")
     if nu_det not in (1, 2):
         raise ValueError("nu_det must be 1 or 2")
-    t_hat = float(x @ y / (x @ x))
-    residual = y - t_hat * x
-    sigma_z2_hat = float(residual @ residual / x.size)
+
+    def moments(start, stop):
+        xs = x[start:stop]
+        return np.add.reduce(xs * xs), np.add.reduce(xs * y[start:stop])
+
+    sxx, sxy = map(math.fsum, zip(*map_chunks(moments, x.size)))
+    t_hat = sxy / sxx
+
+    def residual_sum(start, stop):
+        residual = y[start:stop] - t_hat * x[start:stop]
+        return np.add.reduce(residual * residual)
+
+    sigma_z2_hat = math.fsum(map_chunks(residual_sum, x.size)) / x.size
     return EstimatorSnapshot(t_hat=t_hat, sigma_z2_hat=sigma_z2_hat,
                              tau_hat=t_hat * t_hat,
                              n_hat=(sigma_z2_hat - nu_det) / 2.0,

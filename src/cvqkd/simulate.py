@@ -19,10 +19,10 @@ from .finite_size import (
     FadingLattice,
     confidence_w,
     empirical_estimators,
+    map_chunks,
     worst_case_estimators,
 )
 
-_CHUNK = 1 << 18
 _MASK64 = (1 << 64) - 1
 
 
@@ -32,14 +32,22 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunked_normals(seed: int, stream_base: int, scale, count: int) -> np.ndarray:
-    """Standard normals times scale, generated in pulse-index-keyed chunks."""
+def _chunked_normals(seed: int, stream_base: int, scale, count: int,
+                     gain=0.0, base=None) -> np.ndarray:
+    """scale N(0, 1) (+ gain base), drawn in place in pulse-index-keyed chunks
+    (see map_chunks); scale and gain are scalars or arrays of length count."""
     out = np.empty(count)
-    for start in range(0, count, _CHUNK):
-        stop = min(start + _CHUNK, count)
-        rng = stream_rng(seed, stream_base + start)
-        out[start:stop] = rng.standard_normal(stop - start)
-    return out * scale
+    scale, gain = np.broadcast_to(scale, count), np.broadcast_to(gain, count)
+
+    def fill(start, stop):
+        chunk = out[start:stop]
+        stream_rng(seed, stream_base + start).standard_normal(out=chunk)
+        chunk *= scale[start:stop]
+        if base is not None:
+            chunk += gain[start:stop] * base[start:stop]
+
+    map_chunks(fill, count)
+    return out
 
 
 @dataclass(frozen=True)
@@ -89,9 +97,9 @@ def simulate_block(tau: float, nbar: float, nu_det: int, sigma_x2: float,
     _check_block(tau, nbar, nu_det, sigma_x2, pulses)
     pairs = nu_det * pulses
     x = _chunked_normals(seed, 0, math.sqrt(sigma_x2), pairs)
-    z = _chunked_normals(seed, 1 << 40, math.sqrt(2.0 * nbar + nu_det), pairs)
-    return SimBlock(x=x, y=np.sqrt(tau) * x + z, nu_det=nu_det,
-                    sigma_x2=sigma_x2, seed=seed)
+    y = _chunked_normals(seed, 1 << 40, math.sqrt(2.0 * nbar + nu_det), pairs,
+                         math.sqrt(tau), x)
+    return SimBlock(x=x, y=y, nu_det=nu_det, sigma_x2=sigma_x2, seed=seed)
 
 
 def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
@@ -123,8 +131,7 @@ def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
     tau_pair = np.repeat(tau_pulse, nu_det)
     pairs = nu_det * pulses
     x = _chunked_normals(seed, 0, math.sqrt(sigma_x2), pairs)
-    z = _chunked_normals(seed, 1 << 40, 1.0, pairs) * sigma_z
-    y = np.sqrt(tau_pair) * x + z
+    y = _chunked_normals(seed, 1 << 40, sigma_z, pairs, np.sqrt(tau_pair), x)
     pilot_mask = None
     if pilot_rate > 0.0:
         pilot_pulse = stream_rng(seed, 3 << 40).random(pulses) < pilot_rate
@@ -148,10 +155,9 @@ def defade_block(block: SimBlock, lattice: FadingLattice, seed: int) -> SimBlock
     keep = bins >= 0
     if not np.any(keep):
         raise ValueError("post-selection removed every pair")
-    tau_k = lattice.lower_edges[bins[keep]]
-    scale = np.sqrt(lattice.tau_min / tau_k)
-    xi = _chunked_normals(seed, 4 << 40, math.sqrt(block.nu_det), int(keep.sum()))
-    y_tilde = scale * block.y[keep] + np.sqrt(1.0 - lattice.tau_min / tau_k) * xi
+    ratio = lattice.tau_min / lattice.lower_edges[bins[keep]]
+    xi = _chunked_normals(seed, 4 << 40, math.sqrt(block.nu_det), ratio.size)
+    y_tilde = np.sqrt(ratio) * block.y[keep] + np.sqrt(1.0 - ratio) * xi
     pilot = None if block.pilot_mask is None else block.pilot_mask[keep]
     return SimBlock(x=block.x[keep], y=y_tilde, nu_det=block.nu_det,
                     sigma_x2=block.sigma_x2, seed=block.seed,

@@ -31,6 +31,7 @@ from cvqkd.cli import (
     scenario_hash,
 )
 from cvqkd.config import ConfigError, parse_quantity, resolve_scenario
+from cvqkd.finite_size import _workers
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -510,6 +511,19 @@ class TestRateCommand:
         assert float(row["plob"]) == pytest.approx(1.0904689495548454,
                                                    rel=1e-12)
 
+    @pytest.mark.parametrize("trust, security", [(3, "standard"), (2, "los")])
+    def test_microwave_identity_row(self, tmp_path, trust, security):
+        # eta_eff = 1 puts tau = 1 inside the best range: the rates are
+        # defined, and the unbounded PLOB ceiling prints as null
+        text = MICROWAVE.format(trust=trust, security=security,
+                                distance="4.4 cm").replace("eta_eff = 0.8",
+                                                           "eta_eff = 1")
+        code, blob = run_cli(tmp_path, text, ["rate", "--format", "json"])
+        doc = json.loads(blob)
+        row = dict(zip(doc["columns"], doc["rows"][0]))
+        assert (code, row["tau"], row["plob"], row["reason"]) == (0, 1.0, None, "")
+        assert row["rate"] > 0.0
+
 
 class TestSweepCommand:
     def test_rows_ordered_and_jobs_invariant(self, tmp_path):
@@ -868,7 +882,8 @@ class TestImportFloor:
     def test_rate_and_sweep_load_no_numpy(self, tmp_path):
         # the closed-form commands run on the standard library alone: rate on
         # every shipped config and sweep on every one with a [sweep] section
-        # (coverage.ini has none) exit 0 and leave no numpy or scipy module
+        # (coverage.ini has none) exit 0 and leave no numpy, scipy or
+        # concurrent.futures module
         configs = sorted(CONFIGS.glob("*.ini"))
         runs = [("rate", str(cfg)) for cfg in configs] + [
             ("sweep", str(cfg)) for cfg in configs
@@ -878,10 +893,29 @@ class TestImportFloor:
                  "codes = [cvqkd.cli.main([cmd, '--config', cfg, '--out', "
                  "sys.argv[1]]) for cmd, cfg in zip(sys.argv[2::2], "
                  "sys.argv[3::2])]\n"
-                 + LOADED.format(names=("numpy", "scipy")))
+                 + LOADED.format(names=("numpy", "scipy", "concurrent")))
         flat = [arg for run in runs for arg in run]
         assert fresh_interpreter(probe, str(tmp_path / "rows.csv"), *flat) \
             == f"{[0] * len(runs)} []"
+
+    def test_single_chunk_simulate_starts_no_pool(self, tmp_path):
+        # a block of one chunk is drawn and reduced inline; one of several
+        # chunks goes to a thread pool
+        probe = ("import sys, cvqkd.cli\n"
+                 "codes = [cvqkd.cli.main(['simulate', '--config', sys.argv[2], "
+                 "'--out', sys.argv[1]])]\n"
+                 + LOADED.format(names=("concurrent",)))
+        text = (CONFIGS / "coverage.ini").read_text(encoding="utf-8")
+        lines = {}
+        for pulses in ("30000", "500000"):
+            path = tmp_path / f"{pulses}.ini"
+            path.write_text(text.replace("pulses = 500000", f"pulses = {pulses}"),
+                            encoding="utf-8")
+            lines[pulses] = fresh_interpreter(probe, str(tmp_path / "row.csv"),
+                                              str(path))
+        assert lines["30000"] == "[0] []"
+        if _workers() > 1:
+            assert "'concurrent.futures'" in lines["500000"]
 
     def test_package_import_loads_no_numpy(self):
         # the gaussian and simulate names resolve on first use (PEP 562)

@@ -2,7 +2,7 @@
 config x {rate, sweep, simulate, coverage} x {csv, json}, run in-process with
 --seed 5, plus config variants that reach every floor path (small blocks,
 zero background, a long mobile sweep, a far microwave link), optical
-line-of-sight rows and a tau = 1 row, and the sha256
+line-of-sight rows and tau = 1 rows, and the sha256
 of the file that `simulate --dump` writes on a fixed link and on a mobile
 link with pilots (DUMP_GOLDEN).
 
@@ -82,6 +82,12 @@ VARIANTS = {
                            [("m = 5e6", "m = 2e3"),
                             ("trust = 3\nsecurity = standard",
                              "trust = 2\nsecurity = los")]),
+    # tau = 1: unit receiver efficiency inside the best range, plob unbounded
+    "microwave-identity": ("microwave.ini", [("eta_eff = 0.8", "eta_eff = 1")]),
+    "microwave-identity-los": ("microwave.ini",
+                               [("eta_eff = 0.8", "eta_eff = 1"),
+                                ("trust = 3\nsecurity = standard",
+                                 "trust = 2\nsecurity = los")]),
 }
 
 
@@ -153,9 +159,9 @@ GOLDEN = {
     'coverage:sweep:json':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'coverage:simulate:csv':
-        (0, '0e77b1e9067c9b356bcd77755c52f8a57c010483b90ac82c292ce73e89a11e06'),
+        (0, 'a97c8f476d9213611dac017fdd7f308e9cde5aeb6b16566da805eae9d80a7054'),
     'coverage:simulate:json':
-        (0, 'ff1205093ed9174682b28e64ecbef898d8321ee5ad91ec307c8d8773b58abb81'),
+        (0, '624805df9766622b308095612a0e433825f165330e07cef2b7830faa107f31ba'),
     'coverage:coverage:csv':
         (0, 'd770d485c374d2663c8ebe00ea35788d97a82074f2b337da2450f86cbcf15540'),
     'coverage:coverage:json':
@@ -201,9 +207,9 @@ GOLDEN = {
     'mobile:sweep:json':
         (0, '58808a3525941add33a031e5df2631a03657614df2f16623ea1ffd1dedaa0d7e'),
     'mobile:simulate:csv':
-        (0, '63e1faa77a1a35c192bcfa44b6deee0cfc17c39dafa9a592477d791844b52de8'),
+        (0, '8b176d5c1ac3a1f7248578b1f08c14587164b873c4a4f1a96bc1bd7a741e26d3'),
     'mobile:simulate:json':
-        (0, '48d10fa377b7b575b59c93e8163880a07aa65eadaefd5e2df423025395418223'),
+        (0, 'a734cbd661c5e3a3f47818976ce115afe896d89a9926dd483133e3fb4495d1bf'),
     'mobile:coverage:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'mobile:coverage:json':
@@ -464,6 +470,38 @@ GOLDEN = {
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'microwave-40m-los:coverage:json':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'microwave-identity:rate:csv':
+        (0, '04d0d6858ac836dbca40b3903cecb88a5a62d34fb9f030ee05e2ddca480ac63e'),
+    'microwave-identity:rate:json':
+        (0, 'bb5a700b0f082d0464640582ec10779334352b237ade77180a530511a9148e43'),
+    'microwave-identity:sweep:csv':
+        (0, '2fb5481292b5f09112ae33654a0b264b22f2fa318e82422a27d931c788ac2fb2'),
+    'microwave-identity:sweep:json':
+        (0, '33869bf8cb5198f38e27d78e5c8a3f0b7db6131105a477914fad19480f227835'),
+    'microwave-identity:simulate:csv':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'microwave-identity:simulate:json':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'microwave-identity:coverage:csv':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'microwave-identity:coverage:json':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'microwave-identity-los:rate:csv':
+        (0, 'f5abc747b1dd79465f73e789aaa7f614ee3eec9100450f362b8dcf20956a007b'),
+    'microwave-identity-los:rate:json':
+        (0, '5747b38815f17b5a180ca32d586fafb3653ba49f7c8cb0591183440e01bc8c0d'),
+    'microwave-identity-los:sweep:csv':
+        (0, '423fd432424fcdbaf4933ec8651e543926a9819423cfefba8d345a1dc4edc86c'),
+    'microwave-identity-los:sweep:json':
+        (0, 'de3a6ae019ab35dc05877d4b1f9f1872c2a5d5f4f7cd605743bd2d26c55f622b'),
+    'microwave-identity-los:simulate:csv':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'microwave-identity-los:simulate:json':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'microwave-identity-los:coverage:csv':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'microwave-identity-los:coverage:json':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'microwave-m2e3-los:rate:csv':
         (0, 'c65f457ba6456187fa67c375ce0b4bc8dfdd29f289a8c03b698c5587c7a5b93d'),
     'microwave-m2e3-los:rate:json':
@@ -489,9 +527,9 @@ GOLDEN = {
     'mobile-long-sweep:sweep:json':
         (0, '0362e51dd4934fba80e09ab4258b430894ce83b6ea7ba27abd06134d23f75ae1'),
     'mobile-long-sweep:simulate:csv':
-        (0, '63e1faa77a1a35c192bcfa44b6deee0cfc17c39dafa9a592477d791844b52de8'),
+        (0, '8b176d5c1ac3a1f7248578b1f08c14587164b873c4a4f1a96bc1bd7a741e26d3'),
     'mobile-long-sweep:simulate:json':
-        (0, '48d10fa377b7b575b59c93e8163880a07aa65eadaefd5e2df423025395418223'),
+        (0, 'a734cbd661c5e3a3f47818976ce115afe896d89a9926dd483133e3fb4495d1bf'),
     'mobile-long-sweep:coverage:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'mobile-long-sweep:coverage:json':
@@ -505,9 +543,9 @@ GOLDEN = {
     'mobile-long-sweep-tlo-trust2:sweep:json':
         (0, '76ea4673a53bd9abbc9a9b2ca1057b8f0a2e1f803187cf4927db714df8731ba9'),
     'mobile-long-sweep-tlo-trust2:simulate:csv':
-        (0, '9ae14003237ab2c7e3304fbab762cca82d9f662a4dd42885ab246e5ac9cf2850'),
+        (0, '8e46e26908f2c9902f488f46c546df9ddb1f18a7545e84e7ccf928a7a064092c'),
     'mobile-long-sweep-tlo-trust2:simulate:json':
-        (0, 'a81b6ce7b4ae63ec07c14650c7a94d46d2628d09b53a658c8197376394424adb'),
+        (0, 'd15c6d29d9ce9253faab1e525a273ca78a5d75ce8f9cab4830a94beda354391a'),
     'mobile-long-sweep-tlo-trust2:coverage:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'mobile-long-sweep-tlo-trust2:coverage:json':
@@ -521,9 +559,9 @@ GOLDEN = {
     'mobile-m2e3-trust3:sweep:json':
         (0, '3de26f6fde248d7e028f3e399e712c64bc572c1edb7e414bc9cb5341542504ea'),
     'mobile-m2e3-trust3:simulate:csv':
-        (0, 'a942882b986d0db8713e2a2c003d331645e9774ffdcf82e5d79bc0ca5bd9e10a'),
+        (0, 'b60afd631070586cb23dbcf8cc1c339a621c9c6cb441ccd5cad8e46c165ed15c'),
     'mobile-m2e3-trust3:simulate:json':
-        (0, 'c718f70bcef33f8dcbd1f03402e1d3c8f24c2525360ebc9b5ef1f9a17947063e'),
+        (0, 'a3330732f480299a7fe51b0d93c11fea503394b152ba3e553388f62e6cb6e7eb'),
     'mobile-m2e3-trust3:coverage:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'mobile-m2e3-trust3:coverage:json':
@@ -537,9 +575,9 @@ GOLDEN = {
     'mobile-nb0:sweep:json':
         (0, '31bf542f03860dd9c76ccb0dbda66e5e1bc9b2dfc1b2fbdb3c1235a064371370'),
     'mobile-nb0:simulate:csv':
-        (0, '4d2dafb7b9e42812ac0ecf469fd3a904e77d918ea80f6012ae55d1ddd821d1e0'),
+        (0, '6444e0ca84b11cbe7274dc7208afe372d1a512d759100a9190207ab2bce7acd6'),
     'mobile-nb0:simulate:json':
-        (0, 'c1cdce82ea0e527518e1e62d920298cd603a28704a18e4601ade04cdba96c0cd'),
+        (0, 'd925880b81c2e54931a9288371ce5b82a3b2a9dd26e35b9a30f0d0617338c5bd'),
     'mobile-nb0:coverage:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'mobile-nb0:coverage:json':

@@ -1,16 +1,25 @@
 """Monte Carlo simulator: reproducibility, estimator consistency, fading
 statistics, de-fading, and confidence-bound coverage."""
 
+import io
 import math
+import os
+import subprocess
+import sys
 import time
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvqkd.finite_size
 from cvqkd.channel import BeamConfig, FadingModel, fading_probability
-from cvqkd.finite_size import FadingLattice
+from cvqkd.cli import main
+from cvqkd.finite_size import CHUNK, FadingLattice, empirical_estimators
 from cvqkd.rates import ChannelPoint, mutual_information
 from cvqkd.simulate import (
+    _chunked_normals,
     _sufficient_statistics,
     defade_block,
     estimator_coverage_experiment,
@@ -64,6 +73,93 @@ class TestReproducibility:
         a = stream_rng(5, 0).standard_normal(16)
         b = stream_rng(5, 1).standard_normal(16)
         assert not np.array_equal(a, b)
+
+
+def serial_normals(seed, stream_base, scale, count):
+    """The chunked draw as a plain serial loop over the pulse-index chunks."""
+    out = np.empty(count)
+    for start in range(0, count, CHUNK):
+        stop = min(start + CHUNK, count)
+        out[start:stop] = stream_rng(seed, stream_base + start).standard_normal(
+            stop - start)
+    return out * scale
+
+
+EDGE_SIZES = (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+class TestChunkedThreads:
+    """Blocks of several chunks are drawn and reduced on threads; neither
+    the pool size nor the BLAS may change a pair or a row."""
+
+    @pytest.fixture(autouse=True)
+    def several_workers(self, monkeypatch):
+        # a pool even on a one-CPU machine
+        monkeypatch.setattr(cvqkd.finite_size, "_workers", lambda: 3)
+
+    @pytest.mark.parametrize("count", EDGE_SIZES)
+    def test_threaded_draw_equals_serial_loop(self, count):
+        assert np.array_equal(_chunked_normals(7, 1 << 40, 1.5, count),
+                              serial_normals(7, 1 << 40, 1.5, count))
+        block = simulate_block(0.3, 0.02, 1, 9.0, count, seed=7)
+        x = serial_normals(7, 0, 3.0, count)
+        noise = serial_normals(7, 1 << 40, math.sqrt(2.0 * 0.02 + 1), count)
+        y = np.sqrt(0.3) * x + noise
+        assert np.array_equal(block.x, x)
+        assert np.array_equal(block.y, y)
+
+    def test_defade_equals_serial_loop(self):
+        fad = fading_at(5.0)
+        lat = FadingLattice(tau_min=0.8 * fad.eta, tau_max=fad.eta, bins=50)
+        block = simulate_fading_block(fad, lambda t: 0.02 + 0.01 * t, 2, 9.0,
+                                      400_000, seed=3)
+        faded = defade_block(block, lat, seed=4)
+        keep = lat.assign(block.tau_samples) >= 0
+        assert faded.pairs > CHUNK
+        tau_k = lat.lower_edges[faded.bins]
+        xi = serial_normals(4, 4 << 40, math.sqrt(2.0), faded.pairs)
+        y = (np.sqrt(lat.tau_min / tau_k) * block.y[keep]
+             + np.sqrt(1.0 - lat.tau_min / tau_k) * xi)
+        assert np.array_equal(faded.y, y)
+
+    @pytest.mark.parametrize("count", EDGE_SIZES)
+    def test_estimators_match_exact_sums(self, count):
+        # per-chunk pairwise sums combined by fsum stay within a few ulp of
+        # the correctly rounded sums over the whole block
+        block = simulate_block(0.3, 0.02, 1, 9.0, count, seed=count)
+        x, y = block.x, block.y
+        snap = empirical_estimators(x, y, 1)
+        t_hat = math.fsum(x * y) / math.fsum(x * x)
+        residual = y - t_hat * x
+        sigma_z2_hat = math.fsum(residual * residual) / count
+        assert abs(snap.t_hat - t_hat) <= 8 * math.ulp(t_hat)
+        assert abs(snap.sigma_z2_hat - sigma_z2_hat) <= 8 * math.ulp(sigma_z2_hat)
+
+    @pytest.mark.parametrize("config", ["coverage.ini", "mobile.ini"])
+    def test_rows_do_not_depend_on_pool_size(self, config, monkeypatch):
+        outputs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(cvqkd.finite_size, "_workers", lambda: workers)
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(["simulate", "--config", str(CONFIGS / config),
+                             "--seed", "5"]) == 0
+            outputs.append(out.getvalue())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("config", ["coverage.ini", "mobile.ini"])
+    def test_rows_do_not_depend_on_blas_threads(self, config):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = [subprocess.run(
+            [sys.executable, "-m", "cvqkd.cli", "simulate", "--config",
+             str(CONFIGS / config), "--seed", "5"],
+            check=True, capture_output=True,
+            env={**os.environ, "PYTHONPATH": path,
+                 "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+        assert outputs[0] == outputs[1]
 
 
 class TestEstimatorConsistency:
