@@ -3,8 +3,9 @@ config x {rate, sweep, simulate, coverage} x {csv, json}, run in-process with
 --seed 5, plus config variants that reach every floor path (small blocks,
 zero background, a long mobile sweep, a far microwave link), optical
 line-of-sight rows and tau = 1 rows, and the sha256
-of the file that `simulate --dump` writes on a fixed link and on a mobile
-link with pilots (DUMP_GOLDEN).
+of the file that `simulate --dump` writes on fixed heterodyne and homodyne
+links, a microwave link, and mobile links with and without pilots
+(DUMP_GOLDEN).
 
 A change that keeps the rows must keep every digest. A change that alters
 rows on purpose regenerates the table with
@@ -96,6 +97,14 @@ DUMPS = {
     "coverage-dump": ("coverage.ini", []),
     "mobile-pilot-dump": ("mobile.ini", [("pulses = 200000",
                                           "pulses = 200000\npilot_rate = 0.1")]),
+    # one pair per pulse
+    "coverage-homodyne-dump": ("coverage.ini", [("protocol = heterodyne",
+                                                 "protocol = homodyne")]),
+    # |x|, |y| up to about 15; tau = 0.8 prints as 0.80000000000000004
+    "microwave-dump": ("microwave.ini", [("points = 56",
+                                          "points = 56\n\n[simulate]\n"
+                                          "pulses = 20000")]),
+    "mobile-dump": ("mobile.ini", [("pulses = 200000", "pulses = 20000")]),
 }
 
 
@@ -146,6 +155,12 @@ DUMP_GOLDEN = {
         (0, 'abd65199614a34b4cd0e58415dcaf70ea2f8649b594653a7c6936220744896db'),
     'mobile-pilot-dump':
         (0, '9e8de534c7bda4da05d8e97296122c62ed25ed0e1804f8dd055a541da745c70b'),
+    'coverage-homodyne-dump':
+        (0, '456fb81c28b8db861c47da519022593ab3b8f1246dd9d79b1d256c25ccf90174'),
+    'microwave-dump':
+        (0, '261aa949d7a37e18b66036aaad7dcda170784b82546cebe546f9875f252611e0'),
+    'mobile-dump':
+        (0, 'eda580fca794de615b6654c8940f9788c2b8fcabf622435ab6761ddbfb8ecc85'),
 }
 
 
