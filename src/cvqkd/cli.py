@@ -211,6 +211,8 @@ def _guarded_row(evaluate, columns: tuple, scenario: Scenario, x: float,
     becomes a NaN row whose reason names the exception."""
     try:
         row = evaluate(scenario, x, *args)
+    except OSError:  # an unwritable --dump path is a usage error (exit 1)
+        raise
     except Exception as exc:  # per-point failures must not kill the sweep
         row = {col: NAN for col in columns}
         row["warnings"] = ""
@@ -244,23 +246,12 @@ def _mobile_noise_map(scenario: Scenario):
 
 
 def _dump_block(block, bins, path: str, tau_const: float = None) -> None:
-    """Write one simulated block as CSV, one row per disclosed pair,
-    formatting 1024 rows per write so that extra memory stays small."""
-    import numpy as np
+    """Write one simulated block as CSV, one row per disclosed pair."""
+    from .simulate import write_dump
 
-    tau = block.tau_samples if block.tau_samples is not None \
-        else np.full(block.pairs, tau_const)
-    pilot = block.pilot_mask if block.pilot_mask is not None \
-        else np.zeros(block.pairs, dtype=bool)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("index,pilot_flag,x,y,tau_sample,bin\n")
-        for start in range(0, block.pairs, 1024):
-            stop = min(start + 1024, block.pairs)
-            table = np.column_stack((np.arange(start, stop), pilot[start:stop],
-                                     block.x[start:stop], block.y[start:stop],
-                                     tau[start:stop], bins[start:stop]))
-            handle.write("%d,%d,%.17g,%.17g,%.17g,%d\n" * (stop - start)
-                         % tuple(table.ravel().tolist()))
+    tau = tau_const if block.tau_samples is None else block.tau_samples
+    with open(path, "wb") as handle:
+        write_dump(handle, block.pilot_mask, block.x, block.y, tau, bins)
 
 
 def _simulation_row(scenario: Scenario, x: float, seed: int,
@@ -295,7 +286,7 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
     block = simulate_block(tau, nbar, scenario.nu_det, scenario.sigma_x2,
                            pulses, seed)
     if dump:
-        _dump_block(block, np.full(block.pairs, -1), dump, tau_const=tau)
+        _dump_block(block, -1, dump, tau_const=tau)
     snap = block.estimators()
     est = worst_case_estimators(snap.tau_hat, max(snap.n_hat, 0.0),
                                 scenario.sigma_x2, snap.sigma_z2_hat,
@@ -503,10 +494,7 @@ def main(argv=None) -> int:
                                       args.seed)]
             base = COVERAGE_COLUMNS
         _emit(rows, base, scenario, args, args.command)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2 if any(row.get("reason") for row in rows) else 0

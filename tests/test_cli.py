@@ -898,6 +898,53 @@ class TestImportFloor:
         assert fresh_interpreter(probe, str(tmp_path / "rows.csv"), *flat) \
             == f"{[0] * len(runs)} []"
 
+    def test_commands_run_with_scipy_refused(self, tmp_path):
+        # scipy is a test dependency only: with a meta-path finder that
+        # refuses it, every command on every shipped config gives the same
+        # exit code, stdout and dump bytes as an unrestricted interpreter
+        probe = (
+            "import contextlib, hashlib, io, os, sys\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ModuleNotFoundError(f'{name} is refused')\n"
+            "if sys.argv[1] == 'refuse':\n"
+            "    sys.meta_path.insert(0, Refuse())\n"
+            "import cvqkd.cli\n"
+            "codes = []\n"
+            "for cfg in sys.argv[3:]:\n"
+            "    for cmd in ('rate', 'sweep', 'simulate', 'coverage'):\n"
+            "        dump = os.path.join(sys.argv[2], 'pairs.csv')\n"
+            "        out = io.StringIO()\n"
+            "        with contextlib.redirect_stdout(out), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "            codes.append(cvqkd.cli.main([cmd, '--config', cfg, "
+            "'--seed', '5'] + (['--dump', dump] if cmd == 'simulate' "
+            "else [])))\n"
+            "        pairs = b''\n"
+            "        if os.path.exists(dump):\n"
+            "            with open(dump, 'rb') as handle:\n"
+            "                pairs = handle.read()\n"
+            "            os.remove(dump)\n"
+            "        print(cmd, os.path.basename(cfg), codes[-1], "
+            "len(pairs), hashlib.sha256(out.getvalue().encode() + b'|' "
+            "+ pairs).hexdigest())\n"
+            + LOADED.format(names=("scipy",)))
+        configs = sorted(str(cfg) for cfg in CONFIGS.glob("*.ini"))
+        runs = {mode: fresh_interpreter(probe, mode, str(tmp_path), *configs)
+                for mode in ("refuse", "allow")}
+        assert runs["refuse"] == runs["allow"]
+        lines = runs["refuse"].splitlines()
+        assert lines[-1].endswith(" []")
+        done = {(cmd, cfg) for cmd, cfg, code, pairs, _ in
+                map(str.split, lines[:-1]) if code == "0"
+                and (cmd != "simulate" or int(pairs) > 0)}
+        names = [Path(cfg).name for cfg in configs]
+        assert done == {("rate", name) for name in names} | {
+            ("sweep", name) for name in names if name != "coverage.ini"} | {
+            ("simulate", "coverage.ini"), ("simulate", "mobile.ini"),
+            ("coverage", "coverage.ini")}
+
     def test_single_chunk_simulate_starts_no_pool(self, tmp_path):
         # a block of one chunk is drawn and reduced inline; one of several
         # chunks goes to a thread pool
@@ -990,6 +1037,18 @@ class TestExitCodes:
         # mangled sweep section now trips the unknown-section check
         assert main(["sweep", "--config", str(path)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_unwritable_dump_is_exit_1(self, tmp_path, capsys, fmt):
+        # like an unwritable --out: a usage error, not a failed point
+        path = tmp_path / "ok.ini"
+        path.write_text(fiber())
+        dump = tmp_path / "no_such_dir" / "pairs.csv"
+        assert main(["simulate", "--config", str(path), "--format", fmt,
+                     "--dump", str(dump)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and str(dump) in err
 
     def test_bad_flag_is_exit_1(self, tmp_path, capsys):
         path = tmp_path / "ok.ini"
