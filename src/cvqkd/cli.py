@@ -249,9 +249,9 @@ def _dump_block(block, bins, path: str, tau_const: float = None) -> None:
     """Write one simulated block as CSV, one row per disclosed pair."""
     from .simulate import write_dump
 
-    tau = tau_const if block.tau_samples is None else block.tau_samples
     with open(path, "wb") as handle:
-        write_dump(handle, block.pilot_mask, block.x, block.y, tau, bins)
+        write_dump(handle, block.pilot_mask, block.x, block.y, tau_const
+                   if block.tau_samples is None else block.tau_samples, bins)
 
 
 def _simulation_row(scenario: Scenario, x: float, seed: int,

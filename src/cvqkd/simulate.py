@@ -253,121 +253,121 @@ def sufficient_statistics_coverage(tau: float, nbar: float, nu_det: int,
         tau, nbar, nu_det, sigma_x2, pulses, rounds, eps_pe)
 
 
-# --- the --dump writer: %d and %.17g text, built from uint32 words -----------
-
 DUMP_CHUNK = 2048  # rows per write; keeps the temporaries under 1 MB
 FULL, LEAD, UNITS, TRAIL = range(4)  # variants of a 4-digit group's word
+K_MIN, K_MAX = -293, 341  # k = 16 - X for every finite double's exponent X
 
 
 @functools.cache
 def _dump_tables():
-    """Words of the 4-digit groups 0..9999, variant v of n at v * 10000 + n:
-    all digits; zeros left of the first nonzero digit as NUL (LEAD); the same
-    keeping the last digit (UNITS); zeros right of the last nonzero digit as
-    NUL (TRAIL). Words are byte strings viewed and written back in native
-    order, so the text does not depend on byte order. Then 10**k as int64,
-    and as float64 with its Veltkamp halves."""
+    """Words of 4-digit groups n at v * 10000 + n, NUL for zeros left of the
+    first nonzero digit (v = LEAD; UNITS keeps the last) or right of the last
+    (TRAIL); 10**j in int64; per k in K_MIN..K_MAX, the words of "e%+03d" %
+    (16 - k) and 10**k = (t_hi + t_lo) 2**s, t_lo = 0 where 10**k is exact."""
     n = np.arange(10000, dtype=np.uint16)[:, None]
     place = np.array([1000, 100, 10, 1], np.uint16)
-    lead = n < place
-    nul = np.stack((lead & False, lead, lead & (place > 1),
+    nul = np.stack((n < 0 * place, n < place, (n < place) & (place > 1),
                     n % (10 * place) == 0))
     text = np.where(nul, 0, (n // place % 10 + ord("0")).astype(np.uint8))
-    p10 = np.array([float(10 ** k) for k in range(22)])
-    p10_hi = p10 * 134217729.0 - (p10 * 134217729.0 - p10)
+    ks = range(K_MIN, K_MAX + 1)
+    suffix = b"".join((b"e%+03d" % (16 - k)).ljust(8, b"\0") for k in ks)
+    scaled = []
+    for k in ks:  # m = 10**k 2**(119 - s), in [2**119, 2**120)
+        s = (10 ** k).bit_length() - 1 if k >= 0 else -(10 ** -k).bit_length()
+        m = 10 ** k << 119 >> s if k >= 0 else (1 << 119 - s) // 10 ** -k
+        scaled.append((float(m), float(m - int(float(m))), s))
+    t_hi, t_lo, shift = np.array(scaled).T
+    # bytes viewed and written back in native order: no byte-order dependence
     return (text.view(np.uint32).ravel(), 10 ** np.arange(19, dtype=np.int64),
-            p10, p10_hi, p10 - p10_hi)
+            np.frombuffer(suffix, np.uint32).reshape(-1, 2), t_hi / 2 ** 119,
+            t_lo / 2 ** 119, shift.astype(np.int64))
 
 
 def _word(text: bytes) -> np.uint32:
     return np.frombuffer(text.ljust(4, b"\0"), np.uint32)[0]
 
 
-def _round_scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """round(a * 10**k), ties to even, exact for 0 <= k <= 21 and a product
-    below 2**63: Dekker's product gives a * 10**k as hi + lo exactly."""
-    b, b_hi, b_lo = (table[k] for table in _dump_tables()[2:])
-    hi = a * b
-    c = a * 134217729.0
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    # wherever the result reaches 10**16, hi >= 2**53 is even, so rounding
-    # lo half to even rounds hi + lo half to even
-    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-
-
 def _int_words(n: np.ndarray, sep: bytes, negative: np.ndarray) -> np.ndarray:
-    """Per value of the integer array n, a field of words on a new last
-    axis: sep and "-" where negative, then %d of |n|, 4 digits per word."""
+    """Fields of words on a new last axis: sep, "-" if negative, %d of |n|."""
     words = _dump_tables()[0]
     n = np.abs(n.astype(np.int64))
-    groups = (len(str(int(n.max()))) + 3) // 4 if n.size else 1
+    groups = (len(str(int(n.max()))) + 3) // 4
     out = np.empty(n.shape + (1 + groups,), np.uint32)
     out[..., 0] = np.where(negative, _word(sep + b"-"), _word(sep))
     for i in range(groups):  # i = 0 is the units group
-        top = UNITS if i == 0 else LEAD
-        if i < groups - 1:
-            top = np.where(n < 10 ** (4 * i + 4), top, FULL)
+        top = np.where(n < 10 ** (4 * i + 4), LEAD if i else UNITS, FULL)
         out[..., -1 - i] = words.take(n // 10 ** (4 * i) % 10000 + 10000 * top)
     return out
 
 
+def _scaled_digits(a: np.ndarray) -> tuple:
+    """(D, X, sure) for finite a > 0: X = floor(log10(a)), D = a 10**(16 - X)
+    rounded half to even, exact where t_lo = 0 (Dekker's product of a 2**s
+    and t_hi), else off by under 1e-13 and not sure within 1e-9 of a tie."""
+    _, _, _, t_hi, t_lo, shift = _dump_tables()
+    exp = np.floor(np.log10(a)).astype(np.int64)
+    for again in (True, False):  # log10 can be one off next to 10**X
+        i = 16 - exp - K_MIN
+        b, b_lo, m = t_hi[i], t_lo[i], np.ldexp(a, shift[i])  # m is exact
+        hi = m * b
+        m_hi, b_hi = m * 134217729.0, b * 134217729.0  # Veltkamp splits
+        m_hi, b_hi = m_hi - (m_hi - m), b_hi - (b_hi - b)
+        m_lo, b_mid = m - m_hi, b - b_hi
+        lo = (((m_hi * b_hi - hi) + m_hi * b_mid + m_lo * b_hi)
+              + m_lo * b_mid) + m * b_lo
+        d16, d17 = (hi - 1e16) + lo, (hi - 1e17) + lo  # D below / too big
+        move = (d17 >= 0).astype(np.int64) - (d16 < 0)
+        if not (again and move.any()):
+            break
+        exp += move
+    units = np.rint(lo)  # hi >= 2**53 is even where D >= 10**16
+    sure = (b_lo == 0) | ((np.abs(lo - units) < 0.5 - 1e-9)
+                          & (np.abs(d16) > 1e-9) & (np.abs(d17) > 1e-9))
+    return hi.astype(np.int64) + units.astype(np.int64), exp, sure & (move == 0)
+
+
 def _float_words(v: np.ndarray, sep: bytes) -> np.ndarray:
-    """Per value of the float array v, a field of words on a new last axis:
-    sep, then %.17g of the value. In fixed notation (decimal exponent -4..16)
-    its 17 digits round(|v| 10**(16 - exponent)) are formed exactly in int64;
-    any other value is formatted by Python, one at a time."""
-    words, p10 = _dump_tables()[:2]
-    mag = np.abs(v)
-    ok = (mag >= 1e-4) & (mag < 1e17)  # false for 0, inf, nan, subnormals
-    mag[~ok] = 1.0
-    exp = np.floor(np.minimum(np.log10(mag), 16.0)).astype(np.int64)
-    digits = _round_scaled(mag, 16 - exp)
-    # log10 can be one off next to a power of ten; a carry to 10**17 is the
-    # next exponent's 10**16
-    off = (digits < 10 ** 16) | (digits >= 10 ** 17)
-    if off.any():
-        exp[off] = np.clip(exp[off] + np.where(digits[off] < 10 ** 16, -1, 1),
-                           -4, 16)
-        digits[off] = _round_scaled(mag[off], 16 - exp[off])
-        ok[off] &= (digits[off] >= 10 ** 16) & (digits[off] < 10 ** 17)
-    k = 16 - exp  # digits after the point, 0..20
-    unit = p10[np.minimum(k, 17)]
-    whole = digits // unit
-    frac = digits - whole * unit
-    # the fraction as 20 digits: 12 in f_hi, 8 in f_lo
-    over = np.maximum(k - 12, 0)
-    f_hi = frac // p10[over] * p10[np.maximum(12 - k, 0)]
-    f_lo = frac % p10[over] * p10[8 - over]
+    """Fields of words on a new last axis: sep, then %.17g of v. Python
+    formats inf, nan and the values whose rounding is not sure."""
+    words, p10, suffix = _dump_tables()[:3]
+    ok, zero = np.isfinite(v), v == 0
+    digits, exp, sure = _scaled_digits(np.where(ok & ~zero, np.abs(v), 1.0))
+    ok &= sure & (digits < 10 ** 17)  # Python rounds 9.99..95 up to 10**X
+    digits[zero] = 0
+    fixed = ok & (exp >= -4) & (exp <= 16)
+    k = np.where(fixed, 16 - exp, 16)  # digits after the point, 0..20
+    whole, frac = np.divmod(digits, p10[np.minimum(k, 17)])
+    over = np.maximum(k - 12, 0)  # 20 fraction digits: 12 in f_hi, 8 in f_lo
+    f_hi, f_lo = np.divmod(frac, p10[over])
+    f_hi, f_lo = f_hi * p10[12 - k + over], f_lo * p10[12 - over]  # 12 each
     groups = (int(k[ok].max()) + 3) // 4 if ok.any() else 0
-    head = _int_words(whole, sep, ok & (v < 0))
+    sci = ok & ~fixed
+    tail = 1 + int(np.abs(exp[sci]).max() >= 100) if sci.any() else 0
+    head = _int_words(whole, sep, ok & np.signbit(v))
     point = head.shape[-1]
     odd = [("%.17g" % value).encode() for value in v[~ok].tolist()]
-    width = max([point + groups] + [(len(text) + 3) // 4 for text in odd])
+    width = max([point + groups + tail] + [(len(t) + 3) // 4 for t in odd])
     out = np.zeros(v.shape + (1 + width,), np.uint32)
     out[..., :point] = head
     out[..., point] = np.where(frac != 0, _word(b"."), 0)
-    zero_after = np.ones(v.shape, bool)
+    zero_after = True
     for j in reversed(range(groups)):  # trailing fraction zeros go
-        part, places = (f_hi, 8 - 4 * j) if j < 3 else (f_lo, 16 - 4 * j)
-        g = part // 10 ** places % 10000
+        g = (f_hi, f_lo)[j // 3] // 10 ** (8 - 4 * (j % 3)) % 10000
         out[..., point + 1 + j] = words.take(g + 10000 * TRAIL * zero_after)
         zero_after &= g == 0
-    if odd:
-        out[~ok, 1:] = np.frombuffer(b"".join(
-            text.ljust(4 * width, b"\0") for text in odd),
+    if tail:
+        out[..., point + 1 + groups:][..., :tail] = np.where(
+            sci[..., None], suffix[16 - exp - K_MIN, :tail], 0)
+    if odd:  # NUL-padded by the bytes dtype
+        out[~ok, 1:] = np.array(odd, f"S{4 * width}").view(
             np.uint32).reshape(-1, width)
     return out
 
 
 def write_dump(handle, pilot, x, y, tau, bins) -> None:
-    """Write the pairs to the binary handle as CSV: a header, then one line
-    index,pilot_flag,x,y,tau_sample,bin per pair, the integers as %d and the
-    floats as %.17g, byte for byte. tau and bins may be scalars, and pilot
-    None (no pilots). Each chunk of rows becomes a matrix of uint32 words,
-    every field starting on a word and padded with NULs, and each line is its
-    row with the NULs removed."""
+    """Write the pairs to the binary handle as CSV: a header, then a line
+    index,pilot_flag,x,y,tau_sample,bin per pair (%d and %.17g, byte for
+    byte); tau and bins may be scalars, pilot None."""
     handle.write(b"index,pilot_flag,x,y,tau_sample,bin\n")
     pilot = False if pilot is None else pilot
     pilot, tau, bins = (np.broadcast_to(c, len(x)) for c in (pilot, tau, bins))

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvqkd.simulate import DUMP_CHUNK, _float_words, _int_words, write_dump
+from cvqkd.simulate import (
+    DUMP_CHUNK,
+    _float_words,
+    _int_words,
+    _scaled_digits,
+    write_dump,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=400)
@@ -78,8 +84,10 @@ class TestFloatFormatter:
         assert_g17([-v for v in values])
 
     def test_powers_of_ten_and_neighbours(self):
+        # every decimal exponent of a double; the largest double below
+        # 1e-305 (and a dozen other powers) rounds up to the power itself
         values = []
-        for j in range(-6, 19):
+        for j in range(-323, 309):
             p = float(f"1e{j}")
             values += [math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)]
         assert_g17(values)
@@ -95,13 +103,29 @@ class TestFloatFormatter:
         assert_g17(values)
         assert_g17([-v for v in values])
 
-    def test_values_that_need_python(self):
-        values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
-                  -2.2250738585072014e-308, 1.7976931348623157e308, 3e-5,
-                  1.2345678901234567e-300]
+    def test_zeros_infinities_and_extremes(self):
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324,
+                  -2.2250738585072014e-308, 2.225073858507201e-308,
+                  1.7976931348623157e308, 3e-5, 1.2345678901234567e-300,
+                  2.0 ** -20, 1e100, 1e-100, 123456789012345678.0]
         assert_g17(values)
         # mixed with fixed-notation values in one column
         assert_g17(values + [0.1, 12.5, -3.75] + values[::-1])
+
+    def test_python_formats_almost_nothing(self):
+        # the digits of finite doubles are formed in numpy; only a rounding
+        # within 1e-9 of a tie under an inexact power of ten is left to
+        # Python, and exact ties in fixed notation are decided exactly
+        rng = np.random.default_rng(11)
+        bits = rng.integers(1, 0x7FF0 << 48, size=20000, dtype=np.int64)
+        sure = _scaled_digits(bits.view(np.float64))[2]
+        assert sure.sum() >= 19990
+        assert _scaled_digits(np.array(ties(5, 500, rng)))[2].all()
+        # next to a power of ten, log10 can be one off and the exponent is
+        # fixed; only exact powers under an inexact 10**k stay unsure
+        powers = [float(f"1e{j}") for j in range(-323, 309)]
+        near = [math.nextafter(p, d) for p in powers for d in (0.0, math.inf)]
+        assert (~_scaled_digits(np.array(powers + near))[2]).sum() <= 6
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(7)
