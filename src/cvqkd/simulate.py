@@ -303,7 +303,8 @@ def _int_words(n: np.ndarray, sep: bytes, negative: np.ndarray) -> np.ndarray:
 def _scaled_digits(a: np.ndarray) -> tuple:
     """(D, X, sure) for finite a > 0: X = floor(log10(a)), D = a 10**(16 - X)
     rounded half to even, exact where t_lo = 0 (Dekker's product of a 2**s
-    and t_hi), else off by under 1e-13 and not sure within 1e-9 of a tie."""
+    and t_hi), else off by under 1e-13 and not sure within 1e-9 of a tie,
+    10**16 or 10**17."""
     _, _, _, t_hi, t_lo, shift = _dump_tables()
     exp = np.floor(np.log10(a)).astype(np.int64)
     for again in (True, False):  # log10 can be one off next to 10**X
