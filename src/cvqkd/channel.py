@@ -238,29 +238,3 @@ def fading_probability(tau_lo: float, tau_hi: float, fading: FadingModel) -> flo
     r_hi = deflection_for_tau(min(tau_hi, fading.eta), fading)
     r_lo = deflection_for_tau(tau_lo, fading)
     return math.exp(-r_hi * r_hi / two_sp2) - math.exp(-r_lo * r_lo / two_sp2)
-
-
-def fading_probability_quadrature(tau_lo: float, tau_hi: float,
-                                  fading: FadingModel) -> float:
-    """Consistency path for :func:`fading_probability`: integrate the pdf.
-
-    Integrates the density of s = ln(eta/tau) over t = ln s. At short range
-    nearly all the mass sits within an ulp of tau = eta (s ~ 1e-20), on an
-    integrable spike of the density in s; in t it is a smooth bump.
-    """
-    if not 0.0 < tau_lo <= tau_hi <= fading.eta * (1.0 + 1e-12):
-        raise ValueError("need 0 < tau_lo <= tau_hi <= eta")
-    from scipy.integrate import quad  # oracle only; kept off the import path
-
-    s_lo = math.log(fading.eta / min(tau_hi, fading.eta))
-    s_hi = math.log(fading.eta / tau_lo)
-    if s_hi <= s_lo:
-        return 0.0
-
-    def integrand(t: float) -> float:
-        s = math.exp(t)
-        return _log_ratio_density(s, fading) * s if s > 0.0 else 0.0
-
-    val, _ = quad(integrand, math.log(s_lo) if s_lo > 0.0 else -math.inf,
-                  math.log(s_hi), limit=400)
-    return val

@@ -305,7 +305,7 @@ def resolve_scenario(text: str) -> Scenario:
     rule = "mobile-requires-pointing-error" if channel == "optical-mobile" \
         else None
     _require("physics", raw_physics, _PHYSICS_REQUIRED[channel], rule)
-    physics = {k: parse_quantity(v) for k, v in raw_physics.items()}
+    physics = {k: _finite("physics", k, v) for k, v in raw_physics.items()}
     _check_physics_range(physics)
 
     # protocol block
@@ -315,20 +315,24 @@ def resolve_scenario(text: str) -> Scenario:
     _check_keys("protocol", raw_protocol, _PROTOCOL_KEYS)
     _require("protocol", raw_protocol, ("n_total", "m", "d", "beta", "p_ec",
                                         "mu"))
+
+    def quantity(key: str, default: str | None = None) -> float:
+        return _finite("protocol", key, raw_protocol.get(key, default))
+
     if "eps" in raw_protocol:
         clash = sorted({"eps_pe", "eps_s", "eps_h", "eps_cor"} & set(raw_protocol))
         if clash:
             raise ConfigError(f"[protocol] eps conflicts with {clash[0]}")
-        eps = parse_quantity(raw_protocol["eps"])
+        eps = quantity("eps")
         eps_pe = eps_s = eps_h = eps_cor = eps
     else:
         _require("protocol", raw_protocol, ("eps_pe", "eps_s", "eps_h",
                                             "eps_cor"))
-        eps_pe = parse_quantity(raw_protocol["eps_pe"])
-        eps_s = parse_quantity(raw_protocol["eps_s"])
-        eps_h = parse_quantity(raw_protocol["eps_h"])
-        eps_cor = parse_quantity(raw_protocol["eps_cor"])
-    f_et = parse_quantity(raw_protocol.get("f_et", "0"))
+        eps_pe = quantity("eps_pe")
+        eps_s = quantity("eps_s")
+        eps_h = quantity("eps_h")
+        eps_cor = quantity("eps_cor")
+    f_et = quantity("f_et", "0")
     if attack == "general" and f_et <= 0.0:
         raise ConfigError("general attacks need an energy-test fraction f_et > 0 "
                           "(rule: general-requires-energy-test)")
@@ -339,21 +343,25 @@ def resolve_scenario(text: str) -> Scenario:
     for key in ("f_th", "bins"):
         if key in raw_protocol and channel != "optical-mobile":
             raise ConfigError(f"[protocol] {key} only applies to optical-mobile")
-    f_th = parse_quantity(raw_protocol.get("f_th", "0.8"))
+    f_th = quantity("f_th", "0.8")
+    if not 0.0 < f_th < 1.0:
+        raise ConfigError(f"[protocol] f_th must lie in (0, 1), got {f_th!r} "
+                          "(rule: fading-window)")
     bins = parse_count("protocol", "bins", raw_protocol.get("bins", "50"))
+    if bins < 1:
+        raise ConfigError(f"[protocol] bins must be >= 1, got {bins} "
+                          "(rule: fading-window)")
     d = parse_count("protocol", "d", raw_protocol["d"])
-    mu = parse_quantity(raw_protocol["mu"])
+    mu = quantity("mu")
     if not mu > 1.0:
         raise ConfigError(f"[protocol] mu must be > 1, since no key is distilled "
                           f"without modulation (sigma_x^2 = mu - 1), got "
                           f"{raw_protocol['mu']!r} (rule: positive-modulation)")
     with _valid_block("protocol"):
         params = ProtocolParams(
-            n_total=parse_quantity(raw_protocol["n_total"]),
-            m=parse_quantity(raw_protocol["m"]),
-            m_pl=parse_quantity(raw_protocol.get("m_pl", "0")),
-            beta=parse_quantity(raw_protocol["beta"]),
-            p_ec=parse_quantity(raw_protocol["p_ec"]),
+            n_total=quantity("n_total"), m=quantity("m"),
+            m_pl=quantity("m_pl", "0"), beta=quantity("beta"),
+            p_ec=quantity("p_ec"),
             eps_pe=eps_pe, eps_s=eps_s, eps_h=eps_h, eps_cor=eps_cor,
             mu=mu,
             d=d, f_et=f_et)
@@ -411,8 +419,8 @@ def _resolve_sweep(parser, channel) -> tuple | None:
     if variable != expected:
         raise ConfigError(f"[sweep] variable for channel {channel!r} must be "
                           f"{expected!r} (rule: sweep-variable-mismatch)")
-    start = _abscissa("sweep", "start", raw["start"])
-    stop = _abscissa("sweep", "stop", raw["stop"])
+    start = _finite("sweep", "start", raw["start"], "finite-abscissa")
+    stop = _finite("sweep", "stop", raw["stop"], "finite-abscissa")
     points = parse_count("sweep", "points", raw["points"])
     if points < 1:
         raise ConfigError("[sweep] points must be >= 1")
@@ -433,14 +441,14 @@ def _resolve_point(parser, channel) -> tuple | None:
     if key != expected:
         raise ConfigError(f"[point] key for channel {channel!r} must be "
                           f"{expected!r} (rule: sweep-variable-mismatch)")
-    return (key, _abscissa("point", key, raw[key]))
+    return (key, _finite("point", key, raw[key], "finite-abscissa"))
 
 
-def _abscissa(section: str, key: str, text: str) -> float:
+def _finite(section: str, key: str, text: str, rule: str = "finite-quantity") -> float:
     value = parse_quantity(text)
     if math.isfinite(value):
         return value
-    raise ConfigError(f"[{section}] {key} must be finite, got {text!r} (rule: finite-abscissa)")
+    raise ConfigError(f"[{section}] {key} must be finite, got {text!r} (rule: {rule})")
 
 
 def _require_pairs(section: str, pulses: int, nu_det: int) -> None:
@@ -462,6 +470,9 @@ def _resolve_simulate(parser, channel, nu_det) -> dict | None:
             raise ConfigError("[simulate] pilot_rate only applies to "
                               "optical-mobile")
         out["pilot_rate"] = parse_quantity(raw["pilot_rate"])
+        if not 0.0 <= out["pilot_rate"] < 1.0:
+            raise ConfigError(f"[simulate] pilot_rate must lie in [0, 1), got "
+                              f"{raw['pilot_rate']!r} (rule: pilot-rate-range)")
     return out
 
 

@@ -26,6 +26,9 @@ ERFINV_FLOOR = 1e-17
 # channel points stay constructible.
 TAU_FLOOR = 1e-12
 
+# mobile_worst_case rejects a post-selection window less likely than this.
+P_DELTA_MIN = 1e-6
+
 
 def confidence_w(eps_pe: float) -> float:
     """Confidence parameter w with 1 - erf(w/sqrt(2)) = 2 * eps_pe.
@@ -284,23 +287,17 @@ class GeneralAttackTerms:
     k_cutoff: float
     phi: float
     eps_prime: float
-    c_et_defaulted: bool
 
 
-def energy_test_threshold(n_transmit: float, m_et: float, c_et: float = None) -> tuple:
-    """Energy-test threshold d_et = n_T + c_et / sqrt(m_et).
-
-    c_et defaults to 3 sqrt(n_T + 1) (flagged by the second return value),
-    keeping the test-pass probability near one for honest states.
+def energy_test_threshold(n_transmit: float, m_et: float) -> tuple:
+    """(d_et, c_et): the energy-test threshold d_et = n_T + c_et / sqrt(m_et)
+    with c_et = 3 sqrt(n_T + 1), which keeps the test-pass probability near
+    one for honest states.
     """
     if n_transmit < 0.0 or m_et <= 0.0:
         raise ValueError("n_transmit must be non-negative and m_et positive")
-    defaulted = c_et is None
-    if defaulted:
-        c_et = 3.0 * math.sqrt(n_transmit + 1.0)
-    if c_et <= 0.0:
-        raise ValueError("c_et must be positive")
-    return n_transmit + c_et / math.sqrt(m_et), c_et, defaulted
+    c_et = 3.0 * math.sqrt(n_transmit + 1.0)
+    return n_transmit + c_et / math.sqrt(m_et), c_et
 
 
 def _log2_binomial(k: float, r: int) -> float:
@@ -310,7 +307,7 @@ def _log2_binomial(k: float, r: int) -> float:
 
 
 def general_attack_extension(params: ProtocolParams, n_transmit: float, eps: float,
-                             c_et: float = None, p_delta: float = 1.0,
+                             p_delta: float = 1.0,
                              nu_det: int = 2) -> GeneralAttackTerms:
     """Energy-test and dimension-cutoff terms for fully general attacks.
 
@@ -334,7 +331,7 @@ def general_attack_extension(params: ProtocolParams, n_transmit: float, eps: flo
     n = params.n
     n_eff = n * p_delta
     m_et = params.f_et * n
-    d_et, c_et_val, defaulted = energy_test_threshold(n_transmit, m_et, c_et)
+    d_et, c_et = energy_test_threshold(n_transmit, m_et)
     theta = math.log(8.0 / eps) / (2.0 * n_eff)
     denom = 1.0 - 2.0 * math.sqrt(theta / params.f_et)
     if denom <= 0.0:
@@ -342,9 +339,9 @@ def general_attack_extension(params: ProtocolParams, n_transmit: float, eps: flo
     k_cutoff = max(1.0, 2.0 * n_eff * d_et * (1.0 + 2.0 * math.sqrt(theta) + 2.0 * theta) / denom)
     phi = 2.0 * math.ceil(_log2_binomial(k_cutoff, 4))
     eps_prime = k_cutoff ** 4 * eps / 50.0
-    return GeneralAttackTerms(n=n, n_eff=n_eff, m_et=m_et, d_et=d_et, c_et=c_et_val,
+    return GeneralAttackTerms(n=n, n_eff=n_eff, m_et=m_et, d_et=d_et, c_et=c_et,
                               theta_test=theta, k_cutoff=k_cutoff, phi=phi,
-                              eps_prime=eps_prime, c_et_defaulted=defaulted)
+                              eps_prime=eps_prime)
 
 
 def composable_rate_general(r_pe: float, params: ProtocolParams,
@@ -447,8 +444,7 @@ class FadingEstimatorSet:
 def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
                       th_ph: float, lo_kind: str, eta_eff: float, n_b: float,
                       sigma_x2: float, nu_det: int, f_th: float = 0.8,
-                      bins: int = 50, p_delta_min: float = 1e-6,
-                      n_other: float = 0.0) -> FadingEstimatorSet:
+                      bins: int = 50, n_other: float = 0.0) -> FadingEstimatorSet:
     """Worst-case estimates over the fading window [f_th * eta, eta].
 
     The setup noise is bounded over the whole window (TLO at tau_min; LLO at
@@ -467,7 +463,7 @@ def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
     tau_min = f_th * tau_max
     lattice = FadingLattice(tau_min=tau_min, tau_max=tau_max, bins=bins)
     p_delta = fading_probability(tau_min, tau_max, fading)
-    if p_delta < p_delta_min:
+    if p_delta < P_DELTA_MIN:
         raise ValueError("post-selection window has negligible probability; "
                          "reduce the range or lower f_th")
 

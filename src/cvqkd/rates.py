@@ -20,7 +20,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-IDENTITY_GUARD = 1e-12
 LN2 = math.log(2.0)
 # Bona fide symplectic eigenvalues may sit a hair below 1 through rounding.
 BONA_FIDE_TOL = 1e-9
@@ -125,91 +124,9 @@ def mutual_information(ch: ChannelPoint) -> float:
     return ch.nu_det / 2.0 * math.log2(1.0 + ch.sigma_x2 / chi_noise)
 
 
-@dataclass(frozen=True)
-class EveState:
-    """Eve's two output modes and their coupling to Bob's mode."""
-
-    b: float
-    omega: float
-    gamma: float
-    theta: float
-    psi: float
-    phi: float
-
-    @property
-    def v_eve(self):
-        from .gaussian import I2, Z2, two_mode_blocks
-
-        return two_mode_blocks(self.phi * I2, self.omega * I2, self.psi * Z2)
-
-    @property
-    def cross(self):
-        import numpy as np
-
-        from .gaussian import I2, Z2
-
-        return np.hstack([self.theta * I2, self.gamma * Z2])
-
-    @property
-    def joint(self):
-        from .gaussian import I2, two_mode_blocks
-
-        return two_mode_blocks(self.b * I2, self.v_eve, self.cross)
-
-
 def bob_variance(ch: ChannelPoint) -> float:
     """Bob's quadrature variance b = tau (mu - 1) + 2 nbar + 1."""
     return ch.tau * (ch.mu - 1.0) + 2.0 * ch.nbar + 1.0
-
-
-def eve_joint_cm(ch: ChannelPoint, trust: TrustLevel) -> EveState:
-    """Assemble Eve's dilation for the requested trust level.
-
-    This is the matrix path that :func:`holevo_standard` replaces with
-    invariants; it remains as the oracle of that closed form. Its entries
-    grow like omega ~ 2 n_E / (1 - eta), so round-off ruins its spectra as
-    eta -> 1. Raises for an identity channel (eta_ch = 1 for the passive
-    level, tau = 1 otherwise), where the dilation degenerates.
-    """
-    trust = _member(TrustLevel, trust)
-    tau = ch.tau
-    mu = ch.mu
-    b = bob_variance(ch)
-    if trust is TrustLevel.PASSIVE:
-        if ch.eta_ch >= 1.0 - IDENTITY_GUARD:
-            raise ValueError("identity channel: passive-Eve dilation undefined at eta_ch = 1")
-        omega = 2.0 * ch.n_b / (1.0 - ch.eta_ch) + 1.0
-        gamma = math.sqrt(ch.eta_eff * (1.0 - ch.eta_ch) * (omega ** 2 - 1.0))
-        theta = math.sqrt(tau * (1.0 - ch.eta_ch)) * (omega - mu)
-        psi = math.sqrt(ch.eta_ch * (omega ** 2 - 1.0))
-        phi = ch.eta_ch * omega + (1.0 - ch.eta_ch) * mu
-    else:
-        if tau >= 1.0 - IDENTITY_GUARD:
-            raise ValueError("identity channel: Eve dilation undefined at tau = 1")
-        if trust is TrustLevel.TRUSTED_NOISE:
-            omega = 2.0 * ch.eta_eff * ch.n_b / (1.0 - tau) + 1.0
-        else:
-            omega = 2.0 * ch.nbar / (1.0 - tau) + 1.0
-        gamma = math.sqrt((1.0 - tau) * (omega ** 2 - 1.0))
-        theta = math.sqrt(tau * (1.0 - tau)) * (omega - mu)
-        psi = math.sqrt(tau * (omega ** 2 - 1.0))
-        phi = tau * omega + (1.0 - tau) * mu
-    return EveState(b=b, omega=omega, gamma=gamma, theta=theta, psi=psi, phi=phi)
-
-
-def _chi_from_conditioning(v_eve, cross, b: float, nu_det: int) -> float:
-    """chi(E:y) from the spectra of Eve's matrix before and after Bob's
-    measurement (the eigenvalue oracle of :func:`holevo_standard`)."""
-    from .gaussian import (condition_on_heterodyne, condition_on_homodyne,
-                           symplectic_spectrum)
-
-    nu = symplectic_spectrum(v_eve)
-    if nu_det == 1:
-        cond = condition_on_homodyne(v_eve, cross, b)
-    else:
-        cond = condition_on_heterodyne(v_eve, cross, b)
-    nu_cond = symplectic_spectrum(cond)
-    return float(sum(map(entropic_h, nu)) - sum(map(entropic_h, nu_cond)))
 
 
 def _two_mode_entropy(delta: float, root_det: float, split: float) -> float:
@@ -239,11 +156,11 @@ def holevo_standard(ch: ChannelPoint, trust: TrustLevel) -> float:
     Eve's two modes and her state conditioned on Bob's outcome are both
     two-mode states, so chi = h(nu+) + h(nu-) - h(nu+') - h(nu-') follows
     from Delta = nu+^2 + nu-^2 and sqrt(det) = nu+ nu- (Weedbrook et al.,
-    Rev. Mod. Phys. 84, 621 (2012)). The dilation of :func:`eve_joint_cm`
-    has omega = 2 n_E / eps + 1 with eps = 1 - eta, and its entries diverge
-    as eta -> 1; here every quantity is written in s = eps * omega
-    = 2 n_E + eps, which stays O(1) and holds at eps = 0 too, the bright
-    environment limit (omega -> inf at fixed s):
+    Rev. Mod. Phys. 84, 621 (2012)). The dilation, the test oracle
+    `eve_joint_cm` in tests/oracles.py, has omega = 2 n_E / eps + 1 with
+    eps = 1 - eta, and its entries diverge as eta -> 1; here every quantity
+    is written in s = eps * omega = 2 n_E + eps, which stays O(1) and holds
+    at eps = 0 too, the bright environment limit (omega -> inf at fixed s):
 
     * (eta, kappa, n_E) from :func:`_environment`;
     * Eve: sqrt(det) = mu s + eta, Delta = s^2 + 2 eta mu s + eps^2 mu^2
@@ -377,8 +294,9 @@ def holevo_los_from_coefficients(b: float, eps_theta2: float, eps_phi: float,
 
 def holevo_los(ch: ChannelPoint, trust: TrustLevel) -> float:
     """Line-of-sight Holevo bound: Eve holds only the leakage mode of the
-    dilation of :func:`eve_joint_cm`, whose eps phi = eta s + eps^2 mu and
-    eps theta^2 = kappa eta (s - eps mu)^2 (s = 2 n_E + eps)."""
+    dilation (the test oracle `eve_joint_cm` in tests/oracles.py), whose
+    eps phi = eta s + eps^2 mu and eps theta^2 = kappa eta (s - eps mu)^2
+    (s = 2 n_E + eps)."""
     if _member(TrustLevel, trust) is TrustLevel.UNTRUSTED:
         raise ValueError("line-of-sight security requires a trusted noise source")
     eta, kappa, n_e = _environment(ch, trust)

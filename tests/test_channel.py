@@ -16,7 +16,6 @@ from cvqkd.channel import (
     diffraction_transmissivity,
     fading_pdf,
     fading_probability,
-    fading_probability_quadrature,
     microwave_best_range,
     microwave_transmissivity,
     pointing_tau_approx,
@@ -24,6 +23,7 @@ from cvqkd.channel import (
     sample_deflections,
     spot_size,
 )
+from oracles import fading_probability_quadrature
 
 # Collimated 800 nm beam with 1 mm waist onto a 1 cm aperture: the
 # short-range optical-wireless geometry used throughout.

@@ -1,6 +1,7 @@
 """Scenario resolution and the batch command line: grammar, rejection rules,
 derived-header echoes, output formats, provenance, exit codes."""
 
+import ast
 import csv
 import io
 import json
@@ -383,6 +384,37 @@ class TestPositiveModulation:
                             "(rule: positive-modulation)")
 
 
+class TestScenarioRanges:
+    """Scenario-wide ranges are config errors (exit 1), not NaN rows: rule
+    fading-window (f_th in (0, 1), bins >= 1) and rule pilot-rate-range
+    (pilot_rate in [0, 1))."""
+
+    CASES = {
+        "f_th_one": ("f_th = 0.8", "f_th = 1", "fading-window"),
+        "f_th_zero": ("f_th = 0.8", "f_th = 0", "fading-window"),
+        "bins_zero": ("bins = 50", "bins = 0", "fading-window"),
+        "pilot_rate_one": ("pulses = 200000", "pulses = 200000\npilot_rate = 1",
+                           "pilot-rate-range"),
+        "pilot_rate_negative": ("pulses = 200000",
+                                "pulses = 200000\npilot_rate = -0.5",
+                                "pilot-rate-range"),
+        "pilot_rate_inf": ("pulses = 200000", "pulses = 200000\npilot_rate = inf",
+                           "pilot-rate-range"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected(self, tmp_path, capsys, case):
+        old, new, rule = self.CASES[case]
+        assert_config_error(tmp_path, capsys, shipped("mobile.ini", old, new),
+                            f"(rule: {rule})")
+
+    def test_bounds_accepted(self):
+        scenario = resolve_scenario(shipped(
+            "mobile.ini", "pulses = 200000", "pulses = 200000\npilot_rate = 0")
+            .replace("bins = 50", "bins = 1"))
+        assert scenario.simulate["pilot_rate"] == 0.0 and scenario.bins == 1
+
+
 class TestIntegerCounts:
     """Counts must be integer-valued; nothing is truncated silently."""
 
@@ -419,18 +451,27 @@ class TestIntegerCounts:
 
 
 class TestFiniteAbscissa:
-    """A non-finite [point] value or [sweep] end is a ConfigError naming
-    the rule, in either format, never a traceback or a NaN row."""
+    """A non-finite [point] value or [sweep] end (rule finite-abscissa), or
+    [physics] or [protocol] quantity (rule finite-quantity), is a ConfigError
+    naming the rule, in either format, never a traceback or a NaN row. 1e400
+    overflows to inf."""
 
     EDITS = {"point": ("rate", "loss_db = 2", "loss_db = {}"),
              "start": ("sweep", "start = 0", "start = {}"),
-             "stop": ("sweep", "stop = 20", "stop = {}")}
+             "stop": ("sweep", "stop = 20", "stop = {}"),
+             "n_b": ("rate", "n_b = 0.002", "n_b = {}"),
+             "p_lo": ("rate", "p_lo = 100 mW", "p_lo = {} mW"),
+             "c": ("rate", "c = 5 MHz", "c = {}"),
+             "n_total": ("rate", "n_total = 1e7", "n_total = {}"),
+             "mu": ("rate", "mu = 10", "mu = {}")}
 
     @pytest.mark.parametrize("fmt", ("csv", "json"))
-    @pytest.mark.parametrize("value", ("inf", "-inf"))
+    @pytest.mark.parametrize("value", ("inf", "-inf", "1e400"))
     @pytest.mark.parametrize("key", sorted(EDITS))
     def test_rejects_infinite_abscissa(self, tmp_path, capsys, key, value, fmt):
         command, old, new = self.EDITS[key]
+        rule = "finite-abscissa" if key in ("point", "start", "stop") \
+            else "finite-quantity"
         text = fiber()
         assert text.count(old) == 1
         path = tmp_path / "bad.ini"
@@ -438,7 +479,7 @@ class TestFiniteAbscissa:
         code = main([command, "--config", str(path), "--format", fmt])
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
-        assert "(rule: finite-abscissa)" in err
+        assert f"(rule: {rule})" in err
         assert "Traceback" not in err
 
 
@@ -965,18 +1006,54 @@ class TestImportFloor:
             assert "'concurrent.futures'" in lines["500000"]
 
     def test_package_import_loads_no_numpy(self):
-        # the gaussian and simulate names resolve on first use (PEP 562)
+        # the package holds only __version__: importing it loads no cvqkd
+        # submodule, no numpy and no scipy
         probe = ("import sys, cvqkd\n"
-                 "codes = []\n"
-                 + LOADED.format(names=("numpy", "scipy")) + "\n"
-                 "from cvqkd import simulate_block, symplectic_spectrum\n"
-                 "import cvqkd.gaussian, cvqkd.simulate\n"
-                 "print(simulate_block is cvqkd.simulate.simulate_block,\n"
-                 "      symplectic_spectrum is cvqkd.gaussian.symplectic_spectrum,\n"
-                 "      cvqkd.entropic_h is cvqkd.gaussian.entropic_h,\n"
-                 "      'numpy' in sys.modules, hasattr(cvqkd, 'no_such_name'))")
-        assert fresh_interpreter(probe).splitlines() == [
-            "[] []", "True True True True False"]
+                 "codes = [cvqkd.__version__]\n"
+                 + LOADED.format(names=("cvqkd", "numpy", "scipy")))
+        assert fresh_interpreter(probe) == f"{[__version__]} ['cvqkd']"
+
+    def test_oracles_live_in_tests(self):
+        # under src/cvqkd only channel.pointing_tau_exact imports scipy, and
+        # the test oracles are defined in tests/oracles.py, not in src
+        moved = {"EveState", "eve_joint_cm", "_chi_from_conditioning",
+                 "IDENTITY_GUARD", "CovarianceMatrix", "condition_on_homodyne",
+                 "condition_on_heterodyne", "fading_probability_quadrature"}
+
+        def scan(path):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            importers = set()
+
+            def visit(node, owner):
+                for child in ast.iter_child_nodes(node):
+                    if isinstance(child, ast.Import):
+                        modules = [alias.name for alias in child.names]
+                    elif isinstance(child, ast.ImportFrom):
+                        modules = [child.module or ""]
+                    else:
+                        modules = []
+                    if any(name.split(".")[0] == "scipy" for name in modules):
+                        importers.add(owner)
+                    if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                        visit(child, f"{owner}.{child.name}")
+                    else:
+                        visit(child, owner)
+
+            visit(tree, path.stem)
+            defined = {node.name for node in ast.walk(tree) if isinstance(
+                node, (ast.FunctionDef, ast.ClassDef))} | {
+                node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Store)}
+            return importers, defined
+
+        importers, defined = set(), set()
+        for path in sorted((ROOT / "src" / "cvqkd").glob("*.py")):
+            found = scan(path)
+            importers |= found[0]
+            defined |= found[1]
+        assert importers == {"channel.pointing_tau_exact"}
+        assert defined & moved == set()
+        assert moved <= scan(ROOT / "tests" / "oracles.py")[1]
 
 
 class TestWarningCodes:

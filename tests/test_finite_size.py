@@ -16,9 +16,10 @@ import pytest
 from scipy.special import erfcinv
 
 from cvqkd import cli, finite_size
-from cvqkd.channel import BeamConfig, FadingModel
+from cvqkd.channel import BeamConfig, FadingModel, fading_probability
 from cvqkd.config import resolve_scenario
 from cvqkd.finite_size import (
+    P_DELTA_MIN,
     TAU_FLOOR,
     FadingLattice,
     ProtocolParams,
@@ -339,8 +340,7 @@ class TestComposableTerms:
 
 class TestGeneralAttackExtension:
     def test_energy_test_threshold_default(self):
-        d_et, c_et, defaulted = energy_test_threshold(4.5, 1.5e6)
-        assert defaulted
+        d_et, c_et = energy_test_threshold(4.5, 1.5e6)
         assert c_et == pytest.approx(3.0 * math.sqrt(5.5), rel=1e-12)
         assert d_et == pytest.approx(4.5 + c_et / math.sqrt(1.5e6), rel=1e-12)
 
@@ -353,7 +353,6 @@ class TestGeneralAttackExtension:
         assert terms.phi == 200.0
         assert terms.eps_prime == pytest.approx(1.4280627282095155e-13, rel=1e-12)
         assert terms.eps_prime == pytest.approx(1.4e-13, rel=0.10)
-        assert terms.c_et_defaulted
 
     def test_phi_matches_exact_binomial(self):
         # for integer cutoffs the generalised binomial is exact
@@ -361,7 +360,7 @@ class TestGeneralAttackExtension:
             terms_phi = 2.0 * math.ceil(math.log2(math.comb(k + 4, 4)))
             prm = GENERAL
             eps = total_epsilon(prm)
-            got = general_attack_extension(prm, 4.5, eps, c_et=1.0)
+            got = general_attack_extension(prm, 4.5, eps)
             # compare the helper directly through a tiny cutoff: K = 1 case
             assert got.k_cutoff > 1.0
             from cvqkd.finite_size import _log2_binomial
@@ -610,10 +609,12 @@ class TestMobileWorstCase:
         assert results[0] == pytest.approx(results[2], rel=2e-2)
 
     def test_negligible_window_rejected(self):
-        with pytest.raises(ValueError):
-            mobile_worst_case(self.params(), self.fading(), self.TH_EL, self.TH_PH,
-                              "llo", 0.7, 0.019, 9.0, 2, f_th=0.8, bins=50,
-                              p_delta_min=0.999)
+        # a 0.1 rad jitter at 100 m leaves [0.8 eta, eta] about 4e-7
+        fad = FadingModel.from_geometry(self.BEAM, 100.0, 1e-2, 0.1, 0.7)
+        assert fading_probability(0.8 * fad.eta, fad.eta, fad) < P_DELTA_MIN
+        with pytest.raises(ValueError, match="negligible probability"):
+            mobile_worst_case(self.params(), fad, self.TH_EL, self.TH_PH,
+                              "llo", 0.7, 0.019, 9.0, 2, f_th=0.8, bins=50)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,15 +7,13 @@ import pytest
 from scipy.linalg import expm
 
 from cvqkd.gaussian import (
-    CovarianceMatrix,
-    condition_on_heterodyne,
-    condition_on_homodyne,
     entropic_h,
     symplectic_form,
     symplectic_spectrum,
     two_mode_blocks,
     two_mode_symplectic_spectrum,
 )
+from oracles import CovarianceMatrix, condition_on_heterodyne, condition_on_homodyne
 
 
 def thermal_entropy_fock(nbar: float, cutoff: int = 200) -> float:

@@ -10,8 +10,8 @@ symplectic spectra as eigenvalues of i Omega V, and `mp_los_chi` takes
 h(phi) - h(phi') of its leakage mode at 60 digits. At eta = 1 both take the
 limit by evaluating at 1 - eta = 1e-30 (80 digits) or 1e-25 (60 digits),
 whose distance from the limit is far below double precision. The
-eigenvalue oracle is `eve_joint_cm` + `_chi_from_conditioning` in double
-precision.
+eigenvalue oracle is `eve_joint_cm` + `_chi_from_conditioning` of
+tests/oracles.py in double precision.
 """
 
 import itertools
@@ -22,18 +22,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cvqkd.gaussian import CovarianceMatrix
 from cvqkd.rates import (
     ChannelPoint,
     SecurityType,
     TrustLevel,
-    _chi_from_conditioning,
-    eve_joint_cm,
     holevo,
     holevo_los,
     holevo_standard,
     microwave_los_rate,
 )
+from oracles import CovarianceMatrix, _chi_from_conditioning, eve_joint_cm
 
 DPS = 80
 LOS_DPS = 60

@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from cvqkd.gaussian import CovarianceMatrix, entropic_h, two_mode_blocks
+from cvqkd.gaussian import entropic_h, two_mode_blocks
 from cvqkd.rates import (
     ChannelPoint,
     SecurityType,
     TrustLevel,
     asymptotic_rate,
     bob_variance,
-    eve_joint_cm,
     holevo,
     holevo_los,
     holevo_standard,
@@ -21,6 +20,7 @@ from cvqkd.rates import (
     mutual_information,
     plob_thermal_bound,
 )
+from oracles import CovarianceMatrix, eve_joint_cm
 
 
 def leakage_chi(b: float, theta: float, phi: float, nu_det: int) -> float:
