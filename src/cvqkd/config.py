@@ -15,8 +15,10 @@ Grammar (INI as read by configparser, one level of sections):
 Quantities accept a numeric part (float, inf, or base^exponent like 2^-33)
 followed by an optional unit suffix that scales to SI: nm um mm cm m km pm,
 Hz kHz MHz GHz, W mW uW, pW/rtHz, s ms us ns, sr, K, rad mrad urad, deg,
-deg2, dB (scale 1). Cross-field rules are checked before dispatch and
-violations cite the rule by name.
+deg2, dB (scale 1). One key table holds, for every key of every section but
+[scenario], the channels it applies to, the channels that require it, its
+parser and its domain with the rule a value outside it violates. Cross-field
+rules are checked in code. Every violation cites its rule by name.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .channel import BeamConfig, microwave_best_range
-from .finite_size import ProtocolParams, confidence_w, total_epsilon
+from .finite_size import ProtocolParams, total_epsilon
 from .noise import (
     ReceiverOptics,
     SetupConfig,
@@ -165,48 +167,120 @@ class Scenario:
 
 _SCENARIO_KEYS = {"channel", "protocol", "lo", "trust", "security", "attack"}
 
-_PHYSICS_OPTICAL = {"lambda", "eta_eff", "w", "nep", "l_w", "p_lo", "c",
-                    "dt_lo", "n_b", "n_other"}
-_PHYSICS_KEYS = {
-    "fixed-loss": _PHYSICS_OPTICAL,
-    "optical-fixed": _PHYSICS_OPTICAL | {"w0", "a_r", "eta_atm", "omega_fov",
-                                         "dlambda", "b_sky"},
-    "optical-mobile": _PHYSICS_OPTICAL | {"w0", "a_r", "eta_atm", "omega_fov",
-                                          "dlambda", "b_sky", "sigma_p"},
-    "microwave": {"lambda", "g", "a_r", "omega_fov", "t", "eta_eff"},
+_ALL = frozenset(CHANNELS)
+_OPT = _ALL - {"microwave"}
+_FSO = frozenset({"optical-fixed", "optical-mobile"})
+_MOB = frozenset({"optical-mobile"})
+_MW = frozenset({"microwave"})
+_NONE = frozenset()
+
+# One entry per key of every section but [scenario]: (section, key, channels it
+# applies to, channels that require it, parser, domain, rule). A domain is the
+# range that the library guard it pre-empts accepts; a value outside it fails
+# under the entry's rule.
+_KEY_TABLE = (
+    ("physics", "lambda", _ALL, _ALL, "quantity", "> 0", "physics-range"),
+    ("physics", "eta_eff", _ALL, _ALL, "quantity", "in (0, 1]", "physics-range"),
+    ("physics", "w", _OPT, _OPT, "quantity", "> 0", "physics-range"),
+    ("physics", "nep", _OPT, _OPT, "quantity", "> 0", "physics-range"),
+    ("physics", "l_w", _OPT, _OPT, "quantity", ">= 0", "physics-range"),
+    ("physics", "p_lo", _OPT, _OPT, "quantity", "> 0", "physics-range"),
+    ("physics", "c", _OPT, _OPT, "quantity", "> 0", "physics-range"),
+    ("physics", "dt_lo", _OPT, _OPT, "quantity", "> 0", "physics-range"),
+    ("physics", "n_b", _OPT, {"fixed-loss"}, "quantity", ">= 0", "physics-range"),
+    ("physics", "n_other", _OPT, _NONE, "quantity", ">= 0", "physics-range"),
+    ("physics", "eta_atm", _FSO, _NONE, "quantity", "in (0, 1]", "physics-range"),
+    ("physics", "b_sky", _FSO, _NONE, "quantity", ">= 0", "physics-range"),
+    ("physics", "g", _MW, _MW, "quantity", "> 0", "physics-range"),
+    ("physics", "t", _MW, _MW, "quantity", "> 0", "physics-range"),
+    ("physics", "w0", _FSO, _FSO, "quantity", "> 0", "geometry-range"),
+    ("physics", "a_r", _FSO | _MW, _FSO | _MW, "quantity", "> 0", "geometry-range"),
+    ("physics", "omega_fov", _FSO | _MW, _MW, "quantity", "> 0", "geometry-range"),
+    ("physics", "dlambda", _FSO, _NONE, "quantity", "> 0", "geometry-range"),
+    ("physics", "sigma_p", _MOB, _MOB, "quantity", "> 0", "geometry-range"),
+    ("protocol", "n_total", _ALL, _ALL, "quantity", "> 0", "protocol-range"),
+    ("protocol", "m", _ALL, _ALL, "quantity", "> 0", "protocol-range"),
+    ("protocol", "m_pl", _ALL, _NONE, "quantity", ">= 0", "protocol-range"),
+    ("protocol", "f_et", _ALL, _NONE, "quantity", ">= 0", "protocol-range"),
+    ("protocol", "d", _ALL, _ALL, "count", "a power of two >= 2", "protocol-range"),
+    ("protocol", "beta", _ALL, _ALL, "quantity", "in (0, 1]", "protocol-range"),
+    ("protocol", "p_ec", _ALL, _ALL, "quantity", "in (0, 1]", "protocol-range"),
+    ("protocol", "eps", _ALL, _NONE, "quantity", "in (0, 1/2]", "protocol-range"),
+    ("protocol", "eps_pe", _ALL, _NONE, "quantity", "in (0, 1/2]", "protocol-range"),
+    ("protocol", "eps_s", _ALL, _NONE, "quantity", "in (0, 1)", "protocol-range"),
+    ("protocol", "eps_h", _ALL, _NONE, "quantity", "in (0, 1)", "protocol-range"),
+    ("protocol", "eps_cor", _ALL, _NONE, "quantity", "in (0, 1)", "protocol-range"),
+    ("protocol", "mu", _ALL, _ALL, "quantity", "> 1", "positive-modulation"),
+    ("protocol", "improved_aep", _ALL, _NONE, "bool", None, None),
+    ("protocol", "f_th", _MOB, _NONE, "quantity", "in (0, 1)", "fading-window"),
+    ("protocol", "bins", _MOB, _NONE, "count", ">= 1", "fading-window"),
+    ("sweep", "variable", _ALL, _ALL, "text", None, None),
+    ("sweep", "start", _ALL, _ALL, "abscissa", None, None),
+    ("sweep", "stop", _ALL, _ALL, "abscissa", None, None),
+    ("sweep", "points", _ALL, _ALL, "count", ">= 1", "run-range"),
+    ("point", "loss_db", _ALL, _NONE, "abscissa", None, None),
+    ("point", "distance", _ALL, _NONE, "abscissa", None, None),
+    ("point", "z_max", _ALL, _NONE, "abscissa", None, None),
+    ("simulate", "pulses", _ALL, _ALL, "count", None, None),
+    ("simulate", "pilot_rate", _MOB, _NONE, "quantity", "in [0, 1)", "pilot-rate-range"),
+    ("coverage", "rounds", _ALL, _ALL, "count", ">= 1", "run-range"),
+    ("coverage", "pulses", _ALL, _ALL, "count", None, None),
+    ("coverage", "eps_pe", _ALL, _ALL, "quantity", "in (0, 1/2]", "run-range"),
+)
+_KEYS = {section: {entry[1]: entry[2:] for entry in _KEY_TABLE if entry[0] == section}
+         for section in dict.fromkeys(entry[0] for entry in _KEY_TABLE)}
+_REQUIRED = {(section, channel): [key for key, entry in keys.items() if channel in entry[1]]
+             for section, keys in _KEYS.items() for channel in CHANNELS}
+
+_DOMAINS = {
+    "> 0": lambda v: v > 0.0,
+    ">= 0": lambda v: v >= 0.0,
+    "> 1": lambda v: v > 1.0,
+    ">= 1": lambda v: v >= 1,
+    "in (0, 1]": lambda v: 0.0 < v <= 1.0,
+    "in (0, 1)": lambda v: 0.0 < v < 1.0,
+    "in [0, 1)": lambda v: 0.0 <= v < 1.0,
+    "in (0, 1/2]": lambda v: 0.0 < v <= 0.5,
+    "a power of two >= 2": lambda v: v >= 2 and not v & (v - 1),
 }
-_PHYSICS_REQUIRED = {
-    "fixed-loss": {"lambda", "eta_eff", "w", "nep", "l_w", "p_lo", "c",
-                   "dt_lo", "n_b"},
-    "optical-fixed": {"lambda", "eta_eff", "w", "nep", "l_w", "p_lo", "c",
-                      "dt_lo", "w0", "a_r"},
-    "optical-mobile": {"lambda", "eta_eff", "w", "nep", "l_w", "p_lo", "c",
-                       "dt_lo", "w0", "a_r", "sigma_p"},
-    "microwave": {"lambda", "g", "a_r", "omega_fov", "t", "eta_eff"},
-}
-
-_PROTOCOL_KEYS = {"n_total", "m", "m_pl", "f_et", "d", "beta", "p_ec", "eps",
-                  "eps_pe", "eps_s", "eps_h", "eps_cor", "mu", "improved_aep",
-                  "f_th", "bins"}
-_SWEEP_KEYS = {"variable", "start", "stop", "points"}
-_POINT_KEYS = {"loss_db", "distance", "z_max"}
-_SIMULATE_KEYS = {"pulses", "pilot_rate"}
-_COVERAGE_KEYS = {"rounds", "pulses", "eps_pe"}
-_SECTIONS = {"scenario", "physics", "protocol", "sweep", "point", "simulate",
-             "coverage"}
+# the rule a non-finite [physics]/[protocol] quantity or [sweep]/[point] abscissa breaks
+_FINITE = {"quantity": "(rule: finite-quantity)", "abscissa": "(rule: finite-abscissa)"}
 
 
-def _check_keys(section: str, present, allowed) -> None:
-    unknown = sorted(set(present) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in [{section}]")
-
-
-def _require(section: str, mapping, keys, rule: str | None = None) -> None:
-    missing = sorted(k for k in keys if k not in mapping)
-    if missing:
-        cite = f" (rule: {rule})" if rule else ""
-        raise ConfigError(f"missing key {missing[0]!r} in [{section}]{cite}")
+def _section(parser, name: str, channel: str) -> dict | None:
+    """Section [name] read through the key table: each key must apply to the
+    channel, each key the channel requires must be given, and each value is
+    parsed and held to its domain. None if the file has no such section."""
+    if not parser.has_section(name):
+        return None
+    keys = _KEYS[name]
+    values = {}
+    for key, text in parser.items(name):
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in [{name}]")
+        channels, _, kind, domain, rule = keys[key]
+        if channel not in channels:
+            raise ConfigError(f"[{name}] {key} does not apply to the {channel} channel")
+        if kind == "count":
+            value = parse_count(name, key, text)
+        elif kind == "bool":
+            value = parse_bool(text)
+        elif kind == "text":
+            value = text.strip().lower()
+        else:
+            value = parse_quantity(text)
+            # [simulate] and [coverage] domains are bounded and reject inf themselves
+            if not math.isfinite(value) and name not in ("simulate", "coverage"):
+                raise ConfigError(f"[{name}] {key} must be finite, got {text!r} "
+                                  + _FINITE[kind])
+        if domain is not None and not _DOMAINS[domain](value):
+            raise ConfigError(f"[{name}] {key} must be {domain}, got {text!r} "
+                              f"(rule: {rule})")
+        values[key] = value
+    for key in _REQUIRED[name, channel]:
+        if key not in values:
+            raise ConfigError(f"missing key {key!r} in [{name}]")
+    return values
 
 
 def _choice(section: str, key: str, value: str, allowed) -> str:
@@ -221,7 +295,8 @@ def _choice(section: str, key: str, value: str, allowed) -> str:
 def _valid_block(section: str):
     """Report a ValueError or an arithmetic fault (overflow, division by zero)
     raised while building the section's quantities as a ConfigError naming
-    the section."""
+    the section. The key table pre-empts every single-key fault, so only
+    overflow and faults across keys (m + m_pl >= n_total) reach this."""
     try:
         yield
     except ConfigError:
@@ -229,18 +304,6 @@ def _valid_block(section: str):
     except (ValueError, ArithmeticError) as exc:
         detail = exc if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
         raise ConfigError(f"invalid [{section}] block: {detail}") from exc
-
-
-def _check_physics_range(physics: dict) -> None:
-    """Rule physics-range: efficiencies in (0, 1], photon numbers >= 0."""
-    for key in ("eta_eff", "eta_atm"):
-        if key in physics and not 0.0 < physics[key] <= 1.0:
-            raise ConfigError(f"[physics] {key} must lie in (0, 1], got "
-                              f"{physics[key]!r} (rule: physics-range)")
-    for key in ("n_b", "n_other"):
-        if key in physics and not physics[key] >= 0.0:
-            raise ConfigError(f"[physics] {key} must be >= 0, got "
-                              f"{physics[key]!r} (rule: physics-range)")
 
 
 def resolve_scenario(text: str) -> Scenario:
@@ -251,20 +314,24 @@ def resolve_scenario(text: str) -> Scenario:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
-    unknown_sections = sorted(set(parser.sections()) - _SECTIONS)
+    unknown_sections = sorted(set(parser.sections()) - _KEYS.keys() - {"scenario"})
     if unknown_sections:
         raise ConfigError(f"unknown section [{unknown_sections[0]}]")
-    if not parser.has_section("scenario"):
-        raise ConfigError("missing section [scenario]")
+    for name in ("scenario", "physics", "protocol"):
+        if not parser.has_section(name):
+            raise ConfigError(f"missing section [{name}]")
 
     scen = dict(parser.items("scenario"))
-    _check_keys("scenario", scen, _SCENARIO_KEYS)
-    _require("scenario", scen, ("channel", "protocol", "trust", "security",
-                                "attack"))
+    unknown = sorted(scen.keys() - _SCENARIO_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in [scenario]")
+    for key in ("attack", "channel", "protocol", "security", "trust"):
+        if key not in scen:
+            raise ConfigError(f"missing key {key!r} in [scenario]")
     channel = _choice("scenario", "channel", scen["channel"], CHANNELS)
-    protocol = _choice("scenario", "protocol", scen["protocol"],
-                       {"homodyne", "heterodyne", "hom", "het"})
-    nu_det = 1 if protocol.startswith("hom") else 2
+    detection = _choice("scenario", "protocol", scen["protocol"],
+                        {"homodyne", "heterodyne", "hom", "het"})
+    nu_det = 1 if detection.startswith("hom") else 2
     trust_text = scen["trust"].strip()
     if trust_text not in {"1", "2", "3"}:
         raise ConfigError(f"[scenario] trust must be 1, 2 or 3, got {trust_text!r}")
@@ -275,7 +342,8 @@ def resolve_scenario(text: str) -> Scenario:
                      {"collective", "general"})
     lo_kind = None
     if channel != "microwave":
-        _require("scenario", scen, ("lo",))
+        if "lo" not in scen:
+            raise ConfigError("missing key 'lo' in [scenario]")
         lo_kind = _choice("scenario", "lo", scen["lo"], {"llo", "tlo"})
     elif "lo" in scen:
         raise ConfigError("[scenario] lo does not apply to the microwave channel")
@@ -296,75 +364,33 @@ def resolve_scenario(text: str) -> Scenario:
         if not ok:
             raise ConfigError("microwave scenarios support trust 3 + standard "
                               "or trust 2 + los (rule: microwave-trust-mapping)")
+    if channel == "optical-mobile" and not parser.has_option("physics", "sigma_p"):
+        raise ConfigError("missing key 'sigma_p' in [physics] "
+                          "(rule: mobile-requires-pointing-error)")
 
-    # physics block
-    if not parser.has_section("physics"):
-        raise ConfigError("missing section [physics]")
-    raw_physics = dict(parser.items("physics"))
-    _check_keys("physics", raw_physics, _PHYSICS_KEYS[channel])
-    rule = "mobile-requires-pointing-error" if channel == "optical-mobile" \
-        else None
-    _require("physics", raw_physics, _PHYSICS_REQUIRED[channel], rule)
-    physics = {k: _finite("physics", k, v) for k, v in raw_physics.items()}
-    _check_physics_range(physics)
-
-    # protocol block
-    if not parser.has_section("protocol"):
-        raise ConfigError("missing section [protocol]")
-    raw_protocol = dict(parser.items("protocol"))
-    _check_keys("protocol", raw_protocol, _PROTOCOL_KEYS)
-    _require("protocol", raw_protocol, ("n_total", "m", "d", "beta", "p_ec",
-                                        "mu"))
-
-    def quantity(key: str, default: str | None = None) -> float:
-        return _finite("protocol", key, raw_protocol.get(key, default))
-
-    if "eps" in raw_protocol:
-        clash = sorted({"eps_pe", "eps_s", "eps_h", "eps_cor"} & set(raw_protocol))
+    physics = _section(parser, "physics", channel)
+    protocol = _section(parser, "protocol", channel)
+    epsilons = ("eps_cor", "eps_h", "eps_pe", "eps_s")
+    if "eps" in protocol:
+        clash = [key for key in epsilons if key in protocol]
         if clash:
             raise ConfigError(f"[protocol] eps conflicts with {clash[0]}")
-        eps = quantity("eps")
-        eps_pe = eps_s = eps_h = eps_cor = eps
-    else:
-        _require("protocol", raw_protocol, ("eps_pe", "eps_s", "eps_h",
-                                            "eps_cor"))
-        eps_pe = quantity("eps_pe")
-        eps_s = quantity("eps_s")
-        eps_h = quantity("eps_h")
-        eps_cor = quantity("eps_cor")
-    f_et = quantity("f_et", "0")
+        protocol.update(dict.fromkeys(epsilons, protocol.pop("eps")))
+    missing = [key for key in epsilons if key not in protocol]
+    if missing:
+        raise ConfigError(f"missing key {missing[0]!r} in [protocol]")
+    f_et = protocol.get("f_et", 0.0)
     if attack == "general" and f_et <= 0.0:
         raise ConfigError("general attacks need an energy-test fraction f_et > 0 "
                           "(rule: general-requires-energy-test)")
     if attack == "collective" and f_et > 0.0:
         raise ConfigError("the energy test only enters the general-attack "
                           "analysis (rule: energy-test-requires-general)")
-    improved_aep = parse_bool(raw_protocol.get("improved_aep", "false"))
-    for key in ("f_th", "bins"):
-        if key in raw_protocol and channel != "optical-mobile":
-            raise ConfigError(f"[protocol] {key} only applies to optical-mobile")
-    f_th = quantity("f_th", "0.8")
-    if not 0.0 < f_th < 1.0:
-        raise ConfigError(f"[protocol] f_th must lie in (0, 1), got {f_th!r} "
-                          "(rule: fading-window)")
-    bins = parse_count("protocol", "bins", raw_protocol.get("bins", "50"))
-    if bins < 1:
-        raise ConfigError(f"[protocol] bins must be >= 1, got {bins} "
-                          "(rule: fading-window)")
-    d = parse_count("protocol", "d", raw_protocol["d"])
-    mu = quantity("mu")
-    if not mu > 1.0:
-        raise ConfigError(f"[protocol] mu must be > 1, since no key is distilled "
-                          f"without modulation (sigma_x^2 = mu - 1), got "
-                          f"{raw_protocol['mu']!r} (rule: positive-modulation)")
+    improved_aep = protocol.pop("improved_aep", False)
+    f_th = protocol.pop("f_th", 0.8)
+    bins = protocol.pop("bins", 50)
     with _valid_block("protocol"):
-        params = ProtocolParams(
-            n_total=quantity("n_total"), m=quantity("m"),
-            m_pl=quantity("m_pl", "0"), beta=quantity("beta"),
-            p_ec=quantity("p_ec"),
-            eps_pe=eps_pe, eps_s=eps_s, eps_h=eps_h, eps_cor=eps_cor,
-            mu=mu,
-            d=d, f_et=f_et)
+        params = ProtocolParams(**protocol)
         derived = {"nu_det": nu_det, "sigma_x2": params.mu - 1.0, "n": params.n,
                    "w": params.w, "eps_total": total_epsilon(params)}
 
@@ -381,17 +407,35 @@ def resolve_scenario(text: str) -> Scenario:
             physics["n_b"] = sky_background_photons(optics, physics["lambda"],
                                                     physics["w"], physics["b_sky"])
 
-    sweep = _resolve_sweep(parser, channel)
-    point = _resolve_point(parser, channel)
-    simulate = _resolve_simulate(parser, channel, nu_det)
-    coverage = _resolve_coverage(parser, nu_det)
+    expected = SWEEP_VARIABLE[channel]
+    sweep = _section(parser, "sweep", channel)
+    if sweep is not None:
+        if sweep["variable"] != expected:
+            raise ConfigError(f"[sweep] variable for channel {channel!r} must be "
+                              f"{expected!r} (rule: sweep-variable-mismatch)")
+        if sweep["stop"] < sweep["start"]:
+            raise ConfigError("[sweep] stop must be >= start")
+        sweep = (expected, sweep["start"], sweep["stop"], sweep["points"])
+    point = _section(parser, "point", channel)
+    if point is not None:
+        if len(point) != 1:
+            raise ConfigError("[point] must hold exactly one abscissa key")
+        (point,) = point.items()
+        if point[0] != expected:
+            raise ConfigError(f"[point] key for channel {channel!r} must be "
+                              f"{expected!r} (rule: sweep-variable-mismatch)")
+    runs = {name: _section(parser, name, channel) for name in ("simulate", "coverage")}
+    for name, run in runs.items():
+        if run is not None and nu_det * run["pulses"] < 2:
+            raise ConfigError(f"[{name}] nu * pulses = {nu_det} x {run['pulses']} is "
+                              "below 2 disclosed pairs (rule: min-disclosed-pairs)")
 
     scenario = Scenario(channel=channel, nu_det=nu_det, lo_kind=lo_kind,
                         trust=trust, security=security, attack=attack,
                         physics=physics, params=params,
                         improved_aep=improved_aep, f_th=f_th, bins=bins,
-                        sweep=sweep, point=point, simulate=simulate,
-                        coverage=coverage, derived=derived)
+                        sweep=sweep, point=point, simulate=runs["simulate"],
+                        coverage=runs["coverage"], derived=derived)
     with _valid_block("physics"):
         if channel == "microwave":
             derived["n_th"] = microwave_thermal_photons(
@@ -406,88 +450,3 @@ def resolve_scenario(text: str) -> Scenario:
                 derived["xi_llo"] = 2.0 * derived["theta_ph"]
             derived["n_b"] = physics["n_b"]
     return scenario
-
-
-def _resolve_sweep(parser, channel) -> tuple | None:
-    if not parser.has_section("sweep"):
-        return None
-    raw = dict(parser.items("sweep"))
-    _check_keys("sweep", raw, _SWEEP_KEYS)
-    _require("sweep", raw, ("variable", "start", "stop", "points"))
-    variable = raw["variable"].strip().lower()
-    expected = SWEEP_VARIABLE[channel]
-    if variable != expected:
-        raise ConfigError(f"[sweep] variable for channel {channel!r} must be "
-                          f"{expected!r} (rule: sweep-variable-mismatch)")
-    start = _finite("sweep", "start", raw["start"], "finite-abscissa")
-    stop = _finite("sweep", "stop", raw["stop"], "finite-abscissa")
-    points = parse_count("sweep", "points", raw["points"])
-    if points < 1:
-        raise ConfigError("[sweep] points must be >= 1")
-    if stop < start:
-        raise ConfigError("[sweep] stop must be >= start")
-    return (variable, start, stop, points)
-
-
-def _resolve_point(parser, channel) -> tuple | None:
-    if not parser.has_section("point"):
-        return None
-    raw = dict(parser.items("point"))
-    _check_keys("point", raw, _POINT_KEYS)
-    if len(raw) != 1:
-        raise ConfigError("[point] must hold exactly one abscissa key")
-    key = next(iter(raw))
-    expected = SWEEP_VARIABLE[channel]
-    if key != expected:
-        raise ConfigError(f"[point] key for channel {channel!r} must be "
-                          f"{expected!r} (rule: sweep-variable-mismatch)")
-    return (key, _finite("point", key, raw[key], "finite-abscissa"))
-
-
-def _finite(section: str, key: str, text: str, rule: str = "finite-quantity") -> float:
-    value = parse_quantity(text)
-    if math.isfinite(value):
-        return value
-    raise ConfigError(f"[{section}] {key} must be finite, got {text!r} (rule: {rule})")
-
-
-def _require_pairs(section: str, pulses: int, nu_det: int) -> None:
-    if nu_det * pulses < 2:
-        raise ConfigError(f"[{section}] nu * pulses = {nu_det} x {pulses} is "
-                          "below 2 disclosed pairs (rule: min-disclosed-pairs)")
-
-
-def _resolve_simulate(parser, channel, nu_det) -> dict | None:
-    if not parser.has_section("simulate"):
-        return None
-    raw = dict(parser.items("simulate"))
-    _check_keys("simulate", raw, _SIMULATE_KEYS)
-    _require("simulate", raw, ("pulses",))
-    out = {"pulses": parse_count("simulate", "pulses", raw["pulses"])}
-    _require_pairs("simulate", out["pulses"], nu_det)
-    if "pilot_rate" in raw:
-        if channel != "optical-mobile":
-            raise ConfigError("[simulate] pilot_rate only applies to "
-                              "optical-mobile")
-        out["pilot_rate"] = parse_quantity(raw["pilot_rate"])
-        if not 0.0 <= out["pilot_rate"] < 1.0:
-            raise ConfigError(f"[simulate] pilot_rate must lie in [0, 1), got "
-                              f"{raw['pilot_rate']!r} (rule: pilot-rate-range)")
-    return out
-
-
-def _resolve_coverage(parser, nu_det) -> dict | None:
-    if not parser.has_section("coverage"):
-        return None
-    raw = dict(parser.items("coverage"))
-    _check_keys("coverage", raw, _COVERAGE_KEYS)
-    _require("coverage", raw, ("rounds", "pulses", "eps_pe"))
-    out = {"rounds": parse_count("coverage", "rounds", raw["rounds"]),
-           "pulses": parse_count("coverage", "pulses", raw["pulses"]),
-           "eps_pe": parse_quantity(raw["eps_pe"])}
-    if out["rounds"] < 1:
-        raise ConfigError("[coverage] rounds must be >= 1")
-    _require_pairs("coverage", out["pulses"], nu_det)
-    with _valid_block("coverage"):
-        confidence_w(out["eps_pe"])  # validates the range
-    return out

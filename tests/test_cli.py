@@ -31,7 +31,7 @@ from cvqkd.cli import (
     scenario_echo,
     scenario_hash,
 )
-from cvqkd.config import ConfigError, parse_quantity, resolve_scenario
+from cvqkd.config import _DOMAINS, _KEY_TABLE, ConfigError, parse_quantity, resolve_scenario
 from cvqkd.finite_size import _workers
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -314,34 +314,44 @@ def assert_config_error(tmp_path, capsys, text, message):
 
 
 class TestInvalidPhysicsBlock:
-    """A ValueError from the physics of a block is a ConfigError."""
+    """A value its library formula rejects fails with a ConfigError naming the
+    key table's rule; only overflow and faults across keys still reach the
+    unnamed "invalid [<section>] block" message."""
 
     CASES = {
-        "nep": ("fiber_fixed_loss.ini", "nep = 6 pW/rtHz", "nep = 0 pW/rtHz"),
-        "temperature": ("microwave.ini", "t = 290 K", "t = 0 K"),
-        "gain": ("microwave.ini", "g = 10", "g = 0"),
+        "nep": ("fiber_fixed_loss.ini", "nep = 6 pW/rtHz", "nep = 0 pW/rtHz",
+                "physics-range"),
+        "temperature": ("microwave.ini", "t = 290 K", "t = 0 K", "physics-range"),
+        "gain": ("microwave.ini", "g = 10", "g = 0", "physics-range"),
         "sky_aperture": ("wireless_fixed.ini", "a_r = 1 cm\nn_b = 0.019",
                          "a_r = 0 cm\nomega_fov = 1e-4 sr\ndlambda = 0.1 pm\n"
-                         "b_sky = 0.15"),
+                         "b_sky = 0.15", "geometry-range"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exit_1_without_traceback(self, tmp_path, capsys, case):
-        assert_config_error(tmp_path, capsys, shipped(*self.CASES[case]),
-                            "invalid [physics] block")
+        *edit, rule = self.CASES[case]
+        assert_config_error(tmp_path, capsys, shipped(*edit), f"(rule: {rule})")
 
     def test_overflow_is_a_config_error(self, tmp_path, capsys):
         text = shipped("fiber_fixed_loss.ini", "nep = 6 pW/rtHz", "nep = 1e200 W/rtHz")
         assert_config_error(tmp_path, capsys, text,
                             "invalid [physics] block: OverflowError")
 
+    def test_disclosed_pulses_exhaust_the_block(self, tmp_path, capsys):
+        text = shipped("fiber_fixed_loss.ini", "m = 1e6", "m = 1e7")
+        assert_config_error(tmp_path, capsys, text, "invalid [protocol] block: "
+                            "disclosed pulses exhaust the block")
+
     def test_eps_pe_above_one_half(self, tmp_path, capsys):
         assert_config_error(tmp_path, capsys,
                             shipped("fiber_fixed_loss.ini", "eps = 2^-33", "eps = 0.7"),
-                            "invalid [protocol] block: eps_pe must lie in (0, 0.5]")
+                            "[protocol] eps must be in (0, 1/2], got '0.7' "
+                            "(rule: protocol-range)")
         assert_config_error(tmp_path, capsys,
                             shipped("coverage.ini", "eps_pe = 0.01", "eps_pe = 0.7"),
-                            "invalid [coverage] block: eps_pe must lie in (0, 0.5]")
+                            "[coverage] eps_pe must be in (0, 1/2], got '0.7' "
+                            "(rule: run-range)")
 
 
 class TestPhysicsRange:
@@ -370,6 +380,84 @@ class TestPhysicsRange:
         scenario = resolve_scenario(text.replace("n_b = 0.019", "n_b = 0"))
         assert scenario.physics["eta_atm"] == 1.0
         assert scenario.physics["n_b"] == scenario.physics["n_other"] == 0.0
+
+
+def set_key(text: str, section: str, key: str, value: str) -> str:
+    """text with [section] key set to value, added if the section lacks it."""
+    head, tail = text.split(f"[{section}]\n")
+    body, sep, rest = tail.partition("\n[")
+    line = re.search(rf"^{key} = .*$", body, flags=re.MULTILINE)
+    body = body[:line.start()] + f"{key} = {value}" + body[line.end():] if line \
+        else f"{key} = {value}\n{body}"
+    return f"{head}[{section}]\n{body}{sep}{rest}"
+
+
+# per domain of the key table: values just outside it, then its inclusive edges
+DOMAIN_EDGES = {
+    "> 0": (("0", "-1e-9"), ()),
+    ">= 0": (("-1e-9",), ("0",)),
+    "> 1": (("1",), ()),
+    ">= 1": (("0",), ("1",)),
+    "in (0, 1]": (("0", "1.000001"), ("1",)),
+    "in (0, 1)": (("0", "1"), ()),
+    "in [0, 1)": (("-1e-9", "1"), ("0",)),
+    "in (0, 1/2]": (("0", "0.500001"), ("0.5",)),
+    "a power of two >= 2": (("1", "3", "48"), ("2",)),
+}
+RANGED = [entry for entry in _KEY_TABLE if entry[5] is not None]
+
+
+class TestKeyTable:
+    """Cases generated from the key table in config.py: a value just outside
+    an entry's domain exits 1 with no output and names the entry's rule; each
+    inclusive edge of the domain resolves."""
+
+    SHIPPED = ("fiber_fixed_loss.ini", "wireless_fixed.ini", "mobile.ini",
+               "microwave.ini", "coverage.ini")
+
+    @classmethod
+    def config(cls, section: str, key: str, channels, value: str) -> str:
+        """The first shipped config whose channel the key applies to and that
+        has the section, with the key set to value."""
+        for name in cls.SHIPPED:
+            text = (CONFIGS / name).read_text(encoding="utf-8")
+            if f"[{section}]" in text and resolve_scenario(text).channel in channels:
+                break
+        if key.startswith("eps_") and section == "protocol":
+            text = text.replace("eps = 2^-33", "\n".join(
+                f"{eps} = 2^-33" for eps in ("eps_pe", "eps_s", "eps_h", "eps_cor")))
+        return set_key(text, section, key, value)
+
+    def test_every_domain_has_cases(self):
+        assert set(DOMAIN_EDGES) == set(_DOMAINS)
+
+    @pytest.mark.parametrize("section, key, channels, domain, rule, value", [
+        pytest.param(*entry[:3], *entry[5:], value, id=f"{entry[0]}.{entry[1]}={value}")
+        for entry in RANGED for value in DOMAIN_EDGES[entry[5]][0]])
+    def test_outside_is_rejected(self, tmp_path, capsys, section, key, channels,
+                                 domain, rule, value):
+        assert_config_error(tmp_path, capsys,
+                            self.config(section, key, channels, value),
+                            f"[{section}] {key} must be {domain}, got '{value}' "
+                            f"(rule: {rule})")
+
+    @pytest.mark.parametrize("section, key, channels, value", [
+        pytest.param(*entry[:3], value, id=f"{entry[0]}.{entry[1]}={value}")
+        for entry in RANGED for value in DOMAIN_EDGES[entry[5]][1]])
+    def test_inclusive_edge_resolves(self, section, key, channels, value):
+        scenario = resolve_scenario(self.config(section, key, channels, value))
+        assert scenario.channel in channels
+
+
+class TestRuleList:
+    def test_readme_lists_exactly_the_rules(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("a message that names its rule")[1].split("\n\n")[1]
+        listed = re.findall(r"^- `([a-z-]+)`", block, flags=re.MULTILINE)
+        source = (ROOT / "src" / "cvqkd" / "config.py").read_text(encoding="utf-8")
+        literal = set(re.findall(r"\(rule: ([a-z-]+)\)", source))
+        table = {entry[6] for entry in _KEY_TABLE if entry[6] is not None}
+        assert sorted(listed) == sorted(table | literal)
 
 
 class TestPositiveModulation:

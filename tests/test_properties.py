@@ -1,10 +1,12 @@
 """Invariants of the rate rows over random valid fixed-loss and optical-fixed
 points: trust ordering, line-of-sight over standard security, composable
-below asymptotic, and fixed-loss rates that do not rise with loss. Also:
-arbitrary values in a config's [physics] and [protocol] keys resolve to a
-Scenario or fail with a ConfigError, never another exception."""
+below asymptotic, fixed-loss rates that do not rise with loss, and
+standard-security rates below the repeaterless ceiling. Also: arbitrary
+values in a config's [physics] and [protocol] keys resolve to a Scenario or
+fail with a ConfigError, never another exception, and a resolved config
+evaluates at some abscissa."""
 
-import re
+import math
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvqkd.cli import evaluate_rate_point
-from cvqkd.config import ConfigError, Scenario, resolve_scenario
+from cvqkd.config import _KEY_TABLE, ConfigError, Scenario, resolve_scenario
+from cvqkd.rates import ChannelPoint, SecurityType, TrustLevel, asymptotic_rate
+from test_cli import set_key
 
 TEMPLATE = """
 [scenario]
@@ -167,6 +171,48 @@ class TestFixedLossMonotone:
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+NOISE = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+CEILING = settings(derandomize=True, database=None, deadline=None,
+                   max_examples=300)
+
+
+class TestRepeaterlessCeiling:
+    """No standard-security rate exceeds the repeaterless capacity of the
+    channel that Eve controls (Pirandola et al., Nat. Commun. 8, 15043
+    (2017)): -log2(1 - eta_ch) for the pure-loss channel, which bounds every
+    thermal-loss channel of the same eta_ch, and plob_thermal_bound(tau, n_th)
+    for the microwave link. Line-of-sight rows are outside this ceiling by
+    design: that model gives Eve a leakage mode, not all the lost light, and
+    its rows do exceed the bound."""
+
+    @CEILING
+    @given(eta_ch=st.floats(1e-4, 1.0, exclude_max=True),
+           eta_eff=st.floats(0.05, 1.0), n_b=NOISE, n_ex=NOISE,
+           sigma_x2=st.floats(1e-2, 1e3), nu_det=st.sampled_from((1, 2)))
+    def test_standard_rate_below_pure_loss_capacity(self, eta_ch, eta_eff, n_b, n_ex,
+                                                    sigma_x2, nu_det):
+        ch = ChannelPoint(eta_ch=eta_ch, eta_eff=eta_eff, n_b=n_b, n_ex=n_ex,
+                          nu_det=nu_det, mu=1.0 + sigma_x2)
+        ceiling = -math.log2(1.0 - eta_ch)
+        for trust in TrustLevel:
+            assert asymptotic_rate(ch, trust, SecurityType.STANDARD, 1.0).rate <= ceiling
+
+    @CEILING
+    @given(protocol=st.sampled_from(("homodyne", "heterodyne")),
+           eta_eff=st.floats(0.05, 1.0), t=st.floats(1.0, 1e3), g=st.floats(1.0, 100.0),
+           sigma_x2=st.floats(1e-2, 1e3), z=st.floats(1e-3, 1.0))
+    def test_microwave_rate_below_plob(self, protocol, eta_eff, t, g, sigma_x2, z):
+        text = (CONFIGS / "microwave.ini").read_text(encoding="utf-8")
+        for section, key, value in (("scenario", "protocol", protocol),
+                                    ("physics", "eta_eff", eta_eff), ("physics", "t", t),
+                                    ("physics", "g", g), ("protocol", "mu", 1.0 + sigma_x2)):
+            text = set_key(text, section, key, str(value))
+        out = evaluate_rate_point(resolve_scenario(text), z, clamp=False)
+        assert out["reason"] == "", out["reason"]
+        if math.isfinite(out["plob"]):
+            assert out["rate_asym_raw"] <= out["plob"]
+
+
 FUZZ_EXAMPLES = 120  # per shipped config
 
 # numbers as floats, integers and base^exponent powers, or any text at all
@@ -177,30 +223,71 @@ VALUES = st.one_of(
         lambda power: f"{power[0]}^{power[1]}"),
     st.text(),
 )
+# values for [physics] and [protocol] keys of the key table, whether or not the
+# config holds them
+EDITS = st.tuples(*(st.dictionaries(
+    st.sampled_from([entry[1] for entry in _KEY_TABLE if entry[0] == section]),
+    VALUES, min_size=1) for section in ("physics", "protocol")))
 
 
-def section_keys(text: str, section: str) -> list:
-    body = text.split(f"[{section}]")[1].split("\n[")[0]
-    return re.findall(r"^(\w+) = ", body, flags=re.MULTILINE)
+# Reasons of the rate-kernel faults that TestKernelFaults pins
+KERNEL_FAULTS = ("ValueError: entropic_h domain error", "ValueError: math domain error",
+                 "ValueError: tau exceeds eta_eff")
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.ini")))
 class TestConfigFuzz:
+    """A config either fails with a ConfigError or gives rows that some
+    abscissa can evaluate: a resolved config whose [point] and both sweep ends
+    fail with the same ValueError holds a value that is invalid everywhere,
+    which is a config error (exit 1), not NaN rows (exit 2)."""
+
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=FUZZ_EXAMPLES)
-    @given(data=st.data())
-    def test_scenario_or_config_error(self, config, data):
-        text = (CONFIGS / config).read_text(encoding="utf-8")
-        for section in ("physics", "protocol"):
-            keys = data.draw(st.lists(st.sampled_from(section_keys(text, section)),
-                                      unique=True, min_size=1))
-            for key in keys:
-                head, tail = text.split(f"[{section}]")
-                line = re.search(rf"^{key} = .*$", tail, flags=re.MULTILINE)
-                tail = tail[:line.start()] + f"{key} = {data.draw(VALUES)}" \
-                    + tail[line.end():]
-                text = f"{head}[{section}]{tail}"
+    @given(edits=EDITS)
+    @example(edits=({"sigma_p": "0 mrad"}, {}))
+    @example(edits=({"w0": "0 mm"}, {}))
+    @example(edits=({"a_r": "-1 cm"}, {}))
+    def test_scenario_or_config_error(self, config, edits):
         try:
-            assert isinstance(resolve_scenario(text), Scenario)
+            scenario = resolve_scenario(edited(config, edits))
         except ConfigError:
-            pass
+            return
+        assert isinstance(scenario, Scenario)
+        reasons = rate_reasons(scenario)
+        if len(reasons) == 1:
+            reason = reasons.pop()
+            assert not reason.startswith("ValueError") or reason.startswith(KERNEL_FAULTS), \
+                reason
+
+
+def edited(config: str, edits: tuple) -> str:
+    """A shipped config with its [physics] and [protocol] keys set from the
+    two dicts of edits."""
+    text = (CONFIGS / config).read_text(encoding="utf-8")
+    for section, values in zip(("physics", "protocol"), edits):
+        for key, value in values.items():
+            text = set_key(text, section, key, value)
+    return text
+
+
+def rate_reasons(scenario: Scenario) -> set:
+    """Row reasons at the [point] and at both sweep ends."""
+    xs = (scenario.point[1],) + (scenario.sweep[1:3] if scenario.sweep else ())
+    return {evaluate_rate_point(scenario, x, clamp=False)["reason"] for x in xs}
+
+
+class TestKernelFaults:
+    """Resolved configs whose rows fail at every abscissa inside the rate
+    kernels, where no key domain can pre-empt the fault (FOUND lines in
+    CHANGES.md). Under huge setup noise the Holevo closed forms lose Eve's
+    conditional eigenvalues to cancellation, and once eta_eff < 1e-12 the
+    floor of tau' (1e-12) lies above tau, so eta_ch = tau' / eta_eff > 1."""
+
+    @pytest.mark.xfail(strict=True, reason="rate-kernel faults, see CHANGES.md")
+    @pytest.mark.parametrize("config, edits", [
+        ("fiber_fixed_loss.ini", ({"nep": "1 W/rtHz"}, {})),
+        ("wireless_general.ini", ({"nep": "1 W/rtHz"}, {"m": "1"})),
+        ("fiber_fixed_loss.ini", ({"eta_eff": "1e-13"}, {}))])
+    def test_some_abscissa_evaluates(self, config, edits):
+        assert "" in rate_reasons(resolve_scenario(edited(config, edits)))
