@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .channel import BeamConfig, microwave_best_range
-from .finite_size import ProtocolParams, total_epsilon
+from .finite_size import ProtocolParams, general_attack_extension, total_epsilon
 from .noise import (
     ReceiverOptics,
     SetupConfig,
@@ -197,7 +197,8 @@ _KEY_TABLE = (
     ("physics", "a_r", _FSO | _MW, _FSO | _MW, "quantity", "> 0", "geometry-range"),
     ("physics", "omega_fov", _FSO | _MW, _MW, "quantity", "> 0", "geometry-range"),
     ("physics", "dlambda", _FSO, _NONE, "quantity", "> 0", "geometry-range"),
-    ("physics", "sigma_p", _MOB, _MOB, "quantity", "> 0", "geometry-range"),
+    # required by the named rule mobile-requires-pointing-error in resolve_scenario
+    ("physics", "sigma_p", _MOB, _NONE, "quantity", "> 0", "geometry-range"),
     ("protocol", "n_total", _ALL, _ALL, "quantity", "> 0", "protocol-range"),
     ("protocol", "m", _ALL, _ALL, "quantity", "> 0", "protocol-range"),
     ("protocol", "m_pl", _ALL, _NONE, "quantity", ">= 0", "protocol-range"),
@@ -391,6 +392,11 @@ def resolve_scenario(text: str) -> Scenario:
     bins = protocol.pop("bins", 50)
     with _valid_block("protocol"):
         params = ProtocolParams(**protocol)
+        # block faults that every abscissa would meet: p_delta <= 1 only shrinks n
+        if attack == "general":
+            general_attack_extension(params, (params.mu - 1.0) / 2.0, total_epsilon(params))
+        elif params.n < 1.0:
+            raise ValueError("effective block length below one pulse")
         derived = {"nu_det": nu_det, "sigma_x2": params.mu - 1.0, "n": params.n,
                    "w": params.w, "eps_total": total_epsilon(params)}
 
@@ -425,10 +431,12 @@ def resolve_scenario(text: str) -> Scenario:
             raise ConfigError(f"[point] key for channel {channel!r} must be "
                               f"{expected!r} (rule: sweep-variable-mismatch)")
     runs = {name: _section(parser, name, channel) for name in ("simulate", "coverage")}
-    for name, run in runs.items():
-        if run is not None and nu_det * run["pulses"] < 2:
-            raise ConfigError(f"[{name}] nu * pulses = {nu_det} x {run['pulses']} is "
-                              "below 2 disclosed pairs (rule: min-disclosed-pairs)")
+    disclosed = [("protocol", "m", params.m)] + [
+        (name, "pulses", run["pulses"]) for name, run in runs.items() if run is not None]
+    for name, key, count in disclosed:
+        if nu_det * count < 2:
+            raise ConfigError(f"[{name}] nu * {key} = {nu_det} x {count} is below 2 "
+                              "disclosed pairs (rule: min-disclosed-pairs)")
 
     scenario = Scenario(channel=channel, nu_det=nu_det, lo_kind=lo_kind,
                         trust=trust, security=security, attack=attack,

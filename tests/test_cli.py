@@ -338,10 +338,24 @@ class TestInvalidPhysicsBlock:
         assert_config_error(tmp_path, capsys, text,
                             "invalid [physics] block: OverflowError")
 
-    def test_disclosed_pulses_exhaust_the_block(self, tmp_path, capsys):
-        text = shipped("fiber_fixed_loss.ini", "m = 1e6", "m = 1e7")
-        assert_config_error(tmp_path, capsys, text, "invalid [protocol] block: "
-                            "disclosed pulses exhaust the block")
+    # faults across [protocol] keys that every abscissa would meet
+    BLOCK_FAULTS = {
+        "disclosed_pulses": ("fiber_fixed_loss.ini", "m = 1e6", "m = 1e7",
+                             "disclosed pulses exhaust the block"),
+        "below_one_key_pulse": ("fiber_fixed_loss.ini", "m = 1e6", "m = 9999999.5",
+                                "effective block length below one pulse"),
+        "energy_test_too_short": ("wireless_general.ini", "n_total = 1e7\nm = 1e6",
+                                  "n_total = 1e3\nm = 10",
+                                  "energy-test failure probability too large"),
+        "general_epsilon_budget": ("wireless_general.ini", "eps = 1e-43", "eps = 0.45",
+                                   "eps must lie in (0, 1)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_FAULTS))
+    def test_fault_across_keys(self, tmp_path, capsys, case):
+        *edit, reason = self.BLOCK_FAULTS[case]
+        assert_config_error(tmp_path, capsys, shipped(*edit),
+                            f"invalid [protocol] block: {reason}")
 
     def test_eps_pe_above_one_half(self, tmp_path, capsys):
         assert_config_error(tmp_path, capsys,
@@ -572,9 +586,19 @@ class TestFiniteAbscissa:
 
 
 class TestDisclosedPairs:
-    """Rule min-disclosed-pairs: the estimators need nu * pulses >= 2."""
+    """Rule min-disclosed-pairs: the estimators need nu * m >= 2 and
+    nu * pulses >= 2."""
 
     HOMODYNE = fiber().replace("protocol = heterodyne", "protocol = homodyne")
+
+    def test_one_homodyne_disclosed_pulse_rejected(self, tmp_path, capsys):
+        text = self.HOMODYNE.replace("m = 1e6\n", "m = 1\n")
+        with pytest.raises(ConfigError, match=r"\[protocol\] nu \* m = 1 x 1\.0 .*"
+                                               "min-disclosed-pairs"):
+            resolve_scenario(text)
+        code, blob = run_cli(tmp_path, text, ["rate"])
+        assert (code, blob) == (1, b"")
+        assert "min-disclosed-pairs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, old", [
         ("coverage", "pulses = 2000\n"), ("simulate", "pulses = 20000\n")])
