@@ -152,8 +152,6 @@ class FadingModel:
     """
 
     sigma_p: float
-    w_z: float
-    aperture_radius: float
     eta: float        # tau at r = 0, receiver efficiency included
     eta_d: float      # diffraction-only part, tau(0) = eta_d * eta_atm * eta_eff
     gamma: float
@@ -183,8 +181,8 @@ class FadingModel:
             raise ValueError("fading fit undefined: ln(2 eta_d / (1 - Lambda_0)) <= 0")
         gamma = 4.0 * eta_far * lam1 / (1.0 - lam0) / log_term
         r0 = aperture_radius * log_term ** (-1.0 / gamma)
-        return cls(sigma_p=pointing_error * z, w_z=wz, aperture_radius=aperture_radius,
-                   eta=eta_d * eta_atm * eta_eff, eta_d=eta_d, gamma=gamma, r0=r0)
+        return cls(sigma_p=pointing_error * z, eta=eta_d * eta_atm * eta_eff,
+                   eta_d=eta_d, gamma=gamma, r0=r0)
 
 
 def pointing_tau_approx(r, fading: FadingModel):

@@ -299,14 +299,6 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
             "warnings": ";".join(warnings), "reason": ""}
 
 
-def evaluate_simulation(scenario: Scenario, x: float, seed: int,
-                        dump: str = None) -> dict:
-    """Monte Carlo block at abscissa x against its model values."""
-    columns = SIM_MOBILE_COLUMNS if scenario.channel == "optical-mobile" \
-        else SIM_COLUMNS
-    return _guarded_row(_simulation_row, columns, scenario, x, seed, dump)
-
-
 def _coverage_row(scenario: Scenario, x: float, seed: int) -> dict:
     from .simulate import sufficient_statistics_coverage
 
@@ -319,17 +311,6 @@ def _coverage_row(scenario: Scenario, x: float, seed: int) -> dict:
             "tau_low_rate": report.tau_low_rate,
             "tau_high_rate": report.tau_high_rate, "n_rate": report.n_rate,
             "warnings": ";".join(pt["warnings"]), "reason": ""}
-
-
-def evaluate_coverage(scenario: Scenario, x: float, seed: int) -> dict:
-    """Estimator-bound coverage experiment at abscissa x.
-
-    A fading channel is a configuration error, raised before evaluation.
-    """
-    if scenario.channel == "optical-mobile":
-        raise ConfigError("coverage applies to the constant-transmissivity "
-                          "channels")
-    return _guarded_row(_coverage_row, COVERAGE_COLUMNS, scenario, x, seed)
 
 
 def _sweep_grid(start: float, stop: float, points: int) -> list:
@@ -482,17 +463,20 @@ def main(argv=None) -> int:
             if scenario.simulate is None:
                 raise ConfigError("the simulate command needs a [simulate] "
                                   "section")
-            rows = [evaluate_simulation(scenario, _need_point(scenario),
-                                        args.seed, dump=args.dump)]
             base = SIM_MOBILE_COLUMNS if scenario.channel == "optical-mobile" \
                 else SIM_COLUMNS
+            rows = [_guarded_row(_simulation_row, base, scenario,
+                                 _need_point(scenario), args.seed, args.dump)]
         else:
             if scenario.coverage is None:
                 raise ConfigError("the coverage command needs a [coverage] "
                                   "section")
-            rows = [evaluate_coverage(scenario, _need_point(scenario),
-                                      args.seed)]
+            x = _need_point(scenario)
+            if scenario.channel == "optical-mobile":
+                raise ConfigError("coverage applies to the constant-transmissivity "
+                                  "channels")
             base = COVERAGE_COLUMNS
+            rows = [_guarded_row(_coverage_row, base, scenario, x, args.seed)]
         _emit(rows, base, scenario, args, args.command)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,10 +15,10 @@ Grammar (INI as read by configparser, one level of sections):
 Quantities accept a numeric part (float, inf, or base^exponent like 2^-33)
 followed by an optional unit suffix that scales to SI: nm um mm cm m km pm,
 Hz kHz MHz GHz, W mW uW, pW/rtHz, s ms us ns, sr, K, rad mrad urad, deg,
-deg2, dB (scale 1). One key table holds, for every key of every section but
-[scenario], the channels it applies to, the channels that require it, its
-parser and its domain with the rule a value outside it violates. Cross-field
-rules are checked in code. Every violation cites its rule by name.
+deg2, dB (scale 1). One key table holds, for every key of every section, the
+channels it applies to, the channels that require it, its parser and its
+domain with the rule a value outside it violates. Cross-field rules are
+checked in code. Every violation cites its rule by name.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ _QUANTITY_RE = re.compile(
 )
 _POWER_RE = re.compile(r"^(?P<base>[+-]?\d+(?:\.\d+)?)\^(?P<exp>[+-]?\d+(?:\.\d+)?)$")
 
-_TRUE = {"true", "yes", "on", "1"}
-_FALSE = {"false", "no", "off", "0"}
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
 
 CHANNELS = ("fixed-loss", "optical-fixed", "optical-mobile", "microwave")
 SWEEP_VARIABLE = {"fixed-loss": "loss_db", "optical-fixed": "distance",
@@ -92,25 +92,6 @@ def parse_quantity(text: str) -> float:
     if scale is None:
         raise ConfigError(f"unknown unit {unit!r} in {text!r}")
     return value * scale
-
-
-def parse_count(section: str, key: str, text: str) -> int:
-    """Parse an integer-valued quantity such as '32' or '1e6'; fractional or
-    non-finite values are rejected rather than truncated."""
-    value = parse_quantity(text)
-    if not math.isfinite(value) or value != math.floor(value):
-        raise ConfigError(f"[{section}] {key} must be an integer, got {text!r} "
-                          "(rule: integer-count)")
-    return int(value)
-
-
-def parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in _TRUE:
-        return True
-    if lowered in _FALSE:
-        return False
-    raise ConfigError(f"cannot parse boolean {text!r}")
 
 
 @dataclass(frozen=True)
@@ -165,8 +146,6 @@ class Scenario:
                            sigma_x2=self.sigma_x2, lo_kind=self.lo_kind)
 
 
-_SCENARIO_KEYS = {"channel", "protocol", "lo", "trust", "security", "attack"}
-
 _ALL = frozenset(CHANNELS)
 _OPT = _ALL - {"microwave"}
 _FSO = frozenset({"optical-fixed", "optical-mobile"})
@@ -174,11 +153,20 @@ _MOB = frozenset({"optical-mobile"})
 _MW = frozenset({"microwave"})
 _NONE = frozenset()
 
-# One entry per key of every section but [scenario]: (section, key, channels it
-# applies to, channels that require it, parser, domain, rule). A domain is the
-# range that the library guard it pre-empts accepts; a value outside it fails
-# under the entry's rule.
+# One entry per key of every section: (section, key, channels it applies to,
+# channels that require it, parser, domain, rule). A domain is the list of the
+# allowed choices or the range that the library guard it pre-empts accepts; a
+# value outside it fails under the entry's rule.
 _KEY_TABLE = (
+    ("scenario", "channel", _ALL, _ALL, "text", "one of " + ", ".join(CHANNELS),
+     "scenario-choice"),
+    ("scenario", "protocol", _ALL, _ALL, "text", "one of homodyne, heterodyne, hom, het",
+     "scenario-choice"),
+    ("scenario", "lo", _OPT, _OPT, "text", "one of tlo, llo", "scenario-choice"),
+    ("scenario", "trust", _ALL, _ALL, "text", "one of 1, 2, 3", "scenario-choice"),
+    ("scenario", "security", _ALL, _ALL, "text", "one of standard, los", "scenario-choice"),
+    ("scenario", "attack", _ALL, _ALL, "text", "one of collective, general",
+     "scenario-choice"),
     ("physics", "lambda", _ALL, _ALL, "quantity", "> 0", "physics-range"),
     ("physics", "eta_eff", _ALL, _ALL, "quantity", "in (0, 1]", "physics-range"),
     ("physics", "w", _OPT, _OPT, "quantity", "> 0", "physics-range"),
@@ -244,8 +232,43 @@ _DOMAINS = {
     "in (0, 1/2]": lambda v: 0.0 < v <= 0.5,
     "a power of two >= 2": lambda v: v >= 2 and not v & (v - 1),
 }
+# a choice domain "one of a, b, c" holds exactly the values it lists
+_DOMAINS.update(
+    {domain: frozenset(domain.removeprefix("one of ").split(", ")).__contains__
+     for *_, domain, _ in _KEY_TABLE if domain and domain.startswith("one of ")})
 # the rule a non-finite [physics]/[protocol] quantity or [sweep]/[point] abscissa breaks
 _FINITE = {"quantity": "(rule: finite-quantity)", "abscissa": "(rule: finite-abscissa)"}
+
+
+def _value(name: str, key: str, text: str):
+    """The [name] key's text read by the key table's parser and held to its
+    domain. A count is an integer-valued quantity such as '32' or '1e6';
+    fractional or non-finite counts are rejected rather than truncated."""
+    _, _, kind, domain, rule = _KEYS[name][key]
+    if kind == "text":
+        value = text.strip().lower()
+    elif kind == "bool":
+        value = _BOOLEANS.get(text.strip().lower())
+        if value is None:
+            raise ConfigError(f"[{name}] {key}: cannot parse boolean {text!r}")
+    else:
+        try:
+            value = parse_quantity(text)
+        except ConfigError as exc:
+            raise ConfigError(f"[{name}] {key}: {exc}") from exc
+        if kind == "count":
+            if not math.isfinite(value) or value != math.floor(value):
+                raise ConfigError(f"[{name}] {key} must be an integer, got {text!r} "
+                                  "(rule: integer-count)")
+            value = int(value)
+        # [simulate] and [coverage] domains are bounded and reject inf themselves
+        elif not math.isfinite(value) and name not in ("simulate", "coverage"):
+            raise ConfigError(f"[{name}] {key} must be finite, got {text!r} "
+                              + _FINITE[kind])
+    if domain is not None and not _DOMAINS[domain](value):
+        raise ConfigError(f"[{name}] {key} must be {domain}, got {text!r} "
+                          f"(rule: {rule})")
+    return value
 
 
 def _section(parser, name: str, channel: str) -> dict | None:
@@ -259,37 +282,13 @@ def _section(parser, name: str, channel: str) -> dict | None:
     for key, text in parser.items(name):
         if key not in keys:
             raise ConfigError(f"unknown key {key!r} in [{name}]")
-        channels, _, kind, domain, rule = keys[key]
-        if channel not in channels:
+        if channel not in keys[key][0]:
             raise ConfigError(f"[{name}] {key} does not apply to the {channel} channel")
-        if kind == "count":
-            value = parse_count(name, key, text)
-        elif kind == "bool":
-            value = parse_bool(text)
-        elif kind == "text":
-            value = text.strip().lower()
-        else:
-            value = parse_quantity(text)
-            # [simulate] and [coverage] domains are bounded and reject inf themselves
-            if not math.isfinite(value) and name not in ("simulate", "coverage"):
-                raise ConfigError(f"[{name}] {key} must be finite, got {text!r} "
-                                  + _FINITE[kind])
-        if domain is not None and not _DOMAINS[domain](value):
-            raise ConfigError(f"[{name}] {key} must be {domain}, got {text!r} "
-                              f"(rule: {rule})")
-        values[key] = value
+        values[key] = _value(name, key, text)
     for key in _REQUIRED[name, channel]:
         if key not in values:
             raise ConfigError(f"missing key {key!r} in [{name}]")
     return values
-
-
-def _choice(section: str, key: str, value: str, allowed) -> str:
-    lowered = value.strip().lower()
-    if lowered not in allowed:
-        raise ConfigError(
-            f"[{section}] {key} must be one of {sorted(allowed)}, got {value!r}")
-    return lowered
 
 
 @contextmanager
@@ -315,39 +314,21 @@ def resolve_scenario(text: str) -> Scenario:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
-    unknown_sections = sorted(set(parser.sections()) - _KEYS.keys() - {"scenario"})
+    unknown_sections = sorted(set(parser.sections()) - _KEYS.keys())
     if unknown_sections:
         raise ConfigError(f"unknown section [{unknown_sections[0]}]")
     for name in ("scenario", "physics", "protocol"):
         if not parser.has_section(name):
             raise ConfigError(f"missing section [{name}]")
 
-    scen = dict(parser.items("scenario"))
-    unknown = sorted(scen.keys() - _SCENARIO_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in [scenario]")
-    for key in ("attack", "channel", "protocol", "security", "trust"):
-        if key not in scen:
-            raise ConfigError(f"missing key {key!r} in [scenario]")
-    channel = _choice("scenario", "channel", scen["channel"], CHANNELS)
-    detection = _choice("scenario", "protocol", scen["protocol"],
-                        {"homodyne", "heterodyne", "hom", "het"})
-    nu_det = 1 if detection.startswith("hom") else 2
-    trust_text = scen["trust"].strip()
-    if trust_text not in {"1", "2", "3"}:
-        raise ConfigError(f"[scenario] trust must be 1, 2 or 3, got {trust_text!r}")
-    trust = int(trust_text)
-    security = _choice("scenario", "security", scen["security"],
-                       {"standard", "los"})
-    attack = _choice("scenario", "attack", scen["attack"],
-                     {"collective", "general"})
-    lo_kind = None
-    if channel != "microwave":
-        if "lo" not in scen:
-            raise ConfigError("missing key 'lo' in [scenario]")
-        lo_kind = _choice("scenario", "lo", scen["lo"], {"llo", "tlo"})
-    elif "lo" in scen:
-        raise ConfigError("[scenario] lo does not apply to the microwave channel")
+    # the channel first: every other key's channel set is checked against it
+    if not parser.has_option("scenario", "channel"):
+        raise ConfigError("missing key 'channel' in [scenario]")
+    channel = _value("scenario", "channel", parser.get("scenario", "channel"))
+    scen = _section(parser, "scenario", channel)
+    nu_det = 1 if scen["protocol"].startswith("hom") else 2
+    trust, security, attack = int(scen["trust"]), scen["security"], scen["attack"]
+    lo_kind = scen.get("lo")
 
     # cross-field rules, named so error messages cite them
     if security == "los" and trust == 3:

@@ -84,13 +84,10 @@ class ReceiverOptics:
     aperture_radius: float
     fov: float
     spectral_filter: float
-    eta_eff: float = 1.0
 
     def __post_init__(self):
         if self.aperture_radius <= 0.0 or self.fov <= 0.0 or self.spectral_filter <= 0.0:
             raise ValueError("aperture, field of view and filter width must be positive")
-        if not 0.0 < self.eta_eff <= 1.0:
-            raise ValueError("eta_eff must lie in (0, 1]")
 
 
 def theta_el(cfg: SetupConfig) -> float:

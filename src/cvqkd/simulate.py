@@ -63,8 +63,6 @@ class SimBlock:
     x: np.ndarray
     y: np.ndarray
     nu_det: int
-    sigma_x2: float
-    seed: int
     tau_samples: np.ndarray = None
     bins: np.ndarray = None
     pilot_mask: np.ndarray = None
@@ -100,7 +98,7 @@ def simulate_block(tau: float, nbar: float, nu_det: int, sigma_x2: float,
     x = _chunked_normals(seed, 0, math.sqrt(sigma_x2), pairs)
     y = _chunked_normals(seed, 1 << 40, math.sqrt(2.0 * nbar + nu_det), pairs,
                          math.sqrt(tau), x)
-    return SimBlock(x=x, y=y, nu_det=nu_det, sigma_x2=sigma_x2, seed=seed)
+    return SimBlock(x=x, y=y, nu_det=nu_det)
 
 
 def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
@@ -137,8 +135,8 @@ def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
     if pilot_rate > 0.0:
         pilot_pulse = stream_rng(seed, 3 << 40).random(pulses) < pilot_rate
         pilot_mask = np.repeat(pilot_pulse, nu_det)
-    return SimBlock(x=x, y=y, nu_det=nu_det, sigma_x2=sigma_x2, seed=seed,
-                    tau_samples=tau_pair, pilot_mask=pilot_mask)
+    return SimBlock(x=x, y=y, nu_det=nu_det, tau_samples=tau_pair,
+                    pilot_mask=pilot_mask)
 
 
 def defade_block(block: SimBlock, lattice: FadingLattice, seed: int) -> SimBlock:
@@ -161,7 +159,6 @@ def defade_block(block: SimBlock, lattice: FadingLattice, seed: int) -> SimBlock
     y_tilde = np.sqrt(ratio) * block.y[keep] + np.sqrt(1.0 - ratio) * xi
     pilot = None if block.pilot_mask is None else block.pilot_mask[keep]
     return SimBlock(x=block.x[keep], y=y_tilde, nu_det=block.nu_det,
-                    sigma_x2=block.sigma_x2, seed=block.seed,
                     tau_samples=np.full(int(keep.sum()), lattice.tau_min),
                     bins=bins[keep], pilot_mask=pilot)
 

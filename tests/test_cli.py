@@ -31,7 +31,14 @@ from cvqkd.cli import (
     scenario_echo,
     scenario_hash,
 )
-from cvqkd.config import _DOMAINS, _KEY_TABLE, ConfigError, parse_quantity, resolve_scenario
+from cvqkd.config import (
+    _DOMAINS,
+    _KEY_TABLE,
+    CHANNELS,
+    ConfigError,
+    parse_quantity,
+    resolve_scenario,
+)
 from cvqkd.finite_size import _workers
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -417,8 +424,19 @@ DOMAIN_EDGES = {
     "in [0, 1)": (("-1e-9", "1"), ("0",)),
     "in (0, 1/2]": (("0", "0.500001"), ("0.5",)),
     "a power of two >= 2": (("1", "3", "48"), ("2",)),
+    # [scenario] choices: values outside the list, then every listed value
+    # (and one in upper case)
+    "one of fixed-loss, optical-fixed, optical-mobile, microwave": (
+        ("fiber", "free-space"), ("fixed-loss", "optical-fixed", "optical-mobile", "microwave")),
+    "one of homodyne, heterodyne, hom, het": (
+        ("both", "homo"), ("homodyne", "heterodyne", "hom", "het", "HET")),
+    "one of tlo, llo": (("lo", "both"), ("tlo", "llo")),
+    "one of 1, 2, 3": (("0", "4", "1.0"), ("1", "2", "3")),
+    "one of standard, los": (("both", "nlos"), ("standard", "los")),
+    "one of collective, general": (("both", "coherent"), ("collective", "general")),
 }
 RANGED = [entry for entry in _KEY_TABLE if entry[5] is not None]
+CHOICES = [entry for entry in RANGED if entry[6] == "scenario-choice"]
 
 
 class TestKeyTable:
@@ -428,12 +446,21 @@ class TestKeyTable:
 
     SHIPPED = ("fiber_fixed_loss.ini", "wireless_fixed.ini", "mobile.ini",
                "microwave.ini", "coverage.ini")
+    # shipped configs for the [scenario] choices that the cross-field rules of
+    # the first shipped config refuse
+    HOSTS = {("channel", "optical-fixed"): "wireless_fixed.ini",
+             ("channel", "optical-mobile"): "mobile.ini",
+             ("channel", "microwave"): "microwave.ini",
+             ("security", "los"): "mobile.ini",
+             ("attack", "general"): "wireless_general.ini"}
 
     @classmethod
     def config(cls, section: str, key: str, channels, value: str) -> str:
-        """The first shipped config whose channel the key applies to and that
-        has the section, with the key set to value."""
-        for name in cls.SHIPPED:
+        """The key's host config, or else the first shipped config whose
+        channel the key applies to and that has the section, with the key set
+        to value."""
+        host = cls.HOSTS.get((key, value))
+        for name in (host,) if host else cls.SHIPPED:
             text = (CONFIGS / name).read_text(encoding="utf-8")
             if f"[{section}]" in text and resolve_scenario(text).channel in channels:
                 break
@@ -443,7 +470,7 @@ class TestKeyTable:
         return set_key(text, section, key, value)
 
     def test_every_domain_has_cases(self):
-        assert set(DOMAIN_EDGES) == set(_DOMAINS)
+        assert set(DOMAIN_EDGES) == set(_DOMAINS) | {entry[5] for entry in RANGED}
 
     @pytest.mark.parametrize("section, key, channels, domain, rule, value", [
         pytest.param(*entry[:3], *entry[5:], value, id=f"{entry[0]}.{entry[1]}={value}")
@@ -461,6 +488,31 @@ class TestKeyTable:
     def test_inclusive_edge_resolves(self, section, key, channels, value):
         scenario = resolve_scenario(self.config(section, key, channels, value))
         assert scenario.channel in channels
+
+    @pytest.mark.parametrize("key, value", [
+        pytest.param(entry[1], value, id=f"{entry[1]}={value}")
+        for entry in CHOICES for value in DOMAIN_EDGES[entry[5]][1]])
+    def test_choice_reaches_the_scenario(self, key, value):
+        s = resolve_scenario(self.config("scenario", key, CHANNELS, value))
+        held = {"channel": s.channel, "protocol": {1: "hom", 2: "het"}[s.nu_det],
+                "lo": s.lo_kind, "trust": str(s.trust), "security": s.security,
+                "attack": s.attack}[key]
+        assert held == (value.lower()[:3] if key == "protocol" else value)
+
+
+class TestUnreadableValue:
+    """A value that its key's parser cannot read fails with a message that
+    starts with its section and key."""
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("nep = 6 pW/rtHz", "nep = abc", "[physics] nep: cannot parse quantity 'abc'"),
+        ("mu = 10\n", "mu = 10\nimproved_aep = maybe\n",
+         "[protocol] improved_aep: cannot parse boolean 'maybe'"),
+        ("d = 32", "d = abc", "[protocol] d: cannot parse quantity 'abc'"),
+    ])
+    def test_message_names_the_key(self, tmp_path, capsys, old, new, message):
+        assert_config_error(tmp_path, capsys, shipped("fiber_fixed_loss.ini", old, new),
+                            f"error: {message}\n")
 
 
 class TestRuleList:
