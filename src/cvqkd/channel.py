@@ -9,19 +9,17 @@ matching the convention tau(0) = eta = eta_d * eta_atm * eta_eff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from . import Record
 
 
-@dataclass(frozen=True)
-class BeamConfig:
+class BeamConfig(Record):
     """Collimated Gaussian beam leaving Alice's telescope."""
 
-    wavelength: float
-    waist: float
-
-    def __post_init__(self):
-        if self.wavelength <= 0.0 or self.waist <= 0.0:
+    def __init__(self, wavelength: float, waist: float):
+        if wavelength <= 0.0 or waist <= 0.0:
             raise ValueError("wavelength and waist must be positive")
+        self.__dict__.update(wavelength=wavelength, waist=waist)
 
     @property
     def rayleigh_range(self) -> float:
@@ -141,21 +139,21 @@ def _scaled_bessel_i01(x: float) -> tuple:
     return s0 * scale, s1 * scale
 
 
-@dataclass(frozen=True)
-class FadingModel:
+class FadingModel(Record):
     """Weibull-shaped fading of a wandering Gaussian beam on an aperture.
 
     The instantaneous transmissivity is approximated by
     tau(r) = eta * exp[-(r / r0)^gamma], with shape gamma and scale r0 from
     the far-field parameter of the beam/aperture pair, and the deflection
-    radius r Weibull-distributed with scale sigma_p.
+    radius r Weibull-distributed with scale sigma_p. eta is tau at r = 0,
+    receiver efficiency included; eta_d its diffraction-only part,
+    eta = eta_d * eta_atm * eta_eff.
     """
 
-    sigma_p: float
-    eta: float        # tau at r = 0, receiver efficiency included
-    eta_d: float      # diffraction-only part, tau(0) = eta_d * eta_atm * eta_eff
-    gamma: float
-    r0: float
+    def __init__(self, sigma_p: float, eta: float, eta_d: float, gamma: float,
+                 r0: float):
+        self.__dict__.update(sigma_p=sigma_p, eta=eta, eta_d=eta_d, gamma=gamma,
+                             r0=r0)
 
     @classmethod
     def from_geometry(cls, beam: BeamConfig, z: float, aperture_radius: float,

@@ -14,7 +14,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
 from numbers import Integral
 
 from . import __version__
@@ -70,12 +69,16 @@ ABSCISSA = {channel: {"loss_db": "loss_db", "distance": "distance_m",
 
 
 def scenario_echo(scenario: Scenario) -> dict:
+    prm = scenario.params
     echo = {"channel": scenario.channel, "nu_det": scenario.nu_det,
             "lo": scenario.lo_kind, "trust": scenario.trust,
             "security": scenario.security, "attack": scenario.attack,
             "improved_aep": scenario.improved_aep,
             "physics": dict(sorted(scenario.physics.items())),
-            "protocol": asdict(scenario.params),
+            "protocol": {"n_total": prm.n_total, "m": prm.m, "beta": prm.beta,
+                         "p_ec": prm.p_ec, "eps_pe": prm.eps_pe, "eps_s": prm.eps_s,
+                         "eps_h": prm.eps_h, "eps_cor": prm.eps_cor, "mu": prm.mu,
+                         "d": prm.d, "m_pl": prm.m_pl, "f_et": prm.f_et},
             "derived": dict(sorted(scenario.derived.items()))}
     if scenario.channel == "optical-mobile":
         echo["f_th"] = scenario.f_th
@@ -307,7 +310,10 @@ def _coverage_row(scenario: Scenario, x: float, seed: int) -> dict:
     report = sufficient_statistics_coverage(
         pt["tau"], pt["nbar"], scenario.nu_det, scenario.sigma_x2,
         cov["pulses"], cov["rounds"], cov["eps_pe"], seed)
-    return {**asdict(report), "pulses": cov["pulses"],
+    return {"rounds": report.rounds, "eps_pe": report.eps_pe, "w": report.w,
+            "tau_low_failures": report.tau_low_failures,
+            "tau_high_failures": report.tau_high_failures,
+            "n_failures": report.n_failures, "pulses": cov["pulses"],
             "tau_low_rate": report.tau_low_rate,
             "tau_high_rate": report.tau_high_rate, "n_rate": report.n_rate,
             "warnings": ";".join(pt["warnings"]), "reason": ""}

@@ -28,9 +28,9 @@ import io
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import Record
 from .channel import BeamConfig, microwave_best_range
 from .finite_size import ProtocolParams, general_attack_extension, total_epsilon
 from .noise import (
@@ -94,8 +94,7 @@ def parse_quantity(text: str) -> float:
     return value * scale
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """Fully resolved scenario: validated choices, SI physics, protocol block.
 
     derived echoes the scenario-level quantities computed during resolution
@@ -104,22 +103,19 @@ class Scenario:
     security enums and the optical beam are built on first use, once.
     """
 
-    channel: str
-    nu_det: int
-    lo_kind: str | None
-    trust: int
-    security: str
-    attack: str
-    physics: dict
-    params: ProtocolParams
-    improved_aep: bool
-    f_th: float
-    bins: int
-    sweep: tuple | None = None        # (variable, start, stop, points)
-    point: tuple | None = None        # (variable, value)
-    simulate: dict | None = None
-    coverage: dict | None = None
-    derived: dict = field(default_factory=dict)
+    def __init__(self, channel: str, nu_det: int, lo_kind: str | None, trust: int,
+                 security: str, attack: str, physics: dict, params: ProtocolParams,
+                 improved_aep: bool, f_th: float, bins: int,
+                 sweep: tuple | None = None,    # (variable, start, stop, points)
+                 point: tuple | None = None,    # (variable, value)
+                 simulate: dict | None = None, coverage: dict | None = None,
+                 derived: dict | None = None):
+        self.__dict__.update(
+            channel=channel, nu_det=nu_det, lo_kind=lo_kind, trust=trust,
+            security=security, attack=attack, physics=physics, params=params,
+            improved_aep=improved_aep, f_th=f_th, bins=bins, sweep=sweep,
+            point=point, simulate=simulate, coverage=coverage,
+            derived={} if derived is None else derived)
 
     @property
     def sigma_x2(self) -> float:
@@ -356,7 +352,8 @@ def resolve_scenario(text: str) -> Scenario:
     if "eps" in protocol:
         clash = [key for key in epsilons if key in protocol]
         if clash:
-            raise ConfigError(f"[protocol] eps conflicts with {clash[0]}")
+            raise ConfigError(f"[protocol] eps conflicts with {clash[0]} "
+                              "(rule: eps-exclusive)")
         protocol.update(dict.fromkeys(epsilons, protocol.pop("eps")))
     missing = [key for key in epsilons if key not in protocol]
     if missing:
@@ -386,7 +383,8 @@ def resolve_scenario(text: str) -> Scenario:
         needed = {"omega_fov", "dlambda", "b_sky"}
         if not needed <= set(physics):
             raise ConfigError("optical channels need n_b or all of omega_fov, "
-                              "dlambda, b_sky to derive it")
+                              "dlambda, b_sky to derive it "
+                              "(rule: optical-background-source)")
         with _valid_block("physics"):
             optics = ReceiverOptics(aperture_radius=physics["a_r"],
                                     fov=physics["omega_fov"],
@@ -401,12 +399,13 @@ def resolve_scenario(text: str) -> Scenario:
             raise ConfigError(f"[sweep] variable for channel {channel!r} must be "
                               f"{expected!r} (rule: sweep-variable-mismatch)")
         if sweep["stop"] < sweep["start"]:
-            raise ConfigError("[sweep] stop must be >= start")
+            raise ConfigError("[sweep] stop must be >= start (rule: sweep-order)")
         sweep = (expected, sweep["start"], sweep["stop"], sweep["points"])
     point = _section(parser, "point", channel)
     if point is not None:
         if len(point) != 1:
-            raise ConfigError("[point] must hold exactly one abscissa key")
+            raise ConfigError("[point] must hold exactly one abscissa key "
+                              "(rule: one-point-abscissa)")
         (point,) = point.items()
         if point[0] != expected:
             raise ConfigError(f"[point] key for channel {channel!r} must be "

@@ -11,19 +11,23 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from statistics import NormalDist
 
+from . import Record
 from .channel import FadingModel, fading_probability
 from .noise import setup_noise_from_thetas
+
+try:  # the C kernel of statistics.NormalDist.inv_cdf, without statistics
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:
+    from statistics import _normal_dist_inv_cdf
 
 # Below this the Gaussian tail bound w = sqrt(2 ln(1/eps)) replaces the
 # normal quantile.
 ERFINV_FLOOR = 1e-17
 
-# Worst-case transmissivities are floored here instead of zero so downstream
-# channel points stay constructible.
+# Worst-case transmissivities are floored here (or at tau, if tau is lower)
+# instead of zero so downstream channel points stay constructible.
 TAU_FLOOR = 1e-12
 
 # mobile_worst_case rejects a post-selection window less likely than this.
@@ -40,12 +44,11 @@ def confidence_w(eps_pe: float) -> float:
     if not 0.0 < eps_pe <= 0.5:
         raise ValueError("eps_pe must lie in (0, 0.5]")
     if eps_pe > ERFINV_FLOOR:
-        return 0.0 - NormalDist().inv_cdf(eps_pe)  # +0.0, not -0.0, at 1/2
+        return 0.0 - _normal_dist_inv_cdf(eps_pe, 0.0, 1.0)  # +0.0, not -0.0, at 1/2
     return math.sqrt(2.0 * math.log(1.0 / eps_pe))
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
+class ProtocolParams(Record):
     """Block bookkeeping and epsilon budget of one protocol run.
 
     n_total is the number of transmitted pulses N; m of them are disclosed
@@ -54,20 +57,12 @@ class ProtocolParams:
     n = (N - m - m_pl) / (1 + f_et); otherwise n = N - m - m_pl.
     """
 
-    n_total: float
-    m: float
-    beta: float
-    p_ec: float
-    eps_pe: float
-    eps_s: float
-    eps_h: float
-    eps_cor: float
-    mu: float
-    d: int = 32
-    m_pl: float = 0.0
-    f_et: float = 0.0
-
-    def __post_init__(self):
+    def __init__(self, n_total: float, m: float, beta: float, p_ec: float,
+                 eps_pe: float, eps_s: float, eps_h: float, eps_cor: float,
+                 mu: float, d: int = 32, m_pl: float = 0.0, f_et: float = 0.0):
+        self.__dict__.update(n_total=n_total, m=m, beta=beta, p_ec=p_ec,
+                             eps_pe=eps_pe, eps_s=eps_s, eps_h=eps_h,
+                             eps_cor=eps_cor, mu=mu, d=d, m_pl=m_pl, f_et=f_et)
         if self.n_total <= 0 or self.m <= 0 or self.m_pl < 0:
             raise ValueError("pulse counts must be positive (m_pl non-negative)")
         if self.m + self.m_pl >= self.n_total:
@@ -108,15 +103,13 @@ def total_epsilon(params: ProtocolParams) -> float:
 
 # --- empirical and worst-case channel estimators ---------------------------
 
-@dataclass(frozen=True)
-class EstimatorSnapshot:
+class EstimatorSnapshot(Record):
     """Point estimates from m_p disclosed pairs."""
 
-    t_hat: float
-    sigma_z2_hat: float
-    tau_hat: float
-    n_hat: float
-    m_p: int
+    def __init__(self, t_hat: float, sigma_z2_hat: float, tau_hat: float,
+                 n_hat: float, m_p: int):
+        self.__dict__.update(t_hat=t_hat, sigma_z2_hat=sigma_z2_hat,
+                             tau_hat=tau_hat, n_hat=n_hat, m_p=m_p)
 
 
 CHUNK = 1 << 18  # pairs per Monte Carlo chunk
@@ -174,15 +167,13 @@ def empirical_estimators(x, y, nu_det: int) -> EstimatorSnapshot:
                              m_p=x.size)
 
 
-@dataclass(frozen=True)
-class EstimatorSet:
+class EstimatorSet(Record):
     """Worst-case channel estimates at confidence w."""
 
-    tau_lo: float
-    tau_hi: float
-    n_hi: float
-    n_lo: float
-    warnings: tuple = ()
+    def __init__(self, tau_lo: float, tau_hi: float, n_hi: float, n_lo: float,
+                 warnings: tuple = ()):
+        self.__dict__.update(tau_lo=tau_lo, tau_hi=tau_hi, n_hi=n_hi, n_lo=n_lo,
+                             warnings=warnings)
 
 
 def worst_case_estimators(tau: float, nbar: float, sigma_x2: float, sigma_z2: float,
@@ -193,7 +184,7 @@ def worst_case_estimators(tau: float, nbar: float, sigma_x2: float, sigma_z2: fl
     tau'' its mirror image upward (capped at 1), nbar' = nbar + shift and
     nbar'' = max(nbar - shift, 0) with shift = w sigma_z^2 / sqrt(2 m_p).
     sigma_z2 may be the measured residual variance or the model value
-    2 nbar + nu_det. tau' is floored at TAU_FLOOR with a warning.
+    2 nbar + nu_det. tau' is floored at min(TAU_FLOOR, tau) with a warning.
 
     This is the one estimation law of every channel: the constant links
     pass the model point with m_p = nu_det m, and the mobile window its
@@ -204,9 +195,10 @@ def worst_case_estimators(tau: float, nbar: float, sigma_x2: float, sigma_z2: fl
     margin = 2.0 * w * math.sqrt((2.0 * tau * tau + tau * sigma_z2 / sigma_x2) / m_p)
     tau_lo = tau - margin
     warnings = ()
-    if tau_lo <= TAU_FLOOR:
+    floor = min(TAU_FLOOR, tau)
+    if tau_lo <= floor:
         warnings = ("tau_lo_floored",)
-        tau_lo = TAU_FLOOR
+        tau_lo = floor
     shift = w * sigma_z2 / math.sqrt(2.0 * m_p)
     return EstimatorSet(tau_lo=tau_lo, tau_hi=min(tau + margin, 1.0),
                         n_hi=nbar + shift, n_lo=max(nbar - shift, 0.0),
@@ -274,19 +266,15 @@ def composable_rate(r_pe: float, params: ProtocolParams, p_delta: float = 1.0,
             * (r_pe - aep / math.sqrt(n_eff) + theta / n_eff))
 
 
-@dataclass(frozen=True)
-class GeneralAttackTerms:
+class GeneralAttackTerms(Record):
     """Dimension-cutoff bookkeeping for reduction to general attacks."""
 
-    n: float
-    n_eff: float
-    m_et: float
-    d_et: float
-    c_et: float
-    theta_test: float
-    k_cutoff: float
-    phi: float
-    eps_prime: float
+    def __init__(self, n: float, n_eff: float, m_et: float, d_et: float,
+                 c_et: float, theta_test: float, k_cutoff: float, phi: float,
+                 eps_prime: float):
+        self.__dict__.update(n=n, n_eff=n_eff, m_et=m_et, d_et=d_et, c_et=c_et,
+                             theta_test=theta_test, k_cutoff=k_cutoff, phi=phi,
+                             eps_prime=eps_prime)
 
 
 def energy_test_threshold(n_transmit: float, m_et: float) -> tuple:
@@ -365,19 +353,15 @@ def composable_rate_general(r_pe: float, params: ProtocolParams,
 
 # --- mobile fading worst case ------------------------------------------------
 
-@dataclass(frozen=True)
-class FadingLattice:
+class FadingLattice(Record):
     """Post-selection window [tau_min, tau_max] split into M left-closed bins."""
 
-    tau_min: float
-    tau_max: float
-    bins: int
-
-    def __post_init__(self):
-        if not 0.0 < self.tau_min < self.tau_max <= 1.0:
+    def __init__(self, tau_min: float, tau_max: float, bins: int):
+        if not 0.0 < tau_min < tau_max <= 1.0:
             raise ValueError("need 0 < tau_min < tau_max <= 1")
-        if self.bins < 1:
+        if bins < 1:
             raise ValueError("at least one bin required")
+        self.__dict__.update(tau_min=tau_min, tau_max=tau_max, bins=bins)
 
     @property
     def edges(self):
@@ -401,8 +385,7 @@ class FadingLattice:
         return idx
 
 
-@dataclass(frozen=True)
-class FadingEstimatorSet:
+class FadingEstimatorSet(Record):
     """Worst-case bounds for a post-selected fading channel.
 
     The per-bin figures, which only the simulator reads, are computed on
@@ -411,18 +394,14 @@ class FadingEstimatorSet:
     the noise photons of the link at transmissivity tau.
     """
 
-    lattice: FadingLattice
-    fading: FadingModel
-    noise: Callable
-    p_delta: float
-    n_ex_wc: float
-    n_wc: float
-    m_delta: float
-    tau_lb: float
-    n_ub: float
-    n_ex_bc: float
-    n_b_ub: float
-    warnings: tuple = ()
+    def __init__(self, lattice: FadingLattice, fading: FadingModel,
+                 noise: Callable, p_delta: float, n_ex_wc: float, n_wc: float,
+                 m_delta: float, tau_lb: float, n_ub: float, n_ex_bc: float,
+                 n_b_ub: float, warnings: tuple = ()):
+        self.__dict__.update(lattice=lattice, fading=fading, noise=noise,
+                             p_delta=p_delta, n_ex_wc=n_ex_wc, n_wc=n_wc,
+                             m_delta=m_delta, tau_lb=tau_lb, n_ub=n_ub,
+                             n_ex_bc=n_ex_bc, n_b_ub=n_b_ub, warnings=warnings)
 
     @cached_property
     def bin_probabilities(self):

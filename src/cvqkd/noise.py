@@ -8,7 +8,8 @@ xi = 2*nbar/tau.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from . import Record
 
 # Exact by definition in the 2019 SI (speed of light in m/s, Planck constant
 # in J s, Boltzmann constant in J/K).
@@ -19,8 +20,7 @@ BOLTZMANN = 1.380649e-23
 LO_KINDS = ("tlo", "llo")
 
 
-@dataclass(frozen=True)
-class SetupConfig:
+class SetupConfig(Record):
     """Detection-chain parameters for an optical receiver.
 
     Parameters
@@ -47,29 +47,25 @@ class SetupConfig:
         "tlo" (transmitted LO) or "llo" (local LO regenerated at Bob).
     """
 
-    wavelength: float
-    detector_bandwidth: float
-    nep: float
-    lo_power: float
-    lo_pulse_duration: float
-    linewidth: float
-    clock: float
-    nu_det: int
-    sigma_x2: float
-    lo_kind: str = "llo"
-
-    def __post_init__(self):
+    def __init__(self, wavelength: float, detector_bandwidth: float, nep: float,
+                 lo_power: float, lo_pulse_duration: float, linewidth: float,
+                 clock: float, nu_det: int, sigma_x2: float, lo_kind: str = "llo"):
+        self.__dict__.update(
+            wavelength=wavelength, detector_bandwidth=detector_bandwidth, nep=nep,
+            lo_power=lo_power, lo_pulse_duration=lo_pulse_duration,
+            linewidth=linewidth, clock=clock, nu_det=nu_det, sigma_x2=sigma_x2,
+            lo_kind=lo_kind)
         for name in ("wavelength", "detector_bandwidth", "nep", "lo_power",
                      "lo_pulse_duration", "clock"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.linewidth < 0.0:
+        if linewidth < 0.0:
             raise ValueError("linewidth must be non-negative")
-        if self.nu_det not in (1, 2):
+        if nu_det not in (1, 2):
             raise ValueError("nu_det must be 1 (homodyne) or 2 (heterodyne)")
-        if self.sigma_x2 < 0.0:
+        if sigma_x2 < 0.0:
             raise ValueError("sigma_x2 must be non-negative")
-        if self.lo_kind not in LO_KINDS:
+        if lo_kind not in LO_KINDS:
             raise ValueError(f"lo_kind must be one of {LO_KINDS}")
 
     @property
@@ -77,17 +73,14 @@ class SetupConfig:
         return SPEED_OF_LIGHT / self.wavelength
 
 
-@dataclass(frozen=True)
-class ReceiverOptics:
+class ReceiverOptics(Record):
     """Collection optics of the receiver telescope."""
 
-    aperture_radius: float
-    fov: float
-    spectral_filter: float
-
-    def __post_init__(self):
-        if self.aperture_radius <= 0.0 or self.fov <= 0.0 or self.spectral_filter <= 0.0:
+    def __init__(self, aperture_radius: float, fov: float, spectral_filter: float):
+        if aperture_radius <= 0.0 or fov <= 0.0 or spectral_filter <= 0.0:
             raise ValueError("aperture, field of view and filter width must be positive")
+        self.__dict__.update(aperture_radius=aperture_radius, fov=fov,
+                             spectral_filter=spectral_filter)
 
 
 def theta_el(cfg: SetupConfig) -> float:

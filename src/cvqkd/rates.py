@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+
+from . import Record
 
 LN2 = math.log(2.0)
 # Bona fide symplectic eigenvalues may sit a hair below 1 through rounding.
@@ -56,8 +57,7 @@ def _member(kind: type, value):
     return value if type(value) is kind else kind(value)
 
 
-@dataclass(frozen=True)
-class ChannelPoint:
+class ChannelPoint(Record):
     """One operating point of the link.
 
     eta_ch is the external channel transmissivity, eta_eff the receiver
@@ -68,24 +68,20 @@ class ChannelPoint:
     modulation variance, nu_det the quadrature duty (1 hom / 2 het).
     """
 
-    eta_ch: float
-    eta_eff: float
-    n_b: float
-    n_ex: float
-    nu_det: int
-    mu: float
-
-    def __post_init__(self):
-        if not 0.0 < self.eta_ch <= 1.0:
+    def __init__(self, eta_ch: float, eta_eff: float, n_b: float, n_ex: float,
+                 nu_det: int, mu: float):
+        if not 0.0 < eta_ch <= 1.0:
             raise ValueError("eta_ch must lie in (0, 1]")
-        if not 0.0 < self.eta_eff <= 1.0:
+        if not 0.0 < eta_eff <= 1.0:
             raise ValueError("eta_eff must lie in (0, 1]")
-        if self.n_b < 0.0 or self.n_ex < 0.0:
+        if n_b < 0.0 or n_ex < 0.0:
             raise ValueError("photon numbers must be non-negative")
-        if self.nu_det not in (1, 2):
+        if nu_det not in (1, 2):
             raise ValueError("nu_det must be 1 (homodyne) or 2 (heterodyne)")
-        if self.mu < 1.0:
+        if mu < 1.0:
             raise ValueError("mu must be >= 1")
+        self.__dict__.update(eta_ch=eta_ch, eta_eff=eta_eff, n_b=n_b, n_ex=n_ex,
+                             nu_det=nu_det, mu=mu)
 
     @property
     def tau(self) -> float:
@@ -255,11 +251,10 @@ def holevo_untrusted_closed_form(ch: ChannelPoint) -> float:
     return total - entropic_h(cond_arg)
 
 
-@dataclass(frozen=True)
-class RateReport:
-    rate: float
-    mutual_information: float
-    holevo: float
+class RateReport(Record):
+    def __init__(self, rate: float, mutual_information: float, holevo: float):
+        self.__dict__.update(rate=rate, mutual_information=mutual_information,
+                             holevo=holevo)
 
 
 def _g(n: float) -> float:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import Record
 from .channel import FadingModel, pointing_tau_approx, sample_deflections
 from .finite_size import (
     EstimatorSnapshot,
@@ -51,8 +51,7 @@ def _chunked_normals(seed: int, stream_base: int, scale, count: int,
     return out
 
 
-@dataclass(frozen=True)
-class SimBlock:
+class SimBlock(Record):
     """Disclosed-variable view of one simulated block.
 
     x holds Alice's quadrature amplitudes and y Bob's outcomes, one row per
@@ -60,12 +59,11 @@ class SimBlock:
     fading metadata when applicable; pilot_mask marks pilot pairs.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    nu_det: int
-    tau_samples: np.ndarray = None
-    bins: np.ndarray = None
-    pilot_mask: np.ndarray = None
+    def __init__(self, x: np.ndarray, y: np.ndarray, nu_det: int,
+                 tau_samples: np.ndarray = None, bins: np.ndarray = None,
+                 pilot_mask: np.ndarray = None):
+        self.__dict__.update(x=x, y=y, nu_det=nu_det, tau_samples=tau_samples,
+                             bins=bins, pilot_mask=pilot_mask)
 
     @property
     def pairs(self) -> int:
@@ -163,16 +161,18 @@ def defade_block(block: SimBlock, lattice: FadingLattice, seed: int) -> SimBlock
                     bins=bins[keep], pilot_mask=pilot)
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(Record):
     """Observed failure rates of the worst-case estimator bounds."""
 
-    rounds: int
-    eps_pe: float
-    w: float
-    tau_low_failures: int
-    tau_high_failures: int
-    n_failures: int
+    def __init__(self, rounds: int, eps_pe: float, w: float, tau_low_failures: int,
+                 tau_high_failures: int, n_failures: int):
+        self.__dict__.update(rounds=rounds, eps_pe=eps_pe, w=w,
+                             tau_low_failures=tau_low_failures,
+                             tau_high_failures=tau_high_failures,
+                             n_failures=n_failures)
+
+    def __eq__(self, other):  # the reproducibility tests compare whole reports
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
     @property
     def tau_low_rate(self) -> float:

@@ -526,6 +526,23 @@ class TestRuleList:
         assert sorted(listed) == sorted(table | literal)
 
 
+class TestCrossFieldRuleNames:
+    """The cross-field checks end their one-line error with their rule."""
+
+    @pytest.mark.parametrize("config, old, new, rule", [
+        ("fiber_fixed_loss.ini", "stop = 20", "stop = -1", "sweep-order"),
+        ("fiber_fixed_loss.ini", "eps = 2^-33", "eps = 2^-33\neps_pe = 2^-33",
+         "eps-exclusive"),
+        ("wireless_fixed.ini", "n_b = 0.019\n", "omega_fov = 1e-4 sr\n",
+         "optical-background-source"),
+        ("fiber_fixed_loss.ini", "loss_db = 2", "loss_db = 2\nz_max = 3",
+         "one-point-abscissa"),
+    ])
+    def test_message_ends_with_rule(self, tmp_path, capsys, config, old, new, rule):
+        assert_config_error(tmp_path, capsys, shipped(config, old, new),
+                            f"(rule: {rule})\n")
+
+
 class TestPositiveModulation:
     """Rule positive-modulation: mu > 1. With mu = 1 the modulation variance
     mu - 1 is 0, and every rate row used to be a NaN row (exit 2)."""
@@ -1088,7 +1105,8 @@ class TestImportFloor:
         # the closed-form commands run on the standard library alone: rate on
         # every shipped config and sweep on every one with a [sweep] section
         # (coverage.ini has none) exit 0 and leave no numpy, scipy or
-        # concurrent.futures module
+        # concurrent.futures module, nor dataclasses, inspect or statistics
+        # (the records are plain classes, and w comes from _statistics)
         configs = sorted(CONFIGS.glob("*.ini"))
         runs = [("rate", str(cfg)) for cfg in configs] + [
             ("sweep", str(cfg)) for cfg in configs
@@ -1098,10 +1116,22 @@ class TestImportFloor:
                  "codes = [cvqkd.cli.main([cmd, '--config', cfg, '--out', "
                  "sys.argv[1]]) for cmd, cfg in zip(sys.argv[2::2], "
                  "sys.argv[3::2])]\n"
-                 + LOADED.format(names=("numpy", "scipy", "concurrent")))
+                 + LOADED.format(names=("numpy", "scipy", "concurrent",
+                                        "dataclasses", "inspect", "statistics")))
         flat = [arg for run in runs for arg in run]
         assert fresh_interpreter(probe, str(tmp_path / "rows.csv"), *flat) \
             == f"{[0] * len(runs)} []"
+
+    def test_package_never_imports_dataclasses(self):
+        # every record is a cvqkd.Record subclass with an explicit __init__
+        imported = set()
+        for path in sorted((ROOT / "src" / "cvqkd").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    imported.add(node.module)
+        assert "numpy" in imported and "dataclasses" not in imported
 
     def test_commands_run_with_scipy_refused(self, tmp_path):
         # scipy is a test dependency only: with a meta-path finder that

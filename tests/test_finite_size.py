@@ -6,19 +6,25 @@ beta = 0.95; collective attacks use p_ec = 0.9 with all epsilons 2^-33,
 general attacks p_ec = 0.1 with epsilons 1e-43 and energy-test fraction 0.2.
 """
 
-import dataclasses
 import math
+import os
+import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfcinv
 
 from cvqkd import cli, finite_size
 from cvqkd.channel import BeamConfig, FadingModel, fading_probability
 from cvqkd.config import resolve_scenario
 from cvqkd.finite_size import (
+    ERFINV_FLOOR,
     P_DELTA_MIN,
     TAU_FLOOR,
     FadingLattice,
@@ -84,6 +90,68 @@ class TestConfidence:
             assert abs(w - exact) <= 1e-15 * exact
 
 
+# every eps_pe that the shipped configs and the tests use
+USED_EPS_PE = (2.0**-33, 1e-43, 0.01, 0.05, 0.0228, 0.3, 0.5, 1e-5, 1e-10, 1e-14,
+               1e-16, 5e-17, 2e-17, 1e-17, 1e-18, 1e-25)
+
+# The reference w is -NormalDist().inv_cdf(eps) above ERFINV_FLOOR and the
+# tail bound below it. Run in a fresh interpreter, refusing _statistics if
+# asked, the probe prints the module of the kernel that finite_size took,
+# whether _statistics is loaded, and whether confidence_w equals the reference
+# bit for bit at every eps_pe in argv.
+W_PROBE = """\
+import math, sys
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name == "_statistics":
+            raise ModuleNotFoundError(f"{name} is refused")
+if sys.argv[1] == "refuse":
+    sys.meta_path.insert(0, Refuse())
+from statistics import NormalDist
+from cvqkd.finite_size import ERFINV_FLOOR, _normal_dist_inv_cdf, confidence_w
+def reference(eps):
+    if eps > ERFINV_FLOOR:
+        return 0.0 - NormalDist().inv_cdf(eps)
+    return math.sqrt(2.0 * math.log(1.0 / eps))
+eps = [float(arg) for arg in sys.argv[2:]]
+print(_normal_dist_inv_cdf.__module__, "_statistics" in sys.modules,
+      all(confidence_w(e).hex() == reference(e).hex() for e in eps))
+"""
+
+
+def normal_dist_w(eps: float) -> float:
+    if eps > ERFINV_FLOOR:
+        return 0.0 - statistics.NormalDist().inv_cdf(eps)
+    return math.sqrt(2.0 * math.log(1.0 / eps))
+
+
+class TestConfidenceKernel:
+    """confidence_w takes the C kernel behind NormalDist.inv_cdf, or the
+    statistics module's own where _statistics is missing, and agrees with
+    NormalDist bit for bit either way."""
+
+    def test_used_eps_pe_bit_identical(self):
+        for eps in USED_EPS_PE:
+            assert confidence_w(eps).hex() == normal_dist_w(eps).hex(), eps
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=2000)
+    @given(st.floats(min_value=0.0, max_value=0.5, exclude_min=True))
+    def test_sweep_bit_identical(self, eps):
+        assert confidence_w(eps).hex() == normal_dist_w(eps).hex()
+
+    @pytest.mark.parametrize("mode, kernel", [("allow", "_statistics"),
+                                              ("refuse", "statistics")])
+    def test_both_kernels(self, mode, kernel):
+        grid = [repr(float(e)) for e in np.geomspace(1e-300, 0.5, 400)]
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", W_PROBE, mode, *map(repr, USED_EPS_PE), *grid],
+            check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}).stdout.split()
+        assert out == [kernel, str(mode == "allow"), "True"]
+
+
 class TestProtocolParams:
     def test_block_arithmetic(self):
         assert COLLECTIVE.n == 9e6
@@ -103,16 +171,21 @@ class TestProtocolParams:
         assert COLLECTIVE.w == confidence_w(2.0**-33)
 
     def test_cached_w_follows_replace(self):
-        # w is computed once per instance; a replaced block gets its own
-        params = ProtocolParams(n_total=1e7, m=1e6, beta=0.95, p_ec=0.9,
-                                eps_pe=2.0**-33, eps_s=2.0**-33,
-                                eps_h=2.0**-33, eps_cor=2.0**-33, mu=10.0)
-        assert params.w == params.w == confidence_w(2.0**-33)
-        other = dataclasses.replace(params, eps_pe=1e-5)
+        # w is computed once per instance and kept in its __dict__; a block
+        # rebuilt with another eps_pe gets its own, and neither can be changed
+        base = dict(n_total=1e7, m=1e6, beta=0.95, p_ec=0.9, eps_pe=2.0**-33,
+                    eps_s=2.0**-33, eps_h=2.0**-33, eps_cor=2.0**-33, mu=10.0)
+        params = ProtocolParams(**base)
+        assert params.w == params.w == vars(params)["w"] == confidence_w(2.0**-33)
+        other = ProtocolParams(**{**base, "eps_pe": 1e-5})
         assert other.w == confidence_w(1e-5)
         assert params.w == confidence_w(2.0**-33)
-        assert dataclasses.asdict(other) == {**dataclasses.asdict(params),
-                                             "eps_pe": 1e-5}
+        fields = {**base, "d": 32, "m_pl": 0.0, "f_et": 0.0, "w": other.w}
+        assert vars(other) == {**fields, "eps_pe": 1e-5}
+        with pytest.raises(AttributeError, match="read-only"):
+            params.eps_pe = 1e-5
+        with pytest.raises(AttributeError, match="read-only"):
+            del params.w
 
     def test_validation(self):
         base = dict(n_total=1e7, m=1e6, beta=0.95, p_ec=0.9, eps_pe=2.0**-33,
@@ -202,6 +275,13 @@ class TestWorstCaseEstimators:
         est = worst_case_estimators(0.3, 0.05, 9.0, 2.1, 10, 6.34)
         assert est.tau_lo == TAU_FLOOR
         assert "tau_lo_floored" in est.warnings
+
+    def test_tau_floor_below_tau_floor_is_tau(self):
+        # a tau below TAU_FLOOR is its own floor: the worst case never lies
+        # above the estimate
+        est = worst_case_estimators(1e-13, 0.05, 9.0, 2.1, 1e6, 6.34)
+        assert est.tau_lo == 1e-13
+        assert est.warnings == ("tau_lo_floored",)
 
     def test_tau_upper_cap(self):
         est = worst_case_estimators(0.99, 0.05, 9.0, 2.1, 100, 6.34)

@@ -320,14 +320,12 @@ KERNEL_FAULTS = (
     # under noise or modulation far above the paper's
     (HOLEVO,
      lambda scenario, x: noise_photons(scenario) >= 1e3 or scenario.sigma_x2 >= 1e6),
-    # the worst-case tau' is floored at TAU_FLOOR, above a tau that eta_eff
-    # bounds, and a tau that underflows past the normal floats leaves no
-    # channel (or no fading window) to estimate
+    # a tau that underflows past the normal floats leaves no channel (or no
+    # fading window) to estimate
     (HOLEVO + ("ValueError: tau exceeds eta_eff", "ValueError: eta_ch must lie in (0, 1]",
                "ValueError: tau must lie in (0, 1]", "ValueError: need 0 < tau_min < tau_max",
                "ValueError: nbar smaller than the channel share"),
-     lambda scenario, x: scenario.physics["eta_eff"] < TAU_FLOOR
-     or lowest_tau(scenario, x) < sys.float_info.min),
+     lambda scenario, x: lowest_tau(scenario, x) < sys.float_info.min),
     # 1 - Lambda_0 in the fading fit loses its digits to cancellation
     (("ValueError: fading fit undefined",),
      lambda scenario, x: scenario.channel == "optical-mobile"
@@ -397,29 +395,30 @@ def rate_reasons(scenario: Scenario) -> set:
             for x in abscissas(scenario)}
 
 
-# One resolved config per rate-kernel fault of KERNEL_FAULTS
-KERNEL_FAULT_CASES = [
-    ("fiber_fixed_loss.ini", ({"nep": "1 W/rtHz"}, {})),
-    ("wireless_general.ini", ({"nep": "1 W/rtHz"}, {"m": "1"})),
-    ("fiber_fixed_loss.ini", ({"eta_eff": "1e-13"}, {})),
-    ("coverage.ini", ({"n_b": "0"}, {"mu": "1e10"})),
-    ("mobile.ini", ({"eta_atm": "5e-324"}, {})),
-    ("mobile.ini", ({"w0": "1 km"}, {})),
-    ("mobile.ini", ({"sigma_p": "10 rad"}, {})),
-]
+# One resolved config per rate-kernel fault of KERNEL_FAULTS, under a fixed
+# test id: a mended fault's pin leaves with its id, and the others keep theirs
+KERNEL_FAULT_CASES = {
+    "edits0": ("fiber_fixed_loss.ini", ({"nep": "1 W/rtHz"}, {})),
+    "edits1": ("wireless_general.ini", ({"nep": "1 W/rtHz"}, {"m": "1"})),
+    "edits3": ("coverage.ini", ({"n_b": "0"}, {"mu": "1e10"})),
+    "edits4": ("mobile.ini", ({"eta_atm": "5e-324"}, {})),
+    "edits5": ("mobile.ini", ({"w0": "1 km"}, {})),
+    "edits6": ("mobile.ini", ({"sigma_p": "10 rad"}, {})),
+}
 
 
-@pytest.mark.parametrize("config, edits", KERNEL_FAULT_CASES)
+@pytest.mark.parametrize("config, edits", KERNEL_FAULT_CASES.values(),
+                         ids=[f"{config}-{key}"
+                              for key, (config, _) in KERNEL_FAULT_CASES.items()])
 class TestKernelFaults:
     """Resolved configs whose rows fail at every abscissa inside the rate
     kernels, where no key domain can pre-empt the fault (FOUND lines in
     CHANGES.md). Under huge setup noise or modulation the Holevo closed forms
-    lose Eve's conditional eigenvalues to cancellation; once eta_eff < 1e-12
-    the floor of tau' (1e-12) lies above tau, so eta_ch = tau' / eta_eff > 1,
-    and a subnormal tau leaves no fading window; the mobile fading fit loses
-    1 - Lambda_0 to cancellation once the aperture takes under 1e-8 of the
-    beam; and the library refuses a post-selection window less likely than
-    1e-6. TestConfigFuzz exempts these reasons only inside these regions."""
+    lose Eve's conditional eigenvalues to cancellation; a subnormal tau
+    leaves no fading window; the mobile fading fit loses 1 - Lambda_0 to
+    cancellation once the aperture takes under 1e-8 of the beam; and the
+    library refuses a post-selection window less likely than 1e-6.
+    TestConfigFuzz exempts these reasons only inside these regions."""
 
     @pytest.mark.xfail(strict=True, reason="rate-kernel faults, see CHANGES.md")
     def test_some_abscissa_evaluates(self, config, edits):
@@ -429,3 +428,15 @@ class TestKernelFaults:
         scenario = resolve_scenario(edited(config, edits))
         (reason,) = rate_reasons(scenario)
         assert kernel_fault(scenario, reason), reason
+
+
+def test_tau_below_floor_evaluates():
+    # tau' is floored at min(TAU_FLOOR, tau), never above tau: a fiber link
+    # with eta_eff = 1e-13 evaluates at every abscissa, its worst case at the
+    # model tau with the floor's warning
+    scenario = resolve_scenario(edited("fiber_fixed_loss.ini", ({"eta_eff": "1e-13"}, {})))
+    for x in abscissas(scenario):
+        row = evaluate_rate_point(scenario, x, clamp=False)
+        assert row["reason"] == ""
+        assert row["tau_lo"] == row["tau"] < TAU_FLOOR
+        assert "tau_lo_floored" in row["warnings"].split(";")
