@@ -26,7 +26,6 @@ from .config import SWEEP_VARIABLE, ConfigError, Scenario, resolve_scenario
 from .finite_size import (
     background_bound,
     composable_rate,
-    composable_rate_general,
     general_attack_extension,
     mobile_worst_case,
     total_epsilon,
@@ -141,15 +140,13 @@ def _model_point(scenario: Scenario, x: float) -> dict:
 def _finite_rate(scenario: Scenario, r_pe: float, p_delta: float) -> tuple:
     """Composable rate and the epsilon column for the configured attack."""
     prm = scenario.params
+    terms = None
     if scenario.attack == "general":
         terms = general_attack_extension(prm, (prm.mu - 1.0) / 2.0,
                                          total_epsilon(prm), p_delta=p_delta)
-        rate = composable_rate_general(r_pe, prm, terms, p_delta=p_delta,
-                                       improved_prefactor=scenario.improved_aep)
-        return rate, terms.eps_prime
     rate = composable_rate(r_pe, prm, p_delta=p_delta,
-                           improved_prefactor=scenario.improved_aep)
-    return rate, total_epsilon(prm)
+                           improved_prefactor=scenario.improved_aep, terms=terms)
+    return rate, total_epsilon(prm) if terms is None else terms.eps_prime
 
 
 def _rate_row(scenario: Scenario, x: float) -> dict:
@@ -240,7 +237,8 @@ def _clamp(value: float) -> float:
 
 
 def _mobile_noise_map(scenario: Scenario):
-    """Per-pulse noise photons nbar(tau) of a mobile link."""
+    """Per-pulse noise photons nbar(tau) of a mobile link: the rows use the
+    same law as FadingEstimatorSet.noise; gate criterion 7 imports this one."""
     p = scenario.physics
     background = p["eta_eff"] * p["n_b"]
     return lambda tau: background + setup_noise_from_thetas(
@@ -268,9 +266,8 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
     if scenario.channel == "optical-mobile":
         fs = pt["fs"]
         block = simulate_fading_block(
-            pt["fading"], _mobile_noise_map(scenario), scenario.nu_det,
-            scenario.sigma_x2, pulses, seed,
-            pilot_rate=scenario.simulate.get("pilot_rate", 0.0))
+            pt["fading"], fs.noise, scenario.nu_det, scenario.sigma_x2, pulses,
+            seed, pilot_rate=scenario.simulate.get("pilot_rate", 0.0))
         if dump:
             _dump_block(block, fs.lattice.assign(block.tau_samples), dump)
         faded = defade_block(block, fs.lattice, seed + 1)

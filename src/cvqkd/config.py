@@ -133,14 +133,6 @@ class Scenario(Record):
     def beam(self) -> BeamConfig:
         return BeamConfig(self.physics["lambda"], self.physics["w0"])
 
-    def setup_config(self) -> SetupConfig:
-        p = self.physics
-        return SetupConfig(wavelength=p["lambda"], detector_bandwidth=p["w"],
-                           nep=p["nep"], lo_power=p["p_lo"],
-                           lo_pulse_duration=p["dt_lo"], linewidth=p["l_w"],
-                           clock=p["c"], nu_det=self.nu_det,
-                           sigma_x2=self.sigma_x2, lo_kind=self.lo_kind)
-
 
 _ALL = frozenset(CHANNELS)
 _OPT = _ALL - {"microwave"}
@@ -371,10 +363,11 @@ def resolve_scenario(text: str) -> Scenario:
     with _valid_block("protocol"):
         params = ProtocolParams(**protocol)
         # block faults that every abscissa would meet: p_delta <= 1 only shrinks n
+        if params.n < 1.0:
+            raise ConfigError("invalid [protocol] block: effective block length "
+                              "below one pulse (rule: min-key-pulses)")
         if attack == "general":
             general_attack_extension(params, (params.mu - 1.0) / 2.0, total_epsilon(params))
-        elif params.n < 1.0:
-            raise ValueError("effective block length below one pulse")
         derived = {"nu_det": nu_det, "sigma_x2": params.mu - 1.0, "n": params.n,
                    "w": params.w, "eps_total": total_epsilon(params)}
 
@@ -418,12 +411,6 @@ def resolve_scenario(text: str) -> Scenario:
             raise ConfigError(f"[{name}] nu * {key} = {nu_det} x {count} is below 2 "
                               "disclosed pairs (rule: min-disclosed-pairs)")
 
-    scenario = Scenario(channel=channel, nu_det=nu_det, lo_kind=lo_kind,
-                        trust=trust, security=security, attack=attack,
-                        physics=physics, params=params,
-                        improved_aep=improved_aep, f_th=f_th, bins=bins,
-                        sweep=sweep, point=point, simulate=runs["simulate"],
-                        coverage=runs["coverage"], derived=derived)
     with _valid_block("physics"):
         if channel == "microwave":
             derived["n_th"] = microwave_thermal_photons(
@@ -431,10 +418,19 @@ def resolve_scenario(text: str) -> Scenario:
                 physics["a_r"])
             derived["z_best"] = microwave_best_range(physics["g"], physics["a_r"])
         else:
-            cfg = scenario.setup_config()
+            p = physics
+            cfg = SetupConfig(wavelength=p["lambda"], detector_bandwidth=p["w"],
+                              nep=p["nep"], lo_power=p["p_lo"],
+                              lo_pulse_duration=p["dt_lo"], linewidth=p["l_w"],
+                              clock=p["c"], nu_det=nu_det,
+                              sigma_x2=derived["sigma_x2"], lo_kind=lo_kind)
             derived["theta_el"] = theta_el(cfg)
             derived["theta_ph"] = theta_ph(cfg)
             if lo_kind == "llo":
                 derived["xi_llo"] = 2.0 * derived["theta_ph"]
             derived["n_b"] = physics["n_b"]
-    return scenario
+    return Scenario(channel=channel, nu_det=nu_det, lo_kind=lo_kind, trust=trust,
+                    security=security, attack=attack, physics=physics, params=params,
+                    improved_aep=improved_aep, f_th=f_th, bins=bins, sweep=sweep,
+                    point=point, simulate=runs["simulate"],
+                    coverage=runs["coverage"], derived=derived)

@@ -52,9 +52,9 @@ class ProtocolParams(Record):
     """Block bookkeeping and epsilon budget of one protocol run.
 
     n_total is the number of transmitted pulses N; m of them are disclosed
-    for parameter estimation and m_pl serve as pilots. With energy tests
-    active (f_et > 0) the key-generation pulses shrink to
-    n = (N - m - m_pl) / (1 + f_et); otherwise n = N - m - m_pl.
+    for parameter estimation and m_pl serve as pilots. The key-generation
+    pulses are n = (N - m - m_pl) / (1 + f_et), with f_et = 0 when no
+    energy test runs.
     """
 
     def __init__(self, n_total: float, m: float, beta: float, p_ec: float,
@@ -85,10 +85,7 @@ class ProtocolParams(Record):
     @property
     def n(self) -> float:
         """Key-generation pulses surviving sacrifice and energy tests."""
-        remaining = self.n_total - self.m - self.m_pl
-        if self.f_et > 0.0:
-            return remaining / (1.0 + self.f_et)
-        return remaining
+        return (self.n_total - self.m - self.m_pl) / (1.0 + self.f_et)
 
     @cached_property
     def w(self) -> float:
@@ -247,25 +244,6 @@ def theta_term(p_ec: float, eps_s: float, eps_h: float) -> float:
             + 2.0 * math.log2(math.sqrt(2.0) * eps_h))
 
 
-def composable_rate(r_pe: float, params: ProtocolParams, p_delta: float = 1.0,
-                    improved_prefactor: bool = False) -> float:
-    """Composable rate against collective attacks, not clamped at zero.
-
-    R = (n p_Delta p_ec / N) [R_pe - Delta_aep / sqrt(n p_Delta)
-        + Theta / (n p_Delta)], where p_Delta < 1 only under post-selected
-    fading lattices.
-    """
-    if not 0.0 < p_delta <= 1.0:
-        raise ValueError("p_delta must lie in (0, 1]")
-    n_eff = params.n * p_delta
-    if n_eff < 1.0:
-        raise ValueError("effective block length below one pulse")
-    aep = delta_aep(params.d, params.p_ec, params.eps_s, improved_prefactor)
-    theta = theta_term(params.p_ec, params.eps_s, params.eps_h)
-    return (n_eff * params.p_ec / params.n_total
-            * (r_pe - aep / math.sqrt(n_eff) + theta / n_eff))
-
-
 class GeneralAttackTerms(Record):
     """Dimension-cutoff bookkeeping for reduction to general attacks."""
 
@@ -295,11 +273,11 @@ def _log2_binomial(k: float, r: int) -> float:
 
 
 def general_attack_extension(params: ProtocolParams, n_transmit: float, eps: float,
-                             p_delta: float = 1.0,
-                             nu_det: int = 2) -> GeneralAttackTerms:
+                             p_delta: float = 1.0) -> GeneralAttackTerms:
     """Energy-test and dimension-cutoff terms for fully general attacks.
 
-    Valid for heterodyne detection only. With n_eff = n * p_delta pulses,
+    Valid for heterodyne detection only (config rule
+    general-requires-heterodyne). With n_eff = n * p_delta pulses,
     theta = ln(8/eps) / (2 n_eff), and the cutoff
 
     K = max{1, 2 n_eff d_et (1 + 2 sqrt(theta) + 2 theta)
@@ -308,8 +286,6 @@ def general_attack_extension(params: ProtocolParams, n_transmit: float, eps: flo
     the extra rate correction is Phi = 2 ceil(log2 C(K+4, 4)) and the
     security parameter degrades to eps' = K^4 eps / 50.
     """
-    if nu_det != 2:
-        raise ValueError("the general-attack reduction requires heterodyne detection")
     if params.f_et <= 0.0:
         raise ValueError("general attacks require an active energy test (f_et > 0)")
     if not 0.0 < eps < 1.0:
@@ -332,23 +308,29 @@ def general_attack_extension(params: ProtocolParams, n_transmit: float, eps: flo
                               eps_prime=eps_prime)
 
 
-def composable_rate_general(r_pe: float, params: ProtocolParams,
-                            terms: GeneralAttackTerms, p_delta: float = 1.0,
-                            improved_prefactor: bool = False) -> float:
-    """Composable rate against general attacks (heterodyne protocols).
+def composable_rate(r_pe: float, params: ProtocolParams, p_delta: float = 1.0,
+                    improved_prefactor: bool = False,
+                    terms: GeneralAttackTerms | None = None) -> float:
+    """Composable rate, not clamped at zero.
 
     R = (n p_Delta p_ec / N) [R_pe - Delta_aep / sqrt(n p_Delta)
-        + (Theta - Phi) / (n p_Delta)] with Phi evaluated at n p_Delta.
+        + (Theta - Phi) / (n p_Delta)], where p_Delta < 1 only under
+    post-selected fading lattices. Against collective attacks Phi = 0;
+    against general attacks (heterodyne protocols) Phi = terms.phi, the
+    dimension cutoff that general_attack_extension evaluates at n p_Delta.
     """
     if not 0.0 < p_delta <= 1.0:
         raise ValueError("p_delta must lie in (0, 1]")
     n_eff = params.n * p_delta
-    if abs(n_eff - terms.n_eff) > 1e-6 * max(1.0, n_eff):
+    if n_eff < 1.0:
+        raise ValueError("effective block length below one pulse")
+    if terms is not None and abs(n_eff - terms.n_eff) > 1e-6 * max(1.0, n_eff):
         raise ValueError("general-attack terms were computed for a different block")
+    phi = 0.0 if terms is None else terms.phi
     aep = delta_aep(params.d, params.p_ec, params.eps_s, improved_prefactor)
     theta = theta_term(params.p_ec, params.eps_s, params.eps_h)
     return (n_eff * params.p_ec / params.n_total
-            * (r_pe - aep / math.sqrt(n_eff) + (theta - terms.phi) / n_eff))
+            * (r_pe - aep / math.sqrt(n_eff) + (theta - phi) / n_eff))
 
 
 # --- mobile fading worst case ------------------------------------------------
@@ -446,11 +428,15 @@ def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
         raise ValueError("post-selection window has negligible probability; "
                          "reduce the range or lower f_th")
 
+    def noise(tau):
+        return eta_eff * n_b + setup_noise_from_thetas(th_el, th_ph, lo_kind,
+                                                       tau, n_other)
+
     tau_wc, tau_bc = (tau_min, 1.0) if lo_kind == "tlo" else (1.0, tau_min)
     n_ex_wc = setup_noise_from_thetas(th_el, th_ph, lo_kind, tau_wc, n_other)
     n_ex_bc = setup_noise_from_thetas(th_el, th_ph, lo_kind, tau_bc)
 
-    n_wc = eta_eff * n_b + n_ex_wc
+    n_wc = noise(tau_wc)
     m_delta = nu_det * params.m * p_delta
     est = worst_case_estimators(tau_min, n_wc, sigma_x2, 2.0 * n_wc + nu_det,
                                 m_delta, params.w)
@@ -458,10 +444,6 @@ def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
     n_b_ub, floored = background_bound(est.n_hi, n_ex_bc, eta_eff)
     if floored:
         warnings = warnings + ("n_b_ub_floored",)
-
-    def noise(tau):
-        return eta_eff * n_b + setup_noise_from_thetas(th_el, th_ph, lo_kind,
-                                                       tau, n_other)
 
     return FadingEstimatorSet(lattice=lattice, fading=fading, noise=noise,
                               p_delta=p_delta, n_ex_wc=n_ex_wc, n_wc=n_wc,

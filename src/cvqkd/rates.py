@@ -136,14 +136,19 @@ def _two_mode_entropy(delta: float, root_det: float, split: float) -> float:
 
 
 def _environment(ch: ChannelPoint, trust: TrustLevel) -> tuple:
-    """(eta, kappa, n_E) of Eve's dilation: eta = eta_ch, kappa = eta_eff,
-    n_E = n_b (passive Eve); otherwise eta = tau, kappa = 1 and
-    n_E = eta_eff n_b (trusted noise) or nbar."""
+    """(eta, kappa, n_E, eps, s, lag) of Eve's dilation: eta = eta_ch,
+    kappa = eta_eff, n_E = n_b (passive Eve); otherwise eta = tau, kappa = 1
+    and n_E = eta_eff n_b (trusted noise) or nbar. eps = 1 - eta is the
+    leakage, s = 2 n_E + eps and lag = s - eps mu."""
     trust = _member(TrustLevel, trust)
     if trust is TrustLevel.PASSIVE:
-        return ch.eta_ch, ch.eta_eff, ch.n_b
-    n_e = ch.eta_eff * ch.n_b if trust is TrustLevel.TRUSTED_NOISE else ch.nbar
-    return ch.tau, 1.0, n_e
+        eta, kappa, n_e = ch.eta_ch, ch.eta_eff, ch.n_b
+    else:
+        eta, kappa = ch.tau, 1.0
+        n_e = ch.eta_eff * ch.n_b if trust is TrustLevel.TRUSTED_NOISE else ch.nbar
+    eps = 1.0 - eta
+    s = 2.0 * n_e + eps
+    return eta, kappa, n_e, eps, s, s - eps * ch.mu
 
 
 def holevo_standard(ch: ChannelPoint, trust: TrustLevel) -> float:
@@ -158,7 +163,7 @@ def holevo_standard(ch: ChannelPoint, trust: TrustLevel) -> float:
     is written in s = eps * omega = 2 n_E + eps, which stays O(1) and holds
     at eps = 0 too, the bright environment limit (omega -> inf at fixed s):
 
-    * (eta, kappa, n_E) from :func:`_environment`;
+    * (eta, kappa, n_E, eps, s) and lag = s - eps mu from :func:`_environment`;
     * Eve: sqrt(det) = mu s + eta, Delta = s^2 + 2 eta mu s + eps^2 mu^2
       + 2 eta and nu+ - nu- = |s - eps mu|;
     * the dilation's g = phi gamma^2 + omega theta^2 - 2 psi theta gamma and
@@ -175,13 +180,11 @@ def holevo_standard(ch: ChannelPoint, trust: TrustLevel) -> float:
 
     Each eigenvalue passes the domain check of :func:`entropic_h`.
     """
-    eta, kappa, n_e = _environment(ch, trust)
+    # nu1 - nu2 = phi - omega = -lag
+    eta, kappa, n_e, eps, s, lag = _environment(ch, trust)
     mu = ch.mu
-    eps = 1.0 - eta
-    s = 2.0 * n_e + eps
     if s == 0.0:        # the identity channel into a vacuum environment
         return 0.0
-    lag = s - eps * mu                       # nu1 - nu2 = phi - omega = -lag
     root_det = mu * s + eta
     delta = s * s + 2.0 * eta * mu * s + (eps * mu) ** 2 + 2.0 * eta
     sigma = math.sqrt(delta + 2.0 * root_det)    # nu+ + nu-
@@ -294,10 +297,7 @@ def holevo_los(ch: ChannelPoint, trust: TrustLevel) -> float:
     (s = 2 n_E + eps)."""
     if _member(TrustLevel, trust) is TrustLevel.UNTRUSTED:
         raise ValueError("line-of-sight security requires a trusted noise source")
-    eta, kappa, n_e = _environment(ch, trust)
-    eps = 1.0 - eta
-    s = 2.0 * n_e + eps
-    lag = s - eps * ch.mu
+    eta, kappa, _, eps, s, lag = _environment(ch, trust)
     return holevo_los_from_coefficients(bob_variance(ch), kappa * eta * lag * lag,
                                         eta * s + eps * eps * ch.mu, eps, ch.nu_det)
 

@@ -84,6 +84,13 @@ def _check_block(tau: float, nbar: float, nu_det: int, sigma_x2: float,
         raise ValueError("nu_det must be 1 or 2")
 
 
+def _pairs(seed: int, sigma_x2: float, sigma_z, gain, pairs: int) -> tuple:
+    """(x, y): x ~ N(0, sigma_x2) from stream 0 and y = gain x + sigma_z
+    N(0, 1) from stream 1 << 40; sigma_z and gain are scalars or per pair."""
+    x = _chunked_normals(seed, 0, math.sqrt(sigma_x2), pairs)
+    return x, _chunked_normals(seed, 1 << 40, sigma_z, pairs, gain, x)
+
+
 def simulate_block(tau: float, nbar: float, nu_det: int, sigma_x2: float,
                    pulses: int, seed: int) -> SimBlock:
     """Simulate y = sqrt(tau) x + z with var x = sigma_x2, var z = 2 nbar + nu_det.
@@ -92,10 +99,8 @@ def simulate_block(tau: float, nbar: float, nu_det: int, sigma_x2: float,
     quadratures of each pulse).
     """
     _check_block(tau, nbar, nu_det, sigma_x2, pulses)
-    pairs = nu_det * pulses
-    x = _chunked_normals(seed, 0, math.sqrt(sigma_x2), pairs)
-    y = _chunked_normals(seed, 1 << 40, math.sqrt(2.0 * nbar + nu_det), pairs,
-                         math.sqrt(tau), x)
+    x, y = _pairs(seed, sigma_x2, math.sqrt(2.0 * nbar + nu_det), math.sqrt(tau),
+                  nu_det * pulses)
     return SimBlock(x=x, y=y, nu_det=nu_det)
 
 
@@ -126,9 +131,7 @@ def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
         raise ValueError("n_of_tau must map tau samples to non-negative photons")
 
     tau_pair = np.repeat(tau_pulse, nu_det)
-    pairs = nu_det * pulses
-    x = _chunked_normals(seed, 0, math.sqrt(sigma_x2), pairs)
-    y = _chunked_normals(seed, 1 << 40, sigma_z, pairs, np.sqrt(tau_pair), x)
+    x, y = _pairs(seed, sigma_x2, sigma_z, np.sqrt(tau_pair), nu_det * pulses)
     pilot_mask = None
     if pilot_rate > 0.0:
         pilot_pulse = stream_rng(seed, 3 << 40).random(pulses) < pilot_rate

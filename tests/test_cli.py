@@ -351,6 +351,11 @@ class TestInvalidPhysicsBlock:
                              "disclosed pulses exhaust the block"),
         "below_one_key_pulse": ("fiber_fixed_loss.ini", "m = 1e6", "m = 9999999.5",
                                 "effective block length below one pulse"),
+        # n = 99 / 201: the general attack meets the same rule as the collective
+        "below_one_key_pulse_general": (
+            "wireless_general.ini", "n_total = 1e7\nm = 1e6\nf_et = 0.2",
+            "n_total = 100\nm = 1\nf_et = 200",
+            "effective block length below one pulse (rule: min-key-pulses)"),
         "energy_test_too_short": ("wireless_general.ini", "n_total = 1e7\nm = 1e6",
                                   "n_total = 1e3\nm = 10",
                                   "energy-test failure probability too large"),
@@ -1363,3 +1368,48 @@ class TestBlockDump:
         assert len(np.unique(taus)) > 1000  # fading varies pulse to pulse
         assert np.all(taus[0::2] == taus[1::2])  # shared within a pulse
         assert bins.min() == -1 and bins.max() >= 0
+
+
+class TestNoDeadCode:
+    """Every top-level function and class of src/cvqkd is used by code of the
+    package itself (a name in a docstring does not count), or is an oracle
+    that the acceptance gate imports, listed here."""
+
+    GATE_ORACLES = {
+        ("channel", "fading_pdf"), ("channel", "pointing_tau_exact"),
+        ("cli", "_mobile_noise_map"), ("gaussian", "symplectic_spectrum"),
+        ("noise", "xi_from_photons"), ("rates", "holevo_untrusted_closed_form"),
+        ("simulate", "estimator_coverage_experiment"),
+    }
+
+    @staticmethod
+    def uncalled() -> set:
+        """(module, name) of each top-level definition that no other
+        top-level statement of the package names, as a variable or an
+        attribute; a definition's references to itself do not count."""
+        defined, users = set(), {}
+        for path in sorted((ROOT / "src" / "cvqkd").glob("*.py")):
+            module = path.stem
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                scope = (module, None)
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    scope = (module, node.name)
+                    defined.add(scope)
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Name):
+                        users.setdefault(sub.id, set()).add(scope)
+                    elif isinstance(sub, ast.Attribute):
+                        users.setdefault(sub.attr, set()).add(scope)
+        return {(module, name) for module, name in defined
+                if not users.get(name, set()) - {(module, name)}}
+
+    def test_every_definition_has_a_caller_or_is_a_gate_oracle(self):
+        assert self.uncalled() == self.GATE_ORACLES
+
+    def test_gate_imports_every_listed_oracle(self):
+        gate = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+        imported = {(node.module.removeprefix("cvqkd."), alias.name)
+                    for node in ast.walk(gate)
+                    if isinstance(node, ast.ImportFrom) and node.module
+                    for alias in node.names}
+        assert self.GATE_ORACLES <= imported

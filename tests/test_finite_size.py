@@ -31,7 +31,6 @@ from cvqkd.finite_size import (
     ProtocolParams,
     background_bound,
     composable_rate,
-    composable_rate_general,
     confidence_w,
     delta_aep,
     empirical_estimators,
@@ -479,18 +478,17 @@ class TestGeneralAttackExtension:
             - delta_aep(32, 0.1, 1e-43) / math.sqrt(n)
             + (theta_term(0.1, 1e-43, 1e-43) - terms.phi) / n
         )
-        assert composable_rate_general(r_pe, GENERAL, terms) == pytest.approx(
+        assert composable_rate(r_pe, GENERAL, terms=terms) == pytest.approx(
             expect, rel=1e-12
         )
 
     def test_block_mismatch_rejected(self):
         terms = general_attack_extension(GENERAL, 4.5, total_epsilon(GENERAL))
         with pytest.raises(ValueError):
-            composable_rate_general(0.8, GENERAL, terms, p_delta=0.5)
+            composable_rate(0.8, GENERAL, p_delta=0.5, terms=terms)
 
     def test_requires_heterodyne_and_energy_test(self):
-        with pytest.raises(ValueError):
-            general_attack_extension(GENERAL, 4.5, 1e-43, nu_det=1)
+        # heterodyne detection is the config rule general-requires-heterodyne
         with pytest.raises(ValueError):
             general_attack_extension(COLLECTIVE, 4.5, 1e-43)  # f_et = 0
 
@@ -500,6 +498,65 @@ class TestGeneralAttackExtension:
                               eps_cor=1e-43, mu=10.0, d=32, f_et=0.2)
         with pytest.raises(ValueError):
             general_attack_extension(tiny, 4.5, 1e-43)
+
+
+class TestComposableRateOracle:
+    """composable_rate against the two formulas it merged, written out as
+    they stood: collective attacks without a Phi term, general attacks with
+    (Theta - Phi), each with the block length n as it stood (no energy test
+    under collective attacks). The results must agree to the last bit."""
+
+    @staticmethod
+    def collective(r_pe, params, p_delta, improved):
+        n_eff = (params.n_total - params.m - params.m_pl) * p_delta
+        aep = delta_aep(params.d, params.p_ec, params.eps_s, improved)
+        theta = theta_term(params.p_ec, params.eps_s, params.eps_h)
+        return (n_eff * params.p_ec / params.n_total
+                * (r_pe - aep / math.sqrt(n_eff) + theta / n_eff))
+
+    @staticmethod
+    def general(r_pe, params, terms, p_delta, improved):
+        n_eff = (params.n_total - params.m - params.m_pl) / (1.0 + params.f_et) * p_delta
+        aep = delta_aep(params.d, params.p_ec, params.eps_s, improved)
+        theta = theta_term(params.p_ec, params.eps_s, params.eps_h)
+        return (n_eff * params.p_ec / params.n_total
+                * (r_pe - aep / math.sqrt(n_eff) + (theta - terms.phi) / n_eff))
+
+    @pytest.mark.parametrize("improved", [False, True])
+    @pytest.mark.parametrize("p_delta", [1.0, 0.37])
+    @pytest.mark.parametrize("r_pe", [0.8, 1e-3, -1e-3, -0.8])
+    def test_collective_bit_identical(self, r_pe, p_delta, improved):
+        got = composable_rate(r_pe, COLLECTIVE, p_delta=p_delta,
+                              improved_prefactor=improved)
+        assert got.hex() == self.collective(r_pe, COLLECTIVE, p_delta, improved).hex()
+
+    @pytest.mark.parametrize("improved", [False, True])
+    @pytest.mark.parametrize("p_delta", [1.0, 0.37])
+    @pytest.mark.parametrize("r_pe", [0.8, 1e-3, -1e-3, -0.8])
+    def test_general_bit_identical(self, r_pe, p_delta, improved):
+        terms = general_attack_extension(GENERAL, 4.5, total_epsilon(GENERAL),
+                                         p_delta=p_delta)
+        got = composable_rate(r_pe, GENERAL, p_delta=p_delta,
+                              improved_prefactor=improved, terms=terms)
+        want = self.general(r_pe, GENERAL, terms, p_delta, improved)
+        assert got.hex() == want.hex()
+        assert got < composable_rate(r_pe, GENERAL, p_delta=p_delta,
+                                     improved_prefactor=improved)  # Phi > 0
+
+    @pytest.mark.parametrize("attack", ["collective", "general"])
+    def test_guards_hold_under_both_attacks(self, attack):
+        prm = GENERAL
+        terms = None
+        if attack == "general":
+            terms = general_attack_extension(prm, 4.5, total_epsilon(prm))
+        for p_delta in (0.0, -0.1, 1.5):
+            with pytest.raises(ValueError, match="p_delta must lie"):
+                composable_rate(0.8, prm, p_delta=p_delta, terms=terms)
+        with pytest.raises(ValueError, match="below one pulse"):
+            composable_rate(0.8, prm, p_delta=0.5 / prm.n, terms=terms)
+        if terms is not None:
+            with pytest.raises(ValueError, match="different block"):
+                composable_rate(0.8, prm, p_delta=0.5, terms=terms)
 
 
 class TestFadingLattice:
