@@ -25,19 +25,22 @@ from .channel import (
 from .config import SWEEP_VARIABLE, ConfigError, Scenario, resolve_scenario
 from .finite_size import (
     background_bound,
-    composable_rate,
+    composable_terms,
     general_attack_extension,
     mobile_worst_case,
     total_epsilon,
+    worst_case_bounds,
     worst_case_estimators,
 )
 from .noise import setup_noise_from_thetas
 from .rates import (
-    ChannelPoint,
     SecurityType,
-    asymptotic_rate,
-    microwave_los_rate,
+    check_point,
+    estimated_point,
+    microwave_los_holevo,
     plob_thermal_bound,
+    point_holevo,
+    point_mutual_information,
 )
 
 RESULT_SCHEMA = "cvqkd-results/1"
@@ -137,80 +140,92 @@ def _model_point(scenario: Scenario, x: float) -> dict:
             "nbar": eta_eff * p["n_b"] + n_ex, "warnings": warnings}
 
 
-def _finite_rate(scenario: Scenario, r_pe: float, p_delta: float) -> tuple:
-    """Composable rate and the epsilon column for the configured attack."""
-    prm = scenario.params
-    terms = None
-    if scenario.attack == "general":
-        terms = general_attack_extension(prm, (prm.mu - 1.0) / 2.0,
-                                         total_epsilon(prm), p_delta=p_delta)
-    rate = composable_rate(r_pe, prm, p_delta=p_delta,
-                           improved_prefactor=scenario.improved_aep, terms=terms)
-    return rate, total_epsilon(prm) if terms is None else terms.eps_prime
+def _rate_plan(scenario: Scenario):
+    """x -> rate row: model rate, worst-case rate, composable rate. Every
+    scenario-level quantity is resolved here, once per rate or sweep call; a
+    row runs _model_point, then the scalar kernels of rates and finite_size
+    on its model and worst-case point fields, with ChannelPoint's checks."""
+    p, prm = scenario.physics, scenario.params
+    channel, trust = scenario.channel, scenario.trust_level
+    mobile, microwave = channel == "optical-mobile", channel == "microwave"
+    los = scenario.security_type is SecurityType.LOS
+    eta_eff, n_b, nu, mu, beta = (p["eta_eff"], p.get("n_b", 0.0),
+                                  scenario.nu_det, prm.mu, prm.beta)
+    sx2, m_p, w = scenario.sigma_x2, nu * prm.m, prm.w
+    th_el, th_ph = scenario.derived.get("theta_el"), scenario.derived.get("theta_ph")
+    split_noise = not (mobile or microwave) and trust != 3
+    eps_total, n_transmit = total_epsilon(prm), (mu - 1.0) / 2.0
 
+    # at the first row that reaches it, so that a fault fails rows where it
+    # arises; the constant channels evaluate it once, at p_Delta = 1
+    @functools.cache
+    def finite(p_delta: float) -> tuple:
+        """The composable_terms of the configured attack and the epsilon column."""
+        terms = None
+        if scenario.attack == "general":
+            terms = general_attack_extension(prm, n_transmit, eps_total, p_delta=p_delta)
+        return (*composable_terms(prm, p_delta, scenario.improved_aep, terms),
+                eps_total if terms is None else terms.eps_prime)
 
-def _rate_row(scenario: Scenario, x: float) -> dict:
-    """Rate row at abscissa x: model rate, worst-case rate, composable rate."""
-    p = scenario.physics
-    prm = scenario.params
-    nu, sx2 = scenario.nu_det, scenario.sigma_x2
-    trust, security = scenario.trust_level, scenario.security_type
-    los_microwave = scenario.channel == "microwave" and security is SecurityType.LOS
-    pt = _model_point(scenario, x)
-    eta_ch, tau, warnings = pt["eta_ch"], pt["tau"], pt["warnings"]
-    eta_eff = p["eta_eff"]
-    asym, plob, p_delta, n_b_hi = NAN, NAN, 1.0, 0.0
+    def chi_of(point: tuple, n_th: float) -> float:
+        if microwave and los:
+            return microwave_los_holevo(point[0] * eta_eff, sx2, n_th, nu)
+        return point_holevo(*point, trust, los)
 
-    if scenario.channel == "optical-mobile":
-        fs = pt["fs"]
-        tau_lo, tau_hi, n_hi, n_b_hi = fs.tau_lb, NAN, fs.n_ub, fs.n_b_ub
-        p_delta = fs.p_delta
-    else:
-        nbar = pt["nbar"]
-        if scenario.channel == "microwave":
-            model = ChannelPoint.from_estimates(tau, eta_eff, nbar, 0.0, nu, prm.mu)
+    def row(x: float) -> dict:
+        pt = _model_point(scenario, x)
+        eta_ch, tau, warnings = pt["eta_ch"], pt["tau"], pt["warnings"]
+        asym, plob, p_delta, n_b_hi, n_lo = NAN, NAN, 1.0, 0.0, NAN
+        if mobile:
+            fs = pt["fs"]
+            tau_lo, tau_hi, n_hi, n_b_hi = fs.tau_lb, NAN, fs.n_ub, fs.n_b_ub
+            p_delta = fs.p_delta
         else:
-            model = ChannelPoint(eta_ch=eta_ch, eta_eff=eta_eff, n_b=p["n_b"],
-                                 n_ex=pt["n_ex"], nu_det=nu, mu=prm.mu)
-        asym = (microwave_los_rate(model, nbar, prm.beta) if los_microwave
-                else asymptotic_rate(model, trust, security, prm.beta)).rate
-        est = worst_case_estimators(tau, nbar, sx2, 2.0 * nbar + nu, nu * prm.m,
-                                    prm.w)
-        warnings.extend(est.warnings)
-        tau_lo, tau_hi, n_hi = est.tau_lo, est.tau_hi, est.n_hi
-        if scenario.channel != "microwave" and scenario.trust != 3:
-            # the best-case setup share sits at the bound that minimises it
-            n_ex_bc = setup_noise_from_thetas(
-                scenario.derived["theta_el"], scenario.derived["theta_ph"],
-                scenario.lo_kind, est.tau_hi if scenario.lo_kind == "tlo" else tau_lo)
-            n_b_hi, floored = background_bound(n_hi, n_ex_bc, eta_eff)
+            nbar = pt["nbar"]
+            if microwave:
+                model = estimated_point(tau, eta_eff, nbar, 0.0, nu, mu)
+            else:
+                model = (eta_ch, eta_eff, n_b, pt["n_ex"], nu, mu)
+                check_point(*model)
+            chi = chi_of(model, nbar)
+            asym = beta * point_mutual_information(*model) - chi
+            tau_lo, tau_hi, n_hi, n_lo, floored = worst_case_bounds(
+                tau, nbar, sx2, 2.0 * nbar + nu, m_p, w)
             if floored:
-                warnings.append("n_b_hi_floored")
+                warnings.append("tau_lo_floored")
+            if split_noise:
+                # the best-case setup share sits at the bound that minimises it
+                n_ex_bc = setup_noise_from_thetas(th_el, th_ph, scenario.lo_kind,
+                                                  tau_hi if scenario.lo_kind == "tlo"
+                                                  else tau_lo)
+                n_b_hi, floored = background_bound(n_hi, n_ex_bc, eta_eff)
+                if floored:
+                    warnings.append("n_b_hi_floored")
 
-    wc = ChannelPoint.from_estimates(tau_lo, eta_eff, n_hi,
-                                     0.0 if scenario.trust == 3 else n_b_hi, nu,
-                                     prm.mu)
-    rep = microwave_los_rate(wc, est.n_lo, prm.beta) if los_microwave \
-        else asymptotic_rate(wc, trust, security, prm.beta)
-    mi, chi, r_pe = rep.mutual_information, rep.holevo, rep.rate
-    if scenario.channel == "microwave":
-        # the ceiling is unbounded at tau = 1, and JSON has no inf
-        tau_hi, plob = NAN, plob_thermal_bound(tau, nbar) if tau < 1.0 else NAN
+        wc = estimated_point(tau_lo, eta_eff, n_hi, 0.0 if trust == 3 else n_b_hi,
+                             nu, mu)
+        chi = chi_of(wc, n_lo)
+        mi = point_mutual_information(*wc)
+        r_pe = beta * mi - chi
+        if microwave:
+            # the ceiling is unbounded at tau = 1, and JSON has no inf
+            tau_hi, plob = NAN, plob_thermal_bound(tau, nbar) if tau < 1.0 else NAN
 
-    rate_raw, epsilon = _finite_rate(scenario, r_pe, p_delta)
-    return {"eta_ch": eta_ch, "tau": tau, "mi": mi, "chi": chi, "r_pe": r_pe,
-            "rate_asym_raw": asym, "rate_raw": rate_raw, "plob": plob,
-            "epsilon": epsilon, "p_delta": p_delta, "tau_lo": tau_lo,
-            "tau_hi": tau_hi, "n_hi": n_hi, "warnings": ";".join(warnings),
-            "reason": ""}
+        prefactor, aep, tail, epsilon = finite(p_delta)
+        return {"eta_ch": eta_ch, "tau": tau, "mi": mi, "chi": chi, "r_pe": r_pe,
+                "rate_asym_raw": asym, "rate_raw": prefactor * (r_pe - aep + tail),
+                "plob": plob, "epsilon": epsilon, "p_delta": p_delta,
+                "tau_lo": tau_lo, "tau_hi": tau_hi, "n_hi": n_hi,
+                "warnings": ";".join(warnings), "reason": ""}
+
+    return row
 
 
-def _guarded_row(evaluate, columns: tuple, scenario: Scenario, x: float,
-                 *args) -> dict:
-    """evaluate(scenario, x, *args) with the abscissa column set; a failure
-    becomes a NaN row whose reason names the exception."""
+def _guarded_row(evaluate, columns: tuple, scenario: Scenario, x: float) -> dict:
+    """evaluate(x) with the abscissa column set; a failure becomes a NaN row
+    whose reason names the exception."""
     try:
-        row = evaluate(scenario, x, *args)
+        row = evaluate(x)
     except OSError:  # an unwritable --dump path is a usage error (exit 1)
         raise
     except Exception as exc:  # per-point failures must not kill the sweep
@@ -221,19 +236,24 @@ def _guarded_row(evaluate, columns: tuple, scenario: Scenario, x: float,
     return row
 
 
+def _rate_rows(scenario: Scenario, grid, clamp: bool) -> list:
+    """Rate rows at the abscissae of grid, from one rate plan."""
+    plan = _rate_plan(scenario)
+    rows = [_guarded_row(plan, RATE_COLUMNS, scenario, x) for x in grid]
+    for row in rows:
+        for raw, column in (("rate_asym_raw", "rate_asym"), ("rate_raw", "rate")):
+            row[column] = _clamp(row[raw]) if clamp else row[raw]
+    return rows
+
+
 def evaluate_rate_point(scenario: Scenario, x: float, clamp: bool) -> dict:
     """One complete rate row at abscissa x; failures become NaN rows."""
-    row = _guarded_row(_rate_row, RATE_COLUMNS, scenario, x)
-    row["rate_asym"] = _clamp(row["rate_asym_raw"]) if clamp \
-        else row["rate_asym_raw"]
-    row["rate"] = _clamp(row["rate_raw"]) if clamp else row["rate_raw"]
-    return row
+    return _rate_rows(scenario, (x,), clamp)[0]
 
 
 def _clamp(value: float) -> float:
-    if isinstance(value, float) and math.isnan(value):
-        return value
-    return max(0.0, value)
+    """max(0, value), NaN passing through."""
+    return 0.0 if value <= 0.0 else value
 
 
 def _mobile_noise_map(scenario: Scenario):
@@ -335,8 +355,7 @@ def run_sweep(scenario: Scenario, clamp: bool) -> list:
     if scenario.sweep is None:
         raise ConfigError("the sweep command needs a [sweep] section")
     _, start, stop, points = scenario.sweep
-    return [evaluate_rate_point(scenario, x, clamp)
-            for x in _sweep_grid(start, stop, points)]
+    return _rate_rows(scenario, _sweep_grid(start, stop, points), clamp)
 
 
 def _format_cell(value) -> str:
@@ -468,8 +487,9 @@ def main(argv=None) -> int:
                                   "section")
             base = SIM_MOBILE_COLUMNS if scenario.channel == "optical-mobile" \
                 else SIM_COLUMNS
-            rows = [_guarded_row(_simulation_row, base, scenario,
-                                 _need_point(scenario), args.seed, args.dump)]
+            rows = [_guarded_row(functools.partial(
+                _simulation_row, scenario, seed=args.seed, dump=args.dump),
+                base, scenario, _need_point(scenario))]
         else:
             if scenario.coverage is None:
                 raise ConfigError("the coverage command needs a [coverage] "
@@ -479,7 +499,9 @@ def main(argv=None) -> int:
                 raise ConfigError("coverage applies to the constant-transmissivity "
                                   "channels")
             base = COVERAGE_COLUMNS
-            rows = [_guarded_row(_coverage_row, base, scenario, x, args.seed)]
+            rows = [_guarded_row(functools.partial(_coverage_row, scenario,
+                                                   seed=args.seed),
+                                 base, scenario, x)]
         _emit(rows, base, scenario, args, args.command)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -173,15 +173,17 @@ class EstimatorSet(Record):
                              warnings=warnings)
 
 
-def worst_case_estimators(tau: float, nbar: float, sigma_x2: float, sigma_z2: float,
-                          m_p: float, w: float) -> EstimatorSet:
-    """Confidence bounds around (tau, nbar) after m_p disclosed pairs.
+def worst_case_bounds(tau: float, nbar: float, sigma_x2: float, sigma_z2: float,
+                      m_p: float, w: float) -> tuple:
+    """(tau', tau'', nbar', nbar'', floored): confidence bounds around
+    (tau, nbar) after m_p disclosed pairs.
 
     tau' = tau - 2w sqrt((2 tau^2 + tau sigma_z^2 / sigma_x^2) / m_p),
     tau'' its mirror image upward (capped at 1), nbar' = nbar + shift and
     nbar'' = max(nbar - shift, 0) with shift = w sigma_z^2 / sqrt(2 m_p).
     sigma_z2 may be the measured residual variance or the model value
-    2 nbar + nu_det. tau' is floored at min(TAU_FLOOR, tau) with a warning.
+    2 nbar + nu_det. tau' is floored at min(TAU_FLOOR, tau), and floored
+    says so.
 
     This is the one estimation law of every channel: the constant links
     pass the model point with m_p = nu_det m, and the mobile window its
@@ -191,15 +193,26 @@ def worst_case_estimators(tau: float, nbar: float, sigma_x2: float, sigma_z2: fl
         raise ValueError("tau, sigma_x2, m_p must be positive; w, nbar non-negative")
     margin = 2.0 * w * math.sqrt((2.0 * tau * tau + tau * sigma_z2 / sigma_x2) / m_p)
     tau_lo = tau - margin
-    warnings = ()
-    floor = min(TAU_FLOOR, tau)
-    if tau_lo <= floor:
-        warnings = ("tau_lo_floored",)
+    # min and max as conditional expressions, value for value, without the
+    # builtins' calls: this runs on every rate row
+    floor = tau if tau < TAU_FLOOR else TAU_FLOOR
+    floored = tau_lo <= floor
+    if floored:
         tau_lo = floor
     shift = w * sigma_z2 / math.sqrt(2.0 * m_p)
-    return EstimatorSet(tau_lo=tau_lo, tau_hi=min(tau + margin, 1.0),
-                        n_hi=nbar + shift, n_lo=max(nbar - shift, 0.0),
-                        warnings=warnings)
+    tau_hi, n_lo = tau + margin, nbar - shift
+    return (tau_lo, 1.0 if tau_hi > 1.0 else tau_hi, nbar + shift,
+            0.0 if n_lo < 0.0 else n_lo, floored)
+
+
+def worst_case_estimators(tau: float, nbar: float, sigma_x2: float, sigma_z2: float,
+                          m_p: float, w: float) -> EstimatorSet:
+    """The :func:`worst_case_bounds` as a record, a floored tau' warned as
+    tau_lo_floored."""
+    tau_lo, tau_hi, n_hi, n_lo, floored = worst_case_bounds(tau, nbar, sigma_x2,
+                                                            sigma_z2, m_p, w)
+    return EstimatorSet(tau_lo=tau_lo, tau_hi=tau_hi, n_hi=n_hi, n_lo=n_lo,
+                        warnings=("tau_lo_floored",) if floored else ())
 
 
 def background_bound(n_hi: float, n_ex_bc: float, eta_eff: float) -> tuple:
@@ -308,16 +321,20 @@ def general_attack_extension(params: ProtocolParams, n_transmit: float, eps: flo
                               eps_prime=eps_prime)
 
 
-def composable_rate(r_pe: float, params: ProtocolParams, p_delta: float = 1.0,
-                    improved_prefactor: bool = False,
-                    terms: GeneralAttackTerms | None = None) -> float:
-    """Composable rate, not clamped at zero.
+def composable_terms(params: ProtocolParams, p_delta: float = 1.0,
+                     improved_prefactor: bool = False,
+                     terms: GeneralAttackTerms | None = None) -> tuple:
+    """(n p_Delta p_ec / N, Delta_aep / sqrt(n p_Delta), (Theta - Phi) /
+    (n p_Delta)): the three terms of the composable rate, which is not
+    clamped at zero,
 
     R = (n p_Delta p_ec / N) [R_pe - Delta_aep / sqrt(n p_Delta)
-        + (Theta - Phi) / (n p_Delta)], where p_Delta < 1 only under
-    post-selected fading lattices. Against collective attacks Phi = 0;
-    against general attacks (heterodyne protocols) Phi = terms.phi, the
-    dimension cutoff that general_attack_extension evaluates at n p_Delta.
+        + (Theta - Phi) / (n p_Delta)],
+
+    where p_Delta < 1 only under post-selected fading lattices. Against
+    collective attacks Phi = 0; against general attacks (heterodyne
+    protocols) Phi = terms.phi, the dimension cutoff that
+    general_attack_extension evaluates at n p_Delta.
     """
     if not 0.0 < p_delta <= 1.0:
         raise ValueError("p_delta must lie in (0, 1]")
@@ -329,8 +346,8 @@ def composable_rate(r_pe: float, params: ProtocolParams, p_delta: float = 1.0,
     phi = 0.0 if terms is None else terms.phi
     aep = delta_aep(params.d, params.p_ec, params.eps_s, improved_prefactor)
     theta = theta_term(params.p_ec, params.eps_s, params.eps_h)
-    return (n_eff * params.p_ec / params.n_total
-            * (r_pe - aep / math.sqrt(n_eff) + (theta - phi) / n_eff))
+    return (n_eff * params.p_ec / params.n_total, aep / math.sqrt(n_eff),
+            (theta - phi) / n_eff)
 
 
 # --- mobile fading worst case ------------------------------------------------
@@ -438,14 +455,14 @@ def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
 
     n_wc = noise(tau_wc)
     m_delta = nu_det * params.m * p_delta
-    est = worst_case_estimators(tau_min, n_wc, sigma_x2, 2.0 * n_wc + nu_det,
-                                m_delta, params.w)
-    warnings = ("tau_lb_floored",) if est.warnings else ()
-    n_b_ub, floored = background_bound(est.n_hi, n_ex_bc, eta_eff)
+    tau_lb, _, n_ub, _, floored = worst_case_bounds(
+        tau_min, n_wc, sigma_x2, 2.0 * n_wc + nu_det, m_delta, params.w)
+    warnings = ("tau_lb_floored",) if floored else ()
+    n_b_ub, floored = background_bound(n_ub, n_ex_bc, eta_eff)
     if floored:
         warnings = warnings + ("n_b_ub_floored",)
 
     return FadingEstimatorSet(lattice=lattice, fading=fading, noise=noise,
                               p_delta=p_delta, n_ex_wc=n_ex_wc, n_wc=n_wc,
-                              m_delta=m_delta, tau_lb=est.tau_lo, n_ub=est.n_hi,
+                              m_delta=m_delta, tau_lb=tau_lb, n_ub=n_ub,
                               n_ex_bc=n_ex_bc, n_b_ub=n_b_ub, warnings=warnings)

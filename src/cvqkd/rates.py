@@ -47,6 +47,11 @@ class TrustLevel(enum.IntEnum):
     UNTRUSTED = 3
 
 
+# The members as module names, for the rate kernels: on CPython 3.11 each
+# lookup of an enum class attribute costs a descriptor call, about 0.2 us.
+PASSIVE, TRUSTED_NOISE, UNTRUSTED = TrustLevel
+
+
 class SecurityType(enum.Enum):
     STANDARD = "standard"
     LOS = "los"
@@ -57,6 +62,42 @@ def _member(kind: type, value):
     return value if type(value) is kind else kind(value)
 
 
+def check_point(eta_ch: float, eta_eff: float, n_b: float, n_ex: float,
+                nu_det: int, mu: float) -> None:
+    """The domain of an operating point's fields (see ChannelPoint)."""
+    if not 0.0 < eta_ch <= 1.0:
+        raise ValueError("eta_ch must lie in (0, 1]")
+    if not 0.0 < eta_eff <= 1.0:
+        raise ValueError("eta_eff must lie in (0, 1]")
+    if n_b < 0.0 or n_ex < 0.0:
+        raise ValueError("photon numbers must be non-negative")
+    if nu_det not in (1, 2):
+        raise ValueError("nu_det must be 1 (homodyne) or 2 (heterodyne)")
+    if mu < 1.0:
+        raise ValueError("mu must be >= 1")
+
+
+def estimated_point(tau: float, eta_eff: float, nbar: float, n_b: float,
+                    nu_det: int, mu: float) -> tuple:
+    """The checked fields (eta_ch, eta_eff, n_b, n_ex, nu_det, mu) of the
+    point with (tau, nbar, n_b) worst-case estimates.
+
+    The setup share is the remainder n_ex = nbar - eta_eff * n_b, which
+    must be non-negative; eta_ch = tau / eta_eff.
+    """
+    n_ex = nbar - eta_eff * n_b
+    if n_ex < -1e-12:
+        raise ValueError("nbar smaller than the channel share eta_eff * n_b")
+    eta_ch = tau / eta_eff
+    if eta_ch > 1.0 + 1e-12:
+        raise ValueError("tau exceeds eta_eff: channel transmissivity above 1")
+    # min(eta_ch, 1) and max(n_ex, 0), value for value, without the builtins' calls
+    point = (1.0 if eta_ch > 1.0 else eta_ch, eta_eff, n_b,
+             0.0 if n_ex < 0.0 else n_ex, nu_det, mu)
+    check_point(*point)
+    return point
+
+
 class ChannelPoint(Record):
     """One operating point of the link.
 
@@ -65,21 +106,13 @@ class ChannelPoint(Record):
     background photons injected by the channel (eta_eff * n_b reach the
     detector), n_ex setup photons added after the channel; the total noise
     photon number is nbar = eta_eff * n_b + n_ex. mu = sigma_x^2 + 1 is the
-    modulation variance, nu_det the quadrature duty (1 hom / 2 het).
+    modulation variance, nu_det the quadrature duty (1 hom / 2 het). The
+    rate kernels take these six fields as scalars, in this order.
     """
 
     def __init__(self, eta_ch: float, eta_eff: float, n_b: float, n_ex: float,
                  nu_det: int, mu: float):
-        if not 0.0 < eta_ch <= 1.0:
-            raise ValueError("eta_ch must lie in (0, 1]")
-        if not 0.0 < eta_eff <= 1.0:
-            raise ValueError("eta_eff must lie in (0, 1]")
-        if n_b < 0.0 or n_ex < 0.0:
-            raise ValueError("photon numbers must be non-negative")
-        if nu_det not in (1, 2):
-            raise ValueError("nu_det must be 1 (homodyne) or 2 (heterodyne)")
-        if mu < 1.0:
-            raise ValueError("mu must be >= 1")
+        check_point(eta_ch, eta_eff, n_b, n_ex, nu_det, mu)
         self.__dict__.update(eta_ch=eta_ch, eta_eff=eta_eff, n_b=n_b, n_ex=n_ex,
                              nu_det=nu_det, mu=mu)
 
@@ -98,31 +131,21 @@ class ChannelPoint(Record):
     @classmethod
     def from_estimates(cls, tau: float, eta_eff: float, nbar: float, n_b: float,
                        nu_det: int, mu: float) -> "ChannelPoint":
-        """Build a point from (tau, nbar, n_b) worst-case estimates.
-
-        The setup share is the remainder n_ex = nbar - eta_eff * n_b, which
-        must be non-negative; eta_ch = tau / eta_eff.
-        """
-        n_ex = nbar - eta_eff * n_b
-        if n_ex < -1e-12:
-            raise ValueError("nbar smaller than the channel share eta_eff * n_b")
-        eta_ch = tau / eta_eff
-        if eta_ch > 1.0 + 1e-12:
-            raise ValueError("tau exceeds eta_eff: channel transmissivity above 1")
-        return cls(eta_ch=min(eta_ch, 1.0), eta_eff=eta_eff, n_b=n_b,
-                   n_ex=max(n_ex, 0.0), nu_det=nu_det, mu=mu)
+        """The point of :func:`estimated_point`."""
+        return cls(*estimated_point(tau, eta_eff, nbar, n_b, nu_det, mu))
 
 
-def mutual_information(ch: ChannelPoint) -> float:
+def point_mutual_information(eta_ch: float, eta_eff: float, n_b: float,
+                             n_ex: float, nu_det: int, mu: float) -> float:
     """Alice-Bob mutual information I = (nu_det/2) log2(1 + sigma_x^2/chi_n),
     with equivalent noise chi_n = (2 nbar + nu_det) / tau."""
-    chi_noise = (2.0 * ch.nbar + ch.nu_det) / ch.tau
-    return ch.nu_det / 2.0 * math.log2(1.0 + ch.sigma_x2 / chi_noise)
+    chi_noise = (2.0 * (eta_eff * n_b + n_ex) + nu_det) / (eta_ch * eta_eff)
+    return nu_det / 2.0 * math.log2(1.0 + (mu - 1.0) / chi_noise)
 
 
-def bob_variance(ch: ChannelPoint) -> float:
+def bob_variance(tau: float, nbar: float, mu: float) -> float:
     """Bob's quadrature variance b = tau (mu - 1) + 2 nbar + 1."""
-    return ch.tau * (ch.mu - 1.0) + 2.0 * ch.nbar + 1.0
+    return tau * (mu - 1.0) + 2.0 * nbar + 1.0
 
 
 def _two_mode_entropy(delta: float, root_det: float, split: float) -> float:
@@ -131,39 +154,33 @@ def _two_mode_entropy(delta: float, root_det: float, split: float) -> float:
     delta = nu+^2 + nu-^2, root_det = nu+ nu- and split = nu+^2 - nu-^2
     >= 0, which callers supply free of cancellation; nu- = root_det / nu+.
     """
-    nu_plus = math.sqrt(max((delta + split) / 2.0, 0.0))
+    square = (delta + split) / 2.0
+    nu_plus = math.sqrt(0.0 if square < 0.0 else square)
     return entropic_h(nu_plus) + entropic_h(root_det / nu_plus)
 
 
-def _environment(ch: ChannelPoint, trust: TrustLevel) -> tuple:
-    """(eta, kappa, n_E, eps, s, lag) of Eve's dilation: eta = eta_ch,
-    kappa = eta_eff, n_E = n_b (passive Eve); otherwise eta = tau, kappa = 1
-    and n_E = eta_eff n_b (trusted noise) or nbar. eps = 1 - eta is the
-    leakage, s = 2 n_E + eps and lag = s - eps mu."""
-    trust = _member(TrustLevel, trust)
-    if trust is TrustLevel.PASSIVE:
-        eta, kappa, n_e = ch.eta_ch, ch.eta_eff, ch.n_b
-    else:
-        eta, kappa = ch.tau, 1.0
-        n_e = ch.eta_eff * ch.n_b if trust is TrustLevel.TRUSTED_NOISE else ch.nbar
-    eps = 1.0 - eta
-    s = 2.0 * n_e + eps
-    return eta, kappa, n_e, eps, s, s - eps * ch.mu
+def point_holevo(eta_ch: float, eta_eff: float, n_b: float, n_ex: float,
+                 nu_det: int, mu: float, trust: TrustLevel,
+                 los: bool = False) -> float:
+    """Holevo bound chi(E:y) of the point with ChannelPoint's fields, from
+    the symplectic invariants of Eve's state.
 
+    Eve's dilation: eta = eta_ch, kappa = eta_eff, n_E = n_b (passive Eve);
+    otherwise eta = tau, kappa = 1 and n_E = eta_eff n_b (trusted noise) or
+    nbar. Line-of-sight security (los) gives Eve only the leakage mode of
+    the dilation (the test oracle `eve_joint_cm` in tests/oracles.py), whose
+    eps phi = eta s + eps^2 mu and eps theta^2 = kappa eta (s - eps mu)^2.
 
-def holevo_standard(ch: ChannelPoint, trust: TrustLevel) -> float:
-    """Holevo bound chi(E:y) from the symplectic invariants of Eve's state.
+    Otherwise Eve's two modes and her state conditioned on Bob's outcome are
+    both two-mode states, so chi = h(nu+) + h(nu-) - h(nu+') - h(nu-')
+    follows from Delta = nu+^2 + nu-^2 and sqrt(det) = nu+ nu- (Weedbrook et
+    al., Rev. Mod. Phys. 84, 621 (2012)). The dilation has omega = 2 n_E /
+    eps + 1 with eps = 1 - eta, and its entries diverge as eta -> 1; here
+    every quantity is written in s = eps * omega = 2 n_E + eps, which stays
+    O(1) and holds at eps = 0 too, the bright environment limit (omega ->
+    inf at fixed s):
 
-    Eve's two modes and her state conditioned on Bob's outcome are both
-    two-mode states, so chi = h(nu+) + h(nu-) - h(nu+') - h(nu-') follows
-    from Delta = nu+^2 + nu-^2 and sqrt(det) = nu+ nu- (Weedbrook et al.,
-    Rev. Mod. Phys. 84, 621 (2012)). The dilation, the test oracle
-    `eve_joint_cm` in tests/oracles.py, has omega = 2 n_E / eps + 1 with
-    eps = 1 - eta, and its entries diverge as eta -> 1; here every quantity
-    is written in s = eps * omega = 2 n_E + eps, which stays O(1) and holds
-    at eps = 0 too, the bright environment limit (omega -> inf at fixed s):
-
-    * (eta, kappa, n_E, eps, s) and lag = s - eps mu from :func:`_environment`;
+    * lag = s - eps mu;
     * Eve: sqrt(det) = mu s + eta, Delta = s^2 + 2 eta mu s + eps^2 mu^2
       + 2 eta and nu+ - nu- = |s - eps mu|;
     * the dilation's g = phi gamma^2 + omega theta^2 - 2 psi theta gamma and
@@ -180,9 +197,22 @@ def holevo_standard(ch: ChannelPoint, trust: TrustLevel) -> float:
 
     Each eigenvalue passes the domain check of :func:`entropic_h`.
     """
-    # nu1 - nu2 = phi - omega = -lag
-    eta, kappa, n_e, eps, s, lag = _environment(ch, trust)
-    mu = ch.mu
+    if los and trust is UNTRUSTED:
+        raise ValueError("line-of-sight security requires a trusted noise source")
+    tau = eta_ch * eta_eff
+    nbar = eta_eff * n_b + n_ex
+    if trust is PASSIVE:
+        eta, kappa, n_e = eta_ch, eta_eff, n_b
+    else:
+        eta, kappa = tau, 1.0
+        n_e = eta_eff * n_b if trust is TRUSTED_NOISE else nbar
+    eps = 1.0 - eta
+    s = 2.0 * n_e + eps
+    lag = s - eps * mu           # nu1 - nu2 = phi - omega = -lag
+    b = bob_variance(tau, nbar, mu)
+    if los:
+        return holevo_los_from_coefficients(b, kappa * eta * lag * lag,
+                                            eta * s + eps * eps * mu, eps, nu_det)
     if s == 0.0:        # the identity channel into a vacuum environment
         return 0.0
     root_det = mu * s + eta
@@ -191,8 +221,7 @@ def holevo_standard(ch: ChannelPoint, trust: TrustLevel) -> float:
     g = kappa * (eta * (mu * mu + 1.0) * s - 2.0 * eta * mu * eps
                  + mu * (s * s - eps * eps))
     t = kappa * (-s * s - 2.0 * eta * mu * s + eps * (eta * mu * mu + 1.0))
-    b = bob_variance(ch)
-    if ch.nu_det == 2:
+    if nu_det == 2:
         k = 1.0 / (b + 1.0)
         root_det_c = root_det - k * g
         delta_c = (lag + k * t) ** 2 + 2.0 * root_det_c
@@ -226,11 +255,18 @@ def holevo_standard(ch: ChannelPoint, trust: TrustLevel) -> float:
         nu1 = (sigma - lag) / 2.0
         nu2 = (sigma + lag) / 2.0
         b1, b2 = math.sqrt(nu1) * a1, math.sqrt(nu2) * a2
-        root_det_c = math.sqrt(max((root_det - k * g) * root_det, 0.0))
+        det_c = (root_det - k * g) * root_det
+        root_det_c = math.sqrt(0.0 if det_c < 0.0 else det_c)
         delta_c = delta - k * (b1 * b1 + b2 * b2)
         split_c = math.hypot(-sigma * lag - k * (b1 * b1 - b2 * b2), 2.0 * k * b1 * b2)
     return (_two_mode_entropy(delta, root_det, abs(lag) * sigma)
             - _two_mode_entropy(delta_c, root_det_c, split_c))
+
+
+def holevo_standard(ch: ChannelPoint, trust: TrustLevel) -> float:
+    """Standard-security :func:`point_holevo` of a ChannelPoint."""
+    return point_holevo(ch.eta_ch, ch.eta_eff, ch.n_b, ch.n_ex, ch.nu_det, ch.mu,
+                        _member(TrustLevel, trust))
 
 
 def holevo_untrusted_closed_form(ch: ChannelPoint) -> float:
@@ -243,7 +279,7 @@ def holevo_untrusted_closed_form(ch: ChannelPoint) -> float:
     from .gaussian import I2, Z2, two_mode_blocks, two_mode_symplectic_spectrum
 
     mu = ch.mu
-    b = bob_variance(ch)
+    b = bob_variance(ch.tau, ch.nbar, mu)
     c2 = ch.tau * (mu * mu - 1.0)
     v_ab = two_mode_blocks(mu * I2, b * I2, math.sqrt(c2) * Z2)
     total = float(sum(map(entropic_h, two_mode_symplectic_spectrum(v_ab))))
@@ -252,12 +288,6 @@ def holevo_untrusted_closed_form(ch: ChannelPoint) -> float:
     else:
         cond_arg = mu - c2 / (b + 1.0)
     return total - entropic_h(cond_arg)
-
-
-class RateReport(Record):
-    def __init__(self, rate: float, mutual_information: float, holevo: float):
-        self.__dict__.update(rate=rate, mutual_information=mutual_information,
-                             holevo=holevo)
 
 
 def _g(n: float) -> float:
@@ -290,51 +320,18 @@ def holevo_los_from_coefficients(b: float, eps_theta2: float, eps_phi: float,
     return chi
 
 
-def holevo_los(ch: ChannelPoint, trust: TrustLevel) -> float:
-    """Line-of-sight Holevo bound: Eve holds only the leakage mode of the
-    dilation (the test oracle `eve_joint_cm` in tests/oracles.py), whose
-    eps phi = eta s + eps^2 mu and eps theta^2 = kappa eta (s - eps mu)^2
-    (s = 2 n_E + eps)."""
-    if _member(TrustLevel, trust) is TrustLevel.UNTRUSTED:
-        raise ValueError("line-of-sight security requires a trusted noise source")
-    eta, kappa, _, eps, s, lag = _environment(ch, trust)
-    return holevo_los_from_coefficients(bob_variance(ch), kappa * eta * lag * lag,
-                                        eta * s + eps * eps * ch.mu, eps, ch.nu_det)
-
-
-def microwave_los_rate(ch: ChannelPoint, n_th: float, beta: float) -> RateReport:
-    """Line-of-sight rate of a thermal-modulated microwave link: I(x:y) of
-    the point, and chi of the leakage mode at n_th thermal photons, with
-    b = tau sigma_x^2 + 2 n_th + 1, phi = eps sigma_x^2 + 2 n_th + 1 and the
-    reflected modulation theta^2 = tau eps sigma_x^4 (eps = 1 - tau)."""
+def microwave_los_holevo(tau: float, sigma_x2: float, n_th: float,
+                         nu_det: int) -> float:
+    """Line-of-sight Holevo bound of a thermal-modulated microwave link: chi
+    of the leakage mode at n_th thermal photons, with b = tau sigma_x^2 +
+    2 n_th + 1, phi = eps sigma_x^2 + 2 n_th + 1 and the reflected
+    modulation theta^2 = tau eps sigma_x^4 (eps = 1 - tau)."""
     if n_th < 0.0:
         raise ValueError("n_th must be non-negative")
-    tau, sx2 = ch.tau, ch.sigma_x2
     eps = 1.0 - tau
-    chi = holevo_los_from_coefficients(
-        tau * sx2 + 2.0 * n_th + 1.0, tau * (eps * sx2) ** 2,
-        eps * (eps * sx2 + 2.0 * n_th + 1.0), eps, ch.nu_det)
-    return _report(ch, beta, chi)
-
-
-def holevo(ch: ChannelPoint, trust: TrustLevel, security: SecurityType) -> float:
-    security = _member(SecurityType, security)
-    if security is SecurityType.LOS:
-        return holevo_los(ch, trust)
-    return holevo_standard(ch, trust)
-
-
-def asymptotic_rate(ch: ChannelPoint, trust: TrustLevel, security: SecurityType,
-                    beta: float) -> RateReport:
-    """R = beta * I(x:y) - chi(E:y), not clamped at zero."""
-    return _report(ch, beta, holevo(ch, trust, security))
-
-
-def _report(ch: ChannelPoint, beta: float, chi: float) -> RateReport:
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
-    mi = mutual_information(ch)
-    return RateReport(rate=beta * mi - chi, mutual_information=mi, holevo=chi)
+    return holevo_los_from_coefficients(
+        tau * sigma_x2 + 2.0 * n_th + 1.0, tau * (eps * sigma_x2) ** 2,
+        eps * (eps * sigma_x2 + 2.0 * n_th + 1.0), eps, nu_det)
 
 
 def plob_thermal_bound(tau: float, n_th: float) -> float:

@@ -5,10 +5,14 @@ against. No command calls them.
   Phys. 84, 621 (2012)) as explicit covariance matrices, and
   `_chi_from_conditioning` takes chi(E:y) from their symplectic spectra
   before and after Bob's measurement: the eigenvalue path that
-  `cvqkd.rates.holevo_standard` and `holevo_los` replace with invariants.
+  `cvqkd.rates.point_holevo` replaces with invariants.
 * `CovarianceMatrix` validates a matrix and checks the bona fide condition.
 * `fading_probability_quadrature` integrates the fading density that
   `cvqkd.channel.fading_probability` integrates in closed form.
+* `rate_row_oracle` composes a rate row from ChannelPoint and RateReport
+  records, one per point and rate (`asymptotic_rate`, `microwave_los_rate`,
+  `worst_case_estimators`, `composable_rate`): the composition that the
+  rate plan of `cvqkd.cli` replaces with scalar kernels.
 """
 
 from __future__ import annotations
@@ -19,7 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from cvqkd import Record
 from cvqkd.channel import FadingModel, _log_ratio_density
+from cvqkd.cli import ABSCISSA, NAN, RATE_COLUMNS, _clamp, _model_point
+from cvqkd.finite_size import (
+    background_bound,
+    composable_terms,
+    general_attack_extension,
+    total_epsilon,
+    worst_case_estimators,
+)
 from cvqkd.gaussian import (
     I2,
     Z2,
@@ -28,7 +41,19 @@ from cvqkd.gaussian import (
     symplectic_spectrum,
     two_mode_blocks,
 )
-from cvqkd.rates import BONA_FIDE_TOL, ChannelPoint, TrustLevel, _member, bob_variance
+from cvqkd.noise import setup_noise_from_thetas
+from cvqkd.rates import (
+    BONA_FIDE_TOL,
+    ChannelPoint,
+    SecurityType,
+    TrustLevel,
+    _member,
+    bob_variance,
+    holevo_standard,
+    microwave_los_holevo,
+    plob_thermal_bound,
+    point_holevo,
+)
 
 IDENTITY_GUARD = 1e-12
 
@@ -128,7 +153,7 @@ def eve_joint_cm(ch: ChannelPoint, trust: TrustLevel) -> EveState:
     trust = _member(TrustLevel, trust)
     tau = ch.tau
     mu = ch.mu
-    b = bob_variance(ch)
+    b = bob_variance(tau, ch.nbar, mu)
     if trust is TrustLevel.PASSIVE:
         if ch.eta_ch >= 1.0 - IDENTITY_GUARD:
             raise ValueError("identity channel: passive-Eve dilation undefined at eta_ch = 1")
@@ -187,3 +212,140 @@ def fading_probability_quadrature(tau_lo: float, tau_hi: float,
     val, _ = quad(integrand, math.log(s_lo) if s_lo > 0.0 else -math.inf,
                   math.log(s_hi), limit=400)
     return val
+
+
+# --- the rate-row composition -----------------------------------------------
+
+class RateReport(Record):
+    def __init__(self, rate: float, mutual_information: float, holevo: float):
+        self.__dict__.update(rate=rate, mutual_information=mutual_information,
+                             holevo=holevo)
+
+
+def mutual_information(ch: ChannelPoint) -> float:
+    """Alice-Bob mutual information I = (nu_det/2) log2(1 + sigma_x^2/chi_n),
+    with equivalent noise chi_n = (2 nbar + nu_det) / tau."""
+    chi_noise = (2.0 * ch.nbar + ch.nu_det) / ch.tau
+    return ch.nu_det / 2.0 * math.log2(1.0 + ch.sigma_x2 / chi_noise)
+
+
+def holevo_los(ch: ChannelPoint, trust: TrustLevel) -> float:
+    """Line-of-sight :func:`cvqkd.rates.point_holevo` of a ChannelPoint."""
+    return point_holevo(ch.eta_ch, ch.eta_eff, ch.n_b, ch.n_ex, ch.nu_det, ch.mu,
+                        _member(TrustLevel, trust), los=True)
+
+
+def holevo(ch: ChannelPoint, trust: TrustLevel, security: SecurityType) -> float:
+    if _member(SecurityType, security) is SecurityType.LOS:
+        return holevo_los(ch, trust)
+    return holevo_standard(ch, trust)
+
+
+def _report(ch: ChannelPoint, beta: float, chi: float) -> RateReport:
+    if not 0.0 < beta <= 1.0:
+        raise ValueError("beta must lie in (0, 1]")
+    mi = mutual_information(ch)
+    return RateReport(rate=beta * mi - chi, mutual_information=mi, holevo=chi)
+
+
+def asymptotic_rate(ch: ChannelPoint, trust: TrustLevel, security: SecurityType,
+                    beta: float) -> RateReport:
+    """R = beta * I(x:y) - chi(E:y), not clamped at zero."""
+    return _report(ch, beta, holevo(ch, trust, security))
+
+
+def microwave_los_rate(ch: ChannelPoint, n_th: float, beta: float) -> RateReport:
+    """Line-of-sight rate of a thermal-modulated microwave link: I(x:y) of
+    the point, and chi of the leakage mode at n_th thermal photons."""
+    chi = microwave_los_holevo(ch.tau, ch.sigma_x2, n_th, ch.nu_det)
+    return _report(ch, beta, chi)
+
+
+def composable_rate(r_pe: float, params, p_delta: float = 1.0,
+                    improved_prefactor: bool = False, terms=None) -> float:
+    """R = (n p_Delta p_ec / N) [R_pe - Delta_aep / sqrt(n p_Delta)
+    + (Theta - Phi) / (n p_Delta)] from the composable_terms."""
+    prefactor, aep, tail = composable_terms(params, p_delta, improved_prefactor, terms)
+    return prefactor * (r_pe - aep + tail)
+
+
+def _finite_rate(scenario, r_pe: float, p_delta: float) -> tuple:
+    """Composable rate and the epsilon column for the configured attack."""
+    prm = scenario.params
+    terms = None
+    if scenario.attack == "general":
+        terms = general_attack_extension(prm, (prm.mu - 1.0) / 2.0,
+                                         total_epsilon(prm), p_delta=p_delta)
+    rate = composable_rate(r_pe, prm, p_delta=p_delta,
+                           improved_prefactor=scenario.improved_aep, terms=terms)
+    return rate, total_epsilon(prm) if terms is None else terms.eps_prime
+
+
+def _rate_row(scenario, x: float) -> dict:
+    """Rate row at abscissa x: model rate, worst-case rate, composable rate."""
+    p = scenario.physics
+    prm = scenario.params
+    nu, sx2 = scenario.nu_det, scenario.sigma_x2
+    trust, security = scenario.trust_level, scenario.security_type
+    los_microwave = scenario.channel == "microwave" and security is SecurityType.LOS
+    pt = _model_point(scenario, x)
+    eta_ch, tau, warnings = pt["eta_ch"], pt["tau"], pt["warnings"]
+    eta_eff = p["eta_eff"]
+    asym, plob, p_delta, n_b_hi = NAN, NAN, 1.0, 0.0
+
+    if scenario.channel == "optical-mobile":
+        fs = pt["fs"]
+        tau_lo, tau_hi, n_hi, n_b_hi = fs.tau_lb, NAN, fs.n_ub, fs.n_b_ub
+        p_delta = fs.p_delta
+    else:
+        nbar = pt["nbar"]
+        if scenario.channel == "microwave":
+            model = ChannelPoint.from_estimates(tau, eta_eff, nbar, 0.0, nu, prm.mu)
+        else:
+            model = ChannelPoint(eta_ch=eta_ch, eta_eff=eta_eff, n_b=p["n_b"],
+                                 n_ex=pt["n_ex"], nu_det=nu, mu=prm.mu)
+        asym = (microwave_los_rate(model, nbar, prm.beta) if los_microwave
+                else asymptotic_rate(model, trust, security, prm.beta)).rate
+        est = worst_case_estimators(tau, nbar, sx2, 2.0 * nbar + nu, nu * prm.m,
+                                    prm.w)
+        warnings.extend(est.warnings)
+        tau_lo, tau_hi, n_hi = est.tau_lo, est.tau_hi, est.n_hi
+        if scenario.channel != "microwave" and scenario.trust != 3:
+            # the best-case setup share sits at the bound that minimises it
+            n_ex_bc = setup_noise_from_thetas(
+                scenario.derived["theta_el"], scenario.derived["theta_ph"],
+                scenario.lo_kind, est.tau_hi if scenario.lo_kind == "tlo" else tau_lo)
+            n_b_hi, floored = background_bound(n_hi, n_ex_bc, eta_eff)
+            if floored:
+                warnings.append("n_b_hi_floored")
+
+    wc = ChannelPoint.from_estimates(tau_lo, eta_eff, n_hi,
+                                     0.0 if scenario.trust == 3 else n_b_hi, nu,
+                                     prm.mu)
+    rep = microwave_los_rate(wc, est.n_lo, prm.beta) if los_microwave \
+        else asymptotic_rate(wc, trust, security, prm.beta)
+    mi, chi, r_pe = rep.mutual_information, rep.holevo, rep.rate
+    if scenario.channel == "microwave":
+        tau_hi, plob = NAN, plob_thermal_bound(tau, nbar) if tau < 1.0 else NAN
+
+    rate_raw, epsilon = _finite_rate(scenario, r_pe, p_delta)
+    return {"eta_ch": eta_ch, "tau": tau, "mi": mi, "chi": chi, "r_pe": r_pe,
+            "rate_asym_raw": asym, "rate_raw": rate_raw, "plob": plob,
+            "epsilon": epsilon, "p_delta": p_delta, "tau_lo": tau_lo,
+            "tau_hi": tau_hi, "n_hi": n_hi, "warnings": ";".join(warnings),
+            "reason": ""}
+
+
+def rate_row_oracle(scenario, x: float, clamp: bool = False) -> dict:
+    """The rate row at abscissa x as `cvqkd.cli.evaluate_rate_point` gives
+    it, composed from one record per point, estimate and rate."""
+    try:
+        row = _rate_row(scenario, x)
+    except Exception as exc:
+        row = {col: NAN for col in RATE_COLUMNS}
+        row["warnings"] = ""
+        row["reason"] = f"{type(exc).__name__}: {exc}"
+    row[ABSCISSA[scenario.channel]] = x
+    row["rate_asym"] = _clamp(row["rate_asym_raw"]) if clamp else row["rate_asym_raw"]
+    row["rate"] = _clamp(row["rate_raw"]) if clamp else row["rate_raw"]
+    return row

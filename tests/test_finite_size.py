@@ -30,7 +30,6 @@ from cvqkd.finite_size import (
     FadingLattice,
     ProtocolParams,
     background_bound,
-    composable_rate,
     confidence_w,
     delta_aep,
     empirical_estimators,
@@ -39,8 +38,10 @@ from cvqkd.finite_size import (
     mobile_worst_case,
     theta_term,
     total_epsilon,
+    worst_case_bounds,
     worst_case_estimators,
 )
+from oracles import composable_rate
 
 ROOT = Path(__file__).resolve().parents[1]
 COLLECTIVE = ProtocolParams(n_total=1e7, m=1e6, beta=0.95, p_ec=0.9,
@@ -665,9 +666,9 @@ class TestMobileWorstCase:
 
         def recording(*args):
             calls.append(args)
-            return worst_case_estimators(*args)
+            return worst_case_bounds(*args)
 
-        monkeypatch.setattr(finite_size, "worst_case_estimators", recording)
+        monkeypatch.setattr(finite_size, "worst_case_bounds", recording)
         prm = self.params()
         fs = mobile_worst_case(prm, self.fading(), self.TH_EL, self.TH_PH,
                                "llo", 0.7, 0.019, 9.0, 2)

@@ -22,16 +22,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cvqkd.rates import (
-    ChannelPoint,
-    SecurityType,
-    TrustLevel,
+from cvqkd.rates import ChannelPoint, SecurityType, TrustLevel, holevo_standard
+from oracles import (
+    CovarianceMatrix,
+    _chi_from_conditioning,
+    eve_joint_cm,
     holevo,
     holevo_los,
-    holevo_standard,
     microwave_los_rate,
 )
-from oracles import CovarianceMatrix, _chi_from_conditioning, eve_joint_cm
 
 DPS = 80
 LOS_DPS = 60

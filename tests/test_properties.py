@@ -21,7 +21,8 @@ from cvqkd.channel import diffraction_transmissivity, microwave_transmissivity, 
 from cvqkd.cli import evaluate_rate_point
 from cvqkd.config import _KEY_TABLE, ConfigError, Scenario, resolve_scenario
 from cvqkd.finite_size import TAU_FLOOR
-from cvqkd.rates import ChannelPoint, SecurityType, TrustLevel, asymptotic_rate
+from cvqkd.rates import ChannelPoint, SecurityType, TrustLevel
+from oracles import asymptotic_rate
 from test_cli import set_key
 
 TEMPLATE = """

@@ -17,7 +17,7 @@ import cvqkd.finite_size
 from cvqkd.channel import BeamConfig, FadingModel, fading_probability
 from cvqkd.cli import main
 from cvqkd.finite_size import CHUNK, FadingLattice, empirical_estimators
-from cvqkd.rates import ChannelPoint, mutual_information
+from cvqkd.rates import ChannelPoint
 from cvqkd.simulate import (
     _chunked_normals,
     _sufficient_statistics,
@@ -28,6 +28,7 @@ from cvqkd.simulate import (
     stream_rng,
     sufficient_statistics_coverage,
 )
+from oracles import mutual_information
 
 BEAM = BeamConfig(wavelength=800e-9, waist=1e-3)
 
