@@ -28,6 +28,7 @@ from .finite_size import (
     composable_terms,
     general_attack_extension,
     mobile_worst_case,
+    sufficient_statistics_coverage,
     total_epsilon,
     worst_case_bounds,
     worst_case_estimators,
@@ -320,8 +321,6 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
 
 
 def _coverage_row(scenario: Scenario, x: float, seed: int) -> dict:
-    from .simulate import sufficient_statistics_coverage
-
     cov = scenario.coverage
     pt = _model_point(scenario, x)
     report = sufficient_statistics_coverage(

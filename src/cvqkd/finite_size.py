@@ -3,7 +3,9 @@
 The estimators follow the Gaussian-limit confidence intervals of the
 maximum-likelihood channel estimates; composable terms collect the
 asymptotic-equipartition penalty, the error-correction/hashing overheads
-and, for fully general attacks, the energy-test dimension cutoff.
+and, for fully general attacks, the energy-test dimension cutoff. The
+coverage experiment checks the bounds against rounds drawn from the exact
+law of the estimators' sufficient statistics, on the standard library.
 """
 
 from __future__ import annotations
@@ -222,6 +224,138 @@ def background_bound(n_hi: float, n_ex_bc: float, eta_eff: float) -> tuple:
         raise ValueError("eta_eff must lie in (0, 1]")
     n_b = (n_hi - n_ex_bc) / eta_eff
     return (0.0, True) if n_b < 0.0 else (n_b, False)
+
+
+# --- coverage of the worst-case bounds --------------------------------------
+# numpy-free, so that `cvqkd coverage` runs on the standard library alone.
+
+_MASK64 = (1 << 64) - 1
+
+
+def _check_block(tau: float, nbar: float, nu_det: int, sigma_x2: float,
+                 pulses: int) -> None:
+    if not 0.0 < tau <= 1.0:
+        raise ValueError("tau must lie in (0, 1]")
+    if nbar < 0.0 or sigma_x2 <= 0.0 or pulses < 1:
+        raise ValueError("nbar must be >= 0, sigma_x2 > 0, pulses >= 1")
+    if nu_det not in (1, 2):
+        raise ValueError("nu_det must be 1 or 2")
+
+
+class CoverageReport(Record):
+    """Observed failure rates of the worst-case estimator bounds."""
+
+    def __init__(self, rounds: int, eps_pe: float, w: float, tau_low_failures: int,
+                 tau_high_failures: int, n_failures: int):
+        self.__dict__.update(rounds=rounds, eps_pe=eps_pe, w=w,
+                             tau_low_failures=tau_low_failures,
+                             tau_high_failures=tau_high_failures,
+                             n_failures=n_failures)
+
+    def __eq__(self, other):  # the reproducibility tests compare whole reports
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    @property
+    def tau_low_rate(self) -> float:
+        return self.tau_low_failures / self.rounds
+
+    @property
+    def tau_high_rate(self) -> float:
+        return self.tau_high_failures / self.rounds
+
+    @property
+    def n_rate(self) -> float:
+        return self.n_failures / self.rounds
+
+
+def _coverage_report(stats, tau: float, nbar: float, nu_det: int,
+                     sigma_x2: float, pulses: int, rounds: int,
+                     eps_pe: float) -> CoverageReport:
+    """Count failures of the bounds at eps_pe from each (T_hat, sigma_z2_hat)."""
+    w = confidence_w(eps_pe)
+    m_p = nu_det * pulses
+    tau_low = tau_high = n_low = 0
+    for t_hat, sigma_z2_hat in stats:
+        n_hat = (sigma_z2_hat - nu_det) / 2.0
+        tau_lo, tau_hi, n_hi, _, _ = worst_case_bounds(
+            t_hat * t_hat, n_hat if n_hat > 0.0 else 0.0, sigma_x2,
+            sigma_z2_hat, m_p, w)
+        tau_low += tau_lo > tau
+        tau_high += tau_hi < tau
+        n_low += n_hi < nbar
+    return CoverageReport(rounds, eps_pe, w, tau_low, tau_high, n_low)
+
+
+def _normal_draw(random: Callable[[], float]) -> Callable[[], float]:
+    """A function that draws N(0, 1) by inverse transform of u = random(),
+    a uniform k / 2**53. u = 0, where inv_cdf is undefined, is drawn again,
+    which leaves the 2**53 - 1 values of u symmetric about 1/2."""
+    inv_cdf = _normal_dist_inv_cdf
+
+    def draw() -> float:
+        u = random()
+        while not u:
+            u = random()
+        return inv_cdf(u, 0.0, 1.0)
+
+    return draw
+
+
+def _gamma_draw(a: float, random: Callable[[], float]) -> Callable[[], float]:
+    """A function that draws Gamma(a, 1), a > 0, from the uniform stream
+    random, exact in law: Marsaglia & Tsang (ACM TOMS 26, 363, 2000) with
+    its squeeze, and Gamma(a) = Gamma(a + 1) U^(1/a) for a < 1."""
+    boost = 1.0 / a if a < 1.0 else 0.0
+    d = (a + 1.0 if boost else a) - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    normal, log = _normal_draw(random), math.log
+
+    def draw() -> float:
+        while True:
+            x = normal()
+            v = 1.0 + c * x
+            if v > 0.0:
+                v = v * v * v
+                u = 1.0 - random()  # in (0, 1], so log(u) is finite
+                x2 = x * x
+                if u < 1.0 - 0.0331 * x2 * x2 or \
+                        log(u) < 0.5 * x2 + d * (1.0 - v + log(v)):
+                    return d * v * (1.0 - random()) ** boost if boost else d * v
+
+    return draw
+
+
+def _sufficient_statistics(tau: float, nbar: float, nu_det: int,
+                           sigma_x2: float, pulses: int, rounds: int, seed: int):
+    """Yield each round's (T_hat, sigma_z2_hat) from their exact law: with
+    m = nu_det pulses and sigma_z^2 = 2 nbar + nu_det, Sxx ~ sigma_x^2 chi^2(m),
+    T_hat | Sxx ~ sqrt(tau) + sigma_z N(0, 1) / sqrt(Sxx) and the residual sum
+    of squares RSS ~ sigma_z^2 chi^2(m - 1), independent of both (Cochran);
+    sigma_z2_hat = RSS / m, and chi^2(k) = 2 Gamma(k / 2). Every round comes
+    from one random.Random stream per 64-bit seed, in that order of draws."""
+    import random
+
+    m, sigma_z2 = nu_det * pulses, 2.0 * nbar + nu_det
+    uniform = random.Random(seed & _MASK64).random
+    chi2_m, normal = _gamma_draw(m / 2.0, uniform), _normal_draw(uniform)
+    chi2_rest = _gamma_draw((m - 1) / 2.0, uniform)
+    root_tau, sxx_scale, rss_scale = math.sqrt(tau), 2.0 * sigma_x2, 2.0 * sigma_z2 / m
+    for _ in range(rounds):
+        t_hat = root_tau + math.sqrt(sigma_z2 / (sxx_scale * chi2_m())) * normal()
+        yield t_hat, rss_scale * chi2_rest()
+
+
+def sufficient_statistics_coverage(tau: float, nbar: float, nu_det: int,
+                                   sigma_x2: float, pulses: int, rounds: int,
+                                   eps_pe: float, seed: int) -> CoverageReport:
+    """The per-pulse coverage experiment (simulate.estimator_coverage_experiment)
+    at O(1) cost per round, exact in law."""
+    _check_block(tau, nbar, nu_det, sigma_x2, pulses)
+    if rounds < 1 or nu_det * pulses < 2:
+        raise ValueError("at least one round and two disclosed pairs required")
+    return _coverage_report(
+        _sufficient_statistics(tau, nbar, nu_det, sigma_x2, pulses, rounds, seed),
+        tau, nbar, nu_det, sigma_x2, pulses, rounds, eps_pe)
 
 
 # --- composable corrections -------------------------------------------------

@@ -3,7 +3,10 @@
 Randomness uses the counter-based Philox generator keyed by (seed, stream)
 so that independent streams are reproducible and order-stable: blocks are
 generated in fixed-size chunks keyed by their pulse-index range, which
-keeps the output bit-identical however the chunks are scheduled.
+keeps the output bit-identical however the chunks are scheduled. Philox
+serves only this per-pulse path; the O(1)-per-round coverage sampler
+(finite_size.sufficient_statistics_coverage, re-exported here) draws from
+the standard library's random module and needs no numpy.
 """
 
 from __future__ import annotations
@@ -15,16 +18,17 @@ import numpy as np
 
 from . import Record
 from .channel import FadingModel, pointing_tau_approx, sample_deflections
-from .finite_size import (
+from .finite_size import (  # noqa: F401 (sufficient_statistics_coverage is re-exported)
+    _MASK64,
+    CoverageReport,
     EstimatorSnapshot,
     FadingLattice,
-    confidence_w,
+    _check_block,
+    _coverage_report,
     empirical_estimators,
     map_chunks,
-    worst_case_estimators,
+    sufficient_statistics_coverage,
 )
-
-_MASK64 = (1 << 64) - 1
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -72,16 +76,6 @@ class SimBlock(Record):
     def estimators(self) -> EstimatorSnapshot:
         keep = slice(None) if self.pilot_mask is None else ~self.pilot_mask
         return empirical_estimators(self.x[keep], self.y[keep], self.nu_det)
-
-
-def _check_block(tau: float, nbar: float, nu_det: int, sigma_x2: float,
-                 pulses: int) -> None:
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("tau must lie in (0, 1]")
-    if nbar < 0.0 or sigma_x2 <= 0.0 or pulses < 1:
-        raise ValueError("nbar must be >= 0, sigma_x2 > 0, pulses >= 1")
-    if nu_det not in (1, 2):
-        raise ValueError("nu_det must be 1 or 2")
 
 
 def _pairs(seed: int, sigma_x2: float, sigma_z, gain, pairs: int) -> tuple:
@@ -164,48 +158,6 @@ def defade_block(block: SimBlock, lattice: FadingLattice, seed: int) -> SimBlock
                     bins=bins[keep], pilot_mask=pilot)
 
 
-class CoverageReport(Record):
-    """Observed failure rates of the worst-case estimator bounds."""
-
-    def __init__(self, rounds: int, eps_pe: float, w: float, tau_low_failures: int,
-                 tau_high_failures: int, n_failures: int):
-        self.__dict__.update(rounds=rounds, eps_pe=eps_pe, w=w,
-                             tau_low_failures=tau_low_failures,
-                             tau_high_failures=tau_high_failures,
-                             n_failures=n_failures)
-
-    def __eq__(self, other):  # the reproducibility tests compare whole reports
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
-
-    @property
-    def tau_low_rate(self) -> float:
-        return self.tau_low_failures / self.rounds
-
-    @property
-    def tau_high_rate(self) -> float:
-        return self.tau_high_failures / self.rounds
-
-    @property
-    def n_rate(self) -> float:
-        return self.n_failures / self.rounds
-
-
-def _coverage_report(stats, tau: float, nbar: float, nu_det: int,
-                     sigma_x2: float, pulses: int, rounds: int,
-                     eps_pe: float) -> CoverageReport:
-    """Count failures of the bounds at eps_pe from each (T_hat, sigma_z2_hat)."""
-    w = confidence_w(eps_pe)
-    failures = [0, 0, 0]
-    for t_hat, sigma_z2_hat in stats:
-        est = worst_case_estimators(t_hat * t_hat,
-                                    max((sigma_z2_hat - nu_det) / 2.0, 0.0),
-                                    sigma_x2, sigma_z2_hat, nu_det * pulses, w)
-        failures[0] += est.tau_lo > tau
-        failures[1] += est.tau_hi < tau
-        failures[2] += est.n_hi < nbar
-    return CoverageReport(rounds, eps_pe, w, *failures)
-
-
 def estimator_coverage_experiment(tau: float, nbar: float, nu_det: int,
                                   sigma_x2: float, pulses: int, rounds: int,
                                   eps_pe: float, seed: int) -> CoverageReport:
@@ -222,35 +174,6 @@ def estimator_coverage_experiment(tau: float, nbar: float, nu_det: int,
              for k in range(rounds))
     return _coverage_report(((s.t_hat, s.sigma_z2_hat) for s in snaps), tau,
                             nbar, nu_det, sigma_x2, pulses, rounds, eps_pe)
-
-
-def _sufficient_statistics(tau: float, nbar: float, nu_det: int,
-                           sigma_x2: float, pulses: int, rounds: int, seed: int):
-    """Yield each round's (T_hat, sigma_z2_hat) from their exact law: with
-    m = nu_det pulses and sigma_z^2 = 2 nbar + nu_det, Sxx ~ sigma_x^2 chi^2(m),
-    T_hat | Sxx ~ sqrt(tau) + sigma_z N(0, 1) / sqrt(Sxx) and the residual sum
-    of squares RSS ~ sigma_z^2 chi^2(m - 1), independent of both (Cochran);
-    sigma_z2_hat = RSS / m. One stream, 65,536 rounds at a time."""
-    m, sigma_z2 = nu_det * pulses, 2.0 * nbar + nu_det
-    rng = stream_rng(seed, 6 << 40)
-    for start in range(0, rounds, 1 << 16):
-        count = min(1 << 16, rounds - start)
-        sxx = sigma_x2 * rng.chisquare(m, count)
-        t_hat = math.sqrt(tau) + np.sqrt(sigma_z2 / sxx) * rng.standard_normal(count)
-        sigma_z2_hat = sigma_z2 * rng.chisquare(m - 1, count) / m
-        yield from zip(t_hat.tolist(), sigma_z2_hat.tolist())
-
-
-def sufficient_statistics_coverage(tau: float, nbar: float, nu_det: int,
-                                   sigma_x2: float, pulses: int, rounds: int,
-                                   eps_pe: float, seed: int) -> CoverageReport:
-    """estimator_coverage_experiment at O(1) cost per round, exact in law."""
-    _check_block(tau, nbar, nu_det, sigma_x2, pulses)
-    if rounds < 1 or nu_det * pulses < 2:
-        raise ValueError("at least one round and two disclosed pairs required")
-    return _coverage_report(
-        _sufficient_statistics(tau, nbar, nu_det, sigma_x2, pulses, rounds, seed),
-        tau, nbar, nu_det, sigma_x2, pulses, rounds, eps_pe)
 
 
 DUMP_CHUNK = 2048  # rows per write; keeps the temporaries under 1 MB

@@ -13,6 +13,10 @@ against. No command calls them.
   records, one per point and rate (`asymptotic_rate`, `microwave_los_rate`,
   `worst_case_estimators`, `composable_rate`): the composition that the
   rate plan of `cvqkd.cli` replaces with scalar kernels.
+* `sufficient_statistics_oracle` draws each coverage round's (T_hat,
+  sigma_z2_hat) from numpy's Philox chi-square and normal variates: the
+  sampler that `cvqkd.finite_size._sufficient_statistics` replaces with
+  standard-library draws.
 """
 
 from __future__ import annotations
@@ -349,3 +353,19 @@ def rate_row_oracle(scenario, x: float, clamp: bool = False) -> dict:
     row["rate_asym"] = _clamp(row["rate_asym_raw"]) if clamp else row["rate_asym_raw"]
     row["rate"] = _clamp(row["rate_raw"]) if clamp else row["rate_raw"]
     return row
+
+
+def sufficient_statistics_oracle(tau: float, nbar: float, nu_det: int,
+                                 sigma_x2: float, pulses: int, rounds: int,
+                                 seed: int) -> np.ndarray:
+    """(rounds, 2) array of (T_hat, sigma_z2_hat) from the law of
+    `_sufficient_statistics`, Sxx ~ sigma_x^2 chi^2(m), T_hat = sqrt(tau) +
+    sigma_z N(0, 1) / sqrt(Sxx), RSS ~ sigma_z^2 chi^2(m - 1), with numpy's
+    Philox stream (seed, 6 << 40) in place of the standard library."""
+    from cvqkd.simulate import stream_rng
+
+    m, sigma_z2 = nu_det * pulses, 2.0 * nbar + nu_det
+    rng = stream_rng(seed, 6 << 40)
+    sxx = sigma_x2 * rng.chisquare(m, rounds)
+    t_hat = math.sqrt(tau) + np.sqrt(sigma_z2 / sxx) * rng.standard_normal(rounds)
+    return np.column_stack((t_hat, sigma_z2 * rng.chisquare(m - 1, rounds) / m))

@@ -1080,11 +1080,11 @@ class TestCoverageCommand:
         assert "constant-transmissivity" in capsys.readouterr().err
 
 
-def fresh_interpreter(probe: str, *args: str) -> str:
+def fresh_interpreter(probe: str, *args: str, flags: tuple = ()) -> str:
     """Stdout of probe run in a new interpreter with src on the path."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", probe, *args], check=True,
+    return subprocess.run([sys.executable, *flags, "-c", probe, *args], check=True,
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}).stdout.strip()
 
@@ -1106,26 +1106,65 @@ class TestImportFloor:
         assert fresh_interpreter(probe, str(tmp_path / "row.csv"), *configs) \
             == f"{[0] * len(configs)} []"
 
-    def test_rate_and_sweep_load_no_numpy(self, tmp_path):
-        # the closed-form commands run on the standard library alone: rate on
-        # every shipped config and sweep on every one with a [sweep] section
-        # (coverage.ini has none) exit 0 and leave no numpy, scipy or
-        # concurrent.futures module, nor dataclasses, inspect or statistics
-        # (the records are plain classes, and w comes from _statistics)
+    @staticmethod
+    def rate_and_sweep_runs() -> list:
+        """cmd, config, cmd, config, ...: rate on every shipped config and
+        sweep on every one with a [sweep] section (coverage.ini has none)."""
         configs = sorted(CONFIGS.glob("*.ini"))
         runs = [("rate", str(cfg)) for cfg in configs] + [
             ("sweep", str(cfg)) for cfg in configs
             if "[sweep]" in cfg.read_text(encoding="utf-8")]
         assert len(runs) == 2 * len(configs) - 1
+        return [arg for run in runs for arg in run]
+
+    RUN_PAIRS = ("[cvqkd.cli.main([cmd, '--config', cfg, '--out', sys.argv[1]]) "
+                 "for cmd, cfg in zip(sys.argv[2::2], sys.argv[3::2])]")
+
+    def test_rate_and_sweep_load_no_numpy(self, tmp_path):
+        # the closed-form commands run on the standard library alone: rate and
+        # sweep exit 0 and leave no numpy, scipy or concurrent.futures module,
+        # nor dataclasses, inspect or statistics (the records are plain
+        # classes, and w comes from _statistics)
+        flat = self.rate_and_sweep_runs()
         probe = ("import sys, cvqkd.cli\n"
-                 "codes = [cvqkd.cli.main([cmd, '--config', cfg, '--out', "
-                 "sys.argv[1]]) for cmd, cfg in zip(sys.argv[2::2], "
-                 "sys.argv[3::2])]\n"
+                 f"codes = {self.RUN_PAIRS}\n"
                  + LOADED.format(names=("numpy", "scipy", "concurrent",
                                         "dataclasses", "inspect", "statistics")))
-        flat = [arg for run in runs for arg in run]
         assert fresh_interpreter(probe, str(tmp_path / "rows.csv"), *flat) \
-            == f"{[0] * len(runs)} []"
+            == f"{[0] * (len(flat) // 2)} []"
+
+    def test_only_coverage_loads_random(self, tmp_path):
+        # the coverage sampler imports random in its own body: import
+        # cvqkd.cli, rate and sweep load none of it. -S keeps site out, since
+        # a .pth file may import random at start-up
+        flat = self.rate_and_sweep_runs()
+        probe = ("import sys, cvqkd.cli\n"
+                 f"codes = ['random' in sys.modules] + {self.RUN_PAIRS}\n"
+                 + LOADED.format(names=("random",)))
+        assert fresh_interpreter(probe, str(tmp_path / "rows.csv"), *flat,
+                                 flags=("-S",)) \
+            == f"{[False] + [0] * (len(flat) // 2)} []"
+
+    def test_coverage_loads_no_numpy(self, tmp_path):
+        # the sufficient-statistics sampler draws from the standard library:
+        # coverage on every constant-channel shipped config, given a
+        # [coverage] section where it has none, exits 0 and loads no numpy
+        paths = []
+        for cfg in sorted(CONFIGS.glob("*.ini")):
+            text = cfg.read_text(encoding="utf-8")
+            if "channel = optical-mobile" in text:
+                continue
+            if "[coverage]" not in text:
+                text += "\n[coverage]\nrounds = 500\npulses = 2000\neps_pe = 0.05\n"
+            paths.append(tmp_path / cfg.name)
+            paths[-1].write_text(text, encoding="utf-8")
+        assert len(paths) == 5
+        probe = ("import sys, cvqkd.cli\n"
+                 "codes = [cvqkd.cli.main(['coverage', '--config', cfg, '--out', "
+                 "sys.argv[1]]) for cfg in sys.argv[2:]]\n"
+                 + LOADED.format(names=("numpy",)))
+        assert fresh_interpreter(probe, str(tmp_path / "row.csv"),
+                                 *map(str, paths)) == f"{[0] * 5} []"
 
     def test_package_never_imports_dataclasses(self):
         # every record is a cvqkd.Record subclass with an explicit __init__

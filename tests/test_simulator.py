@@ -16,19 +16,24 @@ import pytest
 import cvqkd.finite_size
 from cvqkd.channel import BeamConfig, FadingModel, fading_probability
 from cvqkd.cli import main
-from cvqkd.finite_size import CHUNK, FadingLattice, empirical_estimators
+from cvqkd.finite_size import (
+    CHUNK,
+    FadingLattice,
+    _gamma_draw,
+    _sufficient_statistics,
+    empirical_estimators,
+    sufficient_statistics_coverage,
+)
 from cvqkd.rates import ChannelPoint
 from cvqkd.simulate import (
     _chunked_normals,
-    _sufficient_statistics,
     defade_block,
     estimator_coverage_experiment,
     simulate_block,
     simulate_fading_block,
     stream_rng,
-    sufficient_statistics_coverage,
 )
-from oracles import mutual_information
+from oracles import mutual_information, sufficient_statistics_oracle
 
 BEAM = BeamConfig(wavelength=800e-9, waist=1e-3)
 
@@ -411,16 +416,16 @@ def noise_failure_probability(nbar, nu_det, pulses, w):
 
 
 class TestSufficientStatisticsSampler:
-    """The O(1)-per-round sampler against the per-pulse path and the exact
-    law. Every p-value threshold was fixed before the first run: at these
-    settings the per-pulse path itself reads p from 0.03 to 0.72 against the
-    exact law, so 1e-3 is as tight as stays reliable."""
+    """The O(1)-per-round sampler against the per-pulse path, the numpy
+    oracle and the exact law. Every p-value threshold was fixed before the
+    first run: at these settings the per-pulse path itself reads p from 0.03
+    to 0.72 against the exact law, so 1e-3 is as tight as stays reliable."""
 
     TAU, NBAR, NU, SX2, PULSES = 0.3, 0.05, 2, 9.0, 2_000
 
-    def sampled(self, rounds, seed, pulses=PULSES):
+    def sampled(self, rounds, seed, pulses=PULSES, nu=NU):
         return np.array(list(_sufficient_statistics(
-            self.TAU, self.NBAR, self.NU, self.SX2, pulses, rounds, seed)))
+            self.TAU, self.NBAR, nu, self.SX2, pulses, rounds, seed)))
 
     def test_matches_per_pulse_path(self):
         from scipy.stats import ks_2samp
@@ -456,10 +461,31 @@ class TestSufficientStatisticsSampler:
         assert report.tau_low_rate <= limit
         assert report.tau_high_rate <= limit
 
-    def test_rounds_span_chunks(self):
-        stats = self.sampled((1 << 16) + 3, seed=37)
-        assert stats.shape == ((1 << 16) + 3, 2)
-        assert len(np.unique(stats[:, 0])) == stats.shape[0]
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 1e3, 1e9])
+    def test_gamma_draw_follows_gamma_law(self, a):
+        # a = 0.5 takes the U^(1/a) boost: chi^2(1) of RSS at m = 2
+        import random
+
+        from scipy.stats import gamma, kstest
+
+        draw = _gamma_draw(a, random.Random(47).random)
+        assert kstest([draw() for _ in range(20_000)], gamma(a).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("nu, pulses", [(1, 2), (2, 2_000), (2, 10**9)])
+    def test_matches_numpy_oracle(self, nu, pulses):
+        from scipy.stats import ks_2samp
+
+        sampled = self.sampled(20_000, seed=43, pulses=pulses, nu=nu)
+        oracle = sufficient_statistics_oracle(self.TAU, self.NBAR, nu, self.SX2,
+                                              pulses, 20_000, seed=43)
+        for col in (0, 1):  # T_hat, sigma_z2_hat
+            assert ks_2samp(sampled[:, col], oracle[:, col]).pvalue > 1e-3
+
+    def test_rounds_distinct_and_reproducible(self):
+        stats = self.sampled(70_000, seed=37)
+        assert stats.shape == (70_000, 2)
+        assert len(np.unique(stats[:, 0])) == len(np.unique(stats[:, 1])) == 70_000
+        assert np.array_equal(stats, self.sampled(70_000, seed=37))
 
     def test_reproducible_and_seed_keyed(self):
         a = sufficient_statistics_coverage(0.3, 0.05, 2, 9.0, 2_000, 400,
