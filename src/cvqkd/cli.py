@@ -1,6 +1,9 @@
 """Batch front-end: resolve a scenario file, evaluate single points, sweeps,
 or simulator experiments, and emit CSV/JSON rows with full provenance.
 
+Rows are tuples of cells in column order, from the rate plan or simulator
+to the writers; run_sweep and evaluate_rate_point give rate rows by column.
+
 Exit codes: 0 all points evaluated, 2 some points failed (NaN rows carry the
 reason), 1 configuration or usage error.
 """
@@ -141,8 +144,9 @@ def _model_point(scenario: Scenario, x: float) -> dict:
             "nbar": eta_eff * p["n_b"] + n_ex, "warnings": warnings}
 
 
-def _rate_plan(scenario: Scenario):
-    """x -> rate row: model rate, worst-case rate, composable rate. Every
+def _rate_plan(scenario: Scenario, clamp: bool):
+    """x -> rate row, its cells in the order of the abscissa and RATE_COLUMNS:
+    model rate, worst-case rate, composable rate, clamped at 0 if clamp. Every
     scenario-level quantity is resolved here, once per rate or sweep call; a
     row runs _model_point, then the scalar kernels of rates and finite_size
     on its model and worst-case point fields, with ChannelPoint's checks."""
@@ -173,7 +177,7 @@ def _rate_plan(scenario: Scenario):
             return microwave_los_holevo(point[0] * eta_eff, sx2, n_th, nu)
         return point_holevo(*point, trust, los)
 
-    def row(x: float) -> dict:
+    def row(x: float) -> tuple:
         pt = _model_point(scenario, x)
         eta_ch, tau, warnings = pt["eta_ch"], pt["tau"], pt["warnings"]
         asym, plob, p_delta, n_b_hi, n_lo = NAN, NAN, 1.0, 0.0, NAN
@@ -213,48 +217,37 @@ def _rate_plan(scenario: Scenario):
             tau_hi, plob = NAN, plob_thermal_bound(tau, nbar) if tau < 1.0 else NAN
 
         prefactor, aep, tail, epsilon = finite(p_delta)
-        return {"eta_ch": eta_ch, "tau": tau, "mi": mi, "chi": chi, "r_pe": r_pe,
-                "rate_asym_raw": asym, "rate_raw": prefactor * (r_pe - aep + tail),
-                "plob": plob, "epsilon": epsilon, "p_delta": p_delta,
-                "tau_lo": tau_lo, "tau_hi": tau_hi, "n_hi": n_hi,
-                "warnings": ";".join(warnings), "reason": ""}
+        rate = prefactor * (r_pe - aep + tail)
+        # a clamped rate is max(0, rate), NaN passing through
+        return (x, eta_ch, tau, mi, chi, r_pe, asym,
+                0.0 if clamp and asym <= 0.0 else asym, rate,
+                0.0 if clamp and rate <= 0.0 else rate, plob, epsilon, tau_lo,
+                tau_hi, n_hi, p_delta, ";".join(warnings), "")
 
     return row
 
 
-def _guarded_row(evaluate, columns: tuple, scenario: Scenario, x: float) -> dict:
-    """evaluate(x) with the abscissa column set; a failure becomes a NaN row
-    whose reason names the exception."""
+def _guarded_row(evaluate, columns: tuple, x: float) -> tuple:
+    """evaluate(x), the cells of the abscissa and columns; a failure becomes
+    a NaN row whose reason names the exception."""
     try:
-        row = evaluate(x)
+        return evaluate(x)
     except OSError:  # an unwritable --dump path is a usage error (exit 1)
         raise
     except Exception as exc:  # per-point failures must not kill the sweep
-        row = {col: NAN for col in columns}
-        row["warnings"] = ""
-        row["reason"] = f"{type(exc).__name__}: {exc}"
-    row[ABSCISSA[scenario.channel]] = x
-    return row
+        return (x, *[NAN] * (len(columns) - 2), "", f"{type(exc).__name__}: {exc}")
 
 
 def _rate_rows(scenario: Scenario, grid, clamp: bool) -> list:
     """Rate rows at the abscissae of grid, from one rate plan."""
-    plan = _rate_plan(scenario)
-    rows = [_guarded_row(plan, RATE_COLUMNS, scenario, x) for x in grid]
-    for row in rows:
-        for raw, column in (("rate_asym_raw", "rate_asym"), ("rate_raw", "rate")):
-            row[column] = _clamp(row[raw]) if clamp else row[raw]
-    return rows
+    plan = _rate_plan(scenario, clamp)
+    return [_guarded_row(plan, RATE_COLUMNS, x) for x in grid]
 
 
 def evaluate_rate_point(scenario: Scenario, x: float, clamp: bool) -> dict:
-    """One complete rate row at abscissa x; failures become NaN rows."""
-    return _rate_rows(scenario, (x,), clamp)[0]
-
-
-def _clamp(value: float) -> float:
-    """max(0, value), NaN passing through."""
-    return 0.0 if value <= 0.0 else value
+    """One complete rate row at abscissa x, by column; failures become NaN rows."""
+    return dict(zip((ABSCISSA[scenario.channel], *RATE_COLUMNS),
+                    _rate_rows(scenario, (x,), clamp)[0]))
 
 
 def _mobile_noise_map(scenario: Scenario):
@@ -277,7 +270,7 @@ def _dump_block(block, bins, path: str, tau_const: float = None) -> None:
 
 
 def _simulation_row(scenario: Scenario, x: float, seed: int,
-                    dump: str) -> dict:
+                    dump: str) -> tuple:
     import numpy as np
 
     from .simulate import defade_block, simulate_block, simulate_fading_block
@@ -294,15 +287,11 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
         faded = defade_block(block, fs.lattice, seed + 1)
         snap = faded.estimators()
         keep = slice(None) if faded.pilot_mask is None else ~faded.pilot_mask
-        return {"pulses": pulses, "kept_pairs": faded.pairs,
-                "p_delta_model": fs.p_delta,
-                "p_delta_emp": faded.pairs / block.pairs,
-                "tau_min": fs.lattice.tau_min, "n_star_model": fs.n_star,
-                "defade_var_model": fs.lattice.tau_min * scenario.sigma_x2
-                + 2.0 * fs.n_star + scenario.nu_det,
-                "tau_hat": snap.tau_hat, "n_hat": snap.n_hat,
-                "defade_var": float(np.mean(faded.y[keep] ** 2)),
-                "warnings": ";".join(pt["warnings"]), "reason": ""}
+        return (x, pulses, faded.pairs, fs.p_delta, faded.pairs / block.pairs,
+                fs.lattice.tau_min, fs.n_star,
+                fs.lattice.tau_min * scenario.sigma_x2 + 2.0 * fs.n_star
+                + scenario.nu_det, snap.tau_hat, snap.n_hat,
+                float(np.mean(faded.y[keep] ** 2)), ";".join(pt["warnings"]), "")
     tau, nbar, warnings = pt["tau"], pt["nbar"], pt["warnings"]
     block = simulate_block(tau, nbar, scenario.nu_det, scenario.sigma_x2,
                            pulses, seed)
@@ -313,26 +302,20 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
                                 scenario.sigma_x2, snap.sigma_z2_hat,
                                 snap.m_p, scenario.params.w)
     warnings.extend(est.warnings)
-    return {"pulses": pulses, "m_p": snap.m_p, "tau_model": tau,
-            "nbar_model": nbar, "tau_hat": snap.tau_hat,
-            "sigma_z2_hat": snap.sigma_z2_hat, "n_hat": snap.n_hat,
-            "tau_lo": est.tau_lo, "tau_hi": est.tau_hi, "n_hi": est.n_hi,
-            "warnings": ";".join(warnings), "reason": ""}
+    return (x, pulses, snap.m_p, tau, nbar, snap.tau_hat, snap.sigma_z2_hat,
+            snap.n_hat, est.tau_lo, est.tau_hi, est.n_hi, ";".join(warnings), "")
 
 
-def _coverage_row(scenario: Scenario, x: float, seed: int) -> dict:
+def _coverage_row(scenario: Scenario, x: float, seed: int) -> tuple:
     cov = scenario.coverage
     pt = _model_point(scenario, x)
     report = sufficient_statistics_coverage(
         pt["tau"], pt["nbar"], scenario.nu_det, scenario.sigma_x2,
         cov["pulses"], cov["rounds"], cov["eps_pe"], seed)
-    return {"rounds": report.rounds, "eps_pe": report.eps_pe, "w": report.w,
-            "tau_low_failures": report.tau_low_failures,
-            "tau_high_failures": report.tau_high_failures,
-            "n_failures": report.n_failures, "pulses": cov["pulses"],
-            "tau_low_rate": report.tau_low_rate,
-            "tau_high_rate": report.tau_high_rate, "n_rate": report.n_rate,
-            "warnings": ";".join(pt["warnings"]), "reason": ""}
+    return (x, report.rounds, cov["pulses"], report.eps_pe, report.w,
+            report.tau_low_failures, report.tau_high_failures, report.n_failures,
+            report.tau_low_rate, report.tau_high_rate, report.n_rate,
+            ";".join(pt["warnings"]), "")
 
 
 def _sweep_grid(start: float, stop: float, points: int) -> list:
@@ -349,12 +332,21 @@ def _sweep_grid(start: float, stop: float, points: int) -> list:
     return grid
 
 
-def run_sweep(scenario: Scenario, clamp: bool) -> list:
-    """Rate rows over the configured grid, in abscissa order, in one process."""
+def _grid(scenario: Scenario, command: str) -> list:
+    """The abscissae of a rate or sweep command."""
+    if command == "rate":
+        return [_need_point(scenario)]
     if scenario.sweep is None:
         raise ConfigError("the sweep command needs a [sweep] section")
     _, start, stop, points = scenario.sweep
-    return _rate_rows(scenario, _sweep_grid(start, stop, points), clamp)
+    return _sweep_grid(start, stop, points)
+
+
+def run_sweep(scenario: Scenario, clamp: bool) -> list:
+    """Rate rows over the configured grid, in abscissa order, by column."""
+    columns = (ABSCISSA[scenario.channel], *RATE_COLUMNS)
+    return [dict(zip(columns, row))
+            for row in _rate_rows(scenario, _grid(scenario, "sweep"), clamp)]
 
 
 def _format_cell(value) -> str:
@@ -372,14 +364,25 @@ def _format_cell(value) -> str:
 
 
 def emit_csv(rows: list, columns: tuple, out, provenance: dict) -> None:
-    """Header and one line per row. The provenance cells, the same on every
-    row, follow the columns and are formatted once."""
+    """Header and one line per row of cells, in one write. Each row type
+    signature gets one %-template: %.17g for a float cell, %s of _format_cell
+    for any other. The provenance cells, the same on every row, follow the
+    columns and are formatted once, into the templates."""
     tail = "".join("," + _format_cell(v) for v in provenance.values()) + "\n"
-    out.write(",".join(map(_format_cell, (*columns, *provenance))) + "\n")
+    lines = [",".join(map(_format_cell, (*columns, *provenance))) + "\n"]
+    templates = {}
     for row in rows:
-        out.write(",".join(["%.17g" % v if type(v) is float
-                            else _format_cell(v)
-                            for v in map(row.__getitem__, columns)]) + tail)
+        shape = tuple(map(type, row))
+        if shape not in templates:
+            templates[shape] = (",".join("%.17g" if t is float else "%s" for t in shape)
+                                + tail.replace("%", "%%"),
+                                [i for i, t in enumerate(shape) if t is not float])
+        template, text = templates[shape]
+        cells = list(row)
+        for i in text:
+            cells[i] = _format_cell(cells[i])
+        lines.append(template % tuple(cells))
+    out.write("".join(lines))
 
 
 def _json_cell(value):
@@ -405,8 +408,7 @@ def emit_json(rows: list, columns: tuple, echo: dict, provenance: dict,
         "scenario_hash": provenance["scenario_hash"],
         "scenario": echo,
         "columns": [*columns, *provenance],
-        "rows": [[_json_cell(row[col]) for col in columns] + tail
-                 for row in rows],
+        "rows": [[*map(_json_cell, row), *tail] for row in rows],
     }
     json.dump(payload, out, sort_keys=True, indent=1, allow_nan=False)
     out.write("\n")
@@ -473,12 +475,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         with open(args.config, encoding="utf-8") as handle:
             scenario = resolve_scenario(handle.read())
-        clamp = args.clamp == "on"
-        if args.command == "rate":
-            rows = [evaluate_rate_point(scenario, _need_point(scenario), clamp)]
-            base = RATE_COLUMNS
-        elif args.command == "sweep":
-            rows = run_sweep(scenario, clamp)
+        if args.command in ("rate", "sweep"):
+            rows = _rate_rows(scenario, _grid(scenario, args.command),
+                              args.clamp == "on")
             base = RATE_COLUMNS
         elif args.command == "simulate":
             if scenario.simulate is None:
@@ -488,7 +487,7 @@ def main(argv=None) -> int:
                 else SIM_COLUMNS
             rows = [_guarded_row(functools.partial(
                 _simulation_row, scenario, seed=args.seed, dump=args.dump),
-                base, scenario, _need_point(scenario))]
+                base, _need_point(scenario))]
         else:
             if scenario.coverage is None:
                 raise ConfigError("the coverage command needs a [coverage] "
@@ -499,13 +498,12 @@ def main(argv=None) -> int:
                                   "channels")
             base = COVERAGE_COLUMNS
             rows = [_guarded_row(functools.partial(_coverage_row, scenario,
-                                                   seed=args.seed),
-                                 base, scenario, x)]
+                                                   seed=args.seed), base, x)]
         _emit(rows, base, scenario, args, args.command)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2 if any(row.get("reason") for row in rows) else 0
+    return 2 if any(row[-1] for row in rows) else 0
 
 
 if __name__ == "__main__":

@@ -288,20 +288,33 @@ def _float_words(v: np.ndarray, sep: bytes) -> np.ndarray:
     return out
 
 
+def _chunk_words(column, fmt):
+    """(rows, n) -> the words of column[rows] on n lines: a scalar column's
+    are formatted once and broadcast to every chunk."""
+    if np.ndim(column):
+        return lambda rows, n: fmt(column[rows]).reshape(n, -1)
+    words = fmt(np.array([column])).reshape(1, -1)
+    return lambda rows, n: np.broadcast_to(words, (n, words.shape[1]))
+
+
 def write_dump(handle, pilot, x, y, tau, bins) -> None:
     """Write the pairs to the binary handle as CSV: a header, then a line
     index,pilot_flag,x,y,tau_sample,bin per pair (%d and %.17g, byte for
     byte); tau and bins may be scalars, pilot None."""
     handle.write(b"index,pilot_flag,x,y,tau_sample,bin\n")
-    pilot = False if pilot is None else pilot
-    pilot, tau, bins = (np.broadcast_to(c, len(x)) for c in (pilot, tau, bins))
+    ints = lambda v: _int_words(v, b",", v < 0)
+    floats = lambda v: _float_words(v, b",")
+    per_pulse = [c for c in (x, y, tau) if np.ndim(c)]  # formatted in one call
+    fields = [_chunk_words(False if pilot is None else pilot, ints),
+              lambda rows, n: floats(np.column_stack([c[rows] for c in per_pulse]))
+              .reshape(n, -1),
+              *([] if np.ndim(tau) else [_chunk_words(tau, floats)]),
+              _chunk_words(bins, ints)]
     for start in range(0, len(x), DUMP_CHUNK):
         rows = slice(start, start + DUMP_CHUNK)
-        index = np.arange(start, start + len(x[rows]))
+        n = len(x[rows])
         # no name holds the fields or the matrix: each copy frees the last
-        handle.write(np.hstack([f.reshape(len(index), -1) for f in (
-            _int_words(index, b"", False), _int_words(pilot[rows], b",", False),
-            _float_words(np.column_stack((x[rows], y[rows], tau[rows])), b","),
-            _int_words(bins[rows], b",", bins[rows] < 0),
-            np.full((len(index), 1), _word(b"\n")))]).tobytes().translate(
-                None, b"\0"))
+        handle.write(np.hstack([_int_words(np.arange(start, start + n), b"", False),
+                                *(field(rows, n) for field in fields),
+                                np.full((n, 1), _word(b"\n"))]).tobytes().translate(
+                                    None, b"\0"))

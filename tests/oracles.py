@@ -17,19 +17,31 @@ against. No command calls them.
   sigma_z2_hat) from numpy's Philox chi-square and normal variates: the
   sampler that `cvqkd.finite_size._sufficient_statistics` replaces with
   standard-library draws.
+* `emit_csv_oracle` and `emit_json_oracle` write rows by column, one cell at
+  a time: the writers that `cvqkd.cli.emit_csv` and `emit_json` replace with
+  cell tuples and one %-template per row type signature.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.integrate import quad
 
 from cvqkd import Record
 from cvqkd.channel import FadingModel, _log_ratio_density
-from cvqkd.cli import ABSCISSA, NAN, RATE_COLUMNS, _clamp, _model_point
+from cvqkd.cli import (
+    ABSCISSA,
+    NAN,
+    RATE_COLUMNS,
+    RESULT_SCHEMA,
+    _json_cell,
+    _model_point,
+)
 from cvqkd.finite_size import (
     background_bound,
     composable_terms,
@@ -355,6 +367,11 @@ def rate_row_oracle(scenario, x: float, clamp: bool = False) -> dict:
     return row
 
 
+def _clamp(value: float) -> float:
+    """max(0, value), NaN passing through."""
+    return 0.0 if value <= 0.0 else value
+
+
 def sufficient_statistics_oracle(tau: float, nbar: float, nu_det: int,
                                  sigma_x2: float, pulses: int, rounds: int,
                                  seed: int) -> np.ndarray:
@@ -369,3 +386,46 @@ def sufficient_statistics_oracle(tau: float, nbar: float, nu_det: int,
     sxx = sigma_x2 * rng.chisquare(m, rounds)
     t_hat = math.sqrt(tau) + np.sqrt(sigma_z2 / sxx) * rng.standard_normal(rounds)
     return np.column_stack((t_hat, sigma_z2 * rng.chisquare(m - 1, rounds) / m))
+
+
+# --- the per-cell writers -----------------------------------------------------
+
+def _format_cell_oracle(value) -> str:
+    """One CSV cell: a string quoted as csv's QUOTE_MINIMAL quotes it, an
+    integer as one, anything else as %.17g."""
+    if isinstance(value, str):
+        if "," in value or '"' in value or "\n" in value or "\r" in value:
+            return '"' + value.replace('"', '""') + '"'
+        return value
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return str(int(value))
+    return "%.17g" % float(value)
+
+
+def emit_csv_oracle(rows: list, columns: tuple, out, provenance: dict) -> None:
+    """Header and one line per row, rows as dicts by column, a write per line."""
+    tail = "".join("," + _format_cell_oracle(v) for v in provenance.values()) + "\n"
+    out.write(",".join(map(_format_cell_oracle, (*columns, *provenance))) + "\n")
+    for row in rows:
+        out.write(",".join(["%.17g" % v if type(v) is float
+                            else _format_cell_oracle(v)
+                            for v in map(row.__getitem__, columns)]) + tail)
+
+
+def emit_json_oracle(rows: list, columns: tuple, echo: dict, provenance: dict,
+                     command: str, out) -> None:
+    """The JSON document, rows as dicts by column."""
+    tail = [_json_cell(v) for v in provenance.values()]
+    payload = {
+        "schema": RESULT_SCHEMA,
+        "version": provenance["version"],
+        "command": command,
+        "seed": provenance["seed"],
+        "scenario_hash": provenance["scenario_hash"],
+        "scenario": echo,
+        "columns": [*columns, *provenance],
+        "rows": [[_json_cell(row[col]) for col in columns] + tail
+                 for row in rows],
+    }
+    json.dump(payload, out, sort_keys=True, indent=1, allow_nan=False)
+    out.write("\n")

@@ -3,6 +3,7 @@ derived-header echoes, output formats, provenance, exit codes."""
 
 import ast
 import csv
+import functools
 import io
 import json
 import math
@@ -23,10 +24,19 @@ from hypothesis import strategies as st
 
 from cvqkd import __version__
 from cvqkd.cli import (
+    COVERAGE_COLUMNS,
+    RATE_COLUMNS,
+    SIM_COLUMNS,
+    SIM_MOBILE_COLUMNS,
     WARNING_CODES,
+    _coverage_row,
+    _guarded_row,
     _json_cell,
+    _rate_rows,
+    _simulation_row,
     _sweep_grid,
     emit_csv,
+    emit_json,
     main,
     scenario_echo,
     scenario_hash,
@@ -40,6 +50,7 @@ from cvqkd.config import (
     resolve_scenario,
 )
 from cvqkd.finite_size import _workers
+from oracles import emit_csv_oracle, emit_json_oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -841,32 +852,69 @@ ODD_NUMBERS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
 
 
 class TestEmitters:
-    """emit_csv writes its own rows; the running interpreter's csv.writer,
-    fed the old cells, is its oracle. With a CR LF terminator csv.writer
-    quotes a cell that holds a carriage return; the oracle then ends each
-    row with a line feed alone."""
+    """emit_csv writes its own rows of cells; the running interpreter's
+    csv.writer, fed the old cells, is its oracle. With a CR LF terminator
+    csv.writer quotes a cell that holds a carriage return; the oracle then
+    ends each row with a line feed alone. emit_csv and emit_json match the
+    per-cell writers of tests/oracles.py, which read rows by column."""
 
     COLUMNS = ("x", "odd,name", 'q"name', "s", "n")
+    PROVENANCE = {"scenario_hash": "0123abcd", "seed": np.int64(12),
+                  "version": '1,0 "rc" 100%s %%'}
 
     def rows(self):
         strings, numbers = ODD_STRINGS, ODD_NUMBERS
-        return [{"x": float(i), "odd,name": strings[i % len(strings)],
-                 'q"name': numbers[i % len(numbers)],
-                 "s": strings[(3 * i + 1) % len(strings)],
-                 "n": numbers[(5 * i + 2) % len(numbers)]}
+        return [(float(i), strings[i % len(strings)], numbers[i % len(numbers)],
+                 strings[(3 * i + 1) % len(strings)], numbers[(5 * i + 2) % len(numbers)])
                 for i in range(3 * len(strings) * len(numbers))]
 
     @staticmethod
     def oracle(rows, columns) -> str:
         lines = []
-        for cells in (columns, *([_csv_writer_cell(row[col]) for col in columns]
-                                 for row in rows)):
+        for cells in (columns, *([_csv_writer_cell(v) for v in row] for row in rows)):
             out = io.StringIO()
             csv.writer(out, lineterminator="\r\n").writerow(cells)
             line = out.getvalue()
             assert line.endswith("\r\n")
             lines.append(line[:-2] + "\n")
         return "".join(lines)
+
+    @staticmethod
+    def command_rows() -> dict:
+        """name -> (columns, rows) of each command's rows, NaN rows included,
+        and of rows of wide integers, bools and numpy scalars."""
+        def scenario(name, section, key, value):
+            text = (CONFIGS / name).read_text(encoding="utf-8")
+            return resolve_scenario(set_key(text, section, key, value))
+
+        def failing(x):
+            raise ValueError(f"no row at {x}, 100% sure")
+
+        fiber_sc = resolve_scenario(fiber(points=9))
+        cov = scenario("coverage.ini", "coverage", "rounds", "50")
+        sim = scenario("coverage.ini", "simulate", "pulses", "2000")
+        mob = scenario("mobile.ini", "simulate", "pulses", "2000")
+        rate_rows = [*_rate_rows(fiber_sc, _sweep_grid(0.0, 80.0, 9), True),
+                     *_rate_rows(fiber_sc, _sweep_grid(0.0, 80.0, 9), False),
+                     _guarded_row(failing, RATE_COLUMNS, 3.0)]
+        return {
+            "rate": (("loss_db", *RATE_COLUMNS), rate_rows),
+            "simulate": (("loss_db", *SIM_COLUMNS), [
+                _guarded_row(functools.partial(_simulation_row, sim, seed=3, dump=None),
+                             SIM_COLUMNS, 2.0),
+                _guarded_row(failing, SIM_COLUMNS, 2.0)]),
+            "simulate-mobile": (("z_max_m", *SIM_MOBILE_COLUMNS), [
+                _guarded_row(functools.partial(_simulation_row, mob, seed=3, dump=None),
+                             SIM_MOBILE_COLUMNS, 5.0)]),
+            "coverage": (("loss_db", *COVERAGE_COLUMNS), [
+                _guarded_row(functools.partial(_coverage_row, cov, seed=3),
+                             COVERAGE_COLUMNS, 2.0),
+                _guarded_row(failing, COVERAGE_COLUMNS, 2.0)]),
+            "wide": (("a", "b", "c", "d", "e"), [
+                (2 ** 53 + 1, -(2 ** 63) - 1, np.int64(2 ** 62 + 1), True, "a,b"),
+                (10 ** 20 + 1, False, np.float64(0.1), np.int64(-7), 1.5),
+                (math.nan, 0.1, np.float64(math.nan), 2 ** 53 + 1, "")]),
+        }
 
     def test_csv_matches_csv_writer(self):
         rows = self.rows()
@@ -880,7 +928,7 @@ class TestEmitters:
                       "version": "1,0 \"rc\""}
         out = io.StringIO()
         emit_csv(rows, self.COLUMNS, out, provenance)
-        full = [{**row, **provenance} for row in rows]
+        full = [(*row, *provenance.values()) for row in rows]
         assert out.getvalue() == self.oracle(full, (*self.COLUMNS, *provenance))
 
     def test_csv_round_trips_through_csv_reader(self):
@@ -890,8 +938,41 @@ class TestEmitters:
         emit_csv(rows, self.COLUMNS, out, {})
         back = list(csv.reader(io.StringIO(out.getvalue(), newline="")))
         assert tuple(back[0]) == self.COLUMNS
-        assert [(r[1], r[3]) for r in back[1:]] == \
-            [(row["odd,name"], row["s"]) for row in rows]
+        assert [(r[1], r[3]) for r in back[1:]] == [(row[1], row[3]) for row in rows]
+
+    def test_csv_matches_per_cell_writer(self):
+        sets = {"odd": (self.COLUMNS, self.rows()), **self.command_rows()}
+        for name, (columns, rows) in sets.items():
+            assert all(len(row) == len(columns) for row in rows), name
+            by_column = [dict(zip(columns, row)) for row in rows]
+            for provenance in ({}, self.PROVENANCE):
+                got, want = io.StringIO(), io.StringIO()
+                emit_csv(rows, columns, got, provenance)
+                emit_csv_oracle(by_column, columns, want, provenance)
+                assert got.getvalue() == want.getvalue(), name
+
+    def test_json_matches_per_cell_writer(self):
+        # JSON has no inf, so the odd rows are left to the CSV tests; the
+        # document's own seed field is the command line's int
+        provenance = {**self.PROVENANCE, "seed": 12}
+        for name, (columns, rows) in self.command_rows().items():
+            by_column = [dict(zip(columns, row)) for row in rows]
+            got, want = io.StringIO(), io.StringIO()
+            emit_json(rows, columns, {"k": 1}, provenance, name, got)
+            emit_json_oracle(by_column, columns, {"k": 1}, provenance, name, want)
+            assert got.getvalue() == want.getvalue(), name
+
+    def test_command_rows_cover_every_cell_type(self):
+        sets = self.command_rows()
+        assert {row[-1] for row in sets["rate"][1]} > {""}  # a NaN row with a reason
+        assert any(type(v) is int for _, rows in sets.values() for row in rows for v in row)
+        out = io.StringIO()
+        emit_csv(sets["wide"][1], sets["wide"][0], out, {})
+        # integers above 2**53 print whole, not through %.17g
+        assert out.getvalue().splitlines()[1:] == [
+            '9007199254740993,-9223372036854775809,4611686018427387905,1,"a,b"',
+            "100000000000000000001,0,0.10000000000000001,-7,1.5",
+            "nan,0.10000000000000001,nan,9007199254740993,"]
 
     def test_json_cell_matches_old_rule(self):
         for value in (*ODD_STRINGS, *ODD_NUMBERS):
@@ -1419,7 +1500,8 @@ class TestNoDeadCode:
 
     GATE_ORACLES = {
         ("channel", "fading_pdf"), ("channel", "pointing_tau_exact"),
-        ("cli", "_mobile_noise_map"), ("gaussian", "symplectic_spectrum"),
+        ("cli", "_mobile_noise_map"), ("cli", "evaluate_rate_point"),
+        ("cli", "run_sweep"), ("gaussian", "symplectic_spectrum"),
         ("noise", "xi_from_photons"), ("rates", "holevo_standard"),
         ("rates", "holevo_untrusted_closed_form"),
         ("simulate", "estimator_coverage_experiment"),

@@ -176,6 +176,19 @@ class TestWholeDump:
         write_dump(out, *columns)
         assert out.getvalue() == percent_dump(*columns)
 
+    @pytest.mark.parametrize("count", (0, 1, DUMP_CHUNK, 3 * DUMP_CHUNK + 7))
+    def test_scalar_columns_match_percent_writer(self, count):
+        # the fixed-link call (pilot None, scalar tau and bin), and each
+        # scalar column next to per-pulse ones
+        pilot, x, y, tau, bins = block(count, count + 1, True)
+        for cols in ((None, x, y, 0.5848931924611134, -1), (None, x, y, tau, 7),
+                     (pilot, x, y, 5e-324, bins), (pilot, x, y, math.inf, -12345)):
+            flags = np.zeros(count, dtype=bool) if cols[0] is None else cols[0]
+            out = io.BytesIO()
+            write_dump(out, *cols)
+            assert out.getvalue() == percent_dump(
+                flags, x, y, *(np.broadcast_to(c, count) for c in cols[3:]))
+
     def test_empty_block_writes_the_header(self):
         out = io.BytesIO()
         write_dump(out, *block(0, 0, True))

@@ -3,7 +3,8 @@ replaces (tests/oracles.py): every column of every row equal by repr, NaN
 rows with the same reason, over the shipped configs and every scenario
 choice that the config rules allow. And what the plan saves, counted rather
 than timed: a sweep builds no point, estimator or rate record per row, and
-the scenario-level finite-size terms once."""
+the scenario-level finite-size terms once; its rows are cell tuples, and the
+CSV writer formats only their two text cells one by one."""
 
 import itertools
 from collections import Counter
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqkd import Record, cli, config, finite_size
-from cvqkd.cli import evaluate_rate_point, run_sweep
+from cvqkd.cli import RATE_COLUMNS, evaluate_rate_point, run_sweep
 from cvqkd.config import ConfigError, resolve_scenario
 from oracles import rate_row_oracle
 from test_cli import set_key
@@ -187,3 +188,39 @@ def test_sweep_sums_the_epsilon_budget_once(monkeypatch, channel):
         encoding="utf-8")).attack == "general"
     assert counts["total_epsilon"] == 1
     assert counts["general_attack_extension"] == (1 if general else 0)
+
+
+@pytest.mark.parametrize("text", [
+    *((CONFIGS / config).read_text(encoding="utf-8") for config in SHIPPED),
+    *(edited(config, edits) for config, edits in KERNEL_FAULT_CASES.values())],
+    ids=[*SHIPPED, *KERNEL_FAULT_CASES])
+def test_plan_rows_are_cell_tuples(text):
+    # the plan's rows and the guard's NaN rows alike
+    scenario = resolve_scenario(text)
+    start, stop = span(scenario)
+    for clamp in (False, True):
+        for row in cli._rate_rows(scenario, (start, stop, *abscissas(scenario)), clamp):
+            assert type(row) is tuple
+            assert len(row) == len(RATE_COLUMNS) + 1
+
+
+@pytest.mark.parametrize("channel", sorted(SWEEPS))
+def test_csv_writer_formats_only_the_text_cells(monkeypatch, tmp_path, channel):
+    calls = Counter()
+    format_cell = cli._format_cell
+
+    def counted(value):
+        calls[type(value)] += 1
+        return format_cell(value)
+
+    monkeypatch.setattr(cli, "_format_cell", counted)
+    text = (CONFIGS / SWEEPS[channel]).read_text(encoding="utf-8")
+    path, out = tmp_path / "sweep.ini", tmp_path / "out.csv"
+    header = len(RATE_COLUMNS) + 1 + 2 * len(cli.PROVENANCE_COLUMNS)
+    for points in (20, 200):
+        calls.clear()
+        path.write_text(set_key(text, "sweep", "points", str(points)), encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        # the header and provenance cells once, then warnings and reason per row
+        assert sum(calls.values()) == header + 2 * points
+        assert calls[float] == 0
