@@ -33,10 +33,10 @@ from .finite_size import (
     mobile_worst_case,
     sufficient_statistics_coverage,
     total_epsilon,
+    window_bounds,
     worst_case_bounds,
-    worst_case_estimators,
 )
-from .noise import setup_noise_from_thetas
+from .noise import noise_map, setup_noise_from_thetas
 from .rates import (
     SecurityType,
     check_point,
@@ -103,8 +103,9 @@ def _model_point(scenario: Scenario, x: float) -> dict:
 
     Every channel gives eta_ch, tau and the warnings raised so far. The
     constant channels add the model noise nbar (and the setup photons n_ex
-    on optical links); optical-mobile adds the FadingModel and its
-    worst-case FadingEstimatorSet "fs" over the post-selection window.
+    on optical links); optical-mobile adds the FadingModel, whose fading
+    window its callers bound (finite_size.window_bounds for a rate row,
+    mobile_worst_case for a simulated block).
     """
     p = scenario.physics
     eta_eff = p["eta_eff"]
@@ -112,15 +113,8 @@ def _model_point(scenario: Scenario, x: float) -> dict:
         fading = FadingModel.from_geometry(scenario.beam, x, p["a_r"],
                                            p["sigma_p"],
                                            eta_eff, p.get("eta_atm", 1.0))
-        fs = mobile_worst_case(scenario.params, fading,
-                               scenario.derived["theta_el"],
-                               scenario.derived["theta_ph"], scenario.lo_kind,
-                               eta_eff, p["n_b"], scenario.sigma_x2,
-                               scenario.nu_det, f_th=scenario.f_th,
-                               bins=scenario.bins,
-                               n_other=p.get("n_other", 0.0))
         return {"eta_ch": fading.eta / eta_eff, "tau": fading.eta,
-                "fading": fading, "fs": fs, "warnings": list(fs.warnings)}
+                "fading": fading, "warnings": []}
     warnings = []
     if scenario.channel == "fixed-loss":
         eta_ch = 10.0 ** (-x / 10.0) / eta_eff
@@ -160,10 +154,15 @@ def _rate_plan(scenario: Scenario, clamp: bool):
     th_el, th_ph = scenario.derived.get("theta_el"), scenario.derived.get("theta_ph")
     split_noise = not (mobile or microwave) and trust != 3
     eps_total, n_transmit = total_epsilon(prm), (mu - 1.0) / 2.0
+    window = functools.partial(window_bounds, prm, th_el=th_el, th_ph=th_ph,
+                               lo_kind=scenario.lo_kind, eta_eff=eta_eff, n_b=n_b,
+                               sigma_x2=sx2, nu_det=nu, f_th=scenario.f_th,
+                               n_other=p.get("n_other", 0.0))
 
     # at the first row that reaches it, so that a fault fails rows where it
-    # arises; the constant channels evaluate it once, at p_Delta = 1
-    @functools.cache
+    # arises; the constant channels evaluate it once, at p_Delta = 1, and a
+    # mobile sweep, whose p_Delta moves with every row, keeps only the last
+    @functools.lru_cache(maxsize=1)
     def finite(p_delta: float) -> tuple:
         """The composable_terms of the configured attack and the epsilon column."""
         terms = None
@@ -182,9 +181,9 @@ def _rate_plan(scenario: Scenario, clamp: bool):
         eta_ch, tau, warnings = pt["eta_ch"], pt["tau"], pt["warnings"]
         asym, plob, p_delta, n_b_hi, n_lo = NAN, NAN, 1.0, 0.0, NAN
         if mobile:
-            fs = pt["fs"]
-            tau_lo, tau_hi, n_hi, n_b_hi = fs.tau_lb, NAN, fs.n_ub, fs.n_b_ub
-            p_delta = fs.p_delta
+            _, p_delta, tau_lo, n_hi, n_b_hi, codes = window(pt["fading"])
+            tau_hi = NAN
+            warnings.extend(codes)
         else:
             nbar = pt["nbar"]
             if microwave:
@@ -251,13 +250,12 @@ def evaluate_rate_point(scenario: Scenario, x: float, clamp: bool) -> dict:
 
 
 def _mobile_noise_map(scenario: Scenario):
-    """Per-pulse noise photons nbar(tau) of a mobile link: the rows use the
-    same law as FadingEstimatorSet.noise; gate criterion 7 imports this one."""
+    """Per-pulse noise photons nbar(tau) of a mobile link: noise.noise_map,
+    the law of the fading window's bounds and of FadingEstimatorSet.noise,
+    at the scenario's values; gate criterion 7 imports it."""
     p = scenario.physics
-    background = p["eta_eff"] * p["n_b"]
-    return lambda tau: background + setup_noise_from_thetas(
-        scenario.derived["theta_el"], scenario.derived["theta_ph"],
-        scenario.lo_kind, tau, p.get("n_other", 0.0))
+    return noise_map(scenario.derived["theta_el"], scenario.derived["theta_ph"],
+                     scenario.lo_kind, p["eta_eff"], p["n_b"], p.get("n_other", 0.0))
 
 
 def _dump_block(block, bins, path: str, tau_const: float = None) -> None:
@@ -278,7 +276,13 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
     pulses = scenario.simulate["pulses"]
     pt = _model_point(scenario, x)
     if scenario.channel == "optical-mobile":
-        fs = pt["fs"]
+        p = scenario.physics
+        fs = mobile_worst_case(scenario.params, pt["fading"],
+                               scenario.derived["theta_el"],
+                               scenario.derived["theta_ph"], scenario.lo_kind,
+                               p["eta_eff"], p["n_b"], scenario.sigma_x2,
+                               scenario.nu_det, f_th=scenario.f_th,
+                               bins=scenario.bins, n_other=p.get("n_other", 0.0))
         block = simulate_fading_block(
             pt["fading"], fs.noise, scenario.nu_det, scenario.sigma_x2, pulses,
             seed, pilot_rate=scenario.simulate.get("pilot_rate", 0.0))
@@ -291,19 +295,20 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
                 fs.lattice.tau_min, fs.n_star,
                 fs.lattice.tau_min * scenario.sigma_x2 + 2.0 * fs.n_star
                 + scenario.nu_det, snap.tau_hat, snap.n_hat,
-                float(np.mean(faded.y[keep] ** 2)), ";".join(pt["warnings"]), "")
+                float(np.mean(faded.y[keep] ** 2)), ";".join(fs.warnings), "")
     tau, nbar, warnings = pt["tau"], pt["nbar"], pt["warnings"]
     block = simulate_block(tau, nbar, scenario.nu_det, scenario.sigma_x2,
                            pulses, seed)
     if dump:
         _dump_block(block, -1, dump, tau_const=tau)
     snap = block.estimators()
-    est = worst_case_estimators(snap.tau_hat, max(snap.n_hat, 0.0),
-                                scenario.sigma_x2, snap.sigma_z2_hat,
-                                snap.m_p, scenario.params.w)
-    warnings.extend(est.warnings)
+    tau_lo, tau_hi, n_hi, _, floored = worst_case_bounds(
+        snap.tau_hat, max(snap.n_hat, 0.0), scenario.sigma_x2, snap.sigma_z2_hat,
+        snap.m_p, scenario.params.w)
+    if floored:
+        warnings.append("tau_lo_floored")
     return (x, pulses, snap.m_p, tau, nbar, snap.tau_hat, snap.sigma_z2_hat,
-            snap.n_hat, est.tau_lo, est.tau_hi, est.n_hi, ";".join(warnings), "")
+            snap.n_hat, tau_lo, tau_hi, n_hi, ";".join(warnings), "")
 
 
 def _coverage_row(scenario: Scenario, x: float, seed: int) -> tuple:

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 from . import Record
 from .channel import FadingModel, fading_probability
-from .noise import setup_noise_from_thetas
+from .noise import noise_map, setup_noise_from_thetas
 
 try:  # the C kernel of statistics.NormalDist.inv_cdf, without statistics
     from _statistics import _normal_dist_inv_cdf
@@ -32,7 +32,7 @@ ERFINV_FLOOR = 1e-17
 # instead of zero so downstream channel points stay constructible.
 TAU_FLOOR = 1e-12
 
-# mobile_worst_case rejects a post-selection window less likely than this.
+# window_bounds rejects a post-selection window less likely than this.
 P_DELTA_MIN = 1e-6
 
 
@@ -166,15 +166,6 @@ def empirical_estimators(x, y, nu_det: int) -> EstimatorSnapshot:
                              m_p=x.size)
 
 
-class EstimatorSet(Record):
-    """Worst-case channel estimates at confidence w."""
-
-    def __init__(self, tau_lo: float, tau_hi: float, n_hi: float, n_lo: float,
-                 warnings: tuple = ()):
-        self.__dict__.update(tau_lo=tau_lo, tau_hi=tau_hi, n_hi=n_hi, n_lo=n_lo,
-                             warnings=warnings)
-
-
 def worst_case_bounds(tau: float, nbar: float, sigma_x2: float, sigma_z2: float,
                       m_p: float, w: float) -> tuple:
     """(tau', tau'', nbar', nbar'', floored): confidence bounds around
@@ -205,16 +196,6 @@ def worst_case_bounds(tau: float, nbar: float, sigma_x2: float, sigma_z2: float,
     tau_hi, n_lo = tau + margin, nbar - shift
     return (tau_lo, 1.0 if tau_hi > 1.0 else tau_hi, nbar + shift,
             0.0 if n_lo < 0.0 else n_lo, floored)
-
-
-def worst_case_estimators(tau: float, nbar: float, sigma_x2: float, sigma_z2: float,
-                          m_p: float, w: float) -> EstimatorSet:
-    """The :func:`worst_case_bounds` as a record, a floored tau' warned as
-    tau_lo_floored."""
-    tau_lo, tau_hi, n_hi, n_lo, floored = worst_case_bounds(tau, nbar, sigma_x2,
-                                                            sigma_z2, m_p, w)
-    return EstimatorSet(tau_lo=tau_lo, tau_hi=tau_hi, n_hi=n_hi, n_lo=n_lo,
-                        warnings=("tau_lo_floored",) if floored else ())
 
 
 def background_bound(n_hi: float, n_ex_bc: float, eta_eff: float) -> tuple:
@@ -519,22 +500,18 @@ class FadingLattice(Record):
 
 
 class FadingEstimatorSet(Record):
-    """Worst-case bounds for a post-selected fading channel.
+    """A post-selected fading window as the simulator reads it.
 
-    The per-bin figures, which only the simulator reads, are computed on
-    first access: bin_probabilities p_k, and n_star = tau_min / p_Delta
-    * sum_k p_k n(tau_k) / tau_k over the bin lower edges tau_k, with n(tau)
-    the noise photons of the link at transmissivity tau.
+    The per-bin figures are computed on first access: bin_probabilities p_k,
+    and n_star = tau_min / p_Delta * sum_k p_k n(tau_k) / tau_k over the bin
+    lower edges tau_k, with n(tau) = noise(tau) the noise photons of the
+    link at transmissivity tau.
     """
 
     def __init__(self, lattice: FadingLattice, fading: FadingModel,
-                 noise: Callable, p_delta: float, n_ex_wc: float, n_wc: float,
-                 m_delta: float, tau_lb: float, n_ub: float, n_ex_bc: float,
-                 n_b_ub: float, warnings: tuple = ()):
+                 noise: Callable, p_delta: float, warnings: tuple = ()):
         self.__dict__.update(lattice=lattice, fading=fading, noise=noise,
-                             p_delta=p_delta, n_ex_wc=n_ex_wc, n_wc=n_wc,
-                             m_delta=m_delta, tau_lb=tau_lb, n_ub=n_ub,
-                             n_ex_bc=n_ex_bc, n_b_ub=n_b_ub, warnings=warnings)
+                             p_delta=p_delta, warnings=warnings)
 
     @cached_property
     def bin_probabilities(self):
@@ -553,19 +530,19 @@ class FadingEstimatorSet(Record):
             np.sum(self.bin_probabilities / lower * self.noise(lower)))
 
 
-def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
-                      th_ph: float, lo_kind: str, eta_eff: float, n_b: float,
-                      sigma_x2: float, nu_det: int, f_th: float = 0.8,
-                      bins: int = 50, n_other: float = 0.0) -> FadingEstimatorSet:
-    """Worst-case estimates over the fading window [f_th * eta, eta].
+def window_bounds(params: ProtocolParams, fading: FadingModel, th_el: float,
+                  th_ph: float, lo_kind: str, eta_eff: float, n_b: float,
+                  sigma_x2: float, nu_det: int, f_th: float = 0.8,
+                  n_other: float = 0.0) -> tuple:
+    """(tau_min, p_Delta, tau_lb, n_ub, n_b_ub, warnings): the worst case of
+    the fading window [tau_min, tau_max] = [f_th * eta, eta].
 
     The setup noise is bounded over the whole window (TLO at tau_min; LLO at
     unit transmissivity, since its phase share grows with tau) and its best
     case taken at the other end; the disclosed pairs shrink to
-    m_Delta = nu_det * m * p_Delta, and the surviving-signal noise average
-    n_star uses the bin lower edges. The untrusted n_other photons enter the
-    worst case and n_star but not the best-case setup share, so Eve is
-    credited with them through n_b_ub.
+    m_Delta = nu_det * m * p_Delta. The untrusted n_other photons enter the
+    worst case but not the best-case setup share, so Eve is credited with
+    them through n_b_ub. Floors warn tau_lb_floored and n_b_ub_floored.
     """
     if not 0.0 < f_th < 1.0:
         raise ValueError("f_th must lie in (0, 1)")
@@ -573,30 +550,36 @@ def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
         raise ValueError("nu_det must be 1 or 2")
     tau_max = fading.eta
     tau_min = f_th * tau_max
-    lattice = FadingLattice(tau_min=tau_min, tau_max=tau_max, bins=bins)
+    if not 0.0 < tau_min < tau_max <= 1.0:
+        raise ValueError("need 0 < tau_min < tau_max <= 1")
     p_delta = fading_probability(tau_min, tau_max, fading)
     if p_delta < P_DELTA_MIN:
         raise ValueError("post-selection window has negligible probability; "
                          "reduce the range or lower f_th")
 
-    def noise(tau):
-        return eta_eff * n_b + setup_noise_from_thetas(th_el, th_ph, lo_kind,
-                                                       tau, n_other)
-
     tau_wc, tau_bc = (tau_min, 1.0) if lo_kind == "tlo" else (1.0, tau_min)
-    n_ex_wc = setup_noise_from_thetas(th_el, th_ph, lo_kind, tau_wc, n_other)
+    n_wc = noise_map(th_el, th_ph, lo_kind, eta_eff, n_b, n_other)(tau_wc)
     n_ex_bc = setup_noise_from_thetas(th_el, th_ph, lo_kind, tau_bc)
-
-    n_wc = noise(tau_wc)
-    m_delta = nu_det * params.m * p_delta
     tau_lb, _, n_ub, _, floored = worst_case_bounds(
-        tau_min, n_wc, sigma_x2, 2.0 * n_wc + nu_det, m_delta, params.w)
+        tau_min, n_wc, sigma_x2, 2.0 * n_wc + nu_det, nu_det * params.m * p_delta,
+        params.w)
     warnings = ("tau_lb_floored",) if floored else ()
     n_b_ub, floored = background_bound(n_ub, n_ex_bc, eta_eff)
     if floored:
         warnings = warnings + ("n_b_ub_floored",)
+    return tau_min, p_delta, tau_lb, n_ub, n_b_ub, warnings
 
-    return FadingEstimatorSet(lattice=lattice, fading=fading, noise=noise,
-                              p_delta=p_delta, n_ex_wc=n_ex_wc, n_wc=n_wc,
-                              m_delta=m_delta, tau_lb=tau_lb, n_ub=n_ub,
-                              n_ex_bc=n_ex_bc, n_b_ub=n_b_ub, warnings=warnings)
+
+def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
+                      th_ph: float, lo_kind: str, eta_eff: float, n_b: float,
+                      sigma_x2: float, nu_det: int, f_th: float = 0.8,
+                      bins: int = 50, n_other: float = 0.0) -> FadingEstimatorSet:
+    """The window of window_bounds as a FadingEstimatorSet over bins bins,
+    with the link's noise law: the surviving-signal noise average n_star
+    uses the bin lower edges, and the untrusted n_other photons enter it."""
+    tau_min, p_delta, *_, warnings = window_bounds(
+        params, fading, th_el, th_ph, lo_kind, eta_eff, n_b, sigma_x2, nu_det,
+        f_th, n_other)
+    return FadingEstimatorSet(FadingLattice(tau_min, fading.eta, bins), fading,
+                              noise_map(th_el, th_ph, lo_kind, eta_eff, n_b, n_other),
+                              p_delta, warnings)

@@ -127,6 +127,16 @@ def setup_noise_from_thetas(th_el: float, th_ph: float, lo_kind: str, tau,
     return th_el + th_ph * tau + n_other
 
 
+def noise_map(th_el: float, th_ph: float, lo_kind: str, eta_eff: float,
+              n_b: float, n_other: float = 0.0):
+    """tau -> eta_eff n_b + n_ex(tau): the noise photons of an optical link
+    at transmissivity tau (a float or an array of pulse transmissivities),
+    background through the receiver plus setup_noise_from_thetas."""
+    background = eta_eff * n_b
+    return lambda tau: background + setup_noise_from_thetas(th_el, th_ph, lo_kind,
+                                                            tau, n_other)
+
+
 def xi_from_photons(nbar: float, tau: float) -> float:
     """Excess noise xi = 2*nbar/tau (shot-noise units, at Alice's output)."""
     if tau <= 0.0:

@@ -11,8 +11,10 @@ against. No command calls them.
   `cvqkd.channel.fading_probability` integrates in closed form.
 * `rate_row_oracle` composes a rate row from ChannelPoint and RateReport
   records, one per point and rate (`asymptotic_rate`, `microwave_los_rate`,
-  `worst_case_estimators`, `composable_rate`): the composition that the
-  rate plan of `cvqkd.cli` replaces with scalar kernels.
+  `composable_rate`), and bounds a mobile row's fading window through a
+  FadingLattice with its own setup-noise terms (`_window_oracle`): the
+  composition that the rate plan of `cvqkd.cli` replaces with scalar
+  kernels and `cvqkd.finite_size.window_bounds`.
 * `sufficient_statistics_oracle` draws each coverage round's (T_hat,
   sigma_z2_hat) from numpy's Philox chi-square and normal variates: the
   sampler that `cvqkd.finite_size._sufficient_statistics` replaces with
@@ -33,7 +35,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from cvqkd import Record
-from cvqkd.channel import FadingModel, _log_ratio_density
+from cvqkd.channel import FadingModel, _log_ratio_density, fading_probability
 from cvqkd.cli import (
     ABSCISSA,
     NAN,
@@ -43,11 +45,13 @@ from cvqkd.cli import (
     _model_point,
 )
 from cvqkd.finite_size import (
+    P_DELTA_MIN,
+    FadingLattice,
     background_bound,
     composable_terms,
     general_attack_extension,
     total_epsilon,
-    worst_case_estimators,
+    worst_case_bounds,
 )
 from cvqkd.gaussian import (
     I2,
@@ -297,6 +301,40 @@ def _finite_rate(scenario, r_pe: float, p_delta: float) -> tuple:
     return rate, total_epsilon(prm) if terms is None else terms.eps_prime
 
 
+def _window_oracle(scenario, fading: FadingModel, warnings: list) -> tuple:
+    """(tau_lb, n_ub, n_b_ub, p_Delta) of the mobile fading window
+    [f_th eta, eta], its floors appended to warnings: a FadingLattice, the
+    worst- and best-case setup photons n_ex_wc and n_ex_bc (TLO at tau_min
+    and 1, LLO at 1 and tau_min), worst_case_bounds at (tau_min, n_wc) with
+    m_Delta = nu m p_Delta disclosed pairs, and background_bound."""
+    p, prm, nu = scenario.physics, scenario.params, scenario.nu_det
+    th_el, th_ph = scenario.derived["theta_el"], scenario.derived["theta_ph"]
+    lo_kind, tau_max = scenario.lo_kind, fading.eta
+    if not 0.0 < scenario.f_th < 1.0:
+        raise ValueError("f_th must lie in (0, 1)")
+    if nu not in (1, 2):
+        raise ValueError("nu_det must be 1 or 2")
+    lattice = FadingLattice(scenario.f_th * tau_max, tau_max, scenario.bins)
+    tau_min = lattice.tau_min
+    p_delta = fading_probability(tau_min, tau_max, fading)
+    if p_delta < P_DELTA_MIN:
+        raise ValueError("post-selection window has negligible probability; "
+                         "reduce the range or lower f_th")
+    tau_wc, tau_bc = (tau_min, 1.0) if lo_kind == "tlo" else (1.0, tau_min)
+    n_ex_wc = setup_noise_from_thetas(th_el, th_ph, lo_kind, tau_wc,
+                                      p.get("n_other", 0.0))
+    n_ex_bc = setup_noise_from_thetas(th_el, th_ph, lo_kind, tau_bc)
+    n_wc = p["eta_eff"] * p["n_b"] + n_ex_wc
+    tau_lb, _, n_ub, _, floored = worst_case_bounds(
+        tau_min, n_wc, scenario.sigma_x2, 2.0 * n_wc + nu, nu * prm.m * p_delta, prm.w)
+    if floored:
+        warnings.append("tau_lb_floored")
+    n_b_ub, floored = background_bound(n_ub, n_ex_bc, p["eta_eff"])
+    if floored:
+        warnings.append("n_b_ub_floored")
+    return tau_lb, n_ub, n_b_ub, p_delta
+
+
 def _rate_row(scenario, x: float) -> dict:
     """Rate row at abscissa x: model rate, worst-case rate, composable rate."""
     p = scenario.physics
@@ -307,12 +345,11 @@ def _rate_row(scenario, x: float) -> dict:
     pt = _model_point(scenario, x)
     eta_ch, tau, warnings = pt["eta_ch"], pt["tau"], pt["warnings"]
     eta_eff = p["eta_eff"]
-    asym, plob, p_delta, n_b_hi = NAN, NAN, 1.0, 0.0
+    asym, plob, p_delta, n_b_hi, n_lo = NAN, NAN, 1.0, 0.0, NAN
 
     if scenario.channel == "optical-mobile":
-        fs = pt["fs"]
-        tau_lo, tau_hi, n_hi, n_b_hi = fs.tau_lb, NAN, fs.n_ub, fs.n_b_ub
-        p_delta = fs.p_delta
+        tau_lo, n_hi, n_b_hi, p_delta = _window_oracle(scenario, pt["fading"], warnings)
+        tau_hi = NAN
     else:
         nbar = pt["nbar"]
         if scenario.channel == "microwave":
@@ -322,15 +359,15 @@ def _rate_row(scenario, x: float) -> dict:
                                  n_ex=pt["n_ex"], nu_det=nu, mu=prm.mu)
         asym = (microwave_los_rate(model, nbar, prm.beta) if los_microwave
                 else asymptotic_rate(model, trust, security, prm.beta)).rate
-        est = worst_case_estimators(tau, nbar, sx2, 2.0 * nbar + nu, nu * prm.m,
-                                    prm.w)
-        warnings.extend(est.warnings)
-        tau_lo, tau_hi, n_hi = est.tau_lo, est.tau_hi, est.n_hi
+        tau_lo, tau_hi, n_hi, n_lo, floored = worst_case_bounds(
+            tau, nbar, sx2, 2.0 * nbar + nu, nu * prm.m, prm.w)
+        if floored:
+            warnings.append("tau_lo_floored")
         if scenario.channel != "microwave" and scenario.trust != 3:
             # the best-case setup share sits at the bound that minimises it
             n_ex_bc = setup_noise_from_thetas(
                 scenario.derived["theta_el"], scenario.derived["theta_ph"],
-                scenario.lo_kind, est.tau_hi if scenario.lo_kind == "tlo" else tau_lo)
+                scenario.lo_kind, tau_hi if scenario.lo_kind == "tlo" else tau_lo)
             n_b_hi, floored = background_bound(n_hi, n_ex_bc, eta_eff)
             if floored:
                 warnings.append("n_b_hi_floored")
@@ -338,7 +375,7 @@ def _rate_row(scenario, x: float) -> dict:
     wc = ChannelPoint.from_estimates(tau_lo, eta_eff, n_hi,
                                      0.0 if scenario.trust == 3 else n_b_hi, nu,
                                      prm.mu)
-    rep = microwave_los_rate(wc, est.n_lo, prm.beta) if los_microwave \
+    rep = microwave_los_rate(wc, n_lo, prm.beta) if los_microwave \
         else asymptotic_rate(wc, trust, security, prm.beta)
     mi, chi, r_pe = rep.mutual_information, rep.holevo, rep.rate
     if scenario.channel == "microwave":

@@ -1392,6 +1392,22 @@ class TestWarningCodes:
                                      module.read_text(encoding="utf-8")))
         assert raised == set(WARNING_CODES)
 
+    def test_raisers_are_defined(self):
+        # each `module.name` of the table's "Raised by" column is a top-level
+        # function or class of that module
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("The `warnings` column holds")[1].split("###")[0]
+        cells = re.findall(r"^\| `\w+` \| ([^|]+) \|", table, flags=re.MULTILINE)
+        assert len(cells) == len(WARNING_CODES)
+        named = {pair for cell in cells for pair in re.findall(r"`(\w+)\.(\w+)`", cell)}
+        assert len(named) >= len(WARNING_CODES)
+        for module, name in sorted(named):
+            tree = ast.parse((ROOT / "src" / "cvqkd" / f"{module}.py").read_text(
+                encoding="utf-8"))
+            assert name in {node.name for node in tree.body
+                            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}, \
+                f"{module}.{name}"
+
     def test_microwave_floor_is_reported(self, tmp_path):
         code, blob = run_cli(
             tmp_path,

@@ -38,8 +38,8 @@ from cvqkd.finite_size import (
     mobile_worst_case,
     theta_term,
     total_epsilon,
+    window_bounds,
     worst_case_bounds,
-    worst_case_estimators,
 )
 from oracles import composable_rate
 
@@ -227,65 +227,68 @@ class TestEmpiricalEstimators:
 
 
 class TestWorstCaseEstimators:
+    """worst_case_bounds: (tau', tau'', nbar', nbar'', floored)."""
+
     def test_zero_confidence_collapses(self):
-        est = worst_case_estimators(0.3, 0.05, 9.0, 2.1, 1e6, 0.0)
-        assert est.tau_lo == est.tau_hi == 0.3
-        assert est.n_hi == est.n_lo == 0.05
+        tau_lo, tau_hi, n_hi, n_lo, _ = worst_case_bounds(0.3, 0.05, 9.0, 2.1, 1e6, 0.0)
+        assert tau_lo == tau_hi == 0.3
+        assert n_hi == n_lo == 0.05
 
     def test_formulas(self):
         tau, nbar, sx2, sz2, m_p, w = 0.3, 0.05, 9.0, 2.1, 1e6, 6.34
-        est = worst_case_estimators(tau, nbar, sx2, sz2, m_p, w)
+        tau_lo, tau_hi, n_hi, n_lo, floored = worst_case_bounds(tau, nbar, sx2, sz2, m_p, w)
         margin = 2.0 * w * math.sqrt((2.0 * tau**2 + tau * sz2 / sx2) / m_p)
         shift = w * sz2 / math.sqrt(2.0 * m_p)
-        assert est.tau_lo == pytest.approx(tau - margin, rel=1e-12)
-        assert est.tau_hi == pytest.approx(tau + margin, rel=1e-12)
-        assert est.n_hi == pytest.approx(nbar + shift, rel=1e-12)
-        assert est.n_lo == pytest.approx(nbar - shift, rel=1e-12)
-        assert est.warnings == ()
+        assert tau_lo == pytest.approx(tau - margin, rel=1e-12)
+        assert tau_hi == pytest.approx(tau + margin, rel=1e-12)
+        assert n_hi == pytest.approx(nbar + shift, rel=1e-12)
+        assert n_lo == pytest.approx(nbar - shift, rel=1e-12)
+        assert floored is False
 
     def test_microwave_inputs(self):
         # a thermal microwave link discloses nu_det m pairs whose residual
         # variance is the model value 2 n_th + nu_det
         tau, n_th, sx2, m, nu_det, w = 0.8, 0.1024, 20.0, 5e6, 2, 6.34
         sz2, m_p = 2.0 * n_th + nu_det, nu_det * m
-        est = worst_case_estimators(tau, n_th, sx2, sz2, m_p, w)
-        assert est.warnings == ()
-        assert est.tau_lo == pytest.approx(
+        tau_lo, _, n_hi, n_lo, floored = worst_case_bounds(tau, n_th, sx2, sz2, m_p, w)
+        assert floored is False
+        assert tau_lo == pytest.approx(
             tau - 2.0 * w * math.sqrt((2.0 * tau**2 + tau * sz2 / sx2) / m_p), rel=1e-12
         )
         shift = w * sz2 / math.sqrt(2.0 * m_p)
-        assert est.n_hi == pytest.approx(n_th + shift, rel=1e-12)
-        assert est.n_lo == pytest.approx(n_th - shift, rel=1e-12)
-        assert est.n_lo >= 0.0
+        assert n_hi == pytest.approx(n_th + shift, rel=1e-12)
+        assert n_lo == pytest.approx(n_th - shift, rel=1e-12)
+        assert n_lo >= 0.0
 
     def test_floors_with_lower_noise_bound(self):
         n_th = 1e-9
-        est = worst_case_estimators(0.5, n_th, 20.0, 2.0 * n_th + 2, 2 * 10, 6.34)
-        assert est.tau_lo == TAU_FLOOR
-        assert est.warnings == ("tau_lo_floored",)
-        assert est.n_lo == 0.0
-        assert est.n_hi > n_th
+        tau_lo, _, n_hi, n_lo, floored = worst_case_bounds(0.5, n_th, 20.0, 2.0 * n_th + 2,
+                                                           2 * 10, 6.34)
+        assert tau_lo == TAU_FLOOR
+        assert floored is True
+        assert n_lo == 0.0
+        assert n_hi > n_th
 
     def test_large_samples_converge(self):
-        est = worst_case_estimators(0.3, 0.05, 9.0, 2.1, 1e12, 6.34)
-        assert est.tau_lo == pytest.approx(0.3, abs=1e-5)
-        assert est.n_hi == pytest.approx(0.05, abs=1e-5)
+        tau_lo, _, n_hi, _, _ = worst_case_bounds(0.3, 0.05, 9.0, 2.1, 1e12, 6.34)
+        assert tau_lo == pytest.approx(0.3, abs=1e-5)
+        assert n_hi == pytest.approx(0.05, abs=1e-5)
 
     def test_tau_floor_and_warning(self):
-        est = worst_case_estimators(0.3, 0.05, 9.0, 2.1, 10, 6.34)
-        assert est.tau_lo == TAU_FLOOR
-        assert "tau_lo_floored" in est.warnings
+        tau_lo, _, _, _, floored = worst_case_bounds(0.3, 0.05, 9.0, 2.1, 10, 6.34)
+        assert tau_lo == TAU_FLOOR
+        assert floored
 
     def test_tau_floor_below_tau_floor_is_tau(self):
         # a tau below TAU_FLOOR is its own floor: the worst case never lies
         # above the estimate
-        est = worst_case_estimators(1e-13, 0.05, 9.0, 2.1, 1e6, 6.34)
-        assert est.tau_lo == 1e-13
-        assert est.warnings == ("tau_lo_floored",)
+        tau_lo, _, _, _, floored = worst_case_bounds(1e-13, 0.05, 9.0, 2.1, 1e6, 6.34)
+        assert tau_lo == 1e-13
+        assert floored is True
 
     def test_tau_upper_cap(self):
-        est = worst_case_estimators(0.99, 0.05, 9.0, 2.1, 100, 6.34)
-        assert est.tau_hi == 1.0
+        _, tau_hi, _, _, _ = worst_case_bounds(0.99, 0.05, 9.0, 2.1, 100, 6.34)
+        assert tau_hi == 1.0
 
 
 class TestSetupAndBackgroundBounds:
@@ -588,15 +591,32 @@ class TestMobileWorstCase:
                               eps_pe=2.0**-33, eps_s=2.0**-33, eps_h=2.0**-33,
                               eps_cor=2.0**-33, mu=10.0, d=32)
 
-    def test_window_and_bins(self):
+    def traced(self, monkeypatch, lo_kind="llo", th_ph=TH_PH, z=5.0, **kwargs):
+        """mobile_worst_case on the reference link, with what its window
+        computed on the way: (set, window_bounds' tuple, the arguments of
+        worst_case_bounds, those of background_bound)."""
+        seen = {}  # name -> (arguments, result) of its one call
+        for name in ("window_bounds", "worst_case_bounds", "background_bound"):
+            def recording(*args, fn=getattr(finite_size, name), name=name):
+                seen[name] = args, fn(*args)
+                return seen[name][1]
+            monkeypatch.setattr(finite_size, name, recording)
+        fs = mobile_worst_case(self.params(), self.fading(z), self.TH_EL, th_ph, lo_kind,
+                               0.7, 0.019, 9.0, 2, **kwargs)
+        monkeypatch.undo()
+        return (fs, seen["window_bounds"][1], seen["worst_case_bounds"][0],
+                seen["background_bound"][0])
+
+    def test_window_and_bins(self, monkeypatch):
         fad = self.fading()
-        fs = mobile_worst_case(self.params(), fad, self.TH_EL, self.TH_PH,
-                               "llo", 0.7, 0.019, 9.0, 2, f_th=0.8, bins=50)
+        fs, window, bounds_args, _ = self.traced(monkeypatch, f_th=0.8, bins=50)
         assert fs.lattice.tau_max == pytest.approx(fad.eta)
         assert fs.lattice.tau_min == pytest.approx(0.8 * fad.eta)
+        assert window[:2] == (fs.lattice.tau_min, fs.p_delta)
         assert len(fs.bin_probabilities) == 50
         assert fs.bin_probabilities.sum() == pytest.approx(fs.p_delta, rel=1e-9)
-        assert fs.m_delta == pytest.approx(2.0 * 1e6 * fs.p_delta, rel=1e-12)
+        m_delta = bounds_args[4]
+        assert m_delta == pytest.approx(2.0 * 1e6 * fs.p_delta, rel=1e-12)
 
     def test_window_priced_in_one_call(self, monkeypatch):
         # the rate path prices only the window; the bins are priced, one
@@ -646,65 +666,57 @@ class TestMobileWorstCase:
                 expect = fs.lattice.tau_min / fs.p_delta * float(np.sum(p_k / lower * n_k))
                 assert fs.n_star == pytest.approx(expect, rel=1e-12)
 
-    def test_noise_bounds(self):
-        fs = mobile_worst_case(self.params(), self.fading(), self.TH_EL, self.TH_PH,
-                               "llo", 0.7, 0.019, 9.0, 2, f_th=0.8, bins=50)
+    def test_noise_bounds(self, monkeypatch):
+        fs, (tau_min, _, tau_lb, n_ub, _, _), bounds_args, background_args = self.traced(
+            monkeypatch, f_th=0.8, bins=50)
+        n_wc, n_ex_bc = bounds_args[1], background_args[1]
         # LLO worst case bounds the phase share at unit transmissivity
-        assert fs.n_ex_wc == pytest.approx(self.TH_EL + self.TH_PH, rel=1e-12)
-        assert fs.n_ex_bc == pytest.approx(
-            self.TH_EL + self.TH_PH * fs.lattice.tau_min, rel=1e-12
-        )
-        assert fs.n_wc == pytest.approx(0.7 * 0.019 + fs.n_ex_wc, rel=1e-12)
-        assert fs.n_star <= fs.n_wc
-        assert fs.n_ub > fs.n_wc
-        assert fs.tau_lb < fs.lattice.tau_min
+        assert n_ex_bc == pytest.approx(self.TH_EL + self.TH_PH * tau_min, rel=1e-12)
+        assert n_wc == pytest.approx(0.7 * 0.019 + (self.TH_EL + self.TH_PH), rel=1e-12)
+        assert fs.n_star <= n_wc
+        assert n_ub > n_wc
+        assert tau_lb < tau_min
 
     def test_window_uses_the_one_estimator_law(self, monkeypatch):
         # the worst case of the window, (tau_min, n_wc), enters the fixed-link
         # estimators with m_Delta disclosed pairs
-        calls = []
-
-        def recording(*args):
-            calls.append(args)
-            return worst_case_bounds(*args)
-
-        monkeypatch.setattr(finite_size, "worst_case_bounds", recording)
         prm = self.params()
-        fs = mobile_worst_case(prm, self.fading(), self.TH_EL, self.TH_PH,
-                               "llo", 0.7, 0.019, 9.0, 2)
-        assert calls == [(fs.lattice.tau_min, fs.n_wc, 9.0, 2.0 * fs.n_wc + 2,
-                          fs.m_delta, prm.w)]
-        est = worst_case_estimators(*calls[0])
-        assert (fs.tau_lb, fs.n_ub) == (est.tau_lo, est.n_hi)
-        assert fs.n_b_ub == background_bound(est.n_hi, fs.n_ex_bc, 0.7)[0]
+        _, (tau_min, p_delta, tau_lb, n_ub, n_b_ub, _), bounds_args, background_args = \
+            self.traced(monkeypatch)
+        n_wc = bounds_args[1]
+        assert bounds_args == (tau_min, n_wc, 9.0, 2.0 * n_wc + 2, 2 * prm.m * p_delta, prm.w)
+        tau_lo, _, n_hi, _, _ = worst_case_bounds(*bounds_args)
+        assert (tau_lb, n_ub) == (tau_lo, n_hi)
+        assert background_args[::2] == (n_hi, 0.7)
+        assert n_b_ub == background_bound(*background_args)[0]
 
     def test_floors_carry_window_codes(self, monkeypatch):
         tiny = ProtocolParams(n_total=1e4, m=20.0, beta=0.95, p_ec=0.9,
                               eps_pe=2.0**-33, eps_s=2.0**-33, eps_h=2.0**-33,
                               eps_cor=2.0**-33, mu=10.0, d=32)
-        fs = mobile_worst_case(tiny, self.fading(), self.TH_EL, self.TH_PH,
-                               "llo", 0.7, 0.019, 9.0, 2)
-        assert fs.tau_lb == TAU_FLOOR
-        assert fs.warnings == ("tau_lb_floored",)
+        args = (self.fading(), self.TH_EL, self.TH_PH, "llo", 0.7, 0.019, 9.0, 2)
+        window = window_bounds(tiny, *args)
+        assert window[2] == TAU_FLOOR
+        assert window[-1] == mobile_worst_case(tiny, *args).warnings == ("tau_lb_floored",)
         monkeypatch.setattr(finite_size, "background_bound", lambda *args: (0.0, True))
-        fs = mobile_worst_case(self.params(), self.fading(), self.TH_EL, self.TH_PH,
-                               "llo", 0.7, 0.019, 9.0, 2)
-        assert fs.n_b_ub == 0.0
-        assert fs.warnings == ("n_b_ub_floored",)
+        window = window_bounds(self.params(), *args)
+        assert window[4] == 0.0
+        assert window[-1] == mobile_worst_case(self.params(), *args).warnings \
+            == ("n_b_ub_floored",)
 
-    def test_untrusted_photons_credited_to_eve(self):
+    def test_untrusted_photons_credited_to_eve(self, monkeypatch):
         # n_other enters the worst case and the de-faded average, not the
         # best-case setup share, so n_b_ub carries it to Eve
         n_other = 0.05
         for lo_kind, th_ph in (("llo", self.TH_PH), ("tlo", 0.0)):
-            base = mobile_worst_case(self.params(), self.fading(), self.TH_EL, th_ph,
-                                     lo_kind, 0.7, 0.019, 9.0, 2)
-            fs = mobile_worst_case(self.params(), self.fading(), self.TH_EL, th_ph,
-                                   lo_kind, 0.7, 0.019, 9.0, 2, n_other=n_other)
-            assert fs.n_wc == pytest.approx(base.n_wc + n_other, rel=1e-12)
-            assert fs.n_ub >= base.n_ub + n_other
-            assert fs.n_ex_bc == base.n_ex_bc
-            assert fs.n_b_ub >= base.n_b_ub + n_other / 0.7
+            base, (*_, base_n_ub, base_n_b_ub, _), base_bounds, base_background = \
+                self.traced(monkeypatch, lo_kind, th_ph)
+            fs, (*_, n_ub, n_b_ub, _), bounds_args, background_args = self.traced(
+                monkeypatch, lo_kind, th_ph, n_other=n_other)
+            assert bounds_args[1] == pytest.approx(base_bounds[1] + n_other, rel=1e-12)
+            assert n_ub >= base_n_ub + n_other
+            assert background_args[1] == base_background[1]
+            assert n_b_ub >= base_n_b_ub + n_other / 0.7
             # de-fading to tau_min scales each bin's noise by tau_min / tau_k
             lower = fs.lattice.lower_edges
             shift = n_other * fs.lattice.tau_min / fs.p_delta * float(
@@ -721,20 +733,20 @@ class TestMobileWorstCase:
         )
         assert fs.n_star == pytest.approx(expect, rel=1e-12)
 
-    def test_worst_case_dominates_across_geometry(self):
+    def test_worst_case_dominates_across_geometry(self, monkeypatch):
         for z in (1.0, 3.0, 5.0, 8.0, 10.0):
             for f_th in (0.5, 0.8, 0.9):
-                fs = mobile_worst_case(self.params(), self.fading(z), self.TH_EL,
-                                       self.TH_PH, "llo", 0.7, 0.019, 9.0, 2,
-                                       f_th=f_th, bins=50)
-                assert fs.n_star <= fs.n_wc
+                fs, _, bounds_args, _ = self.traced(monkeypatch, z=z, f_th=f_th, bins=50)
+                assert fs.n_star <= bounds_args[1]  # n_wc
                 assert 0.0 < fs.p_delta <= 1.0
 
-    def test_tlo_bounds(self):
-        fs = mobile_worst_case(self.params(), self.fading(), self.TH_EL, 0.0,
-                               "tlo", 0.7, 0.019, 9.0, 2, f_th=0.8, bins=50)
-        assert fs.n_ex_wc == pytest.approx(self.TH_EL / fs.lattice.tau_min, rel=1e-12)
-        assert fs.n_ex_bc == pytest.approx(self.TH_EL, rel=1e-12)
+    def test_tlo_bounds(self, monkeypatch):
+        fs, _, bounds_args, background_args = self.traced(monkeypatch, "tlo", 0.0,
+                                                          f_th=0.8, bins=50)
+        # n_wc = eta_eff n_b + n_ex_wc, a TLO's setup photons at tau_min
+        assert bounds_args[1] == pytest.approx(
+            0.7 * 0.019 + self.TH_EL / fs.lattice.tau_min, rel=1e-12)
+        assert background_args[1] == pytest.approx(self.TH_EL, rel=1e-12)
 
     def test_bin_count_insensitivity(self):
         # the de-fading analysis stabilises well below the default bin count

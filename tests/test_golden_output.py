@@ -74,6 +74,15 @@ VARIANTS = {
                            [LONG_MOBILE_SWEEP, ("m = 1e6", "m = 2e3"),
                             ("trust = 1", "trust = 3")]),
     "mobile-nb0": ("mobile.ini", [("n_b = 0.019", "n_b = 0")]),
+    # 20 disclosed pulses floor the window's worst case: tau_lb_floored on
+    # rate, sweep and simulate rows
+    "mobile-m20": ("mobile.ini", [("m = 1e6", "m = 20"), ("m_pl = 5e5", "m_pl = 0")]),
+    # simulate rows whose empirical bounds floor tau' (tau_lo_floored)
+    "coverage-pulses2": ("coverage.ini", [("pulses = 500000", "pulses = 2")]),
+    "microwave-40m-simulate": ("microwave.ini",
+                               [("distance = 4.4 cm", "distance = 40 m"),
+                                ("points = 56", "points = 56\n\n[simulate]\n"
+                                                "pulses = 20000")]),
     "microwave-40m": ("microwave.ini", [("distance = 4.4 cm", "distance = 40 m")]),
     "microwave-40m-los": ("microwave.ini",
                           [("distance = 4.4 cm", "distance = 40 m"),
@@ -261,6 +270,22 @@ GOLDEN = {
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'wireless_general:coverage:json':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'coverage-pulses2:rate:csv':
+        (0, 'a4d8914868c4c3bf6c6890b348c90adb67a91758f793168d2a8ef255065aa462'),
+    'coverage-pulses2:rate:json':
+        (0, '11f2052d21393d3433b62c988ad6026b042dc29284daa9bc233d979b4a816b85'),
+    'coverage-pulses2:sweep:csv':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'coverage-pulses2:sweep:json':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'coverage-pulses2:simulate:csv':
+        (0, 'a8304ae9722aea8d655e35833fb731f039679d3ddc511fd8a608bceadd746cd1'),
+    'coverage-pulses2:simulate:json':
+        (0, 'ec1010e59179a49a90c5a9e791c5a10fee3d9c4acf0ec2749ad741d1f0ba2745'),
+    'coverage-pulses2:coverage:csv':
+        (0, 'd770d485c374d2663c8ebe00ea35788d97a82074f2b337da2450f86cbcf15540'),
+    'coverage-pulses2:coverage:json':
+        (0, '9a9bd20ec0a4ff55e494a3334f17658a46e161e21ee1489d8418bb1a63ba4c66'),
     'fiber-identity-het:rate:csv':
         (0, 'f82daf26eaf8c79787735b4be81e48531edf0b678a3fc6a9351801e9ccd1bf53'),
     'fiber-identity-het:rate:json':
@@ -485,6 +510,22 @@ GOLDEN = {
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'microwave-40m-los:coverage:json':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'microwave-40m-simulate:rate:csv':
+        (0, 'c705ba0b2eccd5542486891f130ec6dd902a392945e422e45e29d5c890a75c27'),
+    'microwave-40m-simulate:rate:json':
+        (0, '866534bcfd90dd6fd31c994a897e12d0f6a2e69a91b9b79b941e1232e8ab97cc'),
+    'microwave-40m-simulate:sweep:csv':
+        (0, '667d4cbe29726246a50b93395e7f244077ce38881a64b3dddf59b310986ddbc6'),
+    'microwave-40m-simulate:sweep:json':
+        (0, '2d5ccb6e6ac3ee538fc759d6c542690c64b6f1afc70a9a66523eb3aefc6cf07c'),
+    'microwave-40m-simulate:simulate:csv':
+        (0, '82247abcf6dfe0bfc22360a5a8e9a1f8be2932c97aad7316088a703d2dd0f40e'),
+    'microwave-40m-simulate:simulate:json':
+        (0, '37740856349cf65a0cd9e7555305de4e188a23c3ac690f20fdb87a5df305c71d'),
+    'microwave-40m-simulate:coverage:csv':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'microwave-40m-simulate:coverage:json':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'microwave-identity:rate:csv':
         (0, '04d0d6858ac836dbca40b3903cecb88a5a62d34fb9f030ee05e2ddca480ac63e'),
     'microwave-identity:rate:json':
@@ -564,6 +605,22 @@ GOLDEN = {
     'mobile-long-sweep-tlo-trust2:coverage:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'mobile-long-sweep-tlo-trust2:coverage:json':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'mobile-m20:rate:csv':
+        (0, 'a7bf0e9fa73e51ec5e6279e74e114f49ce9352259e387d4011366c446481ce7c'),
+    'mobile-m20:rate:json':
+        (0, '2196491c29dcecbcd2d296f221340b6a41e2de86a5eae6f0e808ec2bbda0ae54'),
+    'mobile-m20:sweep:csv':
+        (0, '9672ceb3f992e6320d88f220770b68e36cd6293ce8d35080cbe55bdfa298b0c1'),
+    'mobile-m20:sweep:json':
+        (0, '9948420ea0572e57d2eeb9ca2a069fbb47e4bbfe26a499c2cee52a331320261e'),
+    'mobile-m20:simulate:csv':
+        (0, '168d7462ee68cff06224ff012e10f794e88572969074905d99354e71a3868c56'),
+    'mobile-m20:simulate:json':
+        (0, 'f4e07b491831b243455e633071128700cbcb3e4a7613282e69c7aa5d0922e231'),
+    'mobile-m20:coverage:csv':
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'mobile-m20:coverage:json':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'mobile-m2e3-trust3:rate:csv':
         (0, '99f2203dbf211f5729ff1eeb2d15ce48bf604748431958ca733b2b7e77992ea4'),

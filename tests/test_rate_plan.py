@@ -132,7 +132,8 @@ def test_kernel_fault_rows_match(config, edits):
 
 SWEEPS = {"fixed-loss": "fiber_fixed_loss.ini", "optical-fixed": "wireless_general.ini",
           "microwave": "microwave.ini", "optical-mobile": "mobile.ini"}
-PER_ROW = ("ChannelPoint", "EstimatorSet", "RateReport")
+# FadingModel is the mobile model point, one per row by design
+PER_ROW = ("ChannelPoint", "RateReport", "FadingLattice", "FadingEstimatorSet")
 
 
 def record_classes() -> set:
@@ -188,6 +189,22 @@ def test_sweep_sums_the_epsilon_budget_once(monkeypatch, channel):
         encoding="utf-8")).attack == "general"
     assert counts["total_epsilon"] == 1
     assert counts["general_attack_extension"] == (1 if general else 0)
+
+
+@pytest.mark.parametrize("channel", sorted(SWEEPS))
+def test_sweep_memoises_one_finite_size_entry(channel):
+    # the terms are memoised by p_Delta, which a mobile sweep moves every row
+    scenario = resolve_scenario(set_key((CONFIGS / SWEEPS[channel]).read_text(
+        encoding="utf-8"), "sweep", "points", "200"))
+    plan = cli._rate_plan(scenario, clamp=False)
+    for x in cli._grid(scenario, "sweep"):
+        assert plan(x)[-1] == ""
+    memos = [cell.cell_contents for cell in plan.__closure__
+             if hasattr(cell.cell_contents, "cache_info")]
+    assert len(memos) == 1
+    info = memos[0].cache_info()
+    assert info.currsize == 1
+    assert info.misses == (200 if channel == "optical-mobile" else 1)
 
 
 @pytest.mark.parametrize("text", [
