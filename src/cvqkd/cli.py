@@ -138,6 +138,15 @@ def _model_point(scenario: Scenario, x: float) -> dict:
             "nbar": eta_eff * p["n_b"] + n_ex, "warnings": warnings}
 
 
+def _window_args(scenario: Scenario) -> dict:
+    """The scenario's keyword arguments of window_bounds and mobile_worst_case."""
+    p, derived = scenario.physics, scenario.derived
+    return {"th_el": derived.get("theta_el"), "th_ph": derived.get("theta_ph"),
+            "lo_kind": scenario.lo_kind, "eta_eff": p["eta_eff"], "n_b": p.get("n_b", 0.0),
+            "sigma_x2": scenario.sigma_x2, "nu_det": scenario.nu_det,
+            "f_th": scenario.f_th, "n_other": p.get("n_other", 0.0)}
+
+
 def _rate_plan(scenario: Scenario, clamp: bool):
     """x -> rate row, its cells in the order of the abscissa and RATE_COLUMNS:
     model rate, worst-case rate, composable rate, clamped at 0 if clamp. Every
@@ -154,10 +163,7 @@ def _rate_plan(scenario: Scenario, clamp: bool):
     th_el, th_ph = scenario.derived.get("theta_el"), scenario.derived.get("theta_ph")
     split_noise = not (mobile or microwave) and trust != 3
     eps_total, n_transmit = total_epsilon(prm), (mu - 1.0) / 2.0
-    window = functools.partial(window_bounds, prm, th_el=th_el, th_ph=th_ph,
-                               lo_kind=scenario.lo_kind, eta_eff=eta_eff, n_b=n_b,
-                               sigma_x2=sx2, nu_det=nu, f_th=scenario.f_th,
-                               n_other=p.get("n_other", 0.0))
+    window = functools.partial(window_bounds, prm, **_window_args(scenario))
 
     # at the first row that reaches it, so that a fault fails rows where it
     # arises; the constant channels evaluate it once, at p_Delta = 1, and a
@@ -276,13 +282,8 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
     pulses = scenario.simulate["pulses"]
     pt = _model_point(scenario, x)
     if scenario.channel == "optical-mobile":
-        p = scenario.physics
-        fs = mobile_worst_case(scenario.params, pt["fading"],
-                               scenario.derived["theta_el"],
-                               scenario.derived["theta_ph"], scenario.lo_kind,
-                               p["eta_eff"], p["n_b"], scenario.sigma_x2,
-                               scenario.nu_det, f_th=scenario.f_th,
-                               bins=scenario.bins, n_other=p.get("n_other", 0.0))
+        fs = mobile_worst_case(scenario.params, pt["fading"], bins=scenario.bins,
+                               **_window_args(scenario))
         block = simulate_fading_block(
             pt["fading"], fs.noise, scenario.nu_det, scenario.sigma_x2, pulses,
             seed, pilot_rate=scenario.simulate.get("pilot_rate", 0.0))

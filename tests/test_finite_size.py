@@ -594,18 +594,22 @@ class TestMobileWorstCase:
     def traced(self, monkeypatch, lo_kind="llo", th_ph=TH_PH, z=5.0, **kwargs):
         """mobile_worst_case on the reference link, with what its window
         computed on the way: (set, window_bounds' tuple, the arguments of
-        worst_case_bounds, those of background_bound)."""
-        seen = {}  # name -> (arguments, result) of its one call
+        worst_case_bounds, those of background_bound). Each is called once."""
+        seen = {}  # name -> [(arguments, result)] of its calls
         for name in ("window_bounds", "worst_case_bounds", "background_bound"):
             def recording(*args, fn=getattr(finite_size, name), name=name):
-                seen[name] = args, fn(*args)
-                return seen[name][1]
+                result = fn(*args)
+                seen.setdefault(name, []).append((args, result))
+                return result
             monkeypatch.setattr(finite_size, name, recording)
         fs = mobile_worst_case(self.params(), self.fading(z), self.TH_EL, th_ph, lo_kind,
                                0.7, 0.019, 9.0, 2, **kwargs)
         monkeypatch.undo()
-        return (fs, seen["window_bounds"][1], seen["worst_case_bounds"][0],
-                seen["background_bound"][0])
+        assert [len(seen[name]) for name in ("window_bounds", "worst_case_bounds",
+                                             "background_bound")] == [1, 1, 1]
+        ((_, window),), ((bounds_args, _),), ((background_args, _),) = (
+            seen["window_bounds"], seen["worst_case_bounds"], seen["background_bound"])
+        return fs, window, bounds_args, background_args
 
     def test_window_and_bins(self, monkeypatch):
         fad = self.fading()
