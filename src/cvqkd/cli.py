@@ -139,12 +139,23 @@ def _model_point(scenario: Scenario, x: float) -> dict:
 
 
 def _window_args(scenario: Scenario) -> dict:
-    """The scenario's keyword arguments of window_bounds and mobile_worst_case."""
-    p, derived = scenario.physics, scenario.derived
-    return {"th_el": derived.get("theta_el"), "th_ph": derived.get("theta_ph"),
-            "lo_kind": scenario.lo_kind, "eta_eff": p["eta_eff"], "n_b": p.get("n_b", 0.0),
+    """The keyword arguments of window_bounds that a mobile scenario fixes;
+    mobile_worst_case takes them too, with n_b and n_other in place of the
+    noise law that window_bounds takes from _mobile_noise_map."""
+    derived = scenario.derived
+    return {"th_el": derived["theta_el"], "th_ph": derived["theta_ph"],
+            "lo_kind": scenario.lo_kind, "eta_eff": scenario.physics["eta_eff"],
             "sigma_x2": scenario.sigma_x2, "nu_det": scenario.nu_det,
-            "f_th": scenario.f_th, "n_other": p.get("n_other", 0.0)}
+            "f_th": scenario.f_th}
+
+
+def _mobile_noise_map(scenario: Scenario):
+    """Per-pulse noise photons nbar(tau) of a mobile link: noise.noise_map at
+    the scenario's values, the law of the fading window's bounds, bound once
+    per rate plan."""
+    p = scenario.physics
+    return noise_map(scenario.derived["theta_el"], scenario.derived["theta_ph"],
+                     scenario.lo_kind, p["eta_eff"], p["n_b"], p.get("n_other", 0.0))
 
 
 def _rate_plan(scenario: Scenario, clamp: bool):
@@ -163,7 +174,8 @@ def _rate_plan(scenario: Scenario, clamp: bool):
     th_el, th_ph = scenario.derived.get("theta_el"), scenario.derived.get("theta_ph")
     split_noise = not (mobile or microwave) and trust != 3
     eps_total, n_transmit = total_epsilon(prm), (mu - 1.0) / 2.0
-    window = functools.partial(window_bounds, prm, **_window_args(scenario))
+    window = functools.partial(window_bounds, prm, noise=_mobile_noise_map(scenario),
+                               **_window_args(scenario)) if mobile else None
 
     # at the first row that reaches it, so that a fault fails rows where it
     # arises; the constant channels evaluate it once, at p_Delta = 1, and a
@@ -255,15 +267,6 @@ def evaluate_rate_point(scenario: Scenario, x: float, clamp: bool) -> dict:
                     _rate_rows(scenario, (x,), clamp)[0]))
 
 
-def _mobile_noise_map(scenario: Scenario):
-    """Per-pulse noise photons nbar(tau) of a mobile link: noise.noise_map,
-    the law of the fading window's bounds and of FadingEstimatorSet.noise,
-    at the scenario's values; gate criterion 7 imports it."""
-    p = scenario.physics
-    return noise_map(scenario.derived["theta_el"], scenario.derived["theta_ph"],
-                     scenario.lo_kind, p["eta_eff"], p["n_b"], p.get("n_other", 0.0))
-
-
 def _dump_block(block, bins, path: str, tau_const: float = None) -> None:
     """Write one simulated block as CSV, one row per disclosed pair."""
     from .simulate import write_dump
@@ -275,14 +278,14 @@ def _dump_block(block, bins, path: str, tau_const: float = None) -> None:
 
 def _simulation_row(scenario: Scenario, x: float, seed: int,
                     dump: str) -> tuple:
-    import numpy as np
-
     from .simulate import defade_block, simulate_block, simulate_fading_block
 
     pulses = scenario.simulate["pulses"]
     pt = _model_point(scenario, x)
     if scenario.channel == "optical-mobile":
-        fs = mobile_worst_case(scenario.params, pt["fading"], bins=scenario.bins,
+        p = scenario.physics
+        fs = mobile_worst_case(scenario.params, pt["fading"], n_b=p["n_b"],
+                               n_other=p.get("n_other", 0.0), bins=scenario.bins,
                                **_window_args(scenario))
         block = simulate_fading_block(
             pt["fading"], fs.noise, scenario.nu_det, scenario.sigma_x2, pulses,
@@ -290,13 +293,12 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
         if dump:
             _dump_block(block, fs.lattice.assign(block.tau_samples), dump)
         faded = defade_block(block, fs.lattice, seed + 1)
-        snap = faded.estimators()
-        keep = slice(None) if faded.pilot_mask is None else ~faded.pilot_mask
+        snap, y = faded.estimators(), faded.disclosed()[1]
         return (x, pulses, faded.pairs, fs.p_delta, faded.pairs / block.pairs,
                 fs.lattice.tau_min, fs.n_star,
                 fs.lattice.tau_min * scenario.sigma_x2 + 2.0 * fs.n_star
                 + scenario.nu_det, snap.tau_hat, snap.n_hat,
-                float(np.mean(faded.y[keep] ** 2)), ";".join(fs.warnings), "")
+                float((y * y).mean()), ";".join(fs.warnings), "")
     tau, nbar, warnings = pt["tau"], pt["nbar"], pt["warnings"]
     block = simulate_block(tau, nbar, scenario.nu_det, scenario.sigma_x2,
                            pulses, seed)

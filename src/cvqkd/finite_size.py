@@ -233,9 +233,6 @@ class CoverageReport(Record):
                              tau_high_failures=tau_high_failures,
                              n_failures=n_failures)
 
-    def __eq__(self, other):  # the reproducibility tests compare whole reports
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
-
     @property
     def tau_low_rate(self) -> float:
         return self.tau_low_failures / self.rounds
@@ -376,11 +373,9 @@ class GeneralAttackTerms(Record):
     """Dimension-cutoff bookkeeping for reduction to general attacks."""
 
     def __init__(self, n: float, n_eff: float, m_et: float, d_et: float,
-                 c_et: float, theta_test: float, k_cutoff: float, phi: float,
-                 eps_prime: float):
-        self.__dict__.update(n=n, n_eff=n_eff, m_et=m_et, d_et=d_et, c_et=c_et,
-                             theta_test=theta_test, k_cutoff=k_cutoff, phi=phi,
-                             eps_prime=eps_prime)
+                 k_cutoff: float, phi: float, eps_prime: float):
+        self.__dict__.update(n=n, n_eff=n_eff, m_et=m_et, d_et=d_et,
+                             k_cutoff=k_cutoff, phi=phi, eps_prime=eps_prime)
 
 
 def energy_test_threshold(n_transmit: float, m_et: float) -> tuple:
@@ -423,7 +418,7 @@ def general_attack_extension(params: ProtocolParams, n_transmit: float, eps: flo
     n = params.n
     n_eff = n * p_delta
     m_et = params.f_et * n
-    d_et, c_et = energy_test_threshold(n_transmit, m_et)
+    d_et, _ = energy_test_threshold(n_transmit, m_et)
     theta = math.log(8.0 / eps) / (2.0 * n_eff)
     denom = 1.0 - 2.0 * math.sqrt(theta / params.f_et)
     if denom <= 0.0:
@@ -431,9 +426,8 @@ def general_attack_extension(params: ProtocolParams, n_transmit: float, eps: flo
     k_cutoff = max(1.0, 2.0 * n_eff * d_et * (1.0 + 2.0 * math.sqrt(theta) + 2.0 * theta) / denom)
     phi = 2.0 * math.ceil(_log2_binomial(k_cutoff, 4))
     eps_prime = k_cutoff ** 4 * eps / 50.0
-    return GeneralAttackTerms(n=n, n_eff=n_eff, m_et=m_et, d_et=d_et, c_et=c_et,
-                              theta_test=theta, k_cutoff=k_cutoff, phi=phi,
-                              eps_prime=eps_prime)
+    return GeneralAttackTerms(n=n, n_eff=n_eff, m_et=m_et, d_et=d_et,
+                              k_cutoff=k_cutoff, phi=phi, eps_prime=eps_prime)
 
 
 def composable_terms(params: ProtocolParams, p_delta: float = 1.0,
@@ -468,24 +462,19 @@ def composable_terms(params: ProtocolParams, p_delta: float = 1.0,
 # --- mobile fading worst case ------------------------------------------------
 
 class FadingLattice(Record):
-    """Post-selection window [tau_min, tau_max] split into M left-closed bins."""
+    """Post-selection window [tau_min, tau_max] split into M left-closed bins,
+    with its M + 1 edges and M lower edges computed once."""
 
     def __init__(self, tau_min: float, tau_max: float, bins: int):
         if not 0.0 < tau_min < tau_max <= 1.0:
             raise ValueError("need 0 < tau_min < tau_max <= 1")
         if bins < 1:
             raise ValueError("at least one bin required")
-        self.__dict__.update(tau_min=tau_min, tau_max=tau_max, bins=bins)
-
-    @property
-    def edges(self):
         import numpy as np
 
-        return np.linspace(self.tau_min, self.tau_max, self.bins + 1)
-
-    @property
-    def lower_edges(self):
-        return self.edges[:-1]
+        edges = np.linspace(tau_min, tau_max, bins + 1)
+        self.__dict__.update(tau_min=tau_min, tau_max=tau_max, bins=bins,
+                             edges=edges, lower_edges=edges[:-1])
 
     def assign(self, tau):
         """Bin index per sample; -1 marks post-selected (out-of-window) pulses."""
@@ -500,47 +489,28 @@ class FadingLattice(Record):
 
 
 class FadingEstimatorSet(Record):
-    """A post-selected fading window as the simulator reads it.
+    """A post-selected fading window as the simulator reads it: its lattice,
+    the link's noise law noise(tau), p_Delta, the window's warnings, the bin
+    probabilities p_k and the de-faded noise n_star (see mobile_worst_case)."""
 
-    The per-bin figures are computed on first access: bin_probabilities p_k,
-    and n_star = tau_min / p_Delta * sum_k p_k n(tau_k) / tau_k over the bin
-    lower edges tau_k, with n(tau) = noise(tau) the noise photons of the
-    link at transmissivity tau.
-    """
-
-    def __init__(self, lattice: FadingLattice, fading: FadingModel,
-                 noise: Callable, p_delta: float, warnings: tuple = ()):
-        self.__dict__.update(lattice=lattice, fading=fading, noise=noise,
-                             p_delta=p_delta, warnings=warnings)
-
-    @cached_property
-    def bin_probabilities(self):
-        import numpy as np
-
-        edges = self.lattice.edges
-        return np.array([fading_probability(lo, hi, self.fading)
-                         for lo, hi in zip(edges[:-1], edges[1:])])
-
-    @cached_property
-    def n_star(self) -> float:
-        import numpy as np
-
-        lower = self.lattice.lower_edges
-        return self.lattice.tau_min / self.p_delta * float(
-            np.sum(self.bin_probabilities / lower * self.noise(lower)))
+    def __init__(self, lattice: FadingLattice, noise: Callable, p_delta: float,
+                 warnings: tuple, bin_probabilities, n_star: float):
+        self.__dict__.update(lattice=lattice, noise=noise, p_delta=p_delta,
+                             warnings=warnings, bin_probabilities=bin_probabilities,
+                             n_star=n_star)
 
 
-def window_bounds(params: ProtocolParams, fading: FadingModel, th_el: float,
-                  th_ph: float, lo_kind: str, eta_eff: float, n_b: float,
-                  sigma_x2: float, nu_det: int, f_th: float = 0.8,
-                  n_other: float = 0.0) -> tuple:
+def window_bounds(params: ProtocolParams, fading: FadingModel, noise: Callable,
+                  th_el: float, th_ph: float, lo_kind: str, eta_eff: float,
+                  sigma_x2: float, nu_det: int, f_th: float = 0.8) -> tuple:
     """(tau_min, p_Delta, tau_lb, n_ub, n_b_ub, warnings): the worst case of
-    the fading window [tau_min, tau_max] = [f_th * eta, eta].
+    the fading window [tau_min, tau_max] = [f_th * eta, eta] of a link whose
+    noise photons at transmissivity tau are noise(tau) (noise.noise_map).
 
     The setup noise is bounded over the whole window (TLO at tau_min; LLO at
     unit transmissivity, since its phase share grows with tau) and its best
     case taken at the other end; the disclosed pairs shrink to
-    m_Delta = nu_det * m * p_Delta. The untrusted n_other photons enter the
+    m_Delta = nu_det * m * p_Delta. The untrusted photons of noise enter the
     worst case but not the best-case setup share, so Eve is credited with
     them through n_b_ub. Floors warn tau_lb_floored and n_b_ub_floored.
     """
@@ -558,7 +528,7 @@ def window_bounds(params: ProtocolParams, fading: FadingModel, th_el: float,
                          "reduce the range or lower f_th")
 
     tau_wc, tau_bc = (tau_min, 1.0) if lo_kind == "tlo" else (1.0, tau_min)
-    n_wc = noise_map(th_el, th_ph, lo_kind, eta_eff, n_b, n_other)(tau_wc)
+    n_wc = noise(tau_wc)
     n_ex_bc = setup_noise_from_thetas(th_el, th_ph, lo_kind, tau_bc)
     tau_lb, _, n_ub, _, floored = worst_case_bounds(
         tau_min, n_wc, sigma_x2, 2.0 * n_wc + nu_det, nu_det * params.m * p_delta,
@@ -574,12 +544,21 @@ def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
                       th_ph: float, lo_kind: str, eta_eff: float, n_b: float,
                       sigma_x2: float, nu_det: int, f_th: float = 0.8,
                       bins: int = 50, n_other: float = 0.0) -> FadingEstimatorSet:
-    """The window of window_bounds as a FadingEstimatorSet over bins bins,
-    with the link's noise law: the surviving-signal noise average n_star
-    uses the bin lower edges, and the untrusted n_other photons enter it."""
+    """The window of window_bounds as a FadingEstimatorSet over bins bins.
+
+    One noise law, noise_map at these arguments, serves the window's bounds
+    and the record. The bins are priced here, one fading_probability call
+    each, and n_star = tau_min / p_Delta * sum_k p_k n(tau_k) / tau_k over
+    the bin lower edges tau_k, so the untrusted n_other photons enter it.
+    """
+    import numpy as np
+
+    noise = noise_map(th_el, th_ph, lo_kind, eta_eff, n_b, n_other)
     tau_min, p_delta, *_, warnings = window_bounds(
-        params, fading, th_el, th_ph, lo_kind, eta_eff, n_b, sigma_x2, nu_det,
-        f_th, n_other)
-    return FadingEstimatorSet(FadingLattice(tau_min, fading.eta, bins), fading,
-                              noise_map(th_el, th_ph, lo_kind, eta_eff, n_b, n_other),
-                              p_delta, warnings)
+        params, fading, noise, th_el, th_ph, lo_kind, eta_eff, sigma_x2, nu_det, f_th)
+    lattice = FadingLattice(tau_min, fading.eta, bins)
+    edges, lower = lattice.edges, lattice.lower_edges
+    probabilities = np.array([fading_probability(lo, hi, fading)
+                              for lo, hi in zip(lower, edges[1:])])
+    n_star = tau_min / p_delta * float(np.sum(probabilities / lower * noise(lower)))
+    return FadingEstimatorSet(lattice, noise, p_delta, warnings, probabilities, n_star)

@@ -5,8 +5,8 @@ so that independent streams are reproducible and order-stable: blocks are
 generated in fixed-size chunks keyed by their pulse-index range, which
 keeps the output bit-identical however the chunks are scheduled. Philox
 serves only this per-pulse path; the O(1)-per-round coverage sampler
-(finite_size.sufficient_statistics_coverage, re-exported here) draws from
-the standard library's random module and needs no numpy.
+(finite_size.sufficient_statistics_coverage) draws from the standard
+library's random module and needs no numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import Record
 from .channel import FadingModel, pointing_tau_approx, sample_deflections
-from .finite_size import (  # noqa: F401 (sufficient_statistics_coverage is re-exported)
+from .finite_size import (
     _MASK64,
     CoverageReport,
     EstimatorSnapshot,
@@ -27,7 +27,6 @@ from .finite_size import (  # noqa: F401 (sufficient_statistics_coverage is re-e
     _coverage_report,
     empirical_estimators,
     map_chunks,
-    sufficient_statistics_coverage,
 )
 
 
@@ -73,9 +72,13 @@ class SimBlock(Record):
     def pairs(self) -> int:
         return self.x.size
 
-    def estimators(self) -> EstimatorSnapshot:
+    def disclosed(self) -> tuple:
+        """(x, y) of the disclosed pairs, the pilot pairs left out."""
         keep = slice(None) if self.pilot_mask is None else ~self.pilot_mask
-        return empirical_estimators(self.x[keep], self.y[keep], self.nu_det)
+        return self.x[keep], self.y[keep]
+
+    def estimators(self) -> EstimatorSnapshot:
+        return empirical_estimators(*self.disclosed(), self.nu_det)
 
 
 def _pairs(seed: int, sigma_x2: float, sigma_z, gain, pairs: int) -> tuple:

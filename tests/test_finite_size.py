@@ -23,6 +23,7 @@ from scipy.special import erfcinv
 from cvqkd import cli, finite_size
 from cvqkd.channel import BeamConfig, FadingModel, fading_probability
 from cvqkd.config import resolve_scenario
+from cvqkd.noise import noise_map
 from cvqkd.finite_size import (
     ERFINV_FLOOR,
     P_DELTA_MIN,
@@ -623,8 +624,8 @@ class TestMobileWorstCase:
         assert m_delta == pytest.approx(2.0 * 1e6 * fs.p_delta, rel=1e-12)
 
     def test_window_priced_in_one_call(self, monkeypatch):
-        # the rate path prices only the window; the bins are priced, one
-        # scalar call each, when the simulator first reads them
+        # the window is priced in one scalar call, then the bins one call
+        # each, all while the record is built; reading the record prices nothing
         from cvqkd import channel, finite_size
 
         calls = []
@@ -637,11 +638,12 @@ class TestMobileWorstCase:
         fad = self.fading()
         fs = mobile_worst_case(self.params(), fad, self.TH_EL, self.TH_PH,
                                "llo", 0.7, 0.019, 9.0, 2, f_th=0.8, bins=50)
-        assert calls == [(fs.lattice.tau_min, fs.lattice.tau_max)]
-        probabilities = fs.bin_probabilities
-        assert fs.bin_probabilities is probabilities  # priced once
+        assert calls[0] == (fs.lattice.tau_min, fs.lattice.tau_max)
         assert len(calls) == 51
         edges = fs.lattice.edges
+        assert calls[1:] == list(zip(edges[:-1], edges[1:]))
+        probabilities, _ = fs.bin_probabilities, fs.n_star
+        assert len(calls) == 51
         for k in (0, 17, 49):
             assert probabilities[k] == channel.fading_probability(edges[k], edges[k + 1], fad)
 
@@ -699,11 +701,13 @@ class TestMobileWorstCase:
                               eps_pe=2.0**-33, eps_s=2.0**-33, eps_h=2.0**-33,
                               eps_cor=2.0**-33, mu=10.0, d=32)
         args = (self.fading(), self.TH_EL, self.TH_PH, "llo", 0.7, 0.019, 9.0, 2)
-        window = window_bounds(tiny, *args)
+        law = noise_map(self.TH_EL, self.TH_PH, "llo", 0.7, 0.019)
+        window_args = (self.fading(), law, self.TH_EL, self.TH_PH, "llo", 0.7, 9.0, 2)
+        window = window_bounds(tiny, *window_args)
         assert window[2] == TAU_FLOOR
         assert window[-1] == mobile_worst_case(tiny, *args).warnings == ("tau_lb_floored",)
         monkeypatch.setattr(finite_size, "background_bound", lambda *args: (0.0, True))
-        window = window_bounds(self.params(), *args)
+        window = window_bounds(self.params(), *window_args)
         assert window[4] == 0.0
         assert window[-1] == mobile_worst_case(self.params(), *args).warnings \
             == ("n_b_ub_floored",)

@@ -6,6 +6,8 @@ than timed: a sweep builds no point, estimator or rate record per row, and
 the scenario-level finite-size terms once; its rows are cell tuples, and the
 CSV writer formats only their two text cells one by one."""
 
+import functools
+import inspect
 import itertools
 from collections import Counter
 from pathlib import Path
@@ -205,6 +207,39 @@ def test_sweep_memoises_one_finite_size_entry(channel):
     info = memos[0].cache_info()
     assert info.currsize == 1
     assert info.misses == (200 if channel == "optical-mobile" else 1)
+
+
+def test_mobile_noise_law_and_lattice_built_once(monkeypatch):
+    # a mobile plan binds one noise law for all its rows; a simulate row
+    # builds one law and one lattice, whose edges the bins, n_star and the
+    # de-fading share, and prices the record when it builds it
+    import numpy as np
+
+    from cvqkd import noise
+
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module in (cli, finite_size, noise):
+        monkeypatch.setattr(module, "noise_map", counting("noise_map", noise.noise_map))
+    monkeypatch.setattr(np, "linspace", counting("linspace", np.linspace))
+    text = (CONFIGS / "mobile.ini").read_text(encoding="utf-8")
+    rows = run_sweep(resolve_scenario(set_key(text, "sweep", "points", "200")), clamp=False)
+    assert len(rows) == 200 and not any(row["reason"] for row in rows)
+    assert counts == {"noise_map": 1}
+    counts.clear()
+    scenario = resolve_scenario(set_key(text, "simulate", "pulses", "2000"))
+    row = cli._simulation_row(scenario, scenario.point[1], seed=3, dump=None)
+    assert row[-1] == ""
+    assert counts == {"noise_map": 1, "linspace": 1}
+    assert not [name for name, member in vars(finite_size.FadingEstimatorSet).items()
+                if isinstance(member, functools.cached_property)]
+    assert "fading" not in inspect.signature(finite_size.FadingEstimatorSet).parameters
 
 
 @pytest.mark.parametrize("text", [
