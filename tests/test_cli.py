@@ -1535,6 +1535,8 @@ class TestNoDeadCode:
         ("rates", "holevo_untrusted_closed_form"),
         ("simulate", "estimator_coverage_experiment"),
     }
+    # members that Python or argparse call, not by name
+    HOOKS = {("cli", "_Parser", "error")}
 
     @staticmethod
     def uncalled() -> set:
@@ -1559,9 +1561,6 @@ class TestNoDeadCode:
 
     def test_every_definition_has_a_caller_or_is_a_gate_oracle(self):
         assert self.uncalled() == self.GATE_ORACLES
-
-    # called by Python or by argparse, not by name
-    HOOKS = {("cli", "_Parser", "error")}
 
     @staticmethod
     def sources() -> dict:

@@ -148,27 +148,28 @@ def record_classes() -> set:
     return found
 
 
+def counting(counts: Counter, name: str, fn):
+    """fn, each call counted in counts[name]."""
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
 def counted_sweep(monkeypatch, config: str, points: int) -> Counter:
     """Records built and scenario terms evaluated by one sweep of the config
     over points abscissae, per class or function name."""
     scenario = resolve_scenario(set_key((CONFIGS / config).read_text(encoding="utf-8"),
                                         "sweep", "points", str(points)))
     counts = Counter()
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return counted
-
     for cls in record_classes():
         if "__init__" in cls.__dict__:
-            monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+            monkeypatch.setattr(cls, "__init__", counting(counts, cls.__name__, cls.__init__))
     for name in ("general_attack_extension", "total_epsilon"):
         fn = getattr(finite_size, name)
         for module in (cli, config, finite_size):
             if getattr(module, name, None) is fn:
-                monkeypatch.setattr(module, name, counting(name, fn))
+                monkeypatch.setattr(module, name, counting(counts, name, fn))
     rows = run_sweep(scenario, clamp=False)
     monkeypatch.undo()
     assert len(rows) == points
@@ -212,22 +213,15 @@ def test_sweep_memoises_one_finite_size_entry(channel):
 def test_mobile_noise_law_and_lattice_built_once(monkeypatch):
     # a mobile plan binds one noise law for all its rows; a simulate row
     # builds one law and one lattice, whose edges the bins, n_star and the
-    # de-fading share, and prices the record when it builds it
+    # de-fading share
     import numpy as np
 
     from cvqkd import noise
 
     counts = Counter()
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return counted
-
     for module in (cli, finite_size, noise):
-        monkeypatch.setattr(module, "noise_map", counting("noise_map", noise.noise_map))
-    monkeypatch.setattr(np, "linspace", counting("linspace", np.linspace))
+        monkeypatch.setattr(module, "noise_map", counting(counts, "noise_map", noise.noise_map))
+    monkeypatch.setattr(np, "linspace", counting(counts, "linspace", np.linspace))
     text = (CONFIGS / "mobile.ini").read_text(encoding="utf-8")
     rows = run_sweep(resolve_scenario(set_key(text, "sweep", "points", "200")), clamp=False)
     assert len(rows) == 200 and not any(row["reason"] for row in rows)
