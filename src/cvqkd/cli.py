@@ -278,7 +278,7 @@ def _dump_block(block, bins, path: str, tau_const: float = None) -> None:
 
 def _simulation_row(scenario: Scenario, x: float, seed: int,
                     dump: str) -> tuple:
-    from .simulate import defade_block, simulate_block, simulate_fading_block
+    from .simulate import defade_block, simulate_block, simulate_estimators, simulate_fading_block
 
     pulses = scenario.simulate["pulses"]
     pt = _model_point(scenario, x)
@@ -290,9 +290,10 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
         block = simulate_fading_block(
             pt["fading"], fs.noise, scenario.nu_det, scenario.sigma_x2, pulses,
             seed, pilot_rate=scenario.simulate.get("pilot_rate", 0.0))
+        bins = fs.lattice.assign(block.tau_samples)
         if dump:
-            _dump_block(block, fs.lattice.assign(block.tau_samples), dump)
-        faded = defade_block(block, fs.lattice, seed + 1)
+            _dump_block(block, bins, dump)
+        faded = defade_block(block, fs.lattice, seed + 1, bins)
         snap, y = faded.estimators(), faded.disclosed()[1]
         return (x, pulses, faded.pairs, fs.p_delta, faded.pairs / block.pairs,
                 fs.lattice.tau_min, fs.n_star,
@@ -300,11 +301,11 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
                 + scenario.nu_det, snap.tau_hat, snap.n_hat,
                 float((y * y).mean()), ";".join(fs.warnings), "")
     tau, nbar, warnings = pt["tau"], pt["nbar"], pt["warnings"]
-    block = simulate_block(tau, nbar, scenario.nu_det, scenario.sigma_x2,
-                           pulses, seed)
-    if dump:
+    law = (tau, nbar, scenario.nu_det, scenario.sigma_x2, pulses, seed)
+    if dump:  # the block is kept only to be written; the row is the same
+        block = simulate_block(*law)
         _dump_block(block, -1, dump, tau_const=tau)
-    snap = block.estimators()
+    snap = block.estimators() if dump else simulate_estimators(*law)
     tau_lo, tau_hi, n_hi, _, floored = worst_case_bounds(
         snap.tau_hat, max(snap.n_hat, 0.0), scenario.sigma_x2, snap.sigma_z2_hat,
         snap.m_p, scenario.params.w)

@@ -132,13 +132,35 @@ def map_chunks(fn: Callable, count: int) -> list:
         return list(pool.map(fn, starts, stops))
 
 
-def empirical_estimators(x, y, nu_det: int) -> EstimatorSnapshot:
-    """Maximum-likelihood estimates from disclosed quadrature pairs (arrays).
+def chunk_sums(x, y) -> tuple:
+    """(Sxx, Sxy, RSS, t) of one chunk of pairs, x and y float arrays: sums
+    by np.add.reduce, so that no BLAS or thread count enters, and RSS the
+    residual sum of squares about the chunk's own slope t = Sxy / Sxx."""
+    sxx, sxy = (x * x).sum(), (x * y).sum()
+    t = sxy / sxx if sxx else 0.0
+    residual = t * x
+    residual -= y  # -(y - t x), exactly, with no second temporary
+    residual *= residual
+    return sxx, sxy, residual.sum(), t
 
+
+def combine_chunks(sums: list, m: int, nu_det: int) -> EstimatorSnapshot:
+    """The estimators of m pairs from the chunk_sums of their chunks: fsums
+    Sxx and Sxy, T_hat = Sxy / Sxx, and the residual sums combined exactly by
+    the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 242, 1983),
+    RSS = fsum_c [RSS_c + (t_c - T_hat)^2 Sxx_c]; one chunk gives the
+    whole-array sums bit for bit. sigma_z2_hat = RSS / m."""
+    sxx, sxy = math.fsum(s[0] for s in sums), math.fsum(s[1] for s in sums)
+    t_hat = sxy / sxx
+    s2 = math.fsum(rss + (t - t_hat) ** 2 * c_xx for c_xx, _, rss, t in sums) / m
+    return EstimatorSnapshot(t_hat, s2, t_hat * t_hat, (s2 - nu_det) / 2.0, m)
+
+
+def empirical_estimators(x, y, nu_det: int) -> EstimatorSnapshot:
+    """Maximum-likelihood estimates from disclosed quadrature pairs (arrays):
     T_hat = sum(xy)/sum(x^2), sigma_z2_hat the mean squared residual,
-    tau_hat = T_hat^2 and n_hat = (sigma_z2_hat - nu_det)/2, each sum an fsum
-    of per-chunk np.add.reduce sums, so that no BLAS or thread count enters.
-    """
+    tau_hat = T_hat^2 and n_hat = (sigma_z2_hat - nu_det)/2, by chunk_sums
+    over the CHUNK ranges and combine_chunks, in one pass over the arrays."""
     import numpy as np
 
     x = np.asarray(x, dtype=float)
@@ -147,23 +169,8 @@ def empirical_estimators(x, y, nu_det: int) -> EstimatorSnapshot:
         raise ValueError("x and y must be equal-length 1-d arrays with >= 2 entries")
     if nu_det not in (1, 2):
         raise ValueError("nu_det must be 1 or 2")
-
-    def moments(start, stop):
-        xs = x[start:stop]
-        return np.add.reduce(xs * xs), np.add.reduce(xs * y[start:stop])
-
-    sxx, sxy = map(math.fsum, zip(*map_chunks(moments, x.size)))
-    t_hat = sxy / sxx
-
-    def residual_sum(start, stop):
-        residual = y[start:stop] - t_hat * x[start:stop]
-        return np.add.reduce(residual * residual)
-
-    sigma_z2_hat = math.fsum(map_chunks(residual_sum, x.size)) / x.size
-    return EstimatorSnapshot(t_hat=t_hat, sigma_z2_hat=sigma_z2_hat,
-                             tau_hat=t_hat * t_hat,
-                             n_hat=(sigma_z2_hat - nu_det) / 2.0,
-                             m_p=x.size)
+    return combine_chunks(map_chunks(lambda a, b: chunk_sums(x[a:b], y[a:b]),
+                                     x.size), x.size, nu_det)
 
 
 def worst_case_bounds(tau: float, nbar: float, sigma_x2: float, sigma_z2: float,

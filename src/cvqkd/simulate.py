@@ -1,12 +1,11 @@
 """Monte Carlo simulation of the Gaussian pulse-by-pulse channel model.
 
-Randomness uses the counter-based Philox generator keyed by (seed, stream)
-so that independent streams are reproducible and order-stable: blocks are
-generated in fixed-size chunks keyed by their pulse-index range, which
-keeps the output bit-identical however the chunks are scheduled. Philox
-serves only this per-pulse path; the O(1)-per-round coverage sampler
-(finite_size.sufficient_statistics_coverage) draws from the standard
-library's random module and needs no numpy.
+Randomness uses the counter-based Philox generator keyed by (seed, stream):
+a block is drawn in CHUNK-sized chunks keyed by their pair-index range, so it
+is bit-identical however the chunks are scheduled. simulate_block keeps the
+block; simulate_estimators reduces each chunk where it is drawn and holds one
+chunk per worker. The O(1)-per-round coverage sampler
+(finite_size.sufficient_statistics_coverage) uses the random module, not numpy.
 """
 
 from __future__ import annotations
@@ -25,6 +24,8 @@ from .finite_size import (
     FadingLattice,
     _check_block,
     _coverage_report,
+    chunk_sums,
+    combine_chunks,
     empirical_estimators,
     map_chunks,
 )
@@ -36,22 +37,29 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunked_normals(seed: int, stream_base: int, scale, count: int,
-                     gain=0.0, base=None) -> np.ndarray:
-    """scale N(0, 1) (+ gain base), drawn in place in pulse-index-keyed chunks
-    (see map_chunks); scale and gain are scalars or arrays of length count."""
+def _chunked_normals(seed: int, stream_base: int, scale: float, count: int) -> np.ndarray:
+    """scale N(0, 1), drawn in place in pulse-index-keyed chunks (see
+    map_chunks), chunk [start, stop) from stream stream_base + start."""
     out = np.empty(count)
-    scale, gain = np.broadcast_to(scale, count), np.broadcast_to(gain, count)
 
     def fill(start, stop):
         chunk = out[start:stop]
         stream_rng(seed, stream_base + start).standard_normal(out=chunk)
-        chunk *= scale[start:stop]
-        if base is not None:
-            chunk += gain[start:stop] * base[start:stop]
+        chunk *= scale
 
     map_chunks(fill, count)
     return out
+
+
+def _draw_pairs(seed: int, sigma_x: float, sigma_z, gain, start: int, x, y):
+    """(x, y), filled with pairs start, start + 1, ... of a block: x = sigma_x
+    N(0, 1) from stream start, y = gain x + sigma_z N(0, 1) from 1 << 40 + start."""
+    stream_rng(seed, start).standard_normal(out=x)
+    x *= sigma_x
+    stream_rng(seed, (1 << 40) + start).standard_normal(out=y)
+    y *= sigma_z
+    y += gain * x
+    return x, y
 
 
 class SimBlock(Record):
@@ -81,11 +89,21 @@ class SimBlock(Record):
         return empirical_estimators(*self.disclosed(), self.nu_det)
 
 
-def _pairs(seed: int, sigma_x2: float, sigma_z, gain, pairs: int) -> tuple:
-    """(x, y): x ~ N(0, sigma_x2) from stream 0 and y = gain x + sigma_z
-    N(0, 1) from stream 1 << 40; sigma_z and gain are scalars or per pair."""
-    x = _chunked_normals(seed, 0, math.sqrt(sigma_x2), pairs)
-    return x, _chunked_normals(seed, 1 << 40, sigma_z, pairs, gain, x)
+def _pairs(seed: int, sigma_x: float, sigma_z, gain, pairs: int) -> tuple:
+    """(x, y) of a whole block, by _draw_pairs over its chunks; sigma_z and
+    gain are scalars or per pair."""
+    x, y = np.empty(pairs), np.empty(pairs)
+    sigma_z, gain = np.broadcast_to(sigma_z, pairs), np.broadcast_to(gain, pairs)
+    map_chunks(lambda a, b: _draw_pairs(seed, sigma_x, sigma_z[a:b], gain[a:b],
+                                        a, x[a:b], y[a:b]), pairs)
+    return x, y
+
+
+def _constant_law(tau: float, nbar: float, nu_det: int, sigma_x2: float,
+                  pulses: int) -> tuple:
+    """(sigma_x, sigma_z, gain, pairs) of y = sqrt(tau) x + z, var z = 2 nbar + nu_det."""
+    _check_block(tau, nbar, nu_det, sigma_x2, pulses)
+    return math.sqrt(sigma_x2), math.sqrt(2.0 * nbar + nu_det), math.sqrt(tau), nu_det * pulses
 
 
 def simulate_block(tau: float, nbar: float, nu_det: int, sigma_x2: float,
@@ -93,12 +111,23 @@ def simulate_block(tau: float, nbar: float, nu_det: int, sigma_x2: float,
     """Simulate y = sqrt(tau) x + z with var x = sigma_x2, var z = 2 nbar + nu_det.
 
     Produces nu_det disclosed pairs per pulse (heterodyne reveals both
-    quadratures of each pulse).
+    quadratures of each pulse) and keeps them, 16 bytes per pair, for --dump
+    and the tests; simulate_estimators reduces them without keeping them.
     """
-    _check_block(tau, nbar, nu_det, sigma_x2, pulses)
-    x, y = _pairs(seed, sigma_x2, math.sqrt(2.0 * nbar + nu_det), math.sqrt(tau),
-                  nu_det * pulses)
-    return SimBlock(x=x, y=y, nu_det=nu_det)
+    return SimBlock(*_pairs(seed, *_constant_law(tau, nbar, nu_det, sigma_x2, pulses)), nu_det)
+
+
+def simulate_estimators(tau: float, nbar: float, nu_det: int, sigma_x2: float,
+                        pulses: int, seed: int) -> EstimatorSnapshot:
+    """simulate_block(...).estimators(), bit for bit, holding one chunk of
+    pairs per worker instead of the block: each chunk is drawn and reduced
+    to its chunk_sums while it is in cache, and combine_chunks joins them."""
+    sigma_x, sigma_z, gain, pairs = _constant_law(tau, nbar, nu_det, sigma_x2, pulses)
+    if pairs < 2:
+        raise ValueError("at least two disclosed pairs required")
+    return combine_chunks(map_chunks(lambda a, b: chunk_sums(*_draw_pairs(
+        seed, sigma_x, sigma_z, gain, a, np.empty(b - a), np.empty(b - a))),
+        pairs), pairs, nu_det)
 
 
 def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
@@ -128,7 +157,7 @@ def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
         raise ValueError("n_of_tau must map tau samples to non-negative photons")
 
     tau_pair = np.repeat(tau_pulse, nu_det)
-    x, y = _pairs(seed, sigma_x2, sigma_z, np.sqrt(tau_pair), nu_det * pulses)
+    x, y = _pairs(seed, math.sqrt(sigma_x2), sigma_z, np.sqrt(tau_pair), nu_det * pulses)
     pilot_mask = None
     if pilot_rate > 0.0:
         pilot_pulse = stream_rng(seed, 3 << 40).random(pulses) < pilot_rate
@@ -137,18 +166,19 @@ def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
                     pilot_mask=pilot_mask)
 
 
-def defade_block(block: SimBlock, lattice: FadingLattice, seed: int) -> SimBlock:
+def defade_block(block: SimBlock, lattice: FadingLattice, seed: int, bins=None) -> SimBlock:
     """Map a fading block onto the constant-transmissivity tau_min channel.
 
     Pairs outside [tau_min, tau_max] are post-selected away. Each kept pair
     in bin k (nominal transmissivity tau_k, the bin lower edge) becomes
     y~ = sqrt(tau_min / tau_k) y + sqrt(1 - tau_min / tau_k) xi with
     xi ~ N(0, nu_det), so every surviving pair looks like a tau_min pulse.
-    Bins are assigned from the true sampled tau (ideal bright pilots).
+    Bins are assigned from the true sampled tau (ideal bright pilots), or
+    passed in as lattice.assign(block.tau_samples).
     """
     if block.tau_samples is None:
         raise ValueError("block carries no fading metadata")
-    bins = lattice.assign(block.tau_samples)
+    bins = lattice.assign(block.tau_samples) if bins is None else bins
     keep = bins >= 0
     if not np.any(keep):
         raise ValueError("post-selection removed every pair")
@@ -172,8 +202,8 @@ def estimator_coverage_experiment(tau: float, nbar: float, nu_det: int,
     """
     if rounds < 1:
         raise ValueError("at least one round required")
-    snaps = (simulate_block(tau, nbar, nu_det, sigma_x2, pulses,
-                            seed=(seed + 977 * k) & _MASK64).estimators()
+    snaps = (simulate_estimators(tau, nbar, nu_det, sigma_x2, pulses,
+                                 seed=(seed + 977 * k) & _MASK64)
              for k in range(rounds))
     return _coverage_report(((s.t_hat, s.sigma_z2_hat) for s in snaps), tau,
                             nbar, nu_det, sigma_x2, pulses, rounds, eps_pe)

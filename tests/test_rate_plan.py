@@ -236,6 +236,21 @@ def test_mobile_noise_law_and_lattice_built_once(monkeypatch):
     assert "fading" not in inspect.signature(finite_size.FadingEstimatorSet).parameters
 
 
+@pytest.mark.parametrize("dump", [False, True])
+def test_mobile_row_assigns_each_bin_once(monkeypatch, tmp_path, dump):
+    # the dump's bins are the ones the de-fading uses
+    counts = Counter()
+    assign = finite_size.FadingLattice.assign
+    monkeypatch.setattr(finite_size.FadingLattice, "assign",
+                        counting(counts, "assign", assign))
+    text = (CONFIGS / "mobile.ini").read_text(encoding="utf-8")
+    scenario = resolve_scenario(set_key(text, "simulate", "pulses", "2000"))
+    row = cli._simulation_row(scenario, scenario.point[1], seed=3,
+                              dump=str(tmp_path / "block.csv") if dump else None)
+    assert row[-1] == ""
+    assert counts == {"assign": 1}
+
+
 @pytest.mark.parametrize("text", [
     *((CONFIGS / config).read_text(encoding="utf-8") for config in SHIPPED),
     *(edited(config, edits) for config, edits in KERNEL_FAULT_CASES.values())],

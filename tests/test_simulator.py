@@ -4,9 +4,11 @@ statistics, de-fading, and confidence-bound coverage."""
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from cvqkd.simulate import (
     defade_block,
     estimator_coverage_experiment,
     simulate_block,
+    simulate_estimators,
     simulate_fading_block,
     stream_rng,
 )
@@ -132,15 +135,27 @@ class TestChunkedThreads:
     @pytest.mark.parametrize("count", EDGE_SIZES)
     def test_estimators_match_exact_sums(self, count):
         # per-chunk pairwise sums combined by fsum stay within a few ulp of
-        # the correctly rounded sums over the whole block
+        # the correctly rounded sums over the whole block, on the stored
+        # block and on the streamed chunks alike, which agree bit for bit
         block = simulate_block(0.3, 0.02, 1, 9.0, count, seed=count)
         x, y = block.x, block.y
-        snap = empirical_estimators(x, y, 1)
         t_hat = math.fsum(x * y) / math.fsum(x * x)
         residual = y - t_hat * x
         sigma_z2_hat = math.fsum(residual * residual) / count
-        assert abs(snap.t_hat - t_hat) <= 8 * math.ulp(t_hat)
-        assert abs(snap.sigma_z2_hat - sigma_z2_hat) <= 8 * math.ulp(sigma_z2_hat)
+        streamed = simulate_estimators(0.3, 0.02, 1, 9.0, count, seed=count)
+        for snap in (empirical_estimators(x, y, 1), streamed):
+            assert abs(snap.t_hat - t_hat) <= 8 * math.ulp(t_hat)
+            assert abs(snap.sigma_z2_hat - sigma_z2_hat) <= 8 * math.ulp(sigma_z2_hat)
+        assert vars(streamed) == vars(block.estimators())
+        assert streamed.m_p == count
+
+    def test_a_zero_chunk_adds_its_squares(self):
+        # a chunk with no x signal has no slope; its y^2 is pure residual
+        x = np.concatenate([np.zeros(CHUNK), np.arange(1.0, 5.0)])
+        y = np.concatenate([np.full(CHUNK, 0.5), 2.0 * np.arange(1.0, 5.0)])
+        snap = empirical_estimators(x, y, 1)
+        assert snap.t_hat == 2.0
+        assert snap.sigma_z2_hat == 0.25 * CHUNK / (CHUNK + 4)
 
     @pytest.mark.parametrize("config", ["coverage.ini", "mobile.ini"])
     def test_rows_do_not_depend_on_pool_size(self, config, monkeypatch):
@@ -166,6 +181,62 @@ class TestChunkedThreads:
                  "OPENBLAS_NUM_THREADS": threads}).stdout
             for threads in ("1", "2")]
         assert outputs[0] == outputs[1]
+
+
+def simulate_config(config: str, pulses: int, protocol: str) -> str:
+    """The shipped config's text with [simulate] pulses and the protocol set."""
+    text = (CONFIGS / config).read_text(encoding="utf-8").replace(
+        "protocol = heterodyne", f"protocol = {protocol}")
+    if "[simulate]" not in text:
+        text += "\n[simulate]\npulses = 1\n"
+    return re.sub(r"(\[simulate\]\npulses = )\d+", rf"\g<1>{pulses}", text)
+
+
+def simulate_stdout(tmp_path, text: str, *tail) -> str:
+    path = tmp_path / "scenario.ini"
+    path.write_text(text)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["simulate", "--config", str(path), "--seed", "5", *tail]) == 0
+    return out.getvalue()
+
+
+class TestStreamedRows:
+    """A constant-channel simulate row without --dump draws and reduces one
+    chunk at a time; with --dump it keeps the block. The row is the same."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("pulses, protocol", [
+        (1, "heterodyne"), (CHUNK + 1, "homodyne"), (3 * CHUNK + 7, "homodyne")])
+    @pytest.mark.parametrize("config", ["coverage.ini", "microwave.ini"])
+    def test_dump_does_not_change_the_row(self, tmp_path, monkeypatch, config,
+                                          pulses, protocol, workers):
+        monkeypatch.setattr(cvqkd.finite_size, "_workers", lambda: workers)
+        text = simulate_config(config, pulses, protocol)
+        dump = tmp_path / "block.csv"
+        plain = simulate_stdout(tmp_path, text)
+        assert simulate_stdout(tmp_path, text, "--dump", str(dump)) == plain
+        assert dump.stat().st_size > 0
+        assert "nan" not in plain
+
+    def test_memory_stays_flat(self, tmp_path, monkeypatch):
+        # numpy reports its buffers to tracemalloc; a block 4x longer must
+        # not raise the row's peak, and workers add at most a chunk each
+        def peak(pulses, workers):
+            monkeypatch.setattr(cvqkd.finite_size, "_workers", lambda: workers)
+            text = simulate_config("coverage.ini", pulses, "heterodyne")
+            tracemalloc.start()
+            try:
+                simulate_stdout(tmp_path, text)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1000, 1)  # imports and caches, outside the measurement
+        small, large = peak(CHUNK, 1), peak(4 * CHUNK, 1)
+        assert abs(large - small) < 1 << 20
+        assert large < 16 << 20  # the block's x and y alone take 32 MB
+        assert peak(4 * CHUNK, 3) < 3 * large + (1 << 20)
 
 
 class TestEstimatorConsistency:
@@ -333,6 +404,17 @@ class TestCoverage:
     def test_validation(self):
         with pytest.raises(ValueError):
             estimator_coverage_experiment(0.3, 0.02, 2, 9.0, 100, 0, 0.01, 1)
+        with pytest.raises(ValueError, match="two disclosed pairs"):
+            estimator_coverage_experiment(0.3, 0.02, 1, 9.0, 1, 1, 0.01, 1)
+
+    @pytest.mark.parametrize("args, failures", [
+        ((0.3, 0.05, 2, 9.0, 2000, 400, 0.25, 11), (41, 49, 102)),
+        ((0.3, 0.05, 1, 9.0, CHUNK + 3, 12, 0.4, 13), (6, 1, 2))])
+    def test_streamed_rounds_keep_the_report(self, args, failures):
+        # the counts that simulate_block(...).estimators() rounds give
+        report = estimator_coverage_experiment(*args)
+        assert (report.tau_low_failures, report.tau_high_failures,
+                report.n_failures) == failures
 
 
 class TestDistributionSpotChecks:
