@@ -29,6 +29,7 @@ from .config import SWEEP_VARIABLE, ConfigError, Scenario, resolve_scenario
 from .finite_size import (
     background_bound,
     composable_terms,
+    empirical_estimators,
     general_attack_extension,
     mobile_worst_case,
     sufficient_statistics_coverage,
@@ -267,18 +268,17 @@ def evaluate_rate_point(scenario: Scenario, x: float, clamp: bool) -> dict:
                     _rate_rows(scenario, (x,), clamp)[0]))
 
 
-def _dump_block(block, bins, path: str, tau_const: float = None) -> None:
-    """Write one simulated block as CSV, one row per disclosed pair."""
+def _dump_block(path: str, chunks) -> None:
+    """Write a block's ordered (pilot, x, y, tau, bins) chunks as CSV (write_dump)."""
     from .simulate import write_dump
 
     with open(path, "wb") as handle:
-        write_dump(handle, block.pilot_mask, block.x, block.y, tau_const
-                   if block.tau_samples is None else block.tau_samples, bins)
+        write_dump(handle, chunks)
 
 
 def _simulation_row(scenario: Scenario, x: float, seed: int,
                     dump: str) -> tuple:
-    from .simulate import defade_block, simulate_block, simulate_estimators, simulate_fading_block
+    from .simulate import defade_block, simulate_chunks, simulate_estimators, simulate_fading_block
 
     pulses = scenario.simulate["pulses"]
     pt = _model_point(scenario, x)
@@ -292,9 +292,10 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
             seed, pilot_rate=scenario.simulate.get("pilot_rate", 0.0))
         bins = fs.lattice.assign(block.tau_samples)
         if dump:
-            _dump_block(block, bins, dump)
+            _dump_block(dump, [(block.pilot_mask, block.x, block.y, block.tau_samples, bins)])
         faded = defade_block(block, fs.lattice, seed + 1, bins)
-        snap, y = faded.estimators(), faded.disclosed()[1]
+        disclosed = faded.disclosed()
+        snap, y = empirical_estimators(*disclosed, scenario.nu_det), disclosed[1]
         return (x, pulses, faded.pairs, fs.p_delta, faded.pairs / block.pairs,
                 fs.lattice.tau_min, fs.n_star,
                 fs.lattice.tau_min * scenario.sigma_x2 + 2.0 * fs.n_star
@@ -302,15 +303,14 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
                 float((y * y).mean()), ";".join(fs.warnings), "")
     tau, nbar, warnings = pt["tau"], pt["nbar"], pt["warnings"]
     law = (tau, nbar, scenario.nu_det, scenario.sigma_x2, pulses, seed)
-    if dump:  # the block is kept only to be written; the row is the same
-        block = simulate_block(*law)
-        _dump_block(block, -1, dump, tau_const=tau)
-    snap = block.estimators() if dump else simulate_estimators(*law)
+    snap = simulate_estimators(*law)
     tau_lo, tau_hi, n_hi, _, floored = worst_case_bounds(
         snap.tau_hat, max(snap.n_hat, 0.0), scenario.sigma_x2, snap.sigma_z2_hat,
         snap.m_p, scenario.params.w)
     if floored:
         warnings.append("tau_lo_floored")
+    if dump:  # the same pairs, drawn again one chunk at a time to be written
+        _dump_block(dump, ((None, *pairs, tau, -1) for pairs in simulate_chunks(*law)))
     return (x, pulses, snap.m_p, tau, nbar, snap.tau_hat, snap.sigma_z2_hat,
             snap.n_hat, tau_lo, tau_hi, n_hi, ";".join(warnings), "")
 

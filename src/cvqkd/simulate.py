@@ -2,9 +2,10 @@
 
 Randomness uses the counter-based Philox generator keyed by (seed, stream):
 a block is drawn in CHUNK-sized chunks keyed by their pair-index range, so it
-is bit-identical however the chunks are scheduled. simulate_block keeps the
-block; simulate_estimators reduces each chunk where it is drawn and holds one
-chunk per worker. The O(1)-per-round coverage sampler
+is bit-identical however the chunks are scheduled. No constant-channel block
+is kept: simulate_estimators reduces each chunk where it is drawn and holds
+one chunk per worker, and simulate_chunks yields the same chunks in order,
+for write_dump. The O(1)-per-round coverage sampler
 (finite_size.sufficient_statistics_coverage) uses the random module, not numpy.
 """
 
@@ -19,6 +20,7 @@ from . import Record
 from .channel import FadingModel, pointing_tau_approx, sample_deflections
 from .finite_size import (
     _MASK64,
+    CHUNK,
     CoverageReport,
     EstimatorSnapshot,
     FadingLattice,
@@ -26,7 +28,6 @@ from .finite_size import (
     _coverage_report,
     chunk_sums,
     combine_chunks,
-    empirical_estimators,
     map_chunks,
 )
 
@@ -63,7 +64,7 @@ def _draw_pairs(seed: int, sigma_x: float, sigma_z, gain, start: int, x, y):
 
 
 class SimBlock(Record):
-    """Disclosed-variable view of one simulated block.
+    """Disclosed-variable view of one fading block, before or after de-fading.
 
     x holds Alice's quadrature amplitudes and y Bob's outcomes, one row per
     disclosed pair (nu_det pairs per pulse). tau_samples / bins are per-pair
@@ -85,19 +86,6 @@ class SimBlock(Record):
         keep = slice(None) if self.pilot_mask is None else ~self.pilot_mask
         return self.x[keep], self.y[keep]
 
-    def estimators(self) -> EstimatorSnapshot:
-        return empirical_estimators(*self.disclosed(), self.nu_det)
-
-
-def _pairs(seed: int, sigma_x: float, sigma_z, gain, pairs: int) -> tuple:
-    """(x, y) of a whole block, by _draw_pairs over its chunks; sigma_z and
-    gain are scalars or per pair."""
-    x, y = np.empty(pairs), np.empty(pairs)
-    sigma_z, gain = np.broadcast_to(sigma_z, pairs), np.broadcast_to(gain, pairs)
-    map_chunks(lambda a, b: _draw_pairs(seed, sigma_x, sigma_z[a:b], gain[a:b],
-                                        a, x[a:b], y[a:b]), pairs)
-    return x, y
-
 
 def _constant_law(tau: float, nbar: float, nu_det: int, sigma_x2: float,
                   pulses: int) -> tuple:
@@ -106,28 +94,30 @@ def _constant_law(tau: float, nbar: float, nu_det: int, sigma_x2: float,
     return math.sqrt(sigma_x2), math.sqrt(2.0 * nbar + nu_det), math.sqrt(tau), nu_det * pulses
 
 
-def simulate_block(tau: float, nbar: float, nu_det: int, sigma_x2: float,
-                   pulses: int, seed: int) -> SimBlock:
-    """Simulate y = sqrt(tau) x + z with var x = sigma_x2, var z = 2 nbar + nu_det.
-
-    Produces nu_det disclosed pairs per pulse (heterodyne reveals both
-    quadratures of each pulse) and keeps them, 16 bytes per pair, for --dump
-    and the tests; simulate_estimators reduces them without keeping them.
-    """
-    return SimBlock(*_pairs(seed, *_constant_law(tau, nbar, nu_det, sigma_x2, pulses)), nu_det)
-
-
 def simulate_estimators(tau: float, nbar: float, nu_det: int, sigma_x2: float,
                         pulses: int, seed: int) -> EstimatorSnapshot:
-    """simulate_block(...).estimators(), bit for bit, holding one chunk of
-    pairs per worker instead of the block: each chunk is drawn and reduced
-    to its chunk_sums while it is in cache, and combine_chunks joins them."""
+    """Empirical estimators of a block y = sqrt(tau) x + z with var x =
+    sigma_x2 and var z = 2 nbar + nu_det, nu_det disclosed pairs per pulse
+    (heterodyne reveals both quadratures of each pulse). No block is kept:
+    each chunk is drawn and reduced to its chunk_sums while it is in cache,
+    one chunk per worker, and combine_chunks joins them."""
     sigma_x, sigma_z, gain, pairs = _constant_law(tau, nbar, nu_det, sigma_x2, pulses)
     if pairs < 2:
         raise ValueError("at least two disclosed pairs required")
     return combine_chunks(map_chunks(lambda a, b: chunk_sums(*_draw_pairs(
         seed, sigma_x, sigma_z, gain, a, np.empty(b - a), np.empty(b - a))),
         pairs), pairs, nu_det)
+
+
+def simulate_chunks(tau: float, nbar: float, nu_det: int, sigma_x2: float,
+                    pulses: int, seed: int):
+    """(x, y) of each CHUNK range of the pairs that simulate_estimators
+    reduces, in pair order, each drawn by _draw_pairs when it is asked for."""
+    sigma_x, sigma_z, gain, pairs = _constant_law(tau, nbar, nu_det, sigma_x2, pulses)
+    for start in range(0, pairs, CHUNK):
+        size = min(CHUNK, pairs - start)
+        yield _draw_pairs(seed, sigma_x, sigma_z, gain, start, np.empty(size),
+                          np.empty(size))
 
 
 def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
@@ -157,7 +147,10 @@ def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
         raise ValueError("n_of_tau must map tau samples to non-negative photons")
 
     tau_pair = np.repeat(tau_pulse, nu_det)
-    x, y = _pairs(seed, math.sqrt(sigma_x2), sigma_z, np.sqrt(tau_pair), nu_det * pulses)
+    sigma_x, gain, pairs = math.sqrt(sigma_x2), np.sqrt(tau_pair), nu_det * pulses
+    x, y = np.empty(pairs), np.empty(pairs)
+    map_chunks(lambda a, b: _draw_pairs(seed, sigma_x, sigma_z[a:b], gain[a:b],
+                                        a, x[a:b], y[a:b]), pairs)
     pilot_mask = None
     if pilot_rate > 0.0:
         pilot_pulse = stream_rng(seed, 3 << 40).random(pulses) < pilot_rate
@@ -330,24 +323,29 @@ def _chunk_words(column, fmt):
     return lambda rows, n: np.broadcast_to(words, (n, words.shape[1]))
 
 
-def write_dump(handle, pilot, x, y, tau, bins) -> None:
-    """Write the pairs to the binary handle as CSV: a header, then a line
+def write_dump(handle, chunks) -> None:
+    """Write the pairs of chunks, an ordered iterable of (pilot, x, y, tau,
+    bins), to the binary handle as CSV: a header, then a line
     index,pilot_flag,x,y,tau_sample,bin per pair (%d and %.17g, byte for
-    byte); tau and bins may be scalars, pilot None."""
+    byte), indexed across the chunks; tau and bins may be scalars, pilot
+    None."""
     handle.write(b"index,pilot_flag,x,y,tau_sample,bin\n")
     ints = lambda v: _int_words(v, b",", v < 0)
     floats = lambda v: _float_words(v, b",")
-    per_pulse = [c for c in (x, y, tau) if np.ndim(c)]  # formatted in one call
-    fields = [_chunk_words(False if pilot is None else pilot, ints),
-              lambda rows, n: floats(np.column_stack([c[rows] for c in per_pulse]))
-              .reshape(n, -1),
-              *([] if np.ndim(tau) else [_chunk_words(tau, floats)]),
-              _chunk_words(bins, ints)]
-    for start in range(0, len(x), DUMP_CHUNK):
-        rows = slice(start, start + DUMP_CHUNK)
-        n = len(x[rows])
-        # no name holds the fields or the matrix: each copy frees the last
-        handle.write(np.hstack([_int_words(np.arange(start, start + n), b"", False),
-                                *(field(rows, n) for field in fields),
-                                np.full((n, 1), _word(b"\n"))]).tobytes().translate(
-                                    None, b"\0"))
+    index = 0
+    for pilot, x, y, tau, bins in chunks:
+        per_pulse = [c for c in (x, y, tau) if np.ndim(c)]  # formatted in one call
+        fields = [_chunk_words(False if pilot is None else pilot, ints),
+                  lambda rows, n: floats(np.column_stack([c[rows] for c in per_pulse]))
+                  .reshape(n, -1),
+                  *([] if np.ndim(tau) else [_chunk_words(tau, floats)]),
+                  _chunk_words(bins, ints)]
+        for start in range(0, len(x), DUMP_CHUNK):
+            rows = slice(start, start + DUMP_CHUNK)
+            n = len(x[rows])
+            # no name holds the fields or the matrix: each copy frees the last
+            handle.write(np.hstack([_int_words(np.arange(index, index + n), b"", False),
+                                    *(field(rows, n) for field in fields),
+                                    np.full((n, 1), _word(b"\n"))]).tobytes().translate(
+                                        None, b"\0"))
+            index += n

@@ -19,6 +19,10 @@ against. No command calls them.
   sigma_z2_hat) from numpy's Philox chi-square and normal variates: the
   sampler that `cvqkd.finite_size._sufficient_statistics` replaces with
   standard-library draws.
+* `simulate_block` draws a whole constant-channel block, x and the noise
+  each over every pair, and keeps it: the block that
+  `cvqkd.simulate.simulate_estimators` reduces and `simulate_chunks` yields
+  one chunk at a time.
 * `emit_csv_oracle` and `emit_json_oracle` write rows by column, one cell at
   a time: the writers that `cvqkd.cli.emit_csv` and `emit_json` replace with
   cell tuples and one %-template per row type signature.
@@ -74,6 +78,7 @@ from cvqkd.rates import (
     plob_thermal_bound,
     point_holevo,
 )
+from cvqkd.simulate import SimBlock, _chunked_normals, _constant_law
 
 IDENTITY_GUARD = 1e-12
 
@@ -423,6 +428,17 @@ def sufficient_statistics_oracle(tau: float, nbar: float, nu_det: int,
     sxx = sigma_x2 * rng.chisquare(m, rounds)
     t_hat = math.sqrt(tau) + np.sqrt(sigma_z2 / sxx) * rng.standard_normal(rounds)
     return np.column_stack((t_hat, sigma_z2 * rng.chisquare(m - 1, rounds) / m))
+
+
+def simulate_block(tau: float, nbar: float, nu_det: int, sigma_x2: float,
+                   pulses: int, seed: int) -> SimBlock:
+    """y = sqrt(tau) x + z with var x = sigma_x2, var z = 2 nbar + nu_det,
+    nu_det pairs per pulse, kept whole (16 bytes per pair): x and z each
+    drawn over the block from the pair streams (seed, start) and
+    (seed, 1 << 40 + start)."""
+    sigma_x, sigma_z, gain, pairs = _constant_law(tau, nbar, nu_det, sigma_x2, pulses)
+    x = _chunked_normals(seed, 0, sigma_x, pairs)
+    return SimBlock(x, gain * x + _chunked_normals(seed, 1 << 40, sigma_z, pairs), nu_det)
 
 
 # --- the per-cell writers -----------------------------------------------------

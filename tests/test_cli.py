@@ -1260,7 +1260,9 @@ class TestImportFloor:
         assert "numpy" in imported and "dataclasses" not in imported
 
     def test_cli_imports_no_numpy(self):
-        # the simulate row reads its arrays through SimBlock, which owns them
+        # the simulate rows leave their arrays to cvqkd.simulate: a mobile row
+        # reads them through SimBlock, and a constant-channel dump passes the
+        # chunks of simulate_chunks to write_dump unread
         tree = ast.parse((ROOT / "src" / "cvqkd" / "cli.py").read_text(encoding="utf-8"))
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                     for alias in node.names} | {

@@ -173,8 +173,13 @@ class TestWholeDump:
     def test_matches_percent_writer(self, count, fading):
         columns = block(count, count, fading)
         out = io.BytesIO()
-        write_dump(out, *columns)
+        write_dump(out, [columns])
         assert out.getvalue() == percent_dump(*columns)
+        # chunks of any length, DUMP_CHUNK-aligned or not, index on
+        split = io.BytesIO()
+        write_dump(split, [tuple(c[a:b] for c in columns)
+                           for a, b in ((0, count // 3), (count // 3, count))])
+        assert split.getvalue() == out.getvalue()
 
     @pytest.mark.parametrize("count", (0, 1, DUMP_CHUNK, 3 * DUMP_CHUNK + 7))
     def test_scalar_columns_match_percent_writer(self, count):
@@ -185,11 +190,11 @@ class TestWholeDump:
                      (pilot, x, y, 5e-324, bins), (pilot, x, y, math.inf, -12345)):
             flags = np.zeros(count, dtype=bool) if cols[0] is None else cols[0]
             out = io.BytesIO()
-            write_dump(out, *cols)
+            write_dump(out, [cols])
             assert out.getvalue() == percent_dump(
                 flags, x, y, *(np.broadcast_to(c, count) for c in cols[3:]))
 
     def test_empty_block_writes_the_header(self):
         out = io.BytesIO()
-        write_dump(out, *block(0, 0, True))
+        write_dump(out, [block(0, 0, True)])
         assert out.getvalue() == percent_dump(*block(0, 0, True))

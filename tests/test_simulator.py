@@ -17,7 +17,8 @@ import pytest
 
 import cvqkd.finite_size
 from cvqkd.channel import BeamConfig, FadingModel, fading_probability
-from cvqkd.cli import main
+from cvqkd.cli import _model_point, main
+from cvqkd.config import resolve_scenario
 from cvqkd.finite_size import (
     CHUNK,
     FadingLattice,
@@ -31,12 +32,13 @@ from cvqkd.simulate import (
     _chunked_normals,
     defade_block,
     estimator_coverage_experiment,
-    simulate_block,
+    simulate_chunks,
     simulate_estimators,
     simulate_fading_block,
     stream_rng,
+    write_dump,
 )
-from oracles import mutual_information, sufficient_statistics_oracle
+from oracles import mutual_information, simulate_block, sufficient_statistics_oracle
 
 BEAM = BeamConfig(wavelength=800e-9, waist=1e-3)
 
@@ -117,6 +119,12 @@ class TestChunkedThreads:
         y = np.sqrt(0.3) * x + noise
         assert np.array_equal(block.x, x)
         assert np.array_equal(block.y, y)
+        # the dump's chunks: the same pairs, CHUNK at a time, in order
+        chunks = list(simulate_chunks(0.3, 0.02, 1, 9.0, count, seed=7))
+        assert [c.size for c, _ in chunks] == [
+            min(CHUNK, count - start) for start in range(0, count, CHUNK)]
+        assert np.array_equal(np.concatenate([c for c, _ in chunks]), x)
+        assert np.array_equal(np.concatenate([c for _, c in chunks]), y)
 
     def test_defade_equals_serial_loop(self):
         fad = fading_at(5.0)
@@ -143,10 +151,11 @@ class TestChunkedThreads:
         residual = y - t_hat * x
         sigma_z2_hat = math.fsum(residual * residual) / count
         streamed = simulate_estimators(0.3, 0.02, 1, 9.0, count, seed=count)
-        for snap in (empirical_estimators(x, y, 1), streamed):
+        whole = empirical_estimators(x, y, 1)
+        for snap in (whole, streamed):
             assert abs(snap.t_hat - t_hat) <= 8 * math.ulp(t_hat)
             assert abs(snap.sigma_z2_hat - sigma_z2_hat) <= 8 * math.ulp(sigma_z2_hat)
-        assert vars(streamed) == vars(block.estimators())
+        assert vars(streamed) == vars(whole)
         assert streamed.m_p == count
 
     def test_a_zero_chunk_adds_its_squares(self):
@@ -201,9 +210,22 @@ def simulate_stdout(tmp_path, text: str, *tail) -> str:
     return out.getvalue()
 
 
+def oracle_dump(text: str) -> bytes:
+    """write_dump of the oracle's whole block at the config's point, as one
+    chunk: the bytes that simulate --seed 5 --dump should write."""
+    scenario = resolve_scenario(text)
+    pt = _model_point(scenario, scenario.point[1])
+    block = simulate_block(pt["tau"], pt["nbar"], scenario.nu_det, scenario.sigma_x2,
+                           scenario.simulate["pulses"], seed=5)
+    out = io.BytesIO()
+    write_dump(out, [(None, block.x, block.y, pt["tau"], -1)])
+    return out.getvalue()
+
+
 class TestStreamedRows:
-    """A constant-channel simulate row without --dump draws and reduces one
-    chunk at a time; with --dump it keeps the block. The row is the same."""
+    """A constant-channel simulate row draws and reduces one chunk at a time;
+    --dump draws the chunks again and writes each in turn. Neither keeps the
+    block, and --dump changes no byte of the row."""
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("pulses, protocol", [
@@ -216,34 +238,36 @@ class TestStreamedRows:
         dump = tmp_path / "block.csv"
         plain = simulate_stdout(tmp_path, text)
         assert simulate_stdout(tmp_path, text, "--dump", str(dump)) == plain
-        assert dump.stat().st_size > 0
+        # chunk edges included: the dump is the whole block's, byte for byte
+        assert dump.read_bytes() == oracle_dump(text)
         assert "nan" not in plain
 
     def test_memory_stays_flat(self, tmp_path, monkeypatch):
         # numpy reports its buffers to tracemalloc; a block 4x longer must
-        # not raise the row's peak, and workers add at most a chunk each
-        def peak(pulses, workers):
+        # not raise the row's peak, with or without --dump, and workers add
+        # at most a chunk each
+        def peak(pulses, workers, *tail):
             monkeypatch.setattr(cvqkd.finite_size, "_workers", lambda: workers)
             text = simulate_config("coverage.ini", pulses, "heterodyne")
             tracemalloc.start()
             try:
-                simulate_stdout(tmp_path, text)
+                simulate_stdout(tmp_path, text, *tail)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak(1000, 1)  # imports and caches, outside the measurement
-        small, large = peak(CHUNK, 1), peak(4 * CHUNK, 1)
-        assert abs(large - small) < 1 << 20
-        assert large < 16 << 20  # the block's x and y alone take 32 MB
-        assert peak(4 * CHUNK, 3) < 3 * large + (1 << 20)
+        for tail in ((), ("--dump", os.devnull)):
+            peak(1000, 1, *tail)  # imports and caches, outside the measurement
+            small, large = peak(CHUNK, 1, *tail), peak(4 * CHUNK, 1, *tail)
+            assert abs(large - small) < 1 << 20, tail
+            assert large < 16 << 20, tail  # the block's x and y alone take 32 MB
+            assert peak(4 * CHUNK, 3, *tail) < 3 * large + (1 << 20), tail
 
 
 class TestEstimatorConsistency:
     def test_tau_and_noise_within_five_se(self):
         tau, nbar, sx2, nu = 0.3, 0.05, 9.0, 2
-        block = simulate_block(tau, nbar, nu, sx2, 200_000, seed=21)
-        snap = block.estimators()
+        snap = simulate_estimators(tau, nbar, nu, sx2, 200_000, seed=21)
         sz2 = 2.0 * nbar + nu
         se_tau = math.sqrt((2.0 * tau**2 + tau * sz2 / sx2) / snap.m_p)
         assert abs(snap.tau_hat - tau) < 5.0 * se_tau
@@ -252,8 +276,7 @@ class TestEstimatorConsistency:
         assert snap.m_p == nu * 200_000
 
     def test_vacuum_noise_floor(self):
-        block = simulate_block(0.3, 0.0, 2, 9.0, 200_000, seed=23)
-        snap = block.estimators()
+        snap = simulate_estimators(0.3, 0.0, 2, 9.0, 200_000, seed=23)
         se_n = 2.0 / math.sqrt(2.0 * snap.m_p)
         assert abs(snap.n_hat) < 5.0 * se_n
 
@@ -275,12 +298,12 @@ class TestEstimatorConsistency:
         assert i_hat == pytest.approx(mutual_information(point), rel=0.01)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            simulate_block(0.0, 0.05, 2, 9.0, 100, seed=1)
-        with pytest.raises(ValueError):
-            simulate_block(0.3, -0.1, 2, 9.0, 100, seed=1)
-        with pytest.raises(ValueError):
-            simulate_block(0.3, 0.05, 3, 9.0, 100, seed=1)
+        first_chunk = lambda *law: next(simulate_chunks(*law))
+        for simulate in (simulate_estimators, first_chunk):
+            for law in ((0.0, 0.05, 2, 9.0, 100, 1), (0.3, -0.1, 2, 9.0, 100, 1),
+                        (0.3, 0.05, 3, 9.0, 100, 1)):
+                with pytest.raises(ValueError):
+                    simulate(*law)
 
 
 class TestFadingBlocks:
@@ -314,7 +337,7 @@ class TestFadingBlocks:
         frac = float(block.pilot_mask.mean())
         assert abs(frac - 0.2) < 4.0 * math.sqrt(0.2 * 0.8 / 50_000)
         # pilots are excluded from the disclosed-pair estimators
-        snap = block.estimators()
+        snap = empirical_estimators(*block.disclosed(), 2)
         assert snap.m_p == int((~block.pilot_mask).sum())
 
     def test_noise_map_validation(self):
@@ -411,7 +434,7 @@ class TestCoverage:
         ((0.3, 0.05, 2, 9.0, 2000, 400, 0.25, 11), (41, 49, 102)),
         ((0.3, 0.05, 1, 9.0, CHUNK + 3, 12, 0.4, 13), (6, 1, 2))])
     def test_streamed_rounds_keep_the_report(self, args, failures):
-        # the counts that simulate_block(...).estimators() rounds give
+        # the counts that rounds of the whole-block estimators give
         report = estimator_coverage_experiment(*args)
         assert (report.tau_low_failures, report.tau_high_failures,
                 report.n_failures) == failures
@@ -514,8 +537,8 @@ class TestSufficientStatisticsSampler:
 
         per_pulse = np.array([
             (snap.t_hat, snap.sigma_z2_hat) for snap in (
-                simulate_block(self.TAU, self.NBAR, self.NU, self.SX2,
-                               self.PULSES, seed=50_000 + k).estimators()
+                simulate_estimators(self.TAU, self.NBAR, self.NU, self.SX2,
+                                    self.PULSES, seed=50_000 + k)
                 for k in range(3_000))])
         sampled = self.sampled(3_000, seed=23)
         for col in (0, 1):  # T_hat, sigma_z2_hat
