@@ -12,12 +12,19 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import io
 import json
 import math
 import sys
 from numbers import Integral
+
+try:  # the built-in sha256 (3.12+, then 3.10-3.11): hashlib loads OpenSSL
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .channel import (
@@ -96,7 +103,7 @@ def scenario_echo(scenario: Scenario) -> dict:
 def scenario_hash(scenario: Scenario, echo: dict = None) -> str:
     """sha256 prefix of the scenario echo; pass the echo if already built."""
     blob = json.dumps(echo or scenario_echo(scenario), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    return sha256(blob).hexdigest()[:12]
 
 
 def _model_point(scenario: Scenario, x: float) -> dict:
@@ -291,16 +298,17 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
             pt["fading"], fs.noise, scenario.nu_det, scenario.sigma_x2, pulses,
             seed, pilot_rate=scenario.simulate.get("pilot_rate", 0.0))
         bins = fs.lattice.assign(block.tau_samples)
-        if dump:
-            _dump_block(dump, [(block.pilot_mask, block.x, block.y, block.tau_samples, bins)])
         faded = defade_block(block, fs.lattice, seed + 1, bins)
         disclosed = faded.disclosed()
         snap, y = empirical_estimators(*disclosed, scenario.nu_det), disclosed[1]
-        return (x, pulses, faded.pairs, fs.p_delta, faded.pairs / block.pairs,
-                fs.lattice.tau_min, fs.n_star,
-                fs.lattice.tau_min * scenario.sigma_x2 + 2.0 * fs.n_star
-                + scenario.nu_det, snap.tau_hat, snap.n_hat,
-                float((y * y).mean()), ";".join(fs.warnings), "")
+        row = (x, pulses, faded.pairs, fs.p_delta, faded.pairs / block.pairs,
+               fs.lattice.tau_min, fs.n_star,
+               fs.lattice.tau_min * scenario.sigma_x2 + 2.0 * fs.n_star
+               + scenario.nu_det, snap.tau_hat, snap.n_hat,
+               float((y * y).mean()), ";".join(fs.warnings), "")
+        if dump:  # after the row: a row that fails writes no dump
+            _dump_block(dump, [(block.pilot_mask, block.x, block.y, block.tau_samples, bins)])
+        return row
     tau, nbar, warnings = pt["tau"], pt["nbar"], pt["warnings"]
     law = (tau, nbar, scenario.nu_det, scenario.sigma_x2, pulses, seed)
     snap = simulate_estimators(*law)

@@ -111,7 +111,8 @@ class EstimatorSnapshot(Record):
                              tau_hat=tau_hat, n_hat=n_hat, m_p=m_p)
 
 
-CHUNK = 1 << 18  # pairs per Monte Carlo chunk
+CHUNK = 1 << 18  # pairs per Monte Carlo chunk: the unit of the streams and threads
+SLICE = 1 << 14  # pairs drawn and reduced at once: 128 KB a column, in cache
 
 
 def _workers() -> int:
@@ -133,9 +134,9 @@ def map_chunks(fn: Callable, count: int) -> list:
 
 
 def chunk_sums(x, y) -> tuple:
-    """(Sxx, Sxy, RSS, t) of one chunk of pairs, x and y float arrays: sums
+    """(Sxx, Sxy, RSS, t) of one slice of pairs, x and y float arrays: sums
     by np.add.reduce, so that no BLAS or thread count enters, and RSS the
-    residual sum of squares about the chunk's own slope t = Sxy / Sxx."""
+    residual sum of squares about the slice's own slope t = Sxy / Sxx."""
     sxx, sxy = (x * x).sum(), (x * y).sum()
     t = sxy / sxx if sxx else 0.0
     residual = t * x
@@ -144,12 +145,13 @@ def chunk_sums(x, y) -> tuple:
     return sxx, sxy, residual.sum(), t
 
 
-def combine_chunks(sums: list, m: int, nu_det: int) -> EstimatorSnapshot:
-    """The estimators of m pairs from the chunk_sums of their chunks: fsums
-    Sxx and Sxy, T_hat = Sxy / Sxx, and the residual sums combined exactly by
-    the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 242, 1983),
-    RSS = fsum_c [RSS_c + (t_c - T_hat)^2 Sxx_c]; one chunk gives the
-    whole-array sums bit for bit. sigma_z2_hat = RSS / m."""
+def combine_chunks(chunks: list, m: int, nu_det: int) -> EstimatorSnapshot:
+    """The estimators of m pairs from chunks, each the list of the chunk_sums
+    of its SLICE-sized slices in pair order: fsums Sxx and Sxy, T_hat = Sxy /
+    Sxx, and the residual sums combined exactly by the pairwise update of
+    Chan, Golub & LeVeque (Am. Stat. 37, 242, 1983), RSS = fsum_s [RSS_s +
+    (t_s - T_hat)^2 Sxx_s]. sigma_z2_hat = RSS / m."""
+    sums = [s for chunk in chunks for s in chunk]
     sxx, sxy = math.fsum(s[0] for s in sums), math.fsum(s[1] for s in sums)
     t_hat = sxy / sxx
     s2 = math.fsum(rss + (t - t_hat) ** 2 * c_xx for c_xx, _, rss, t in sums) / m
@@ -160,7 +162,7 @@ def empirical_estimators(x, y, nu_det: int) -> EstimatorSnapshot:
     """Maximum-likelihood estimates from disclosed quadrature pairs (arrays):
     T_hat = sum(xy)/sum(x^2), sigma_z2_hat the mean squared residual,
     tau_hat = T_hat^2 and n_hat = (sigma_z2_hat - nu_det)/2, by chunk_sums
-    over the CHUNK ranges and combine_chunks, in one pass over the arrays."""
+    over the slices of a streamed simulate row, bit for bit, and combine_chunks."""
     import numpy as np
 
     x = np.asarray(x, dtype=float)
@@ -169,8 +171,9 @@ def empirical_estimators(x, y, nu_det: int) -> EstimatorSnapshot:
         raise ValueError("x and y must be equal-length 1-d arrays with >= 2 entries")
     if nu_det not in (1, 2):
         raise ValueError("nu_det must be 1 or 2")
-    return combine_chunks(map_chunks(lambda a, b: chunk_sums(x[a:b], y[a:b]),
-                                     x.size), x.size, nu_det)
+    return combine_chunks(map_chunks(lambda a, b: [
+        chunk_sums(x[s:s + SLICE], y[s:s + SLICE]) for s in range(a, b, SLICE)],
+        x.size), x.size, nu_det)
 
 
 def worst_case_bounds(tau: float, nbar: float, sigma_x2: float, sigma_z2: float,

@@ -3,10 +3,10 @@
 Randomness uses the counter-based Philox generator keyed by (seed, stream):
 a block is drawn in CHUNK-sized chunks keyed by their pair-index range, so it
 is bit-identical however the chunks are scheduled. No constant-channel block
-is kept: simulate_estimators reduces each chunk where it is drawn and holds
-one chunk per worker, and simulate_chunks yields the same chunks in order,
-for write_dump. The O(1)-per-round coverage sampler
-(finite_size.sufficient_statistics_coverage) uses the random module, not numpy.
+is kept: its chunks are drawn SLICE pairs at a time, each slice on from the
+last, simulate_estimators reduces each slice in cache, and simulate_chunks
+yields the slices in order, for write_dump. The O(1)-per-round coverage
+sampler (finite_size.sufficient_statistics_coverage) uses random, not numpy.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .channel import FadingModel, pointing_tau_approx, sample_deflections
 from .finite_size import (
     _MASK64,
     CHUNK,
+    SLICE,
     CoverageReport,
     EstimatorSnapshot,
     FadingLattice,
@@ -38,29 +39,33 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunked_normals(seed: int, stream_base: int, scale: float, count: int) -> np.ndarray:
-    """scale N(0, 1), drawn in place in pulse-index-keyed chunks (see
+def _chunked_normals(seed: int, stream_base: int, scale, count: int) -> np.ndarray:
+    """scale (a float or count floats) N(0, 1), drawn in place in chunks (see
     map_chunks), chunk [start, stop) from stream stream_base + start."""
     out = np.empty(count)
 
     def fill(start, stop):
         chunk = out[start:stop]
         stream_rng(seed, stream_base + start).standard_normal(out=chunk)
-        chunk *= scale
+        chunk *= scale[start:stop] if np.ndim(scale) else scale
 
     map_chunks(fill, count)
     return out
 
 
-def _draw_pairs(seed: int, sigma_x: float, sigma_z, gain, start: int, x, y):
-    """(x, y), filled with pairs start, start + 1, ... of a block: x = sigma_x
-    N(0, 1) from stream start, y = gain x + sigma_z N(0, 1) from 1 << 40 + start."""
-    stream_rng(seed, start).standard_normal(out=x)
-    x *= sigma_x
-    stream_rng(seed, (1 << 40) + start).standard_normal(out=y)
-    y *= sigma_z
-    y += gain * x
-    return x, y
+def _pair_slices(seed: int, sigma_x: float, sigma_z: float, gain: float, start: int, stop: int):
+    """(x, y) of the pairs [start, stop) of the chunk from start, SLICE at a
+    time: x = sigma_x N(0, 1) from stream start and y = gain x + sigma_z
+    N(0, 1) from 1 << 40 + start, each slice drawn on from the last (the
+    bits of one draw of the chunk) when it is asked for."""
+    x_rng, z_rng = stream_rng(seed, start), stream_rng(seed, (1 << 40) + start)
+    for a in range(start, stop, SLICE):
+        x = x_rng.standard_normal(min(SLICE, stop - a))
+        x *= sigma_x
+        y = z_rng.standard_normal(x.size)
+        y *= sigma_z
+        y += gain * x
+        yield x, y
 
 
 class SimBlock(Record):
@@ -99,25 +104,23 @@ def simulate_estimators(tau: float, nbar: float, nu_det: int, sigma_x2: float,
     """Empirical estimators of a block y = sqrt(tau) x + z with var x =
     sigma_x2 and var z = 2 nbar + nu_det, nu_det disclosed pairs per pulse
     (heterodyne reveals both quadratures of each pulse). No block is kept:
-    each chunk is drawn and reduced to its chunk_sums while it is in cache,
+    each slice is drawn and reduced to its chunk_sums while it is in cache,
     one chunk per worker, and combine_chunks joins them."""
     sigma_x, sigma_z, gain, pairs = _constant_law(tau, nbar, nu_det, sigma_x2, pulses)
     if pairs < 2:
         raise ValueError("at least two disclosed pairs required")
-    return combine_chunks(map_chunks(lambda a, b: chunk_sums(*_draw_pairs(
-        seed, sigma_x, sigma_z, gain, a, np.empty(b - a), np.empty(b - a))),
-        pairs), pairs, nu_det)
+    return combine_chunks(map_chunks(lambda a, b: [chunk_sums(*pair) for pair in (
+        _pair_slices(seed, sigma_x, sigma_z, gain, a, b))], pairs), pairs, nu_det)
 
 
 def simulate_chunks(tau: float, nbar: float, nu_det: int, sigma_x2: float,
                     pulses: int, seed: int):
-    """(x, y) of each CHUNK range of the pairs that simulate_estimators
-    reduces, in pair order, each drawn by _draw_pairs when it is asked for."""
+    """(x, y) of each slice of the pairs that simulate_estimators reduces,
+    in pair order (_pair_slices)."""
     sigma_x, sigma_z, gain, pairs = _constant_law(tau, nbar, nu_det, sigma_x2, pulses)
     for start in range(0, pairs, CHUNK):
-        size = min(CHUNK, pairs - start)
-        yield _draw_pairs(seed, sigma_x, sigma_z, gain, start, np.empty(size),
-                          np.empty(size))
+        yield from _pair_slices(seed, sigma_x, sigma_z, gain, start,
+                                min(start + CHUNK, pairs))
 
 
 def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
@@ -147,10 +150,10 @@ def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
         raise ValueError("n_of_tau must map tau samples to non-negative photons")
 
     tau_pair = np.repeat(tau_pulse, nu_det)
-    sigma_x, gain, pairs = math.sqrt(sigma_x2), np.sqrt(tau_pair), nu_det * pulses
-    x, y = np.empty(pairs), np.empty(pairs)
-    map_chunks(lambda a, b: _draw_pairs(seed, sigma_x, sigma_z[a:b], gain[a:b],
-                                        a, x[a:b], y[a:b]), pairs)
+    # x and the noise from the streams of _pair_slices, each chunk drawn at once
+    x = _chunked_normals(seed, 0, math.sqrt(sigma_x2), tau_pair.size)
+    y = _chunked_normals(seed, 1 << 40, sigma_z, tau_pair.size)
+    y += np.sqrt(tau_pair) * x
     pilot_mask = None
     if pilot_rate > 0.0:
         pilot_pulse = stream_rng(seed, 3 << 40).random(pulses) < pilot_rate

@@ -4,6 +4,7 @@ derived-header echoes, output formats, provenance, exit codes."""
 import ast
 import csv
 import functools
+import hashlib
 import io
 import json
 import math
@@ -1215,6 +1216,15 @@ class TestImportFloor:
         assert fresh_interpreter(probe, str(tmp_path / "rows.csv"), *flat) \
             == f"{[0] * (len(flat) // 2)} []"
 
+    def test_cli_loads_no_hashlib(self):
+        # scenario_hash takes the built-in sha256: the OpenSSL binding that
+        # hashlib loads costs milliseconds of every invocation
+        probe = ("import sys, cvqkd.cli\n"
+                 "codes = [cvqkd.cli.scenario_hash(None, {'a': 1})]\n"
+                 + LOADED.format(names=("_hashlib", "hashlib")))
+        digest = hashlib.sha256(json.dumps({"a": 1}).encode()).hexdigest()[:12]
+        assert fresh_interpreter(probe, flags=("-S",)) == f"{[digest]} []"
+
     def test_only_coverage_loads_random(self, tmp_path):
         # the coverage sampler imports random in its own body: import
         # cvqkd.cli, rate and sweep load none of it. -S keeps site out, since
@@ -1520,6 +1530,20 @@ class TestBlockDump:
         assert len(np.unique(taus)) > 1000  # fading varies pulse to pulse
         assert np.all(taus[0::2] == taus[1::2])  # shared within a pulse
         assert bins.min() == -1 and bins.max() >= 0
+
+    def test_failed_mobile_row_writes_no_dump(self, tmp_path):
+        # seed 4 deflects the one pulse out of the window: the row fails
+        # after the block is drawn, and the dump is written only for a row
+        # that succeeds, as on a constant channel
+        text = set_key((CONFIGS / "mobile.ini").read_text(encoding="utf-8"),
+                       "simulate", "pulses", "1")
+        dump = tmp_path / "d.csv"
+        code, out = run_cli(tmp_path, text, ["simulate", "--seed", "4",
+                                             "--dump", str(dump)])
+        assert code == 2
+        assert read_csv(out)[0]["reason"] == (
+            "ValueError: post-selection removed every pair")
+        assert not dump.exists()
 
 
 class TestNoDeadCode:

@@ -21,6 +21,7 @@ from cvqkd.cli import _model_point, main
 from cvqkd.config import resolve_scenario
 from cvqkd.finite_size import (
     CHUNK,
+    SLICE,
     FadingLattice,
     _gamma_draw,
     _sufficient_statistics,
@@ -96,7 +97,8 @@ def serial_normals(seed, stream_base, scale, count):
     return out * scale
 
 
-EDGE_SIZES = (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
+EDGE_SIZES = (SLICE - 1, SLICE, SLICE + 1, CHUNK - 1, CHUNK, CHUNK + 1,
+              CHUNK + SLICE + 3, 3 * CHUNK + 7)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -119,10 +121,13 @@ class TestChunkedThreads:
         y = np.sqrt(0.3) * x + noise
         assert np.array_equal(block.x, x)
         assert np.array_equal(block.y, y)
-        # the dump's chunks: the same pairs, CHUNK at a time, in order
+        # the dump's pieces: the same pairs, drawn SLICE at a time from each
+        # chunk's streams, in order; the serial loop draws each chunk at once
         chunks = list(simulate_chunks(0.3, 0.02, 1, 9.0, count, seed=7))
         assert [c.size for c, _ in chunks] == [
-            min(CHUNK, count - start) for start in range(0, count, CHUNK)]
+            min(SLICE, stop - start) for chunk in range(0, count, CHUNK)
+            for stop in [min(chunk + CHUNK, count)]
+            for start in range(chunk, stop, SLICE)]
         assert np.array_equal(np.concatenate([c for c, _ in chunks]), x)
         assert np.array_equal(np.concatenate([c for _, c in chunks]), y)
 
@@ -142,9 +147,9 @@ class TestChunkedThreads:
 
     @pytest.mark.parametrize("count", EDGE_SIZES)
     def test_estimators_match_exact_sums(self, count):
-        # per-chunk pairwise sums combined by fsum stay within a few ulp of
+        # per-slice pairwise sums combined by fsum stay within a few ulp of
         # the correctly rounded sums over the whole block, on the stored
-        # block and on the streamed chunks alike, which agree bit for bit
+        # block and on the streamed slices alike, which agree bit for bit
         block = simulate_block(0.3, 0.02, 1, 9.0, count, seed=count)
         x, y = block.x, block.y
         t_hat = math.fsum(x * y) / math.fsum(x * x)
@@ -223,8 +228,8 @@ def oracle_dump(text: str) -> bytes:
 
 
 class TestStreamedRows:
-    """A constant-channel simulate row draws and reduces one chunk at a time;
-    --dump draws the chunks again and writes each in turn. Neither keeps the
+    """A constant-channel simulate row draws and reduces one slice at a time;
+    --dump draws the slices again and writes each in turn. Neither keeps the
     block, and --dump changes no byte of the row."""
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -244,8 +249,8 @@ class TestStreamedRows:
 
     def test_memory_stays_flat(self, tmp_path, monkeypatch):
         # numpy reports its buffers to tracemalloc; a block 4x longer must
-        # not raise the row's peak, with or without --dump, and workers add
-        # at most a chunk each
+        # not raise the row's peak, with or without --dump, one worker holds
+        # a few slices and no chunk, and each further worker adds under 1 MB
         def peak(pulses, workers, *tail):
             monkeypatch.setattr(cvqkd.finite_size, "_workers", lambda: workers)
             text = simulate_config("coverage.ini", pulses, "heterodyne")
@@ -260,8 +265,8 @@ class TestStreamedRows:
             peak(1000, 1, *tail)  # imports and caches, outside the measurement
             small, large = peak(CHUNK, 1, *tail), peak(4 * CHUNK, 1, *tail)
             assert abs(large - small) < 1 << 20, tail
-            assert large < 16 << 20, tail  # the block's x and y alone take 32 MB
-            assert peak(4 * CHUNK, 3, *tail) < 3 * large + (1 << 20), tail
+            assert large < 2 << 20, tail  # one chunk's x and y take 4 MB
+            assert peak(4 * CHUNK, 3, *tail) < large + (2 << 20), tail
 
 
 class TestEstimatorConsistency:
