@@ -71,8 +71,11 @@ COVERAGE_COLUMNS = ("rounds", "pulses", "eps_pe", "w", "tau_low_failures",
                     "tau_high_rate", "n_rate", "warnings", "reason")
 PROVENANCE_COLUMNS = ("scenario_hash", "seed", "version")
 # the closed list of codes a warnings cell may hold (README, "CLI")
-WARNING_CODES = ("eta_ch_clamped", "tau_lo_floored", "n_b_hi_floored",
-                 "tau_lb_floored", "n_b_ub_floored")
+WARNING_CODES = ("eta_ch_clamped", "tau_lo_floored", "tau_lb_floored")
+# command -> the sections it reads, checked in this order
+COMMAND_SECTIONS = {"rate": ("point",), "sweep": ("sweep",),
+                    "simulate": ("simulate", "point"),
+                    "coverage": ("coverage", "point")}
 
 NAN = float("nan")
 
@@ -228,9 +231,7 @@ def _rate_plan(scenario: Scenario, clamp: bool):
                 n_ex_bc = setup_noise_from_thetas(th_el, th_ph, scenario.lo_kind,
                                                   tau_hi if scenario.lo_kind == "tlo"
                                                   else tau_lo)
-                n_b_hi, floored = background_bound(n_hi, n_ex_bc, eta_eff)
-                if floored:
-                    warnings.append("n_b_hi_floored")
+                n_b_hi = background_bound(n_hi, n_ex_bc, eta_eff)
 
         wc = estimated_point(tau_lo, eta_eff, n_hi, 0.0 if trust == 3 else n_b_hi,
                              nu, mu)
@@ -350,11 +351,13 @@ def _sweep_grid(start: float, stop: float, points: int) -> list:
 
 
 def _grid(scenario: Scenario, command: str) -> list:
-    """The abscissae of a rate or sweep command."""
-    if command == "rate":
-        return [_need_point(scenario)]
-    if scenario.sweep is None:
-        raise ConfigError("the sweep command needs a [sweep] section")
+    """The abscissae of a command: the [sweep] grid, or the one [point]."""
+    for section in COMMAND_SECTIONS[command]:
+        if getattr(scenario, section) is None:
+            raise ConfigError(f"the {command} command needs a [{section}] section "
+                              "(rule: command-needs-section)")
+    if command != "sweep":
+        return [scenario.point[1]]
     _, start, stop, points = scenario.sweep
     return _sweep_grid(start, stop, points)
 
@@ -480,42 +483,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _need_point(scenario: Scenario) -> float:
-    if scenario.point is None:
-        raise ConfigError("this command needs a [point] section")
-    return scenario.point[1]
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         with open(args.config, encoding="utf-8") as handle:
             scenario = resolve_scenario(handle.read())
+        grid = _grid(scenario, args.command)
+        mobile = scenario.channel == "optical-mobile"
         if args.command in ("rate", "sweep"):
-            rows = _rate_rows(scenario, _grid(scenario, args.command),
-                              args.clamp == "on")
-            base = RATE_COLUMNS
+            evaluate, base = _rate_plan(scenario, args.clamp == "on"), RATE_COLUMNS
         elif args.command == "simulate":
-            if scenario.simulate is None:
-                raise ConfigError("the simulate command needs a [simulate] "
-                                  "section")
-            base = SIM_MOBILE_COLUMNS if scenario.channel == "optical-mobile" \
-                else SIM_COLUMNS
-            rows = [_guarded_row(functools.partial(
-                _simulation_row, scenario, seed=args.seed, dump=args.dump),
-                base, _need_point(scenario))]
+            evaluate = functools.partial(_simulation_row, scenario, seed=args.seed,
+                                         dump=args.dump)
+            base = SIM_MOBILE_COLUMNS if mobile else SIM_COLUMNS
+        elif mobile:  # coverage on a fading link
+            raise ConfigError("coverage applies to the constant-transmissivity "
+                              "channels (rule: coverage-constant-channel)")
         else:
-            if scenario.coverage is None:
-                raise ConfigError("the coverage command needs a [coverage] "
-                                  "section")
-            x = _need_point(scenario)
-            if scenario.channel == "optical-mobile":
-                raise ConfigError("coverage applies to the constant-transmissivity "
-                                  "channels")
+            evaluate = functools.partial(_coverage_row, scenario, seed=args.seed)
             base = COVERAGE_COLUMNS
-            rows = [_guarded_row(functools.partial(_coverage_row, scenario,
-                                                   seed=args.seed), base, x)]
+        rows = [_guarded_row(evaluate, base, x) for x in grid]
         _emit(rows, base, scenario, args, args.command)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

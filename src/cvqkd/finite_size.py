@@ -208,13 +208,14 @@ def worst_case_bounds(tau: float, nbar: float, sigma_x2: float, sigma_z2: float,
             0.0 if n_lo < 0.0 else n_lo, floored)
 
 
-def background_bound(n_hi: float, n_ex_bc: float, eta_eff: float) -> tuple:
-    """(n_b', floored): the background bound n_b' = (n_hi - n_ex_bc) / eta_eff
-    left once the best-case setup photons n_ex_bc are trusted, floored at 0."""
+def background_bound(n_hi: float, n_ex_bc: float, eta_eff: float) -> float:
+    """The background bound n_b' = (n_hi - n_ex_bc) / eta_eff left once the
+    best-case setup photons n_ex_bc are trusted. Its callers keep it >= 0:
+    n_hi is at least the model noise eta_eff n_b + n_ex(tau), and n_ex_bc
+    is n_ex at the end of the range that minimises it."""
     if not 0.0 < eta_eff <= 1.0:
         raise ValueError("eta_eff must lie in (0, 1]")
-    n_b = (n_hi - n_ex_bc) / eta_eff
-    return (0.0, True) if n_b < 0.0 else (n_b, False)
+    return (n_hi - n_ex_bc) / eta_eff
 
 
 # --- coverage of the worst-case bounds --------------------------------------
@@ -522,7 +523,7 @@ def window_bounds(params: ProtocolParams, fading: FadingModel, noise: Callable,
     case taken at the other end; the disclosed pairs shrink to
     m_Delta = nu_det * m * p_Delta. The untrusted photons of noise enter the
     worst case but not the best-case setup share, so Eve is credited with
-    them through n_b_ub. Floors warn tau_lb_floored and n_b_ub_floored.
+    them through n_b_ub. A floored tau_lb warns tau_lb_floored.
     """
     if not 0.0 < f_th < 1.0:
         raise ValueError("f_th must lie in (0, 1)")
@@ -543,11 +544,8 @@ def window_bounds(params: ProtocolParams, fading: FadingModel, noise: Callable,
     tau_lb, _, n_ub, _, floored = worst_case_bounds(
         tau_min, n_wc, sigma_x2, 2.0 * n_wc + nu_det, nu_det * params.m * p_delta,
         params.w)
-    warnings = ("tau_lb_floored",) if floored else ()
-    n_b_ub, floored = background_bound(n_ub, n_ex_bc, eta_eff)
-    if floored:
-        warnings = warnings + ("n_b_ub_floored",)
-    return tau_min, p_delta, tau_lb, n_ub, n_b_ub, warnings
+    return (tau_min, p_delta, tau_lb, n_ub, background_bound(n_ub, n_ex_bc, eta_eff),
+            ("tau_lb_floored",) if floored else ())
 
 
 def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,

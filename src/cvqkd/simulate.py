@@ -72,15 +72,14 @@ class SimBlock(Record):
     """Disclosed-variable view of one fading block, before or after de-fading.
 
     x holds Alice's quadrature amplitudes and y Bob's outcomes, one row per
-    disclosed pair (nu_det pairs per pulse). tau_samples / bins are per-pair
-    fading metadata when applicable; pilot_mask marks pilot pairs.
+    disclosed pair (nu_det pairs per pulse). tau_samples holds the per-pair
+    transmissivities of a fading block; pilot_mask marks pilot pairs.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, nu_det: int,
-                 tau_samples: np.ndarray = None, bins: np.ndarray = None,
-                 pilot_mask: np.ndarray = None):
+                 tau_samples: np.ndarray = None, pilot_mask: np.ndarray = None):
         self.__dict__.update(x=x, y=y, nu_det=nu_det, tau_samples=tau_samples,
-                             bins=bins, pilot_mask=pilot_mask)
+                             pilot_mask=pilot_mask)
 
     @property
     def pairs(self) -> int:
@@ -182,9 +181,7 @@ def defade_block(block: SimBlock, lattice: FadingLattice, seed: int, bins=None) 
     xi = _chunked_normals(seed, 4 << 40, math.sqrt(block.nu_det), ratio.size)
     y_tilde = np.sqrt(ratio) * block.y[keep] + np.sqrt(1.0 - ratio) * xi
     pilot = None if block.pilot_mask is None else block.pilot_mask[keep]
-    return SimBlock(x=block.x[keep], y=y_tilde, nu_det=block.nu_det,
-                    tau_samples=np.full(int(keep.sum()), lattice.tau_min),
-                    bins=bins[keep], pilot_mask=pilot)
+    return SimBlock(x=block.x[keep], y=y_tilde, nu_det=block.nu_det, pilot_mask=pilot)
 
 
 def estimator_coverage_experiment(tau: float, nbar: float, nu_det: int,

@@ -308,7 +308,7 @@ def _finite_rate(scenario, r_pe: float, p_delta: float) -> tuple:
 
 def _window_oracle(scenario, fading: FadingModel, warnings: list) -> tuple:
     """(tau_lb, n_ub, n_b_ub, p_Delta) of the mobile fading window
-    [f_th eta, eta], its floors appended to warnings: a FadingLattice, the
+    [f_th eta, eta], its tau_lb floor appended to warnings: a FadingLattice, the
     worst- and best-case setup photons n_ex_wc and n_ex_bc (TLO at tau_min
     and 1, LLO at 1 and tau_min), worst_case_bounds at (tau_min, n_wc) with
     m_Delta = nu m p_Delta disclosed pairs, and background_bound."""
@@ -334,10 +334,7 @@ def _window_oracle(scenario, fading: FadingModel, warnings: list) -> tuple:
         tau_min, n_wc, scenario.sigma_x2, 2.0 * n_wc + nu, nu * prm.m * p_delta, prm.w)
     if floored:
         warnings.append("tau_lb_floored")
-    n_b_ub, floored = background_bound(n_ub, n_ex_bc, p["eta_eff"])
-    if floored:
-        warnings.append("n_b_ub_floored")
-    return tau_lb, n_ub, n_b_ub, p_delta
+    return tau_lb, n_ub, background_bound(n_ub, n_ex_bc, p["eta_eff"]), p_delta
 
 
 def _rate_row(scenario, x: float) -> dict:
@@ -373,9 +370,7 @@ def _rate_row(scenario, x: float) -> dict:
             n_ex_bc = setup_noise_from_thetas(
                 scenario.derived["theta_el"], scenario.derived["theta_ph"],
                 scenario.lo_kind, tau_hi if scenario.lo_kind == "tlo" else tau_lo)
-            n_b_hi, floored = background_bound(n_hi, n_ex_bc, eta_eff)
-            if floored:
-                warnings.append("n_b_hi_floored")
+            n_b_hi = background_bound(n_hi, n_ex_bc, eta_eff)
 
     wc = ChannelPoint.from_estimates(tau_lo, eta_eff, n_hi,
                                      0.0 if scenario.trust == 3 else n_b_hi, nu,

@@ -538,8 +538,9 @@ class TestRuleList:
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         block = readme.split("a message that names its rule")[1].split("\n\n")[1]
         listed = re.findall(r"^- `([a-z-]+)`", block, flags=re.MULTILINE)
-        source = (ROOT / "src" / "cvqkd" / "config.py").read_text(encoding="utf-8")
-        literal = set(re.findall(r"\(rule: ([a-z-]+)\)", source))
+        literal = {rule for module in ("config.py", "cli.py")
+                   for rule in re.findall(r"\(rule: ([a-z-]+)\)", (
+                       ROOT / "src" / "cvqkd" / module).read_text(encoding="utf-8"))}
         table = {entry[6] for entry in _KEY_TABLE if entry[6] is not None}
         assert sorted(listed) == sorted(table | literal)
 
@@ -559,6 +560,36 @@ class TestCrossFieldRuleNames:
     def test_message_ends_with_rule(self, tmp_path, capsys, config, old, new, rule):
         assert_config_error(tmp_path, capsys, shipped(config, old, new),
                             f"(rule: {rule})\n")
+
+
+def without_section(text: str, section: str) -> str:
+    """text with its [section] block, header to the next header, removed."""
+    head, tail = text.split(f"\n[{section}]\n")
+    return head + tail[tail.index("\n["):] if "\n[" in tail else head
+
+
+class TestUsageErrors:
+    """A command whose config lacks a section it reads, and coverage on a
+    fading link, exit 1 with no output and a one-line error that ends with
+    its rule."""
+
+    @pytest.mark.parametrize("command, text, rule", [
+        ("rate", without_section(fiber(), "point"), "command-needs-section"),
+        ("sweep", without_section(fiber(), "sweep"), "command-needs-section"),
+        ("simulate", without_section(fiber(), "simulate"), "command-needs-section"),
+        ("simulate", without_section(fiber(), "point"), "command-needs-section"),
+        ("coverage", without_section(fiber(), "coverage"), "command-needs-section"),
+        ("coverage", mobile() + "\n[coverage]\nrounds = 4\npulses = 2000\n"
+                               "eps_pe = 0.05\n", "coverage-constant-channel"),
+    ])
+    def test_error_names_its_rule(self, tmp_path, capsys, command, text, rule):
+        path = tmp_path / "scenario.ini"
+        path.write_text(text)
+        code = main([command, "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.endswith(f"(rule: {rule})\n")
+        assert err.count("\n") == 1
 
 
 class TestPositiveModulation:

@@ -16,6 +16,7 @@ pastes it over GOLDEN (and DUMP_GOLDEN), and declares in CHANGES.md which rows m
 how much.
 """
 
+import csv
 import hashlib
 import io
 import sys
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from cvqkd.cli import main
+from cvqkd.cli import WARNING_CODES, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 COMMANDS = ("rate", "sweep", "simulate", "coverage")
@@ -135,8 +136,8 @@ def cases() -> list:
             for command in COMMANDS for fmt in FORMATS]
 
 
-def run_case(case: str, workdir: Path) -> tuple:
-    """(exit code, sha256 of stdout) of one in-process invocation."""
+def case_output(case: str, workdir: Path) -> tuple:
+    """(exit code, stdout) of one in-process invocation."""
     name, command, fmt = case.split(":")
     path = workdir / f"{name}.ini"
     path.write_text(config_text(name), encoding="utf-8")
@@ -144,7 +145,13 @@ def run_case(case: str, workdir: Path) -> tuple:
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         code = main([command, "--config", str(path), "--format", fmt,
                      "--seed", SEED])
-    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return code, out.getvalue()
+
+
+def run_case(case: str, workdir: Path) -> tuple:
+    """(exit code, sha256 of stdout) of one in-process invocation."""
+    code, out = case_output(case, workdir)
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
 def run_dump(name: str, workdir: Path) -> tuple:
@@ -760,6 +767,18 @@ def test_output_matches_golden(case, tmp_path):
 
 def test_table_covers_exactly_the_cases():
     assert sorted(GOLDEN) == sorted(cases())
+
+
+def test_every_warning_code_is_reached(tmp_path):
+    # a listed code that no case raises documents a path no input reaches
+    missing = set(WARNING_CODES)
+    for case in cases():
+        if not missing:
+            break
+        if case.endswith(":csv"):
+            for row in csv.DictReader(io.StringIO(case_output(case, tmp_path)[1])):
+                missing -= set(row["warnings"].split(";"))
+    assert missing == set()
 
 
 @pytest.mark.parametrize("name", sorted(DUMPS))
