@@ -36,7 +36,6 @@ from .config import SWEEP_VARIABLE, ConfigError, Scenario, resolve_scenario
 from .finite_size import (
     background_bound,
     composable_terms,
-    empirical_estimators,
     general_attack_extension,
     mobile_worst_case,
     sufficient_statistics_coverage,
@@ -227,11 +226,8 @@ def _rate_plan(scenario: Scenario, clamp: bool):
             if floored:
                 warnings.append("tau_lo_floored")
             if split_noise:
-                # the best-case setup share sits at the bound that minimises it
-                n_ex_bc = setup_noise_from_thetas(th_el, th_ph, scenario.lo_kind,
-                                                  tau_hi if scenario.lo_kind == "tlo"
-                                                  else tau_lo)
-                n_b_hi = background_bound(n_hi, n_ex_bc, eta_eff)
+                n_b_hi = background_bound(n_hi, th_el, th_ph, scenario.lo_kind,
+                                          tau_lo, tau_hi, eta_eff)
 
         wc = estimated_point(tau_lo, eta_eff, n_hi, 0.0 if trust == 3 else n_b_hi,
                              nu, mu)
@@ -286,7 +282,8 @@ def _dump_block(path: str, chunks) -> None:
 
 def _simulation_row(scenario: Scenario, x: float, seed: int,
                     dump: str) -> tuple:
-    from .simulate import defade_block, simulate_chunks, simulate_estimators, simulate_fading_block
+    from .simulate import (defade_block, empirical_estimators, simulate_chunks,
+                           simulate_estimators, simulate_fading_block)
 
     pulses = scenario.simulate["pulses"]
     pt = _model_point(scenario, x)

@@ -5,13 +5,13 @@ maximum-likelihood channel estimates; composable terms collect the
 asymptotic-equipartition penalty, the error-correction/hashing overheads
 and, for fully general attacks, the energy-test dimension cutoff. The
 coverage experiment checks the bounds against rounds drawn from the exact
-law of the estimators' sufficient statistics, on the standard library.
+law of the estimators' sufficient statistics, on the standard library;
+simulate owns the chunk law that draws and reduces pairs.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable
 from functools import cached_property, lru_cache
 
@@ -100,81 +100,7 @@ def total_epsilon(params: ProtocolParams) -> float:
             + params.eps_s + params.eps_h)
 
 
-# --- empirical and worst-case channel estimators ---------------------------
-
-class EstimatorSnapshot(Record):
-    """Point estimates from m_p disclosed pairs."""
-
-    def __init__(self, t_hat: float, sigma_z2_hat: float, tau_hat: float,
-                 n_hat: float, m_p: int):
-        self.__dict__.update(t_hat=t_hat, sigma_z2_hat=sigma_z2_hat,
-                             tau_hat=tau_hat, n_hat=n_hat, m_p=m_p)
-
-
-CHUNK = 1 << 18  # pairs per Monte Carlo chunk: the unit of the streams and threads
-SLICE = 1 << 14  # pairs drawn and reduced at once: 128 KB a column, in cache
-
-
-def _workers() -> int:
-    """CPUs this process may run on (1 where the OS cannot say)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def map_chunks(fn: Callable, count: int) -> list:
-    """fn(start, stop) over the CHUNK-sized ranges of range(count), in order;
-    inline for one chunk or CPU, else on a thread pool closed before return."""
-    starts = range(0, count, CHUNK)
-    stops = [min(start + CHUNK, count) for start in starts]
-    workers = min(len(starts), _workers())
-    if workers <= 1:
-        return list(map(fn, starts, stops))
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, starts, stops))
-
-
-def chunk_sums(x, y) -> tuple:
-    """(Sxx, Sxy, RSS, t) of one slice of pairs, x and y float arrays: sums
-    by np.add.reduce, so that no BLAS or thread count enters, and RSS the
-    residual sum of squares about the slice's own slope t = Sxy / Sxx."""
-    sxx, sxy = (x * x).sum(), (x * y).sum()
-    t = sxy / sxx if sxx else 0.0
-    residual = t * x
-    residual -= y  # -(y - t x), exactly, with no second temporary
-    residual *= residual
-    return sxx, sxy, residual.sum(), t
-
-
-def combine_chunks(chunks: list, m: int, nu_det: int) -> EstimatorSnapshot:
-    """The estimators of m pairs from chunks, each the list of the chunk_sums
-    of its SLICE-sized slices in pair order: fsums Sxx and Sxy, T_hat = Sxy /
-    Sxx, and the residual sums combined exactly by the pairwise update of
-    Chan, Golub & LeVeque (Am. Stat. 37, 242, 1983), RSS = fsum_s [RSS_s +
-    (t_s - T_hat)^2 Sxx_s]. sigma_z2_hat = RSS / m."""
-    sums = [s for chunk in chunks for s in chunk]
-    sxx, sxy = math.fsum(s[0] for s in sums), math.fsum(s[1] for s in sums)
-    t_hat = sxy / sxx
-    s2 = math.fsum(rss + (t - t_hat) ** 2 * c_xx for c_xx, _, rss, t in sums) / m
-    return EstimatorSnapshot(t_hat, s2, t_hat * t_hat, (s2 - nu_det) / 2.0, m)
-
-
-def empirical_estimators(x, y, nu_det: int) -> EstimatorSnapshot:
-    """Maximum-likelihood estimates from disclosed quadrature pairs (arrays):
-    T_hat = sum(xy)/sum(x^2), sigma_z2_hat the mean squared residual,
-    tau_hat = T_hat^2 and n_hat = (sigma_z2_hat - nu_det)/2, by chunk_sums
-    over the slices of a streamed simulate row, bit for bit, and combine_chunks."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ValueError("x and y must be equal-length 1-d arrays with >= 2 entries")
-    if nu_det not in (1, 2):
-        raise ValueError("nu_det must be 1 or 2")
-    return combine_chunks(map_chunks(lambda a, b: [
-        chunk_sums(x[s:s + SLICE], y[s:s + SLICE]) for s in range(a, b, SLICE)],
-        x.size), x.size, nu_det)
-
+# --- worst-case channel estimators -----------------------------------------
 
 def worst_case_bounds(tau: float, nbar: float, sigma_x2: float, sigma_z2: float,
                       m_p: float, w: float) -> tuple:
@@ -208,13 +134,17 @@ def worst_case_bounds(tau: float, nbar: float, sigma_x2: float, sigma_z2: float,
             0.0 if n_lo < 0.0 else n_lo, floored)
 
 
-def background_bound(n_hi: float, n_ex_bc: float, eta_eff: float) -> float:
+def background_bound(n_hi: float, th_el: float, th_ph: float, lo_kind: str,
+                     tau_lo: float, tau_hi: float, eta_eff: float) -> float:
     """The background bound n_b' = (n_hi - n_ex_bc) / eta_eff left once the
-    best-case setup photons n_ex_bc are trusted. Its callers keep it >= 0:
-    n_hi is at least the model noise eta_eff n_b + n_ex(tau), and n_ex_bc
-    is n_ex at the end of the range that minimises it."""
+    best-case setup photons are trusted: n_ex_bc, the least n_ex over
+    [tau_lo, tau_hi], at tau_hi for a TLO (Theta_el / tau falls) and at
+    tau_lo for an LLO (Theta_el + Theta_ph tau rises). So n_b' >= 0 for any
+    n_hi >= eta_eff n_b + n_ex(tau) with tau in the range."""
     if not 0.0 < eta_eff <= 1.0:
         raise ValueError("eta_eff must lie in (0, 1]")
+    n_ex_bc = setup_noise_from_thetas(th_el, th_ph, lo_kind,
+                                      tau_hi if lo_kind == "tlo" else tau_lo)
     return (n_hi - n_ex_bc) / eta_eff
 
 
@@ -519,9 +449,9 @@ def window_bounds(params: ProtocolParams, fading: FadingModel, noise: Callable,
     noise photons at transmissivity tau are noise(tau) (noise.noise_map).
 
     The setup noise is bounded over the whole window (TLO at tau_min; LLO at
-    unit transmissivity, since its phase share grows with tau) and its best
-    case taken at the other end; the disclosed pairs shrink to
-    m_Delta = nu_det * m * p_Delta. The untrusted photons of noise enter the
+    unit transmissivity, since its phase share grows with tau) and
+    background_bound takes its best case over [tau_min, 1]; the disclosed
+    pairs shrink to m_Delta = nu_det * m * p_Delta. The untrusted photons of noise enter the
     worst case but not the best-case setup share, so Eve is credited with
     them through n_b_ub. A floored tau_lb warns tau_lb_floored.
     """
@@ -538,13 +468,12 @@ def window_bounds(params: ProtocolParams, fading: FadingModel, noise: Callable,
         raise ValueError("post-selection window has negligible probability; "
                          "reduce the range or lower f_th")
 
-    tau_wc, tau_bc = (tau_min, 1.0) if lo_kind == "tlo" else (1.0, tau_min)
-    n_wc = noise(tau_wc)
-    n_ex_bc = setup_noise_from_thetas(th_el, th_ph, lo_kind, tau_bc)
+    n_wc = noise(tau_min if lo_kind == "tlo" else 1.0)
     tau_lb, _, n_ub, _, floored = worst_case_bounds(
         tau_min, n_wc, sigma_x2, 2.0 * n_wc + nu_det, nu_det * params.m * p_delta,
         params.w)
-    return (tau_min, p_delta, tau_lb, n_ub, background_bound(n_ub, n_ex_bc, eta_eff),
+    return (tau_min, p_delta, tau_lb, n_ub,
+            background_bound(n_ub, th_el, th_ph, lo_kind, tau_min, 1.0, eta_eff),
             ("tau_lb_floored",) if floored else ())
 
 

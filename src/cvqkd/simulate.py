@@ -2,35 +2,101 @@
 
 Randomness uses the counter-based Philox generator keyed by (seed, stream):
 a block is drawn in CHUNK-sized chunks keyed by their pair-index range, so it
-is bit-identical however the chunks are scheduled. No constant-channel block
-is kept: its chunks are drawn SLICE pairs at a time, each slice on from the
-last, simulate_estimators reduces each slice in cache, and simulate_chunks
-yields the slices in order, for write_dump. The O(1)-per-round coverage
-sampler (finite_size.sufficient_statistics_coverage) uses random, not numpy.
+is bit-identical however the chunks are scheduled. This module owns that
+chunk law. No constant-channel block is kept: its chunks are drawn SLICE
+pairs at a time, each on from the last, simulate_estimators reduces each
+slice in cache, simulate_chunks yields the slices for write_dump, and
+empirical_estimators reduces arrays over the same slices, bit for bit.
+The O(1)-per-round coverage sampler of finite_size uses random, not numpy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+from collections.abc import Callable
 
 import numpy as np
 
 from . import Record
 from .channel import FadingModel, pointing_tau_approx, sample_deflections
-from .finite_size import (
-    _MASK64,
-    CHUNK,
-    SLICE,
-    CoverageReport,
-    EstimatorSnapshot,
-    FadingLattice,
-    _check_block,
-    _coverage_report,
-    chunk_sums,
-    combine_chunks,
-    map_chunks,
-)
+from .finite_size import _MASK64, CoverageReport, FadingLattice, _check_block, _coverage_report
+
+# Philox stream bases of x, its noise, deflections, pilot flags, de-fading
+X, NOISE, DEFLECTIONS, PILOTS, DEFADE = (k << 40 for k in range(5))
+
+
+class EstimatorSnapshot(Record):
+    """Point estimates from m_p disclosed pairs."""
+
+    def __init__(self, t_hat: float, sigma_z2_hat: float, tau_hat: float,
+                 n_hat: float, m_p: int):
+        self.__dict__.update(t_hat=t_hat, sigma_z2_hat=sigma_z2_hat,
+                             tau_hat=tau_hat, n_hat=n_hat, m_p=m_p)
+
+
+CHUNK = 1 << 18  # pairs per Monte Carlo chunk: the unit of the streams and threads
+SLICE = 1 << 14  # pairs drawn and reduced at once: 128 KB a column, in cache
+
+
+def _workers() -> int:
+    """CPUs this process may run on (1 where the OS cannot say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def map_chunks(fn: Callable, count: int) -> list:
+    """fn(start, stop) over the CHUNK-sized ranges of range(count), in order;
+    inline for one chunk or CPU, else on a thread pool closed before return."""
+    starts = range(0, count, CHUNK)
+    stops = [min(start + CHUNK, count) for start in starts]
+    workers = min(len(starts), _workers())
+    if workers <= 1:
+        return list(map(fn, starts, stops))
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, starts, stops))
+
+
+def chunk_sums(x, y) -> tuple:
+    """(Sxx, Sxy, RSS, t) of one slice of pairs, x and y float arrays: sums
+    by np.add.reduce, so that no BLAS or thread count enters, and RSS the
+    residual sum of squares about the slice's own slope t = Sxy / Sxx."""
+    sxx, sxy = (x * x).sum(), (x * y).sum()
+    t = sxy / sxx if sxx else 0.0
+    residual = t * x
+    residual -= y  # -(y - t x), exactly, with no second temporary
+    residual *= residual
+    return sxx, sxy, residual.sum(), t
+
+
+def combine_chunks(chunks: list, m: int, nu_det: int) -> EstimatorSnapshot:
+    """The estimators of m pairs from chunks, each the list of the chunk_sums
+    of its SLICE-sized slices in pair order: fsums Sxx and Sxy, T_hat = Sxy /
+    Sxx, and the residual sums combined exactly by the pairwise update of
+    Chan, Golub & LeVeque (Am. Stat. 37, 242, 1983), RSS = fsum_s [RSS_s +
+    (t_s - T_hat)^2 Sxx_s]. sigma_z2_hat = RSS / m."""
+    sums = [s for chunk in chunks for s in chunk]
+    sxx, sxy = math.fsum(s[0] for s in sums), math.fsum(s[1] for s in sums)
+    t_hat = sxy / sxx
+    s2 = math.fsum(rss + (t - t_hat) ** 2 * c_xx for c_xx, _, rss, t in sums) / m
+    return EstimatorSnapshot(t_hat, s2, t_hat * t_hat, (s2 - nu_det) / 2.0, m)
+
+
+def empirical_estimators(x, y, nu_det: int) -> EstimatorSnapshot:
+    """Maximum-likelihood estimates from disclosed quadrature pairs (arrays):
+    T_hat = sum(xy)/sum(x^2), sigma_z2_hat the mean squared residual,
+    tau_hat = T_hat^2 and n_hat = (sigma_z2_hat - nu_det)/2, by chunk_sums
+    over the slices of a streamed simulate row, bit for bit, and combine_chunks."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
+        raise ValueError("x and y must be equal-length 1-d arrays with >= 2 entries")
+    if nu_det not in (1, 2):
+        raise ValueError("nu_det must be 1 or 2")
+    return combine_chunks(map_chunks(lambda a, b: [
+        chunk_sums(x[s:s + SLICE], y[s:s + SLICE]) for s in range(a, b, SLICE)],
+        x.size), x.size, nu_det)
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -55,10 +121,10 @@ def _chunked_normals(seed: int, stream_base: int, scale, count: int) -> np.ndarr
 
 def _pair_slices(seed: int, sigma_x: float, sigma_z: float, gain: float, start: int, stop: int):
     """(x, y) of the pairs [start, stop) of the chunk from start, SLICE at a
-    time: x = sigma_x N(0, 1) from stream start and y = gain x + sigma_z
-    N(0, 1) from 1 << 40 + start, each slice drawn on from the last (the
+    time: x = sigma_x N(0, 1) from stream X + start and y = gain x + sigma_z
+    N(0, 1) from NOISE + start, each slice drawn on from the last (the
     bits of one draw of the chunk) when it is asked for."""
-    x_rng, z_rng = stream_rng(seed, start), stream_rng(seed, (1 << 40) + start)
+    x_rng, z_rng = stream_rng(seed, X + start), stream_rng(seed, NOISE + start)
     for a in range(start, stop, SLICE):
         x = x_rng.standard_normal(min(SLICE, stop - a))
         x *= sigma_x
@@ -137,7 +203,7 @@ def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
         raise ValueError("sigma_x2 must be positive and pulses >= 1")
     if not 0.0 <= pilot_rate < 1.0:
         raise ValueError("pilot_rate must lie in [0, 1)")
-    rng = stream_rng(seed, 2 << 40)
+    rng = stream_rng(seed, DEFLECTIONS)
     r = sample_deflections(fading.sigma_p, pulses, rng)
     tau_pulse = pointing_tau_approx(r, fading)
     # a far-deflected pulse's tau underflows, so its TLO noise Theta_el / tau
@@ -150,12 +216,12 @@ def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
 
     tau_pair = np.repeat(tau_pulse, nu_det)
     # x and the noise from the streams of _pair_slices, each chunk drawn at once
-    x = _chunked_normals(seed, 0, math.sqrt(sigma_x2), tau_pair.size)
-    y = _chunked_normals(seed, 1 << 40, sigma_z, tau_pair.size)
+    x = _chunked_normals(seed, X, math.sqrt(sigma_x2), tau_pair.size)
+    y = _chunked_normals(seed, NOISE, sigma_z, tau_pair.size)
     y += np.sqrt(tau_pair) * x
     pilot_mask = None
     if pilot_rate > 0.0:
-        pilot_pulse = stream_rng(seed, 3 << 40).random(pulses) < pilot_rate
+        pilot_pulse = stream_rng(seed, PILOTS).random(pulses) < pilot_rate
         pilot_mask = np.repeat(pilot_pulse, nu_det)
     return SimBlock(x=x, y=y, nu_det=nu_det, tau_samples=tau_pair,
                     pilot_mask=pilot_mask)
@@ -178,7 +244,7 @@ def defade_block(block: SimBlock, lattice: FadingLattice, seed: int, bins=None) 
     if not np.any(keep):
         raise ValueError("post-selection removed every pair")
     ratio = lattice.tau_min / lattice.lower_edges[bins[keep]]
-    xi = _chunked_normals(seed, 4 << 40, math.sqrt(block.nu_det), ratio.size)
+    xi = _chunked_normals(seed, DEFADE, math.sqrt(block.nu_det), ratio.size)
     y_tilde = np.sqrt(ratio) * block.y[keep] + np.sqrt(1.0 - ratio) * xi
     pilot = None if block.pilot_mask is None else block.pilot_mask[keep]
     return SimBlock(x=block.x[keep], y=y_tilde, nu_det=block.nu_det, pilot_mask=pilot)

@@ -51,7 +51,6 @@ from cvqkd.cli import (
 from cvqkd.finite_size import (
     P_DELTA_MIN,
     FadingLattice,
-    background_bound,
     composable_terms,
     general_attack_extension,
     total_epsilon,
@@ -78,7 +77,7 @@ from cvqkd.rates import (
     plob_thermal_bound,
     point_holevo,
 )
-from cvqkd.simulate import SimBlock, _chunked_normals, _constant_law
+from cvqkd.simulate import NOISE, X, SimBlock, _chunked_normals, _constant_law
 
 IDENTITY_GUARD = 1e-12
 
@@ -311,7 +310,7 @@ def _window_oracle(scenario, fading: FadingModel, warnings: list) -> tuple:
     [f_th eta, eta], its tau_lb floor appended to warnings: a FadingLattice, the
     worst- and best-case setup photons n_ex_wc and n_ex_bc (TLO at tau_min
     and 1, LLO at 1 and tau_min), worst_case_bounds at (tau_min, n_wc) with
-    m_Delta = nu m p_Delta disclosed pairs, and background_bound."""
+    m_Delta = nu m p_Delta disclosed pairs, and n_b_ub = (n_ub - n_ex_bc) / eta_eff."""
     p, prm, nu = scenario.physics, scenario.params, scenario.nu_det
     th_el, th_ph = scenario.derived["theta_el"], scenario.derived["theta_ph"]
     lo_kind, tau_max = scenario.lo_kind, fading.eta
@@ -334,7 +333,7 @@ def _window_oracle(scenario, fading: FadingModel, warnings: list) -> tuple:
         tau_min, n_wc, scenario.sigma_x2, 2.0 * n_wc + nu, nu * prm.m * p_delta, prm.w)
     if floored:
         warnings.append("tau_lb_floored")
-    return tau_lb, n_ub, background_bound(n_ub, n_ex_bc, p["eta_eff"]), p_delta
+    return tau_lb, n_ub, (n_ub - n_ex_bc) / p["eta_eff"], p_delta
 
 
 def _rate_row(scenario, x: float) -> dict:
@@ -370,7 +369,7 @@ def _rate_row(scenario, x: float) -> dict:
             n_ex_bc = setup_noise_from_thetas(
                 scenario.derived["theta_el"], scenario.derived["theta_ph"],
                 scenario.lo_kind, tau_hi if scenario.lo_kind == "tlo" else tau_lo)
-            n_b_hi = background_bound(n_hi, n_ex_bc, eta_eff)
+            n_b_hi = (n_hi - n_ex_bc) / eta_eff
 
     wc = ChannelPoint.from_estimates(tau_lo, eta_eff, n_hi,
                                      0.0 if scenario.trust == 3 else n_b_hi, nu,
@@ -429,11 +428,11 @@ def simulate_block(tau: float, nbar: float, nu_det: int, sigma_x2: float,
                    pulses: int, seed: int) -> SimBlock:
     """y = sqrt(tau) x + z with var x = sigma_x2, var z = 2 nbar + nu_det,
     nu_det pairs per pulse, kept whole (16 bytes per pair): x and z each
-    drawn over the block from the pair streams (seed, start) and
-    (seed, 1 << 40 + start)."""
+    drawn over the block from the pair streams (seed, X + start) and
+    (seed, NOISE + start)."""
     sigma_x, sigma_z, gain, pairs = _constant_law(tau, nbar, nu_det, sigma_x2, pulses)
-    x = _chunked_normals(seed, 0, sigma_x, pairs)
-    return SimBlock(x, gain * x + _chunked_normals(seed, 1 << 40, sigma_z, pairs), nu_det)
+    x = _chunked_normals(seed, X, sigma_x, pairs)
+    return SimBlock(x, gain * x + _chunked_normals(seed, NOISE, sigma_z, pairs), nu_det)
 
 
 # --- the per-cell writers -----------------------------------------------------

@@ -51,7 +51,7 @@ from cvqkd.config import (
     parse_quantity,
     resolve_scenario,
 )
-from cvqkd.finite_size import _workers
+from cvqkd.simulate import _workers
 from oracles import emit_csv_oracle, emit_json_oracle
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -1673,6 +1673,16 @@ class TestNoDeadCode:
                         fields.update((module, keyword.arg) for keyword in call.keywords)
         assert len(fields) > 50
         assert {(module, field) for module, field in fields if not read[field]} == set()
+
+    def test_streams_are_named_once(self):
+        # the Philox stream bases are spelled on the line that names them;
+        # every draw reads a name, so no two sites can disagree on a key
+        spelled = [(path.stem, line.strip())
+                   for path in sorted((ROOT / "src" / "cvqkd").glob("*.py"))
+                   for line in path.read_text(encoding="utf-8").splitlines()
+                   if "<< 40" in line]
+        assert spelled == [("simulate", "X, NOISE, DEFLECTIONS, PILOTS, DEFADE = "
+                                        "(k << 40 for k in range(5))")]
 
     def test_gate_imports_every_listed_oracle(self):
         gate = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))

@@ -6,6 +6,7 @@ beta = 0.95; collective attacks use p_ec = 0.9 with all epsilons 2^-33,
 general attacks p_ec = 0.1 with epsilons 1e-43 and energy-test fraction 0.2.
 """
 
+import functools
 import math
 import os
 import statistics
@@ -33,7 +34,6 @@ from cvqkd.finite_size import (
     background_bound,
     confidence_w,
     delta_aep,
-    empirical_estimators,
     energy_test_threshold,
     general_attack_extension,
     mobile_worst_case,
@@ -42,6 +42,7 @@ from cvqkd.finite_size import (
     window_bounds,
     worst_case_bounds,
 )
+from cvqkd.simulate import empirical_estimators
 from oracles import composable_rate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -302,9 +303,9 @@ class TestSetupAndBackgroundBounds:
         # the rate row's arguments to background_bound, and the row
         calls = []
 
-        def recording(n_hi, n_ex_bc, eta_eff):
-            calls.append((n_hi, n_ex_bc, eta_eff))
-            return background_bound(n_hi, n_ex_bc, eta_eff)
+        def recording(*args):
+            calls.append(args)
+            return background_bound(*args)
 
         monkeypatch.setattr(cli, "background_bound", recording)
         text = self.CONFIG.replace("trust = 3", "trust = 1") \
@@ -317,19 +318,36 @@ class TestSetupAndBackgroundBounds:
 
     def test_llo_split(self, monkeypatch):
         # a local LO's phase share grows with tau, so its best case is tau'
-        scenario, row, (n_hi, n_ex_bc, eta_eff) = self.recorded_split(monkeypatch, "llo")
+        scenario, row, args = self.recorded_split(monkeypatch, "llo")
         derived = scenario.derived
-        assert n_hi == row["n_hi"]
-        assert eta_eff == 0.7
-        assert n_ex_bc == pytest.approx(
-            derived["theta_el"] + derived["theta_ph"] * row["tau_lo"], rel=1e-12)
-        assert background_bound(n_hi, n_ex_bc, eta_eff) == pytest.approx(
-            (n_hi - n_ex_bc) / 0.7, rel=1e-12)
+        assert args == (row["n_hi"], derived["theta_el"], derived["theta_ph"], "llo",
+                        row["tau_lo"], row["tau_hi"], 0.7)
+        n_ex_bc = derived["theta_el"] + derived["theta_ph"] * row["tau_lo"]
+        assert background_bound(*args) == pytest.approx(
+            (row["n_hi"] - n_ex_bc) / 0.7, rel=1e-12)
 
     def test_tlo_uses_upper_transmissivity(self, monkeypatch):
-        scenario, row, (_, n_ex_bc, _) = self.recorded_split(monkeypatch, "tlo")
-        assert n_ex_bc == pytest.approx(scenario.derived["theta_el"] / row["tau_hi"],
-                                        rel=1e-12)
+        scenario, row, args = self.recorded_split(monkeypatch, "tlo")
+        derived = scenario.derived
+        assert args == (row["n_hi"], derived["theta_el"], derived["theta_ph"], "tlo",
+                        row["tau_lo"], row["tau_hi"], 0.7)
+        n_ex_bc = derived["theta_el"] / row["tau_hi"]
+        assert background_bound(*args) == pytest.approx(
+            (row["n_hi"] - n_ex_bc) / 0.7, rel=1e-12)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(n_hi=st.floats(0.0, 1e6), th_el=st.floats(0.0, 1e3),
+           th_ph=st.floats(0.0, 1e3), lo_kind=st.sampled_from(("tlo", "llo")),
+           eta_eff=st.floats(1e-6, 1.0),
+           taus=st.lists(st.floats(1e-300, 1.0), min_size=2, max_size=2).map(sorted))
+    def test_bound_takes_the_least_setup_noise(self, n_hi, th_el, th_ph, lo_kind,
+                                               eta_eff, taus):
+        # the rule itself, exactly: both LO kinds' n_ex are monotone in tau
+        # under rounding, so the least of the two ends is the best case
+        tau_lo, tau_hi = taus
+        n_ex = functools.partial(setup_noise_from_thetas, th_el, th_ph, lo_kind)
+        assert background_bound(n_hi, th_el, th_ph, lo_kind, tau_lo, tau_hi, eta_eff) \
+            == (n_hi - min(n_ex(tau_lo), n_ex(tau_hi))) / eta_eff
 
     # Budget fixed before the run: 400 derandomized examples per path, over
     # finite inputs (tau >= 1e-300 and thetas <= 1e3 keep every noise term
@@ -346,32 +364,30 @@ class TestSetupAndBackgroundBounds:
     def test_fixed_row_background_is_nonnegative(self, th_el, th_ph, lo_kind, eta_eff,
                                                  n_b, n_other, tau, w, m_p, sigma_x2, nu):
         # the rate row's calls: nbar = eta_eff n_b + n_ex(tau), its bounds,
-        # and the best-case setup share at tau'' (TLO) or tau' (LLO)
+        # and the background left over [tau', tau'']
         nbar = eta_eff * n_b + setup_noise_from_thetas(th_el, th_ph, lo_kind, tau,
                                                        n_other=n_other)
         tau_lo, tau_hi, n_hi, _, _ = worst_case_bounds(tau, nbar, sigma_x2,
                                                        2.0 * nbar + nu, m_p, w)
-        n_ex_bc = setup_noise_from_thetas(th_el, th_ph, lo_kind,
-                                          tau_hi if lo_kind == "tlo" else tau_lo)
-        assert background_bound(n_hi, n_ex_bc, eta_eff) >= 0.0
+        assert background_bound(n_hi, th_el, th_ph, lo_kind, tau_lo, tau_hi,
+                                eta_eff) >= 0.0
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(**LINK)
     def test_window_background_is_nonnegative(self, th_el, th_ph, lo_kind, eta_eff,
                                               n_b, n_other, tau, w, m_p, sigma_x2, nu):
         # window_bounds' calls at tau_min = tau: the noise law at the worst
-        # case, its bounds, and the best-case setup share at 1 (TLO) or
-        # tau_min (LLO)
-        tau_wc, tau_bc = (tau, 1.0) if lo_kind == "tlo" else (1.0, tau)
-        n_wc = noise_map(th_el, th_ph, lo_kind, eta_eff, n_b, n_other)(tau_wc)
+        # case, tau_min (TLO) or 1 (LLO), its bounds, and the background
+        # left over [tau_min, 1]
+        n_wc = noise_map(th_el, th_ph, lo_kind, eta_eff, n_b, n_other)(
+            tau if lo_kind == "tlo" else 1.0)
         _, _, n_ub, _, _ = worst_case_bounds(tau, n_wc, sigma_x2, 2.0 * n_wc + nu, m_p, w)
-        n_ex_bc = setup_noise_from_thetas(th_el, th_ph, lo_kind, tau_bc)
-        assert background_bound(n_ub, n_ex_bc, eta_eff) >= 0.0
+        assert background_bound(n_ub, th_el, th_ph, lo_kind, tau, 1.0, eta_eff) >= 0.0
 
     def test_validation(self):
         for eta_eff in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError):
-                background_bound(0.05, 1e-3, eta_eff)
+                background_bound(0.05, 1e-3, 0.0, "tlo", 0.5, 0.5, eta_eff)
 
 
 class TestComposableTerms:
@@ -699,11 +715,14 @@ class TestMobileWorstCase:
                 assert fs.n_star == pytest.approx(expect, rel=1e-12)
 
     def test_noise_bounds(self, monkeypatch):
-        fs, (tau_min, _, tau_lb, n_ub, _, _), bounds_args, background_args = self.traced(
-            monkeypatch, f_th=0.8, bins=50)
-        n_wc, n_ex_bc = bounds_args[1], background_args[1]
-        # LLO worst case bounds the phase share at unit transmissivity
-        assert n_ex_bc == pytest.approx(self.TH_EL + self.TH_PH * tau_min, rel=1e-12)
+        fs, (tau_min, _, tau_lb, n_ub, n_b_ub, _), bounds_args, background_args = \
+            self.traced(monkeypatch, f_th=0.8, bins=50)
+        n_wc = bounds_args[1]
+        # LLO worst case bounds the phase share at unit transmissivity, and
+        # the best case over [tau_min, 1] is at tau_min
+        assert background_args[1:] == (self.TH_EL, self.TH_PH, "llo", tau_min, 1.0, 0.7)
+        assert n_b_ub == pytest.approx(
+            (n_ub - (self.TH_EL + self.TH_PH * tau_min)) / 0.7, rel=1e-12)
         assert n_wc == pytest.approx(0.7 * 0.019 + (self.TH_EL + self.TH_PH), rel=1e-12)
         assert fs.n_star <= n_wc
         assert n_ub > n_wc
@@ -719,7 +738,7 @@ class TestMobileWorstCase:
         assert bounds_args == (tau_min, n_wc, 9.0, 2.0 * n_wc + 2, 2 * prm.m * p_delta, prm.w)
         tau_lo, _, n_hi, _, _ = worst_case_bounds(*bounds_args)
         assert (tau_lb, n_ub) == (tau_lo, n_hi)
-        assert background_args[::2] == (n_hi, 0.7)
+        assert background_args == (n_hi, self.TH_EL, self.TH_PH, "llo", tau_min, 1.0, 0.7)
         assert n_b_ub == background_bound(*background_args)
 
     def test_floors_carry_window_codes(self):

@@ -15,23 +15,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import cvqkd.finite_size
+import cvqkd.simulate
 from cvqkd.channel import BeamConfig, FadingModel, fading_probability
 from cvqkd.cli import _model_point, main
 from cvqkd.config import resolve_scenario
 from cvqkd.finite_size import (
-    CHUNK,
-    SLICE,
     FadingLattice,
     _gamma_draw,
     _sufficient_statistics,
-    empirical_estimators,
     sufficient_statistics_coverage,
 )
 from cvqkd.rates import ChannelPoint
 from cvqkd.simulate import (
+    CHUNK,
+    DEFADE,
+    NOISE,
+    SLICE,
+    X,
     _chunked_normals,
     defade_block,
+    empirical_estimators,
     estimator_coverage_experiment,
     simulate_chunks,
     simulate_estimators,
@@ -106,15 +109,15 @@ class TestChunkedThreads:
     @pytest.fixture(autouse=True)
     def several_workers(self, monkeypatch):
         # a pool even on a one-CPU machine
-        monkeypatch.setattr(cvqkd.finite_size, "_workers", lambda: 3)
+        monkeypatch.setattr(cvqkd.simulate, "_workers", lambda: 3)
 
     @pytest.mark.parametrize("count", EDGE_SIZES)
     def test_threaded_draw_equals_serial_loop(self, count):
-        assert np.array_equal(_chunked_normals(7, 1 << 40, 1.5, count),
-                              serial_normals(7, 1 << 40, 1.5, count))
+        assert np.array_equal(_chunked_normals(7, NOISE, 1.5, count),
+                              serial_normals(7, NOISE, 1.5, count))
         block = simulate_block(0.3, 0.02, 1, 9.0, count, seed=7)
-        x = serial_normals(7, 0, 3.0, count)
-        noise = serial_normals(7, 1 << 40, math.sqrt(2.0 * 0.02 + 1), count)
+        x = serial_normals(7, X, 3.0, count)
+        noise = serial_normals(7, NOISE, math.sqrt(2.0 * 0.02 + 1), count)
         y = np.sqrt(0.3) * x + noise
         assert np.array_equal(block.x, x)
         assert np.array_equal(block.y, y)
@@ -138,7 +141,7 @@ class TestChunkedThreads:
         keep = bins >= 0
         assert faded.pairs > CHUNK
         tau_k = lat.lower_edges[bins[keep]]
-        xi = serial_normals(4, 4 << 40, math.sqrt(2.0), faded.pairs)
+        xi = serial_normals(4, DEFADE, math.sqrt(2.0), faded.pairs)
         y = (np.sqrt(lat.tau_min / tau_k) * block.y[keep]
              + np.sqrt(1.0 - lat.tau_min / tau_k) * xi)
         assert np.array_equal(faded.y, y)
@@ -173,7 +176,7 @@ class TestChunkedThreads:
     def test_rows_do_not_depend_on_pool_size(self, config, monkeypatch):
         outputs = []
         for workers in (1, 3):
-            monkeypatch.setattr(cvqkd.finite_size, "_workers", lambda: workers)
+            monkeypatch.setattr(cvqkd.simulate, "_workers", lambda: workers)
             out = io.StringIO()
             with redirect_stdout(out):
                 assert main(["simulate", "--config", str(CONFIGS / config),
@@ -236,7 +239,7 @@ class TestStreamedRows:
     @pytest.mark.parametrize("config", ["coverage.ini", "microwave.ini"])
     def test_dump_does_not_change_the_row(self, tmp_path, monkeypatch, config,
                                           pulses, protocol, workers):
-        monkeypatch.setattr(cvqkd.finite_size, "_workers", lambda: workers)
+        monkeypatch.setattr(cvqkd.simulate, "_workers", lambda: workers)
         text = simulate_config(config, pulses, protocol)
         dump = tmp_path / "block.csv"
         plain = simulate_stdout(tmp_path, text)
@@ -250,7 +253,7 @@ class TestStreamedRows:
         # not raise the row's peak, with or without --dump, one worker holds
         # a few slices and no chunk, and each further worker adds under 1 MB
         def peak(pulses, workers, *tail):
-            monkeypatch.setattr(cvqkd.finite_size, "_workers", lambda: workers)
+            monkeypatch.setattr(cvqkd.simulate, "_workers", lambda: workers)
             text = simulate_config("coverage.ini", pulses, "heterodyne")
             tracemalloc.start()
             try:
