@@ -45,7 +45,6 @@ from .finite_size import (
 )
 from .noise import noise_map, setup_noise_from_thetas
 from .rates import (
-    SecurityType,
     check_point,
     estimated_point,
     microwave_los_holevo,
@@ -175,9 +174,8 @@ def _rate_plan(scenario: Scenario, clamp: bool):
     row runs _model_point, then the scalar kernels of rates and finite_size
     on its model and worst-case point fields, with ChannelPoint's checks."""
     p, prm = scenario.physics, scenario.params
-    channel, trust = scenario.channel, scenario.trust_level
+    channel, trust, los = scenario.channel, scenario.trust, scenario.security == "los"
     mobile, microwave = channel == "optical-mobile", channel == "microwave"
-    los = scenario.security_type is SecurityType.LOS
     eta_eff, n_b, nu, mu, beta = (p["eta_eff"], p.get("n_b", 0.0),
                                   scenario.nu_det, prm.mu, prm.beta)
     sx2, m_p, w = scenario.sigma_x2, nu * prm.m, prm.w
@@ -452,7 +450,7 @@ def _emit(rows, base_columns, scenario, args, command) -> None:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise ConfigError(message)
+        raise ConfigError(f"{message} (rule: usage)")
 
 
 @functools.cache
@@ -485,7 +483,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         with open(args.config, encoding="utf-8") as handle:
-            scenario = resolve_scenario(handle.read())
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"cannot read {args.config} as UTF-8: {exc} "
+                                  "(rule: config-encoding)") from exc
+        scenario = resolve_scenario(text)
         grid = _grid(scenario, args.command)
         mobile = scenario.channel == "optical-mobile"
         if args.command in ("rate", "sweep"):

@@ -41,7 +41,6 @@ from .noise import (
     theta_el,
     theta_ph,
 )
-from .rates import SecurityType, TrustLevel
 
 
 class ConfigError(ValueError):
@@ -79,7 +78,7 @@ def parse_quantity(text: str) -> float:
     """Parse '800 nm', '2^-33', '6 pW/rtHz', '1e7', 'inf' into an SI float."""
     match = _QUANTITY_RE.match(text.strip())
     if match is None:
-        raise ConfigError(f"cannot parse quantity {text!r}")
+        raise ConfigError(f"cannot parse quantity {text!r} (rule: quantity-syntax)")
     num, unit = match.group("num"), match.group("unit") or ""
     power = _POWER_RE.match(num)
     try:
@@ -87,20 +86,22 @@ def parse_quantity(text: str) -> float:
         value = math.pow(float(power.group("base")), float(power.group("exp"))) \
             if power else float(num)
     except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"cannot parse number {num!r} in {text!r}") from exc
+        raise ConfigError(f"cannot parse number {num!r} in {text!r} "
+                          "(rule: quantity-syntax)") from exc
     scale = _UNIT_SCALE.get(unit.lower())
     if scale is None:
-        raise ConfigError(f"unknown unit {unit!r} in {text!r}")
+        raise ConfigError(f"unknown unit {unit!r} in {text!r} (rule: quantity-syntax)")
     return value * scale
 
 
 class Scenario(Record):
     """Fully resolved scenario: validated choices, SI physics, protocol block.
 
-    derived echoes the scenario-level quantities computed during resolution
-    (setup-noise coefficients, thermal photon numbers, block arithmetic,
-    confidence parameter, epsilon budget). The rate kernels' trust and
-    security enums and the optical beam are built on first use, once.
+    trust (1, 2, 3) and security ("standard", "los") are the validated
+    choices that the rate kernels read as they are. derived echoes the
+    scenario-level quantities computed during resolution (setup-noise
+    coefficients, thermal photon numbers, block arithmetic, confidence
+    parameter, epsilon budget). The optical beam is built on first use, once.
     """
 
     def __init__(self, channel: str, nu_det: int, lo_kind: str | None, trust: int,
@@ -120,14 +121,6 @@ class Scenario(Record):
     @property
     def sigma_x2(self) -> float:
         return self.params.mu - 1.0
-
-    @cached_property
-    def trust_level(self) -> TrustLevel:
-        return TrustLevel(self.trust)
-
-    @cached_property
-    def security_type(self) -> SecurityType:
-        return SecurityType(self.security)
 
     @cached_property
     def beam(self) -> BeamConfig:
@@ -238,7 +231,8 @@ def _value(name: str, key: str, text: str):
     elif kind == "bool":
         value = _BOOLEANS.get(text.strip().lower())
         if value is None:
-            raise ConfigError(f"[{name}] {key}: cannot parse boolean {text!r}")
+            raise ConfigError(f"[{name}] {key}: cannot parse boolean {text!r} "
+                              "(rule: boolean-syntax)")
     else:
         try:
             value = parse_quantity(text)
@@ -269,13 +263,14 @@ def _section(parser, name: str, channel: str) -> dict | None:
     values = {}
     for key, text in parser.items(name):
         if key not in keys:
-            raise ConfigError(f"unknown key {key!r} in [{name}]")
+            raise ConfigError(f"unknown key {key!r} in [{name}] (rule: unknown-key)")
         if channel not in keys[key][0]:
-            raise ConfigError(f"[{name}] {key} does not apply to the {channel} channel")
+            raise ConfigError(f"[{name}] {key} does not apply to the {channel} channel "
+                              "(rule: key-not-for-channel)")
         values[key] = _value(name, key, text)
     for key in _REQUIRED[name, channel]:
         if key not in values:
-            raise ConfigError(f"missing key {key!r} in [{name}]")
+            raise ConfigError(f"missing key {key!r} in [{name}] (rule: required-key)")
     return values
 
 
@@ -291,7 +286,8 @@ def _valid_block(section: str):
         raise
     except (ValueError, ArithmeticError) as exc:
         detail = exc if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
-        raise ConfigError(f"invalid [{section}] block: {detail}") from exc
+        raise ConfigError(f"invalid [{section}] block: {detail} "
+                          "(rule: block-consistency)") from exc
 
 
 def resolve_scenario(text: str) -> Scenario:
@@ -300,18 +296,20 @@ def resolve_scenario(text: str) -> Scenario:
     try:
         parser.read_file(io.StringIO(text))
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
+        # one line: configparser spreads its message over several
+        raise ConfigError(f"cannot parse config: {' '.join(str(exc).split())} "
+                          "(rule: config-syntax)") from exc
 
     unknown_sections = sorted(set(parser.sections()) - _KEYS.keys())
     if unknown_sections:
-        raise ConfigError(f"unknown section [{unknown_sections[0]}]")
+        raise ConfigError(f"unknown section [{unknown_sections[0]}] (rule: unknown-section)")
     for name in ("scenario", "physics", "protocol"):
         if not parser.has_section(name):
-            raise ConfigError(f"missing section [{name}]")
+            raise ConfigError(f"missing section [{name}] (rule: required-section)")
 
     # the channel first: every other key's channel set is checked against it
     if not parser.has_option("scenario", "channel"):
-        raise ConfigError("missing key 'channel' in [scenario]")
+        raise ConfigError("missing key 'channel' in [scenario] (rule: required-key)")
     channel = _value("scenario", "channel", parser.get("scenario", "channel"))
     scen = _section(parser, "scenario", channel)
     nu_det = 1 if scen["protocol"].startswith("hom") else 2
@@ -349,7 +347,7 @@ def resolve_scenario(text: str) -> Scenario:
         protocol.update(dict.fromkeys(epsilons, protocol.pop("eps")))
     missing = [key for key in epsilons if key not in protocol]
     if missing:
-        raise ConfigError(f"missing key {missing[0]!r} in [protocol]")
+        raise ConfigError(f"missing key {missing[0]!r} in [protocol] (rule: required-key)")
     f_et = protocol.get("f_et", 0.0)
     if attack == "general" and f_et <= 0.0:
         raise ConfigError("general attacks need an energy-test fraction f_et > 0 "

@@ -443,7 +443,7 @@ class FadingEstimatorSet(Record):
 
 def window_bounds(params: ProtocolParams, fading: FadingModel, noise: Callable,
                   th_el: float, th_ph: float, lo_kind: str, eta_eff: float,
-                  sigma_x2: float, nu_det: int, f_th: float = 0.8) -> tuple:
+                  sigma_x2: float, nu_det: int, f_th: float) -> tuple:
     """(tau_min, p_Delta, tau_lb, n_ub, n_b_ub, warnings): the worst case of
     the fading window [tau_min, tau_max] = [f_th * eta, eta] of a link whose
     noise photons at transmissivity tau are noise(tau) (noise.noise_map).
@@ -479,8 +479,8 @@ def window_bounds(params: ProtocolParams, fading: FadingModel, noise: Callable,
 
 def mobile_worst_case(params: ProtocolParams, fading: FadingModel, th_el: float,
                       th_ph: float, lo_kind: str, eta_eff: float, n_b: float,
-                      sigma_x2: float, nu_det: int, f_th: float = 0.8,
-                      bins: int = 50, n_other: float = 0.0) -> FadingEstimatorSet:
+                      sigma_x2: float, nu_det: int, f_th: float, bins: int,
+                      n_other: float = 0.0) -> FadingEstimatorSet:
     """The window of window_bounds as a FadingEstimatorSet over bins bins.
 
     One noise law, noise_map at these arguments, serves the window's bounds

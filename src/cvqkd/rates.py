@@ -1,17 +1,18 @@
 """Asymptotic secret-key rates for Gaussian-modulated coherent-state QKD
 with reverse reconciliation.
 
-Trust levels grade how much of the loss/noise budget is conceded to the
-eavesdropper:
+Trust levels, the config's trust = 1|2|3 (``TrustLevel`` to library
+callers; its members equal the ints), grade how much of the loss/noise
+budget is conceded to the eavesdropper:
 
-* ``PASSIVE`` - channel loss and background are genuine; Eve only collects
+* 1, passive - channel loss and background are genuine; Eve only collects
   the light that misses the receiver.
-* ``TRUSTED_NOISE`` - Eve supplies the loss (beamsplitter attack) but the
+* 2, trusted noise - Eve supplies the loss (beamsplitter attack) but the
   thermal background is genuine.
-* ``UNTRUSTED`` - every photon of loss and noise is Eve's.
+* 3, untrusted - every photon of loss and noise is Eve's.
 
-Line-of-sight security additionally restricts Eve to the leakage modes,
-never the direct link.
+Line-of-sight security (security = los) additionally restricts Eve to the
+leakage modes, never the direct link.
 """
 
 from __future__ import annotations
@@ -45,21 +46,6 @@ class TrustLevel(enum.IntEnum):
     PASSIVE = 1
     TRUSTED_NOISE = 2
     UNTRUSTED = 3
-
-
-# The members as module names, for the rate kernels: on CPython 3.11 each
-# lookup of an enum class attribute costs a descriptor call, about 0.2 us.
-PASSIVE, TRUSTED_NOISE, UNTRUSTED = TrustLevel
-
-
-class SecurityType(enum.Enum):
-    STANDARD = "standard"
-    LOS = "los"
-
-
-def _member(kind: type, value):
-    """value as a member of the enum kind; a member passes through as is."""
-    return value if type(value) is kind else kind(value)
 
 
 def check_point(eta_ch: float, eta_eff: float, n_b: float, n_ex: float,
@@ -160,7 +146,7 @@ def _two_mode_entropy(delta: float, root_det: float, split: float) -> float:
 
 
 def point_holevo(eta_ch: float, eta_eff: float, n_b: float, n_ex: float,
-                 nu_det: int, mu: float, trust: TrustLevel,
+                 nu_det: int, mu: float, trust: int,
                  los: bool = False) -> float:
     """Holevo bound chi(E:y) of the point with ChannelPoint's fields, from
     the symplectic invariants of Eve's state.
@@ -197,15 +183,15 @@ def point_holevo(eta_ch: float, eta_eff: float, n_b: float, n_ex: float,
 
     Each eigenvalue passes the domain check of :func:`entropic_h`.
     """
-    if los and trust is UNTRUSTED:
+    if los and trust == 3:
         raise ValueError("line-of-sight security requires a trusted noise source")
     tau = eta_ch * eta_eff
     nbar = eta_eff * n_b + n_ex
-    if trust is PASSIVE:
+    if trust == 1:
         eta, kappa, n_e = eta_ch, eta_eff, n_b
     else:
         eta, kappa = tau, 1.0
-        n_e = eta_eff * n_b if trust is TRUSTED_NOISE else nbar
+        n_e = eta_eff * n_b if trust == 2 else nbar
     eps = 1.0 - eta
     s = 2.0 * n_e + eps
     lag = s - eps * mu           # nu1 - nu2 = phi - omega = -lag
@@ -263,10 +249,10 @@ def point_holevo(eta_ch: float, eta_eff: float, n_b: float, n_ex: float,
             - _two_mode_entropy(delta_c, root_det_c, split_c))
 
 
-def holevo_standard(ch: ChannelPoint, trust: TrustLevel) -> float:
+def holevo_standard(ch: ChannelPoint, trust: int) -> float:
     """Standard-security :func:`point_holevo` of a ChannelPoint."""
     return point_holevo(ch.eta_ch, ch.eta_eff, ch.n_b, ch.n_ex, ch.nu_det, ch.mu,
-                        _member(TrustLevel, trust))
+                        TrustLevel(trust))
 
 
 def holevo_untrusted_closed_form(ch: ChannelPoint) -> float:

@@ -99,7 +99,7 @@ def empirical_estimators(x, y, nu_det: int) -> EstimatorSnapshot:
         x.size), x.size, nu_det)
 
 
-def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
+def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Philox generator for an explicitly keyed stream."""
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -68,9 +68,7 @@ from cvqkd.noise import setup_noise_from_thetas
 from cvqkd.rates import (
     BONA_FIDE_TOL,
     ChannelPoint,
-    SecurityType,
     TrustLevel,
-    _member,
     bob_variance,
     holevo_standard,
     microwave_los_holevo,
@@ -174,7 +172,7 @@ def eve_joint_cm(ch: ChannelPoint, trust: TrustLevel) -> EveState:
     eta -> 1. Raises for an identity channel (eta_ch = 1 for the passive
     level, tau = 1 otherwise), where the dilation degenerates.
     """
-    trust = _member(TrustLevel, trust)
+    trust = TrustLevel(trust)
     tau = ch.tau
     mu = ch.mu
     b = bob_variance(tau, ch.nbar, mu)
@@ -256,11 +254,12 @@ def mutual_information(ch: ChannelPoint) -> float:
 def holevo_los(ch: ChannelPoint, trust: TrustLevel) -> float:
     """Line-of-sight :func:`cvqkd.rates.point_holevo` of a ChannelPoint."""
     return point_holevo(ch.eta_ch, ch.eta_eff, ch.n_b, ch.n_ex, ch.nu_det, ch.mu,
-                        _member(TrustLevel, trust), los=True)
+                        TrustLevel(trust), los=True)
 
 
-def holevo(ch: ChannelPoint, trust: TrustLevel, security: SecurityType) -> float:
-    if _member(SecurityType, security) is SecurityType.LOS:
+def holevo(ch: ChannelPoint, trust: TrustLevel, security: str) -> float:
+    """chi(E:y) under the config's security, "standard" or "los"."""
+    if security == "los":
         return holevo_los(ch, trust)
     return holevo_standard(ch, trust)
 
@@ -272,7 +271,7 @@ def _report(ch: ChannelPoint, beta: float, chi: float) -> RateReport:
     return RateReport(rate=beta * mi - chi, mutual_information=mi, holevo=chi)
 
 
-def asymptotic_rate(ch: ChannelPoint, trust: TrustLevel, security: SecurityType,
+def asymptotic_rate(ch: ChannelPoint, trust: TrustLevel, security: str,
                     beta: float) -> RateReport:
     """R = beta * I(x:y) - chi(E:y), not clamped at zero."""
     return _report(ch, beta, holevo(ch, trust, security))
@@ -341,8 +340,8 @@ def _rate_row(scenario, x: float) -> dict:
     p = scenario.physics
     prm = scenario.params
     nu, sx2 = scenario.nu_det, scenario.sigma_x2
-    trust, security = scenario.trust_level, scenario.security_type
-    los_microwave = scenario.channel == "microwave" and security is SecurityType.LOS
+    trust, security = scenario.trust, scenario.security
+    los_microwave = scenario.channel == "microwave" and security == "los"
     pt = _model_point(scenario, x)
     eta_ch, tau, warnings = pt["eta_ch"], pt["tau"], pt["warnings"]
     eta_eff = p["eta_eff"]

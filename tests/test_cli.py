@@ -523,10 +523,11 @@ class TestUnreadableValue:
     starts with its section and key."""
 
     @pytest.mark.parametrize("old, new, message", [
-        ("nep = 6 pW/rtHz", "nep = abc", "[physics] nep: cannot parse quantity 'abc'"),
+        ("nep = 6 pW/rtHz", "nep = abc",
+         "[physics] nep: cannot parse quantity 'abc' (rule: quantity-syntax)"),
         ("mu = 10\n", "mu = 10\nimproved_aep = maybe\n",
-         "[protocol] improved_aep: cannot parse boolean 'maybe'"),
-        ("d = 32", "d = abc", "[protocol] d: cannot parse quantity 'abc'"),
+         "[protocol] improved_aep: cannot parse boolean 'maybe' (rule: boolean-syntax)"),
+        ("d = 32", "d = abc", "[protocol] d: cannot parse quantity 'abc' (rule: quantity-syntax)"),
     ])
     def test_message_names_the_key(self, tmp_path, capsys, old, new, message):
         assert_config_error(tmp_path, capsys, shipped("fiber_fixed_loss.ini", old, new),
@@ -568,6 +569,16 @@ def without_section(text: str, section: str) -> str:
     return head + tail[tail.index("\n["):] if "\n[" in tail else head
 
 
+def assert_rule_error(capsys, argv, rule):
+    """main(argv) exits 1 with no output and one stderr line, never a
+    traceback, that ends with the rule."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.endswith(f"(rule: {rule})\n"), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestUsageErrors:
     """A command whose config lacks a section it reads, and coverage on a
     fading link, exit 1 with no output and a one-line error that ends with
@@ -585,11 +596,64 @@ class TestUsageErrors:
     def test_error_names_its_rule(self, tmp_path, capsys, command, text, rule):
         path = tmp_path / "scenario.ini"
         path.write_text(text)
-        code = main([command, "--config", str(path)])
-        out, err = capsys.readouterr()
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ") and err.endswith(f"(rule: {rule})\n")
-        assert err.count("\n") == 1
+        assert_rule_error(capsys, [command, "--config", str(path)], rule)
+
+
+FIBER_INI = (CONFIGS / "fiber_fixed_loss.ini").read_text(encoding="utf-8")
+
+
+class TestEveryErrorNamesItsRule:
+    """Each way a config file or a command line fails, from undecodable bytes
+    to an argparse usage error, exits 1 with no output and one stderr line,
+    never a traceback, that ends with its rule."""
+
+    @pytest.mark.parametrize("content, rule", [
+        pytest.param(b"\xff\xfe[scenario]\n", "config-encoding", id="not-utf-8"),
+        pytest.param(shipped("fiber_fixed_loss.ini", "nep = 6 pW/rtHz", "nep = abc"),
+                     "quantity-syntax", id="quantity"),
+        pytest.param(shipped("fiber_fixed_loss.ini", "nep = 6 pW/rtHz", "nep = 0^-1"),
+                     "quantity-syntax", id="number"),
+        pytest.param(shipped("fiber_fixed_loss.ini", "nep = 6 pW/rtHz", "nep = 6 furlongs"),
+                     "quantity-syntax", id="unit"),
+        pytest.param(shipped("fiber_fixed_loss.ini", "mu = 10\n",
+                             "mu = 10\nimproved_aep = maybe\n"),
+                     "boolean-syntax", id="boolean"),
+        pytest.param(shipped("fiber_fixed_loss.ini", "n_b = 0.002", "n_b = 0.002\nbogus = 1"),
+                     "unknown-key", id="unknown-key"),
+        pytest.param(shipped("fiber_fixed_loss.ini", "n_b = 0.002", "n_b = 0.002\ng = 1"),
+                     "key-not-for-channel", id="key-not-for-channel"),
+        pytest.param(shipped("fiber_fixed_loss.ini", "nep = 6 pW/rtHz\n", ""),
+                     "required-key", id="missing-key"),
+        pytest.param(shipped("fiber_fixed_loss.ini", "channel = fixed-loss\n", ""),
+                     "required-key", id="missing-channel"),
+        pytest.param(shipped("fiber_fixed_loss.ini", "eps = 2^-33\n", "eps_pe = 2^-33\n"),
+                     "required-key", id="missing-epsilon"),
+        pytest.param(shipped("fiber_fixed_loss.ini", "nep = 6 pW/rtHz", "nep = 1e200 W/rtHz"),
+                     "block-consistency", id="overflow"),
+        pytest.param(shipped("fiber_fixed_loss.ini", "m = 1e6", "m = 1e7"),
+                     "block-consistency", id="m-exceeds-block"),
+        pytest.param("stray line\n" + FIBER_INI, "config-syntax", id="no-section-header"),
+        pytest.param(shipped("fiber_fixed_loss.ini", "[point]\n", "[point]\nno value\n"),
+                     "config-syntax", id="line-without-value"),
+        pytest.param(FIBER_INI + "\n[plotting]\nstyle = dark\n", "unknown-section",
+                     id="unknown-section"),
+        pytest.param(without_section(FIBER_INI, "physics"), "required-section",
+                     id="missing-section"),
+    ])
+    def test_config_error(self, tmp_path, capsys, content, rule):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        assert_rule_error(capsys, ["rate", "--config", str(path)], rule)
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param([], id="no-command"),
+        pytest.param(["launch", "--config", "x.ini"], id="unknown-command"),
+        pytest.param(["rate"], id="no-config"),
+        pytest.param(["rate", "--config", "x.ini", "--format", "xml"], id="bad-choice"),
+        pytest.param(["rate", "--config", "x.ini", "--seed", "one"], id="bad-int"),
+    ])
+    def test_usage_error(self, capsys, argv):
+        assert_rule_error(capsys, argv, "usage")
 
 
 class TestPositiveModulation:
@@ -1683,6 +1747,16 @@ class TestNoDeadCode:
                    if "<< 40" in line]
         assert spelled == [("simulate", "X, NOISE, DEFLECTIONS, PILOTS, DEFADE = "
                                         "(k << 40 for k in range(5))")]
+
+    def test_config_imports_nothing_from_rates(self):
+        # config hands trust and security on as the values it validated;
+        # the rate kernels read them as they are, so config needs no rates name
+        tree = ast.parse((ROOT / "src" / "cvqkd" / "config.py").read_text(encoding="utf-8"))
+        imported = [f"{node.module or ''}.{alias.name}" if isinstance(node, ast.ImportFrom)
+                    else alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+        assert ".Record" in imported
+        assert [name for name in imported if "rates" in name.split(".")] == []
 
     def test_gate_imports_every_listed_oracle(self):
         gate = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))

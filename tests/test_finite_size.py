@@ -634,7 +634,8 @@ class TestMobileWorstCase:
                               eps_pe=2.0**-33, eps_s=2.0**-33, eps_h=2.0**-33,
                               eps_cor=2.0**-33, mu=10.0, d=32)
 
-    def traced(self, monkeypatch, lo_kind="llo", th_ph=TH_PH, z=5.0, **kwargs):
+    def traced(self, monkeypatch, lo_kind="llo", th_ph=TH_PH, z=5.0, f_th=0.8, bins=50,
+               **kwargs):
         """mobile_worst_case on the reference link, with what its window
         computed on the way: (set, window_bounds' tuple, the arguments of
         worst_case_bounds, those of background_bound). Each is called once."""
@@ -646,7 +647,7 @@ class TestMobileWorstCase:
                 return result
             monkeypatch.setattr(finite_size, name, recording)
         fs = mobile_worst_case(self.params(), self.fading(z), self.TH_EL, th_ph, lo_kind,
-                               0.7, 0.019, 9.0, 2, **kwargs)
+                               0.7, 0.019, 9.0, 2, f_th=f_th, bins=bins, **kwargs)
         monkeypatch.undo()
         assert [len(seen[name]) for name in ("window_bounds", "worst_case_bounds",
                                              "background_bound")] == [1, 1, 1]
@@ -697,7 +698,8 @@ class TestMobileWorstCase:
             fad = self.fading(z)
             for lo_kind, th_ph in (("llo", self.TH_PH), ("tlo", 0.0)):
                 fs = mobile_worst_case(self.params(), fad, self.TH_EL, th_ph,
-                                       lo_kind, 0.7, 0.019, 9.0, 2, n_other=0.01)
+                                       lo_kind, 0.7, 0.019, 9.0, 2, f_th=0.8, bins=50,
+                                       n_other=0.01)
                 assert math.fsum(fs.bin_probabilities) == pytest.approx(fs.p_delta,
                                                                         rel=1e-12)
                 edges = np.linspace(fs.lattice.tau_min, fs.lattice.tau_max, 51)
@@ -747,10 +749,11 @@ class TestMobileWorstCase:
                               eps_cor=2.0**-33, mu=10.0, d=32)
         args = (self.fading(), self.TH_EL, self.TH_PH, "llo", 0.7, 0.019, 9.0, 2)
         law = noise_map(self.TH_EL, self.TH_PH, "llo", 0.7, 0.019)
-        window_args = (self.fading(), law, self.TH_EL, self.TH_PH, "llo", 0.7, 9.0, 2)
+        window_args = (self.fading(), law, self.TH_EL, self.TH_PH, "llo", 0.7, 9.0, 2, 0.8)
         window = window_bounds(tiny, *window_args)
         assert window[2] == TAU_FLOOR
-        assert window[-1] == mobile_worst_case(tiny, *args).warnings == ("tau_lb_floored",)
+        assert window[-1] == mobile_worst_case(tiny, *args, f_th=0.8, bins=50).warnings \
+            == ("tau_lb_floored",)
 
     def test_untrusted_photons_credited_to_eve(self, monkeypatch):
         # n_other enters the worst case and the de-faded average, not the
@@ -817,7 +820,7 @@ class TestMobileWorstCase:
     def test_validation(self):
         with pytest.raises(ValueError):
             mobile_worst_case(self.params(), self.fading(), self.TH_EL, self.TH_PH,
-                              "llo", 0.7, 0.019, 9.0, 2, f_th=1.0)
+                              "llo", 0.7, 0.019, 9.0, 2, f_th=1.0, bins=50)
         with pytest.raises(ValueError):
             mobile_worst_case(self.params(), self.fading(), self.TH_EL, self.TH_PH,
-                              "plo", 0.7, 0.019, 9.0, 2)
+                              "plo", 0.7, 0.019, 9.0, 2, f_th=0.8, bins=50)

@@ -21,7 +21,7 @@ from cvqkd.channel import diffraction_transmissivity, microwave_transmissivity, 
 from cvqkd.cli import evaluate_rate_point
 from cvqkd.config import _KEY_TABLE, ConfigError, Scenario, resolve_scenario
 from cvqkd.finite_size import TAU_FLOOR
-from cvqkd.rates import ChannelPoint, SecurityType, TrustLevel
+from cvqkd.rates import ChannelPoint, TrustLevel
 from oracles import asymptotic_rate
 from test_cli import set_key
 
@@ -202,7 +202,7 @@ class TestRepeaterlessCeiling:
                           nu_det=nu_det, mu=1.0 + sigma_x2)
         ceiling = -math.log2(1.0 - eta_ch)
         for trust in TrustLevel:
-            assert asymptotic_rate(ch, trust, SecurityType.STANDARD, 1.0).rate <= ceiling
+            assert asymptotic_rate(ch, trust, "standard", 1.0).rate <= ceiling
 
     @CEILING
     @given(protocol=st.sampled_from(("homodyne", "heterodyne")),

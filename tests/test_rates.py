@@ -11,7 +11,6 @@ from cvqkd.config import resolve_scenario
 from cvqkd.gaussian import entropic_h, two_mode_blocks
 from cvqkd.rates import (
     ChannelPoint,
-    SecurityType,
     TrustLevel,
     bob_variance,
     holevo_standard,
@@ -161,7 +160,7 @@ class TestTrustAndSecurityOrdering:
         for kw in self.GRID:
             ch = ChannelPoint(**kw)
             r1, r2, r3 = (
-                asymptotic_rate(ch, t, SecurityType.STANDARD, 0.95).rate
+                asymptotic_rate(ch, t, "standard", 0.95).rate
                 for t in TrustLevel
             )
             assert r3 <= r2 + 1e-12 and r2 <= r1 + 1e-12
@@ -293,19 +292,19 @@ class TestMicrowaveLoS:
 class TestAsymptoticRate:
     def test_report_composition(self):
         ch = point(n_ex=0.01)
-        rep = asymptotic_rate(ch, TrustLevel.UNTRUSTED, SecurityType.STANDARD, 0.95)
+        rep = asymptotic_rate(ch, TrustLevel.UNTRUSTED, "standard", 0.95)
         assert rep.rate == pytest.approx(0.95 * rep.mutual_information - rep.holevo)
         assert rep.holevo == pytest.approx(holevo(ch, TrustLevel.UNTRUSTED,
-                                                  SecurityType.STANDARD))
+                                                  "standard"))
 
     def test_rate_can_be_negative(self):
         ch = point(tau=0.05, n_ex=0.5)
-        assert asymptotic_rate(ch, TrustLevel.UNTRUSTED, SecurityType.STANDARD,
+        assert asymptotic_rate(ch, TrustLevel.UNTRUSTED, "standard",
                                0.95).rate < 0.0
 
     def test_beta_validation(self):
         with pytest.raises(ValueError):
-            asymptotic_rate(point(), TrustLevel.UNTRUSTED, SecurityType.STANDARD, 0.0)
+            asymptotic_rate(point(), TrustLevel.UNTRUSTED, "standard", 0.0)
 
 
 class TestPlobBound:
