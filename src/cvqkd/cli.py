@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from numbers import Integral
 
@@ -270,43 +271,43 @@ def evaluate_rate_point(scenario: Scenario, x: float, clamp: bool) -> dict:
                     _rate_rows(scenario, (x,), clamp)[0]))
 
 
-def _dump_block(path: str, chunks) -> None:
-    """Write a block's ordered (pilot, x, y, tau, bins) chunks as CSV (write_dump)."""
-    from .simulate import write_dump
-
-    with open(path, "wb") as handle:
-        write_dump(handle, chunks)
+def _dump_block(path: str, write):
+    """write(handle) on the binary file at path, the dump of a block; a row
+    that fails (ValueError) removes the file only if this call created it."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "wb") as handle:
+            return write(handle)
+    except ValueError:
+        if not existed and os.path.isfile(path):
+            os.remove(path)
+        raise
 
 
 def _simulation_row(scenario: Scenario, x: float, seed: int,
                     dump: str) -> tuple:
-    from .simulate import (defade_block, empirical_estimators, simulate_chunks,
-                           simulate_estimators, simulate_fading_block)
+    from .simulate import (defaded_estimators, dumped, fading_slices, simulate_chunks,
+                           simulate_estimators, write_dump)
 
-    pulses = scenario.simulate["pulses"]
+    pulses, nu = scenario.simulate["pulses"], scenario.nu_det
     pt = _model_point(scenario, x)
     if scenario.channel == "optical-mobile":
         p = scenario.physics
         fs = mobile_worst_case(scenario.params, pt["fading"], n_b=p["n_b"],
                                n_other=p.get("n_other", 0.0), bins=scenario.bins,
                                **_window_args(scenario))
-        block = simulate_fading_block(
-            pt["fading"], fs.noise, scenario.nu_det, scenario.sigma_x2, pulses,
-            seed, pilot_rate=scenario.simulate.get("pilot_rate", 0.0))
-        bins = fs.lattice.assign(block.tau_samples)
-        faded = defade_block(block, fs.lattice, seed + 1, bins)
-        disclosed = faded.disclosed()
-        snap, y = empirical_estimators(*disclosed, scenario.nu_det), disclosed[1]
-        row = (x, pulses, faded.pairs, fs.p_delta, faded.pairs / block.pairs,
-               fs.lattice.tau_min, fs.n_star,
-               fs.lattice.tau_min * scenario.sigma_x2 + 2.0 * fs.n_star
-               + scenario.nu_det, snap.tau_hat, snap.n_hat,
-               float((y * y).mean()), ";".join(fs.warnings), "")
-        if dump:  # after the row: a row that fails writes no dump
-            _dump_block(dump, [(block.pilot_mask, block.x, block.y, block.tau_samples, bins)])
-        return row
+        block = ((pilot, *pair, tau, fs.lattice.assign(tau)) for *pair, tau, pilot
+                 in fading_slices(pt["fading"], fs.noise, nu, scenario.sigma_x2, pulses,
+                                  seed, scenario.simulate.get("pilot_rate", 0.0)))
+        reduce = functools.partial(defaded_estimators, fs.lattice, seed=seed + 1, nu_det=nu)
+        # with --dump, each slice is written as it is reduced
+        snap, kept, defade_var = _dump_block(dump, lambda handle: reduce(
+            dumped(handle, block))) if dump else reduce(block)
+        return (x, pulses, kept, fs.p_delta, kept / (nu * pulses), fs.lattice.tau_min,
+                fs.n_star, fs.lattice.tau_min * scenario.sigma_x2 + 2.0 * fs.n_star + nu,
+                snap.tau_hat, snap.n_hat, defade_var, ";".join(fs.warnings), "")
     tau, nbar, warnings = pt["tau"], pt["nbar"], pt["warnings"]
-    law = (tau, nbar, scenario.nu_det, scenario.sigma_x2, pulses, seed)
+    law = (tau, nbar, nu, scenario.sigma_x2, pulses, seed)
     snap = simulate_estimators(*law)
     tau_lo, tau_hi, n_hi, _, floored = worst_case_bounds(
         snap.tau_hat, max(snap.n_hat, 0.0), scenario.sigma_x2, snap.sigma_z2_hat,
@@ -314,7 +315,8 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
     if floored:
         warnings.append("tau_lo_floored")
     if dump:  # the same pairs, drawn again one chunk at a time to be written
-        _dump_block(dump, ((None, *pairs, tau, -1) for pairs in simulate_chunks(*law)))
+        _dump_block(dump, lambda handle: write_dump(handle, (
+            (None, *pairs, tau, -1) for pairs in simulate_chunks(*law))))
     return (x, pulses, snap.m_p, tau, nbar, snap.tau_hat, snap.sigma_z2_hat,
             snap.n_hat, tau_lo, tau_hi, n_hi, ";".join(warnings), "")
 

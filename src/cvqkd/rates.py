@@ -151,9 +151,9 @@ def point_holevo(eta_ch: float, eta_eff: float, n_b: float, n_ex: float,
     """Holevo bound chi(E:y) of the point with ChannelPoint's fields, from
     the symplectic invariants of Eve's state.
 
-    Eve's dilation: eta = eta_ch, kappa = eta_eff, n_E = n_b (passive Eve);
-    otherwise eta = tau, kappa = 1 and n_E = eta_eff n_b (trusted noise) or
-    nbar. Line-of-sight security (los) gives Eve only the leakage mode of
+    Eve's dilation: eta = eta_ch, kappa = eta_eff, n_E = n_b (trust 1);
+    otherwise eta = tau, kappa = 1 and n_E = eta_eff n_b (2) or nbar (3),
+    no other. Line-of-sight security (los) gives Eve only the leakage mode of
     the dilation (the test oracle `eve_joint_cm` in tests/oracles.py), whose
     eps phi = eta s + eps^2 mu and eps theta^2 = kappa eta (s - eps mu)^2.
 
@@ -189,9 +189,10 @@ def point_holevo(eta_ch: float, eta_eff: float, n_b: float, n_ex: float,
     nbar = eta_eff * n_b + n_ex
     if trust == 1:
         eta, kappa, n_e = eta_ch, eta_eff, n_b
+    elif trust == 2 or trust == 3:
+        eta, kappa, n_e = tau, 1.0, eta_eff * n_b if trust == 2 else nbar
     else:
-        eta, kappa = tau, 1.0
-        n_e = eta_eff * n_b if trust == 2 else nbar
+        raise ValueError(f"trust must be 1, 2 or 3, not {trust!r}")
     eps = 1.0 - eta
     s = 2.0 * n_e + eps
     lag = s - eps * mu           # nu1 - nu2 = phi - omega = -lag

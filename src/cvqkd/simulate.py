@@ -3,10 +3,11 @@
 Randomness uses the counter-based Philox generator keyed by (seed, stream):
 a block is drawn in CHUNK-sized chunks keyed by their pair-index range, so it
 is bit-identical however the chunks are scheduled. This module owns that
-chunk law. No constant-channel block is kept: its chunks are drawn SLICE
-pairs at a time, each on from the last, simulate_estimators reduces each
-slice in cache, simulate_chunks yields the slices for write_dump, and
-empirical_estimators reduces arrays over the same slices, bit for bit.
+chunk law. Only _pair_slices draws pairs, SLICE at a time, each slice on
+from the last, by a per-slice law: constant (simulate_estimators reduces the
+slices on threads, simulate_chunks yields them to write_dump) or fading
+(fading_slices; defaded_estimators reduces them in order, as dumped writes
+them). No block is kept but by simulate_fading_block and defade_block.
 The O(1)-per-round coverage sampler of finite_size uses random, not numpy.
 """
 
@@ -83,85 +84,67 @@ def combine_chunks(chunks: list, m: int, nu_det: int) -> EstimatorSnapshot:
     return EstimatorSnapshot(t_hat, s2, t_hat * t_hat, (s2 - nu_det) / 2.0, m)
 
 
-def empirical_estimators(x, y, nu_det: int) -> EstimatorSnapshot:
-    """Maximum-likelihood estimates from disclosed quadrature pairs (arrays):
-    T_hat = sum(xy)/sum(x^2), sigma_z2_hat the mean squared residual,
-    tau_hat = T_hat^2 and n_hat = (sigma_z2_hat - nu_det)/2, by chunk_sums
-    over the slices of a streamed simulate row, bit for bit, and combine_chunks."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ValueError("x and y must be equal-length 1-d arrays with >= 2 entries")
-    if nu_det not in (1, 2):
-        raise ValueError("nu_det must be 1 or 2")
-    return combine_chunks(map_chunks(lambda a, b: [
-        chunk_sums(x[s:s + SLICE], y[s:s + SLICE]) for s in range(a, b, SLICE)],
-        x.size), x.size, nu_det)
-
-
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Philox generator for an explicitly keyed stream."""
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunked_normals(seed: int, stream_base: int, scale, count: int) -> np.ndarray:
-    """scale (a float or count floats) N(0, 1), drawn in place in chunks (see
-    map_chunks), chunk [start, stop) from stream stream_base + start."""
-    out = np.empty(count)
+def _normals(seed: int, base: int) -> Callable:
+    """n -> the next n N(0, 1) of a draw keyed as the pairs are: draw i from
+    stream base + (the start of its CHUNK), each stream on from the last read."""
+    at, rng = 0, None
 
-    def fill(start, stop):
-        chunk = out[start:stop]
-        stream_rng(seed, stream_base + start).standard_normal(out=chunk)
-        chunk *= scale[start:stop] if np.ndim(scale) else scale
+    def draw(n: int) -> np.ndarray:
+        nonlocal at, rng
+        out, a = np.empty(n), 0
+        while a < n:
+            if at % CHUNK == 0:
+                rng = stream_rng(seed, base + at)
+            b = min(n, a + CHUNK - at % CHUNK)
+            rng.standard_normal(out=out[a:b])
+            at, a = at + b - a, b
+        return out
 
-    map_chunks(fill, count)
-    return out
+    return draw
 
 
-def _pair_slices(seed: int, sigma_x: float, sigma_z: float, gain: float, start: int, stop: int):
-    """(x, y) of the pairs [start, stop) of the chunk from start, SLICE at a
-    time: x = sigma_x N(0, 1) from stream X + start and y = gain x + sigma_z
-    N(0, 1) from NOISE + start, each slice drawn on from the last (the
-    bits of one draw of the chunk) when it is asked for."""
-    x_rng, z_rng = stream_rng(seed, X + start), stream_rng(seed, NOISE + start)
+def _pair_slices(seed: int, sigma_x: float, law: Callable, start: int, stop: int):
+    """(x, y, *extra) of the pairs [start, stop), start a chunk's, SLICE at a
+    time: law(size) gives (gain, sigma_z, *extra) of the slice's pairs,
+    x = sigma_x N(0, 1) and y = gain x + sigma_z N(0, 1) from the streams X
+    + c and NOISE + c of the chunk from c, each slice drawn on from the last
+    (the bits of one draw of the chunk) when it is asked for."""
     for a in range(start, stop, SLICE):
+        if a % CHUNK == 0:
+            x_rng, z_rng = stream_rng(seed, X + a), stream_rng(seed, NOISE + a)
+        gain, sigma_z, *extra = law(min(SLICE, stop - a))
         x = x_rng.standard_normal(min(SLICE, stop - a))
         x *= sigma_x
         y = z_rng.standard_normal(x.size)
         y *= sigma_z
         y += gain * x
-        yield x, y
+        yield x, y, *extra
 
 
 class SimBlock(Record):
-    """Disclosed-variable view of one fading block, before or after de-fading.
-
-    x holds Alice's quadrature amplitudes and y Bob's outcomes, one row per
-    disclosed pair (nu_det pairs per pulse). tau_samples holds the per-pair
-    transmissivities of a fading block; pilot_mask marks pilot pairs.
-    """
+    """A whole fading block, before or after de-fading (simulate_fading_block,
+    defade_block): Alice's x and Bob's y, nu_det pairs per pulse, with the
+    pairs' sampled tau_samples and pilot_mask."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray, nu_det: int,
                  tau_samples: np.ndarray = None, pilot_mask: np.ndarray = None):
         self.__dict__.update(x=x, y=y, nu_det=nu_det, tau_samples=tau_samples,
                              pilot_mask=pilot_mask)
 
-    @property
-    def pairs(self) -> int:
-        return self.x.size
-
-    def disclosed(self) -> tuple:
-        """(x, y) of the disclosed pairs, the pilot pairs left out."""
-        keep = slice(None) if self.pilot_mask is None else ~self.pilot_mask
-        return self.x[keep], self.y[keep]
-
 
 def _constant_law(tau: float, nbar: float, nu_det: int, sigma_x2: float,
                   pulses: int) -> tuple:
-    """(sigma_x, sigma_z, gain, pairs) of y = sqrt(tau) x + z, var z = 2 nbar + nu_det."""
+    """(sigma_x, law, pairs) of y = sqrt(tau) x + z, var z = 2 nbar + nu_det:
+    law gives every slice the scalars (gain, sigma_z)."""
     _check_block(tau, nbar, nu_det, sigma_x2, pulses)
-    return math.sqrt(sigma_x2), math.sqrt(2.0 * nbar + nu_det), math.sqrt(tau), nu_det * pulses
+    scalars = (math.sqrt(tau), math.sqrt(2.0 * nbar + nu_det))
+    return math.sqrt(sigma_x2), lambda size: scalars, nu_det * pulses
 
 
 def simulate_estimators(tau: float, nbar: float, nu_det: int, sigma_x2: float,
@@ -171,83 +154,103 @@ def simulate_estimators(tau: float, nbar: float, nu_det: int, sigma_x2: float,
     (heterodyne reveals both quadratures of each pulse). No block is kept:
     each slice is drawn and reduced to its chunk_sums while it is in cache,
     one chunk per worker, and combine_chunks joins them."""
-    sigma_x, sigma_z, gain, pairs = _constant_law(tau, nbar, nu_det, sigma_x2, pulses)
+    sigma_x, law, pairs = _constant_law(tau, nbar, nu_det, sigma_x2, pulses)
     if pairs < 2:
         raise ValueError("at least two disclosed pairs required")
     return combine_chunks(map_chunks(lambda a, b: [chunk_sums(*pair) for pair in (
-        _pair_slices(seed, sigma_x, sigma_z, gain, a, b))], pairs), pairs, nu_det)
+        _pair_slices(seed, sigma_x, law, a, b))], pairs), pairs, nu_det)
 
 
 def simulate_chunks(tau: float, nbar: float, nu_det: int, sigma_x2: float,
                     pulses: int, seed: int):
     """(x, y) of each slice of the pairs that simulate_estimators reduces,
     in pair order (_pair_slices)."""
-    sigma_x, sigma_z, gain, pairs = _constant_law(tau, nbar, nu_det, sigma_x2, pulses)
-    for start in range(0, pairs, CHUNK):
-        yield from _pair_slices(seed, sigma_x, sigma_z, gain, start,
-                                min(start + CHUNK, pairs))
+    sigma_x, law, pairs = _constant_law(tau, nbar, nu_det, sigma_x2, pulses)
+    return _pair_slices(seed, sigma_x, law, 0, pairs)
+
+
+def fading_slices(fading: FadingModel, n_of_tau, nu_det: int, sigma_x2: float,
+                  pulses: int, seed: int, pilot_rate: float):
+    """(x, y, tau, pilot) of each slice of a beam-wandering block, in order:
+    per pulse, tau(r) of a Weibull deflection r (stream DEFLECTIONS), noise
+    photons n_of_tau(tau), a pilot at pilot_rate (stream PILOTS, None at rate
+    0), each repeated per quadrature, and y = sqrt(tau) x + z."""
+    if nu_det not in (1, 2) or sigma_x2 <= 0.0 or pulses < 1 or not 0.0 <= pilot_rate < 1.0:
+        raise ValueError("need nu_det 1 or 2, sigma_x2 > 0, pulses >= 1, pilot_rate in [0, 1)")
+    deflections, pilots = stream_rng(seed, DEFLECTIONS), stream_rng(seed, PILOTS)
+
+    def law(size: int) -> tuple:
+        tau = pointing_tau_approx(sample_deflections(
+            fading.sigma_p, size // nu_det, deflections), fading)
+        # a far-deflected pulse's tau underflows, so its TLO noise Theta_el / tau
+        # is infinite; post-selection discards the pulse
+        with np.errstate(divide="ignore", over="ignore"):
+            n = np.asarray(n_of_tau(tau), dtype=float)
+            sigma_z = np.sqrt(2.0 * np.repeat(n, nu_det) + nu_det)
+        if n.shape != tau.shape or np.any(n < 0.0):
+            raise ValueError("n_of_tau must map tau samples to non-negative photons")
+        pilot = np.repeat(pilots.random(tau.size) < pilot_rate, nu_det) if pilot_rate else None
+        tau = np.repeat(tau, nu_det)
+        return np.sqrt(tau), sigma_z, tau, pilot
+
+    return _pair_slices(seed, math.sqrt(sigma_x2), law, 0, nu_det * pulses)
 
 
 def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
                           sigma_x2: float, pulses: int, seed: int,
                           pilot_rate: float = 0.0) -> SimBlock:
-    """Simulate a beam-wandering block with per-pulse transmissivity.
-
-    The deflection radius is drawn from the Weibull law, mapped through the
-    tau(r) approximation, and the noise photons follow the per-tau model
-    n_of_tau (e.g. a local-LO setup-noise curve plus background).
-    """
-    if nu_det not in (1, 2):
-        raise ValueError("nu_det must be 1 or 2")
-    if sigma_x2 <= 0.0 or pulses < 1:
-        raise ValueError("sigma_x2 must be positive and pulses >= 1")
-    if not 0.0 <= pilot_rate < 1.0:
-        raise ValueError("pilot_rate must lie in [0, 1)")
-    rng = stream_rng(seed, DEFLECTIONS)
-    r = sample_deflections(fading.sigma_p, pulses, rng)
-    tau_pulse = pointing_tau_approx(r, fading)
-    # a far-deflected pulse's tau underflows, so its TLO noise Theta_el / tau
-    # is infinite; post-selection discards the pulse
-    with np.errstate(divide="ignore", over="ignore"):
-        n_pulse = np.asarray(n_of_tau(tau_pulse), dtype=float)
-        sigma_z = np.sqrt(2.0 * np.repeat(n_pulse, nu_det) + nu_det)
-    if n_pulse.shape != tau_pulse.shape or np.any(n_pulse < 0.0):
-        raise ValueError("n_of_tau must map tau samples to non-negative photons")
-
-    tau_pair = np.repeat(tau_pulse, nu_det)
-    # x and the noise from the streams of _pair_slices, each chunk drawn at once
-    x = _chunked_normals(seed, X, math.sqrt(sigma_x2), tau_pair.size)
-    y = _chunked_normals(seed, NOISE, sigma_z, tau_pair.size)
-    y += np.sqrt(tau_pair) * x
-    pilot_mask = None
-    if pilot_rate > 0.0:
-        pilot_pulse = stream_rng(seed, PILOTS).random(pulses) < pilot_rate
-        pilot_mask = np.repeat(pilot_pulse, nu_det)
-    return SimBlock(x=x, y=y, nu_det=nu_det, tau_samples=tau_pair,
-                    pilot_mask=pilot_mask)
+    """The whole beam-wandering block of fading_slices, its slices joined."""
+    x, y, tau, pilot = zip(*fading_slices(fading, n_of_tau, nu_det, sigma_x2,
+                                          pulses, seed, pilot_rate))
+    return SimBlock(x=np.concatenate(x), y=np.concatenate(y), nu_det=nu_det,
+                    tau_samples=np.concatenate(tau),
+                    pilot_mask=np.concatenate(pilot) if pilot_rate else None)
 
 
-def defade_block(block: SimBlock, lattice: FadingLattice, seed: int, bins=None) -> SimBlock:
-    """Map a fading block onto the constant-transmissivity tau_min channel.
+def _defaded(lattice: FadingLattice, slices, seed: int, nu_det: int):
+    """(x, y~, pilot) of the in-window pairs of each (pilot, x, y, tau, bins)
+    of slices, bins assigned from the true tau: in bin k (lower edge tau_k),
+    y~ = sqrt(r) y + sqrt(1 - r) xi, r = tau_min / tau_k, xi ~ N(0, nu_det)
+    by kept-pair index (_normals), so every kept pair looks like a tau_min pulse."""
+    normals = _normals(seed, DEFADE)
+    for pilot, x, y, _, bins in slices:
+        keep = bins >= 0
+        ratio = lattice.tau_min / lattice.lower_edges[bins[keep]]
+        xi = normals(ratio.size) * math.sqrt(nu_det)
+        yield (x[keep], np.sqrt(ratio) * y[keep] + np.sqrt(1.0 - ratio) * xi,
+               None if pilot is None else pilot[keep])
 
-    Pairs outside [tau_min, tau_max] are post-selected away. Each kept pair
-    in bin k (nominal transmissivity tau_k, the bin lower edge) becomes
-    y~ = sqrt(tau_min / tau_k) y + sqrt(1 - tau_min / tau_k) xi with
-    xi ~ N(0, nu_det), so every surviving pair looks like a tau_min pulse.
-    Bins are assigned from the true sampled tau (ideal bright pilots), or
-    passed in as lattice.assign(block.tau_samples).
-    """
+
+def defade_block(block: SimBlock, lattice: FadingLattice, seed: int) -> SimBlock:
+    """Map a fading block onto the constant-transmissivity tau_min channel:
+    _defaded of the block as one slice. Pairs outside [tau_min, tau_max] are
+    post-selected away."""
     if block.tau_samples is None:
         raise ValueError("block carries no fading metadata")
-    bins = lattice.assign(block.tau_samples) if bins is None else bins
-    keep = bins >= 0
-    if not np.any(keep):
+    whole = [(block.pilot_mask, block.x, block.y, None, lattice.assign(block.tau_samples))]
+    x, y, pilot = next(_defaded(lattice, whole, seed, block.nu_det))
+    if not x.size:
         raise ValueError("post-selection removed every pair")
-    ratio = lattice.tau_min / lattice.lower_edges[bins[keep]]
-    xi = _chunked_normals(seed, DEFADE, math.sqrt(block.nu_det), ratio.size)
-    y_tilde = np.sqrt(ratio) * block.y[keep] + np.sqrt(1.0 - ratio) * xi
-    pilot = None if block.pilot_mask is None else block.pilot_mask[keep]
-    return SimBlock(x=block.x[keep], y=y_tilde, nu_det=block.nu_det, pilot_mask=pilot)
+    return SimBlock(x=x, y=y, nu_det=block.nu_det, pilot_mask=pilot)
+
+
+def defaded_estimators(lattice: FadingLattice, slices, seed: int, nu_det: int) -> tuple:
+    """(estimators, kept pairs, mean y~^2) of slices de-faded (_defaded): each
+    slice's disclosed pairs, its pilots left out, reduced to their chunk_sums
+    and their sum of y~^2 as the slice is drawn, joined by combine_chunks and
+    fsum."""
+    sums, squares, kept, m = [], [], 0, 0
+    for x, y, pilot in _defaded(lattice, slices, seed, nu_det):
+        kept += x.size
+        if pilot is not None:
+            x, y = x[~pilot], y[~pilot]
+        m += x.size
+        sums.append(chunk_sums(x, y))
+        squares.append((y * y).sum())
+    if m < 2:
+        raise ValueError("at least two disclosed pairs required" if kept else
+                         "post-selection removed every pair")
+    return combine_chunks([sums], m, nu_det), kept, math.fsum(squares) / m
 
 
 def estimator_coverage_experiment(tau: float, nbar: float, nu_det: int,
@@ -390,16 +393,23 @@ def _chunk_words(column, fmt):
 
 
 def write_dump(handle, chunks) -> None:
-    """Write the pairs of chunks, an ordered iterable of (pilot, x, y, tau,
-    bins), to the binary handle as CSV: a header, then a line
-    index,pilot_flag,x,y,tau_sample,bin per pair (%d and %.17g, byte for
-    byte), indexed across the chunks; tau and bins may be scalars, pilot
+    """Write the pairs of chunks to the binary handle (dumped)."""
+    for _ in dumped(handle, chunks):
+        pass
+
+
+def dumped(handle, chunks):
+    """Each of chunks, an ordered iterable of (pilot, x, y, tau, bins), passed
+    on once its pairs are written to the binary handle as CSV: a header, then
+    a line index,pilot_flag,x,y,tau_sample,bin per pair (%d and %.17g, byte
+    for byte), indexed across the chunks; tau and bins may be scalars, pilot
     None."""
     handle.write(b"index,pilot_flag,x,y,tau_sample,bin\n")
     ints = lambda v: _int_words(v, b",", v < 0)
     floats = lambda v: _float_words(v, b",")
     index = 0
-    for pilot, x, y, tau, bins in chunks:
+    for chunk in chunks:
+        pilot, x, y, tau, bins = chunk
         per_pulse = [c for c in (x, y, tau) if np.ndim(c)]  # formatted in one call
         fields = [_chunk_words(False if pilot is None else pilot, ints),
                   lambda rows, n: floats(np.column_stack([c[rows] for c in per_pulse]))
@@ -415,3 +425,4 @@ def write_dump(handle, chunks) -> None:
                                     np.full((n, 1), _word(b"\n"))]).tobytes().translate(
                                         None, b"\0"))
             index += n
+        yield chunk

@@ -20,9 +20,13 @@ against. No command calls them.
   sampler that `cvqkd.finite_size._sufficient_statistics` replaces with
   standard-library draws.
 * `simulate_block` draws a whole constant-channel block, x and the noise
-  each over every pair, and keeps it: the block that
+  each chunk at once (`serial_normals`), and keeps it: the block that
   `cvqkd.simulate.simulate_estimators` reduces and `simulate_chunks` yields
-  one chunk at a time.
+  one slice at a time.
+* `empirical_estimators` reduces whole arrays of disclosed pairs over the
+  SLICE-sized slices of a streamed row: the reference for the rows that
+  `cvqkd.simulate.simulate_estimators` and `defaded_estimators` reduce as
+  they draw.
 * `emit_csv_oracle` and `emit_json_oracle` write rows by column, one cell at
   a time: the writers that `cvqkd.cli.emit_csv` and `emit_json` replace with
   cell tuples and one %-template per row type signature.
@@ -75,7 +79,19 @@ from cvqkd.rates import (
     plob_thermal_bound,
     point_holevo,
 )
-from cvqkd.simulate import NOISE, X, SimBlock, _chunked_normals, _constant_law
+from cvqkd.simulate import (
+    CHUNK,
+    NOISE,
+    SLICE,
+    X,
+    EstimatorSnapshot,
+    SimBlock,
+    _constant_law,
+    chunk_sums,
+    combine_chunks,
+    map_chunks,
+    stream_rng,
+)
 
 IDENTITY_GUARD = 1e-12
 
@@ -423,15 +439,44 @@ def sufficient_statistics_oracle(tau: float, nbar: float, nu_det: int,
     return np.column_stack((t_hat, sigma_z2 * rng.chisquare(m - 1, rounds) / m))
 
 
+def serial_normals(seed: int, stream_base: int, scale, count: int) -> np.ndarray:
+    """scale N(0, 1), count of them, as a plain serial loop over the
+    CHUNK-sized index ranges, chunk [start, stop) drawn at once from stream
+    stream_base + start."""
+    out = np.empty(count)
+    for start in range(0, count, CHUNK):
+        stop = min(start + CHUNK, count)
+        out[start:stop] = stream_rng(seed, stream_base + start).standard_normal(
+            stop - start)
+    return out * scale
+
+
 def simulate_block(tau: float, nbar: float, nu_det: int, sigma_x2: float,
                    pulses: int, seed: int) -> SimBlock:
     """y = sqrt(tau) x + z with var x = sigma_x2, var z = 2 nbar + nu_det,
     nu_det pairs per pulse, kept whole (16 bytes per pair): x and z each
     drawn over the block from the pair streams (seed, X + start) and
     (seed, NOISE + start)."""
-    sigma_x, sigma_z, gain, pairs = _constant_law(tau, nbar, nu_det, sigma_x2, pulses)
-    x = _chunked_normals(seed, X, sigma_x, pairs)
-    return SimBlock(x, gain * x + _chunked_normals(seed, NOISE, sigma_z, pairs), nu_det)
+    sigma_x, law, pairs = _constant_law(tau, nbar, nu_det, sigma_x2, pulses)
+    gain, sigma_z = law(pairs)
+    x = serial_normals(seed, X, sigma_x, pairs)
+    return SimBlock(x, gain * x + serial_normals(seed, NOISE, sigma_z, pairs), nu_det)
+
+
+def empirical_estimators(x, y, nu_det: int) -> EstimatorSnapshot:
+    """Maximum-likelihood estimates from disclosed quadrature pairs (arrays):
+    T_hat = sum(xy)/sum(x^2), sigma_z2_hat the mean squared residual,
+    tau_hat = T_hat^2 and n_hat = (sigma_z2_hat - nu_det)/2, by chunk_sums
+    over the slices of a streamed simulate row, bit for bit, and combine_chunks."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
+        raise ValueError("x and y must be equal-length 1-d arrays with >= 2 entries")
+    if nu_det not in (1, 2):
+        raise ValueError("nu_det must be 1 or 2")
+    return combine_chunks(map_chunks(lambda a, b: [
+        chunk_sums(x[s:s + SLICE], y[s:s + SLICE]) for s in range(a, b, SLICE)],
+        x.size), x.size, nu_det)
 
 
 # --- the per-cell writers -----------------------------------------------------

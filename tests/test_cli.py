@@ -1640,6 +1640,33 @@ class TestBlockDump:
             "ValueError: post-selection removed every pair")
         assert not dump.exists()
 
+    @pytest.mark.parametrize("target", ["file", "fifo"])
+    def test_failed_mobile_row_keeps_what_was_at_the_dump_path(self, tmp_path, target):
+        # the failing row of test_failed_mobile_row_writes_no_dump: a file the
+        # user had, or a FIFO, is written but never removed
+        text = set_key((CONFIGS / "mobile.ini").read_text(encoding="utf-8"),
+                       "simulate", "pulses", "1")
+        dump = tmp_path / "d.csv"
+        if target == "file":
+            dump.write_bytes(b"kept\n")
+        else:
+            os.mkfifo(dump)
+        # a reader opened first lets the dump's open return at once; the
+        # one-pulse dump fits in the pipe's buffer
+        reader = os.open(dump, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out = run_cli(tmp_path, text, ["simulate", "--seed", "4",
+                                                 "--dump", str(dump)])
+            written = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert code == 2
+        assert read_csv(out)[0]["reason"] == (
+            "ValueError: post-selection removed every pair")
+        assert (dump.is_file() if target == "file" else dump.is_fifo())
+        assert (dump.read_bytes() if target == "file" else written).startswith(
+            b"index,pilot_flag,x,y,tau_sample,bin\n")
+
 
 class TestNoDeadCode:
     """Every top-level function and class of src/cvqkd is used by code of the
@@ -1654,7 +1681,8 @@ class TestNoDeadCode:
         ("cli", "run_sweep"), ("gaussian", "symplectic_spectrum"),
         ("noise", "xi_from_photons"), ("rates", "holevo_standard"),
         ("rates", "holevo_untrusted_closed_form"),
-        ("simulate", "estimator_coverage_experiment"),
+        ("simulate", "defade_block"), ("simulate", "estimator_coverage_experiment"),
+        ("simulate", "simulate_fading_block"),
     }
     # members that Python or argparse call, not by name
     HOOKS = {("cli", "_Parser", "error")}

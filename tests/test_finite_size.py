@@ -42,8 +42,7 @@ from cvqkd.finite_size import (
     window_bounds,
     worst_case_bounds,
 )
-from cvqkd.simulate import empirical_estimators
-from oracles import composable_rate
+from oracles import composable_rate, empirical_estimators
 
 ROOT = Path(__file__).resolve().parents[1]
 COLLECTIVE = ProtocolParams(n_total=1e7, m=1e6, beta=0.95, p_ec=0.9,

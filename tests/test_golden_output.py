@@ -238,9 +238,9 @@ GOLDEN = {
     'mobile:sweep:json':
         (0, '58808a3525941add33a031e5df2631a03657614df2f16623ea1ffd1dedaa0d7e'),
     'mobile:simulate:csv':
-        (0, 'f42ee5e1c3b0b14ee807227e91b2b0c5940dd2229873126db25c109b324f94a5'),
+        (0, '8b176d5c1ac3a1f7248578b1f08c14587164b873c4a4f1a96bc1bd7a741e26d3'),
     'mobile:simulate:json':
-        (0, 'dbfb55c5d83ab339b3c9bf4336e516e99284f74580b5f1bc45e49020fc6ac8be'),
+        (0, 'a734cbd661c5e3a3f47818976ce115afe896d89a9926dd483133e3fb4495d1bf'),
     'mobile:coverage:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'mobile:coverage:json':
@@ -590,9 +590,9 @@ GOLDEN = {
     'mobile-long-sweep:sweep:json':
         (0, '0362e51dd4934fba80e09ab4258b430894ce83b6ea7ba27abd06134d23f75ae1'),
     'mobile-long-sweep:simulate:csv':
-        (0, 'f42ee5e1c3b0b14ee807227e91b2b0c5940dd2229873126db25c109b324f94a5'),
+        (0, '8b176d5c1ac3a1f7248578b1f08c14587164b873c4a4f1a96bc1bd7a741e26d3'),
     'mobile-long-sweep:simulate:json':
-        (0, 'dbfb55c5d83ab339b3c9bf4336e516e99284f74580b5f1bc45e49020fc6ac8be'),
+        (0, 'a734cbd661c5e3a3f47818976ce115afe896d89a9926dd483133e3fb4495d1bf'),
     'mobile-long-sweep:coverage:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'mobile-long-sweep:coverage:json':
@@ -606,9 +606,9 @@ GOLDEN = {
     'mobile-long-sweep-tlo-trust2:sweep:json':
         (0, '76ea4673a53bd9abbc9a9b2ca1057b8f0a2e1f803187cf4927db714df8731ba9'),
     'mobile-long-sweep-tlo-trust2:simulate:csv':
-        (0, '10e1b0f3c2800bc08e6d8f15bfb5e7dd692b864711c1030502ba6210749c22fe'),
+        (0, 'f68d5f329dfc60c88e955835ecb0b16eedc3100bbc657e7d508b30a076b4e25c'),
     'mobile-long-sweep-tlo-trust2:simulate:json':
-        (0, '875447a9663ea752d38208e50b1dd225aaa119682470d24839cf0ef344976ec9'),
+        (0, '178296bb886d599805838b7025025ed82f79faae8a686bdc7a085ee0cb7ff9ab'),
     'mobile-long-sweep-tlo-trust2:coverage:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'mobile-long-sweep-tlo-trust2:coverage:json':
@@ -622,9 +622,9 @@ GOLDEN = {
     'mobile-m20:sweep:json':
         (0, '9948420ea0572e57d2eeb9ca2a069fbb47e4bbfe26a499c2cee52a331320261e'),
     'mobile-m20:simulate:csv':
-        (0, 'a51186b220c527970836ed2ba34890191a63ef55ac6a372df3f2934d3174b05b'),
+        (0, '168d7462ee68cff06224ff012e10f794e88572969074905d99354e71a3868c56'),
     'mobile-m20:simulate:json':
-        (0, '7b78180756a88e2712814077f0fc3bc348196e6a0765f348c50fc864446a378f'),
+        (0, 'f4e07b491831b243455e633071128700cbcb3e4a7613282e69c7aa5d0922e231'),
     'mobile-m20:coverage:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'mobile-m20:coverage:json':
@@ -638,9 +638,9 @@ GOLDEN = {
     'mobile-m2e3-trust3:sweep:json':
         (0, '3de26f6fde248d7e028f3e399e712c64bc572c1edb7e414bc9cb5341542504ea'),
     'mobile-m2e3-trust3:simulate:csv':
-        (0, '191418a54af1b390e3340868f43bfb56d97ced9587edbe9560eb1f4e8f79b539'),
+        (0, 'b60afd631070586cb23dbcf8cc1c339a621c9c6cb441ccd5cad8e46c165ed15c'),
     'mobile-m2e3-trust3:simulate:json':
-        (0, 'c6782f580e4de4094112676686619c8396067f534a809283180fb1d0e0432e83'),
+        (0, 'a3330732f480299a7fe51b0d93c11fea503394b152ba3e553388f62e6cb6e7eb'),
     'mobile-m2e3-trust3:coverage:csv':
         (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'mobile-m2e3-trust3:coverage:json':

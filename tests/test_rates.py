@@ -16,6 +16,7 @@ from cvqkd.rates import (
     holevo_standard,
     holevo_untrusted_closed_form,
     plob_thermal_bound,
+    point_holevo,
 )
 from oracles import (
     CovarianceMatrix,
@@ -172,6 +173,13 @@ class TestTrustAndSecurityOrdering:
             chi3 = holevo_standard(ch, TrustLevel.UNTRUSTED)
             for trust in (TrustLevel.PASSIVE, TrustLevel.TRUSTED_NOISE):
                 assert holevo_los(ch, trust) <= chi3 + 1e-12
+
+    @pytest.mark.parametrize("trust, los", [
+        (0, False), (4, False), (2.5, False), ("1", False), (0, True)])
+    def test_unknown_trust_is_refused(self, trust, los):
+        # not read as untrusted: the trust-3 value is 1.2298669317177997
+        with pytest.raises(ValueError, match="trust must be 1, 2 or 3"):
+            point_holevo(0.5, 0.7, 0.01, 0.01, 2, 10.0, trust, los)
 
 
 class TestHybridTrustEquivalence:

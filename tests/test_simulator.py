@@ -1,6 +1,7 @@
 """Monte Carlo simulator: reproducibility, estimator consistency, fading
 statistics, de-fading, and confidence-bound coverage."""
 
+import csv
 import io
 import math
 import os
@@ -17,12 +18,13 @@ import pytest
 
 import cvqkd.simulate
 from cvqkd.channel import BeamConfig, FadingModel, fading_probability
-from cvqkd.cli import _model_point, main
+from cvqkd.cli import _model_point, _window_args, main
 from cvqkd.config import resolve_scenario
 from cvqkd.finite_size import (
     FadingLattice,
     _gamma_draw,
     _sufficient_statistics,
+    mobile_worst_case,
     sufficient_statistics_coverage,
 )
 from cvqkd.rates import ChannelPoint
@@ -32,17 +34,23 @@ from cvqkd.simulate import (
     NOISE,
     SLICE,
     X,
-    _chunked_normals,
+    _defaded,
     defade_block,
-    empirical_estimators,
     estimator_coverage_experiment,
+    fading_slices,
     simulate_chunks,
     simulate_estimators,
     simulate_fading_block,
     stream_rng,
     write_dump,
 )
-from oracles import mutual_information, simulate_block, sufficient_statistics_oracle
+from oracles import (
+    empirical_estimators,
+    mutual_information,
+    serial_normals,
+    simulate_block,
+    sufficient_statistics_oracle,
+)
 
 BEAM = BeamConfig(wavelength=800e-9, waist=1e-3)
 
@@ -67,7 +75,7 @@ class TestReproducibility:
         # chunked pulse-index keying: a longer block extends, never reshuffles
         short = simulate_block(0.3, 0.02, 1, 9.0, (1 << 18) + 100, seed=7)
         long = simulate_block(0.3, 0.02, 1, 9.0, (1 << 18) + 5000, seed=7)
-        n = short.pairs
+        n = short.x.size
         assert np.array_equal(long.x[:n], short.x)
         assert np.array_equal(long.y[:n], short.y)
 
@@ -87,16 +95,6 @@ class TestReproducibility:
         assert not np.array_equal(a, b)
 
 
-def serial_normals(seed, stream_base, scale, count):
-    """The chunked draw as a plain serial loop over the pulse-index chunks."""
-    out = np.empty(count)
-    for start in range(0, count, CHUNK):
-        stop = min(start + CHUNK, count)
-        out[start:stop] = stream_rng(seed, stream_base + start).standard_normal(
-            stop - start)
-    return out * scale
-
-
 EDGE_SIZES = (SLICE - 1, SLICE, SLICE + 1, CHUNK - 1, CHUNK, CHUNK + 1,
               CHUNK + SLICE + 3, 3 * CHUNK + 7)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -113,8 +111,6 @@ class TestChunkedThreads:
 
     @pytest.mark.parametrize("count", EDGE_SIZES)
     def test_threaded_draw_equals_serial_loop(self, count):
-        assert np.array_equal(_chunked_normals(7, NOISE, 1.5, count),
-                              serial_normals(7, NOISE, 1.5, count))
         block = simulate_block(0.3, 0.02, 1, 9.0, count, seed=7)
         x = serial_normals(7, X, 3.0, count)
         noise = serial_normals(7, NOISE, math.sqrt(2.0 * 0.02 + 1), count)
@@ -139,9 +135,9 @@ class TestChunkedThreads:
         faded = defade_block(block, lat, seed=4)
         bins = lat.assign(block.tau_samples)
         keep = bins >= 0
-        assert faded.pairs > CHUNK
+        assert faded.x.size > CHUNK
         tau_k = lat.lower_edges[bins[keep]]
-        xi = serial_normals(4, DEFADE, math.sqrt(2.0), faded.pairs)
+        xi = serial_normals(4, DEFADE, math.sqrt(2.0), faded.x.size)
         y = (np.sqrt(lat.tau_min / tau_k) * block.y[keep]
              + np.sqrt(1.0 - lat.tau_min / tau_k) * xi)
         assert np.array_equal(faded.y, y)
@@ -198,13 +194,21 @@ class TestChunkedThreads:
         assert outputs[0] == outputs[1]
 
 
+# the mobile links of the streamed-row tests: heterodyne with pilots, and
+# homodyne with a transmitted local oscillator
+MOBILE_EDITS = {"heterodyne": ("[simulate]\n", "[simulate]\npilot_rate = 0.05\n"),
+                "homodyne": ("lo = llo", "lo = tlo")}
+
+
 def simulate_config(config: str, pulses: int, protocol: str) -> str:
-    """The shipped config's text with [simulate] pulses and the protocol set."""
+    """The shipped config's text with [simulate] pulses and the protocol set,
+    and on mobile.ini the MOBILE_EDITS of the protocol."""
     text = (CONFIGS / config).read_text(encoding="utf-8").replace(
         "protocol = heterodyne", f"protocol = {protocol}")
     if "[simulate]" not in text:
         text += "\n[simulate]\npulses = 1\n"
-    return re.sub(r"(\[simulate\]\npulses = )\d+", rf"\g<1>{pulses}", text)
+    text = re.sub(r"(\[simulate\]\npulses = )\d+", rf"\g<1>{pulses}", text)
+    return text.replace(*MOBILE_EDITS[protocol]) if config == "mobile.ini" else text
 
 
 def simulate_stdout(tmp_path, text: str, *tail) -> str:
@@ -216,27 +220,48 @@ def simulate_stdout(tmp_path, text: str, *tail) -> str:
     return out.getvalue()
 
 
-def oracle_dump(text: str) -> bytes:
-    """write_dump of the oracle's whole block at the config's point, as one
-    chunk: the bytes that simulate --seed 5 --dump should write."""
+def oracle_block(text: str) -> tuple:
+    """(block, tau, fading window) at the config's point, the block drawn
+    whole as simulate --seed 5 draws it: on a constant channel by the
+    oracle, tau the model's and no window; on a mobile link by
+    simulate_fading_block, tau its samples and the window mobile_worst_case's."""
     scenario = resolve_scenario(text)
-    pt = _model_point(scenario, scenario.point[1])
-    block = simulate_block(pt["tau"], pt["nbar"], scenario.nu_det, scenario.sigma_x2,
-                           scenario.simulate["pulses"], seed=5)
+    pt, pulses = _model_point(scenario, scenario.point[1]), scenario.simulate["pulses"]
+    if scenario.channel != "optical-mobile":
+        return simulate_block(pt["tau"], pt["nbar"], scenario.nu_det, scenario.sigma_x2,
+                              pulses, seed=5), pt["tau"], None
+    p = scenario.physics
+    fs = mobile_worst_case(scenario.params, pt["fading"], n_b=p["n_b"],
+                           n_other=p.get("n_other", 0.0), bins=scenario.bins,
+                           **_window_args(scenario))
+    block = simulate_fading_block(pt["fading"], fs.noise, scenario.nu_det, scenario.sigma_x2,
+                                  pulses, 5, scenario.simulate.get("pilot_rate", 0.0))
+    return block, block.tau_samples, fs
+
+
+def oracle_dump(text: str) -> bytes:
+    """write_dump of the whole block at the config's point (oracle_block), as
+    one chunk: the bytes that simulate --seed 5 --dump should write."""
+    block, tau, fs = oracle_block(text)
+    chunk = ((None, block.x, block.y, tau, -1) if fs is None else
+             (block.pilot_mask, block.x, block.y, tau, fs.lattice.assign(tau)))
     out = io.BytesIO()
-    write_dump(out, [(None, block.x, block.y, pt["tau"], -1)])
+    write_dump(out, [chunk])
     return out.getvalue()
 
 
 class TestStreamedRows:
-    """A constant-channel simulate row draws and reduces one slice at a time;
-    --dump draws the slices again and writes each in turn. Neither keeps the
-    block, and --dump changes no byte of the row."""
+    """A simulate row draws and reduces one slice at a time, on a constant
+    channel and a mobile one; --dump draws the slices again and writes each
+    in turn. Neither keeps the block, and --dump changes no byte of the row."""
 
     @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("pulses, protocol", [
-        (1, "heterodyne"), (CHUNK + 1, "homodyne"), (3 * CHUNK + 7, "homodyne")])
-    @pytest.mark.parametrize("config", ["coverage.ini", "microwave.ini"])
+    @pytest.mark.parametrize("config, pulses, protocol", [
+        *[(config, pulses, protocol) for config in ("coverage.ini", "microwave.ini")
+          for pulses, protocol in ((1, "heterodyne"), (CHUNK + 1, "homodyne"),
+                                   (3 * CHUNK + 7, "homodyne"))],
+        # over CHUNK kept pairs on the homodyne link: a de-fading stream edge
+        ("mobile.ini", CHUNK + 1, "heterodyne"), ("mobile.ini", 3 * CHUNK + 7, "homodyne")])
     def test_dump_does_not_change_the_row(self, tmp_path, monkeypatch, config,
                                           pulses, protocol, workers):
         monkeypatch.setattr(cvqkd.simulate, "_workers", lambda: workers)
@@ -247,14 +272,27 @@ class TestStreamedRows:
         # chunk edges included: the dump is the whole block's, byte for byte
         assert dump.read_bytes() == oracle_dump(text)
         assert "nan" not in plain
+        if config == "mobile.ini":
+            # the streamed reduction against the whole de-faded block's
+            row = next(csv.DictReader(io.StringIO(plain)))
+            block, _, fs = oracle_block(text)
+            faded = defade_block(block, fs.lattice, seed=6)
+            disclosed = slice(None) if faded.pilot_mask is None else ~faded.pilot_mask
+            x, y = faded.x[disclosed], faded.y[disclosed]
+            snap = empirical_estimators(x, y, block.nu_det)
+            assert int(row["kept_pairs"]) == faded.x.size
+            for cell, want, unit in (("tau_hat", snap.tau_hat, snap.tau_hat),
+                                     ("n_hat", snap.n_hat, snap.sigma_z2_hat / 2.0),
+                                     ("defade_var", float((y * y).mean()), None)):
+                assert abs(float(row[cell]) - want) <= 8 * math.ulp(unit or want), cell
 
     def test_memory_stays_flat(self, tmp_path, monkeypatch):
         # numpy reports its buffers to tracemalloc; a block 4x longer must
         # not raise the row's peak, with or without --dump, one worker holds
         # a few slices and no chunk, and each further worker adds under 1 MB
-        def peak(pulses, workers, *tail):
+        def peak(config, pulses, workers, *tail):
             monkeypatch.setattr(cvqkd.simulate, "_workers", lambda: workers)
-            text = simulate_config("coverage.ini", pulses, "heterodyne")
+            text = simulate_config(config, pulses, "heterodyne")
             tracemalloc.start()
             try:
                 simulate_stdout(tmp_path, text, *tail)
@@ -263,11 +301,18 @@ class TestStreamedRows:
                 tracemalloc.stop()
 
         for tail in ((), ("--dump", os.devnull)):
-            peak(1000, 1, *tail)  # imports and caches, outside the measurement
-            small, large = peak(CHUNK, 1, *tail), peak(4 * CHUNK, 1, *tail)
+            peak("coverage.ini", 1000, 1, *tail)  # imports and caches, unmeasured
+            small = peak("coverage.ini", CHUNK, 1, *tail)
+            large = peak("coverage.ini", 4 * CHUNK, 1, *tail)
             assert abs(large - small) < 1 << 20, tail
             assert large < 2 << 20, tail  # one chunk's x and y take 4 MB
-            assert peak(4 * CHUNK, 3, *tail) < large + (2 << 20), tail
+            assert peak("coverage.ini", 4 * CHUNK, 3, *tail) < large + (2 << 20), tail
+            # a mobile row with pilots streams its slices in order as well
+            peak("mobile.ini", 1000, 1, *tail)
+            small = peak("mobile.ini", 1 << 17, 1, *tail)
+            large = peak("mobile.ini", 1 << 19, 1, *tail)
+            assert abs(large - small) < 1 << 20, tail
+            assert max(small, large) < 3 << 20, tail
 
 
 class TestEstimatorConsistency:
@@ -291,7 +336,7 @@ class TestEstimatorConsistency:
         block = simulate_block(tau, nbar, nu, sx2, 400_000, seed=29)
         var_y = float(np.mean(block.y**2))
         expect = tau * sx2 + 2.0 * nbar + nu
-        se = expect * math.sqrt(2.0 / block.pairs)
+        se = expect * math.sqrt(2.0 / block.x.size)
         assert abs(var_y - expect) < 4.0 * se
 
     def test_mutual_information_matches_rate_formula(self):
@@ -343,13 +388,55 @@ class TestFadingBlocks:
         frac = float(block.pilot_mask.mean())
         assert abs(frac - 0.2) < 4.0 * math.sqrt(0.2 * 0.8 / 50_000)
         # pilots are excluded from the disclosed-pair estimators
-        snap = empirical_estimators(*block.disclosed(), 2)
-        assert snap.m_p == int((~block.pilot_mask).sum())
+        disclosed = ~block.pilot_mask
+        snap = empirical_estimators(block.x[disclosed], block.y[disclosed], 2)
+        assert snap.m_p == int(disclosed.sum())
 
     def test_noise_map_validation(self):
         with pytest.raises(ValueError):
             simulate_fading_block(fading_at(5.0), lambda t: t - 1.0, 2, 9.0,
                                   1000, seed=1)
+
+
+class TestPinnedStreams:
+    """The fading block and its de-fading, pinned as float.hex literals
+    taken when simulate_fading_block and defade_block drew the whole block
+    at once: on both sides of a SLICE edge and the pair CHUNK edges, and of
+    the kept-pair CHUNK edge of the de-fading stream."""
+
+    AT = (SLICE - 1, SLICE, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK)
+    TAU = ("0x1.5745aca195deep-1", "0x1.666520b8d07fbp-1", "0x0.0p+0",
+           "0x1.5a521e706cd23p-1", "0x1.4755ff8ae302ep-1", "0x1.11ff4214fedf9p-3")
+    Y = ("-0x1.266350aad8e10p-4", "-0x1.0ccadad94dd0cp+2", "-0x1.84c944123fc00p-4",
+         "0x1.6fb67a1c92a70p-5", "0x1.3430ed16f3464p-3", "-0x1.b232956d16696p+0")
+    FADED_AT = (SLICE - 1, SLICE, CHUNK - 1, CHUNK)
+    FADED_Y = ("0x1.6af713087531ep+0", "-0x1.3220890bfdfe4p+0",
+               "-0x1.31ca3c6594b6ep+0", "-0x1.03011245d337cp+0")
+    # pilot pairs within 16 of an edge
+    PILOTS = {SLICE: [SLICE + 2, SLICE + 3],
+              CHUNK: [CHUNK - 10, CHUNK - 9, CHUNK - 6, CHUNK - 5,
+                      CHUNK + 10, CHUNK + 11, CHUNK + 14, CHUNK + 15]}
+
+    def test_fading_streams_keep_their_bits(self):
+        fad = fading_at(5.0)
+        law = (fad, lambda t: 0.02 + 0.01 * t, 2, 9.0, CHUNK + 3, 3, 0.1)
+        block = simulate_fading_block(*law)
+        lat = FadingLattice(tau_min=0.2 * fad.eta, tau_max=fad.eta, bins=50)
+        faded = defade_block(block, lat, seed=4)
+        hexes = lambda v, at: tuple(float(v[i]).hex() for i in at)
+        assert hexes(block.tau_samples, self.AT) == self.TAU
+        assert hexes(block.y, self.AT) == self.Y
+        assert hexes(faded.y, self.FADED_AT) == self.FADED_Y
+        for edge, pilots in self.PILOTS.items():
+            assert np.flatnonzero(block.pilot_mask[edge - 16:edge + 16]).tolist() == [
+                i - edge + 16 for i in pilots]
+        assert (int(block.pilot_mask.sum()), faded.x.size,
+                int(faded.pilot_mask.sum())) == (52414, 273194, 27078)
+        # the streamed slices de-fade to the block's bits, slice by slice
+        streamed = list(_defaded(lat, ((pilot, x, y, tau, lat.assign(tau)) for x, y, tau, pilot
+                                       in fading_slices(*law)), 4, 2))
+        for whole, column in ((faded.x, 0), (faded.y, 1), (faded.pilot_mask, 2)):
+            assert np.array_equal(np.concatenate([s[column] for s in streamed]), whole)
 
 
 class TestDefade:
@@ -401,7 +488,7 @@ class TestDefade:
         fad, lat, block, faded = self.run(pulses=50_000)
         bins = lat.assign(block.tau_samples)
         keep = bins >= 0
-        assert faded.pairs == int(np.sum(keep))
+        assert faded.x.size == int(np.sum(keep))
         assert np.array_equal(faded.x, block.x[keep])
 
     def test_requires_fading_metadata(self):
@@ -451,7 +538,7 @@ class TestDistributionSpotChecks:
         # tau = 1, nbar = 0, nu = 1: y - x is the detector vacuum, variance 1
         block = simulate_block(1.0, 0.0, 1, 9.0, 200_000, seed=21)
         var = float(np.mean((block.y - block.x) ** 2))
-        se = math.sqrt(2.0 / block.pairs)
+        se = math.sqrt(2.0 / block.x.size)
         assert abs(var - 1.0) <= 5 * se
 
     def test_histogram_mutual_information(self):
