@@ -286,8 +286,8 @@ def _dump_block(path: str, write):
 
 def _simulation_row(scenario: Scenario, x: float, seed: int,
                     dump: str) -> tuple:
-    from .simulate import (defaded_estimators, dumped, fading_slices, simulate_chunks,
-                           simulate_estimators, write_dump)
+    from .simulate import (_defaded, dumped, fading_slices, simulate_chunks,
+                           simulate_estimators, slice_estimators)
 
     pulses, nu = scenario.simulate["pulses"], scenario.nu_det
     pt = _model_point(scenario, x)
@@ -296,29 +296,34 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
         fs = mobile_worst_case(scenario.params, pt["fading"], n_b=p["n_b"],
                                n_other=p.get("n_other", 0.0), bins=scenario.bins,
                                **_window_args(scenario))
-        block = ((pilot, *pair, tau, fs.lattice.assign(tau)) for *pair, tau, pilot
-                 in fading_slices(pt["fading"], fs.noise, nu, scenario.sigma_x2, pulses,
-                                  seed, scenario.simulate.get("pilot_rate", 0.0)))
-        reduce = functools.partial(defaded_estimators, fs.lattice, seed=seed + 1, nu_det=nu)
-        # with --dump, each slice is written as it is reduced
-        snap, kept, defade_var = _dump_block(dump, lambda handle: reduce(
-            dumped(handle, block))) if dump else reduce(block)
-        return (x, pulses, kept, fs.p_delta, kept / (nu * pulses), fs.lattice.tau_min,
-                fs.n_star, fs.lattice.tau_min * scenario.sigma_x2 + 2.0 * fs.n_star + nu,
-                snap.tau_hat, snap.n_hat, defade_var, ";".join(fs.warnings), "")
-    tau, nbar, warnings = pt["tau"], pt["nbar"], pt["warnings"]
-    law = (tau, nbar, nu, scenario.sigma_x2, pulses, seed)
-    snap = simulate_estimators(*law)
-    tau_lo, tau_hi, n_hi, _, floored = worst_case_bounds(
-        snap.tau_hat, max(snap.n_hat, 0.0), scenario.sigma_x2, snap.sigma_z2_hat,
-        snap.m_p, scenario.params.w)
-    if floored:
-        warnings.append("tau_lo_floored")
-    if dump:  # the same pairs, drawn again one chunk at a time to be written
-        _dump_block(dump, lambda handle: write_dump(handle, (
-            (None, *pairs, tau, -1) for pairs in simulate_chunks(*law))))
-    return (x, pulses, snap.m_p, tau, nbar, snap.tau_hat, snap.sigma_z2_hat,
-            snap.n_hat, tau_lo, tau_hi, n_hi, ";".join(warnings), "")
+        slices = ((pilot, *pair, tau, fs.lattice.assign(tau)) for *pair, tau, pilot
+                  in fading_slices(pt["fading"], fs.noise, nu, scenario.sigma_x2, pulses,
+                                   seed, scenario.simulate.get("pilot_rate", 0.0)))
+
+        def row(slices) -> tuple:
+            snap, kept, defade_var = slice_estimators(
+                _defaded(fs.lattice, slices, seed + 1, nu), nu)
+            return (x, pulses, kept, fs.p_delta, kept / (nu * pulses), fs.lattice.tau_min,
+                    fs.n_star, fs.lattice.tau_min * scenario.sigma_x2 + 2.0 * fs.n_star + nu,
+                    snap.tau_hat, snap.n_hat, defade_var, ";".join(fs.warnings), "")
+    else:
+        tau, nbar, warnings = pt["tau"], pt["nbar"], pt["warnings"]
+        law = (tau, nbar, nu, scenario.sigma_x2, pulses, seed)
+        slices = ((None, *pair, tau, -1) for pair in simulate_chunks(*law))
+
+        def row(slices) -> tuple:
+            # no dump: simulate_estimators gives the same bits, a chunk per thread
+            snap = slice_estimators(slices, nu)[0] if dump else simulate_estimators(*law)
+            tau_lo, tau_hi, n_hi, _, floored = worst_case_bounds(
+                snap.tau_hat, max(snap.n_hat, 0.0), scenario.sigma_x2, snap.sigma_z2_hat,
+                snap.m_p, scenario.params.w)
+            if floored:
+                warnings.append("tau_lo_floored")
+            return (x, pulses, snap.m_p, tau, nbar, snap.tau_hat, snap.sigma_z2_hat,
+                    snap.n_hat, tau_lo, tau_hi, n_hi, ";".join(warnings), "")
+    # with --dump, each slice is written as it is reduced: one pass
+    return _dump_block(dump, lambda handle: row(dumped(handle, slices))) if dump \
+        else row(slices)
 
 
 def _coverage_row(scenario: Scenario, x: float, seed: int) -> tuple:
@@ -403,14 +408,14 @@ def emit_csv(rows: list, columns: tuple, out, provenance: dict) -> None:
 
 
 def _json_cell(value):
-    if type(value) is float:
-        return None if value != value else value
+    if type(value) is float:  # JSON has no NaN or infinity: they become null
+        return value if math.isfinite(value) else None
     if isinstance(value, str):
         return value
     if isinstance(value, Integral) and not isinstance(value, bool):
         return int(value)
     value = float(value)
-    return None if math.isnan(value) else value
+    return value if math.isfinite(value) else None
 
 
 def emit_json(rows: list, columns: tuple, echo: dict, provenance: dict,

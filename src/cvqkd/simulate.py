@@ -3,11 +3,12 @@
 Randomness uses the counter-based Philox generator keyed by (seed, stream):
 a block is drawn in CHUNK-sized chunks keyed by their pair-index range, so it
 is bit-identical however the chunks are scheduled. This module owns that
-chunk law. Only _pair_slices draws pairs, SLICE at a time, each slice on
-from the last, by a per-slice law: constant (simulate_estimators reduces the
-slices on threads, simulate_chunks yields them to write_dump) or fading
-(fading_slices; defaded_estimators reduces them in order, as dumped writes
-them). No block is kept but by simulate_fading_block and defade_block.
+chunk law: only _normals keys a stream by pair index, and only _pair_slices
+draws pairs, SLICE at a time, by a per-slice law: constant (simulate_estimators
+reduces the slices on threads, simulate_chunks yields them in order) or fading
+(fading_slices, de-faded by _defaded). slice_estimators reduces ordered slices
+as they are drawn, and as dumped writes them in a row with a dump: one pass.
+No block is kept but by simulate_fading_block and defade_block.
 The O(1)-per-round coverage sampler of finite_size uses random, not numpy.
 """
 
@@ -90,10 +91,10 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _normals(seed: int, base: int) -> Callable:
-    """n -> the next n N(0, 1) of a draw keyed as the pairs are: draw i from
-    stream base + (the start of its CHUNK), each stream on from the last read."""
-    at, rng = 0, None
+def _normals(seed: int, base: int, at: int) -> Callable:
+    """n -> the next n N(0, 1) of a draw keyed as the pairs are, from draw at (a
+    chunk's start) on: draw i from stream base + (its CHUNK's start)."""
+    rng = None
 
     def draw(n: int) -> np.ndarray:
         nonlocal at, rng
@@ -112,16 +113,15 @@ def _normals(seed: int, base: int) -> Callable:
 def _pair_slices(seed: int, sigma_x: float, law: Callable, start: int, stop: int):
     """(x, y, *extra) of the pairs [start, stop), start a chunk's, SLICE at a
     time: law(size) gives (gain, sigma_z, *extra) of the slice's pairs,
-    x = sigma_x N(0, 1) and y = gain x + sigma_z N(0, 1) from the streams X
-    + c and NOISE + c of the chunk from c, each slice drawn on from the last
-    (the bits of one draw of the chunk) when it is asked for."""
+    x = sigma_x N(0, 1) and y = gain x + sigma_z N(0, 1) from the pair
+    streams X and NOISE (_normals), each slice drawn on from the last (the
+    bits of one draw of each chunk) when it is asked for."""
+    x_normals, z_normals = _normals(seed, X, start), _normals(seed, NOISE, start)
     for a in range(start, stop, SLICE):
-        if a % CHUNK == 0:
-            x_rng, z_rng = stream_rng(seed, X + a), stream_rng(seed, NOISE + a)
         gain, sigma_z, *extra = law(min(SLICE, stop - a))
-        x = x_rng.standard_normal(min(SLICE, stop - a))
+        x = x_normals(min(SLICE, stop - a))
         x *= sigma_x
-        y = z_rng.standard_normal(x.size)
+        y = z_normals(x.size)
         y *= sigma_z
         y += gain * x
         yield x, y, *extra
@@ -208,17 +208,17 @@ def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
 
 
 def _defaded(lattice: FadingLattice, slices, seed: int, nu_det: int):
-    """(x, y~, pilot) of the in-window pairs of each (pilot, x, y, tau, bins)
+    """(pilot, x, y~) of the in-window pairs of each (pilot, x, y, tau, bins)
     of slices, bins assigned from the true tau: in bin k (lower edge tau_k),
     y~ = sqrt(r) y + sqrt(1 - r) xi, r = tau_min / tau_k, xi ~ N(0, nu_det)
     by kept-pair index (_normals), so every kept pair looks like a tau_min pulse."""
-    normals = _normals(seed, DEFADE)
+    normals = _normals(seed, DEFADE, 0)
     for pilot, x, y, _, bins in slices:
         keep = bins >= 0
         ratio = lattice.tau_min / lattice.lower_edges[bins[keep]]
         xi = normals(ratio.size) * math.sqrt(nu_det)
-        yield (x[keep], np.sqrt(ratio) * y[keep] + np.sqrt(1.0 - ratio) * xi,
-               None if pilot is None else pilot[keep])
+        yield (None if pilot is None else pilot[keep], x[keep],
+               np.sqrt(ratio) * y[keep] + np.sqrt(1.0 - ratio) * xi)
 
 
 def defade_block(block: SimBlock, lattice: FadingLattice, seed: int) -> SimBlock:
@@ -228,19 +228,19 @@ def defade_block(block: SimBlock, lattice: FadingLattice, seed: int) -> SimBlock
     if block.tau_samples is None:
         raise ValueError("block carries no fading metadata")
     whole = [(block.pilot_mask, block.x, block.y, None, lattice.assign(block.tau_samples))]
-    x, y, pilot = next(_defaded(lattice, whole, seed, block.nu_det))
+    pilot, x, y = next(_defaded(lattice, whole, seed, block.nu_det))
     if not x.size:
         raise ValueError("post-selection removed every pair")
     return SimBlock(x=x, y=y, nu_det=block.nu_det, pilot_mask=pilot)
 
 
-def defaded_estimators(lattice: FadingLattice, slices, seed: int, nu_det: int) -> tuple:
-    """(estimators, kept pairs, mean y~^2) of slices de-faded (_defaded): each
-    slice's disclosed pairs, its pilots left out, reduced to their chunk_sums
-    and their sum of y~^2 as the slice is drawn, joined by combine_chunks and
-    fsum."""
+def slice_estimators(slices, nu_det: int) -> tuple:
+    """(estimators, pairs, mean disclosed y^2) of ordered (pilot, x, y, ...)
+    slices: each slice's disclosed pairs, pilots (a mask or None) left out,
+    reduced to chunk_sums and a sum of y^2 as drawn, joined by combine_chunks
+    and fsum."""
     sums, squares, kept, m = [], [], 0, 0
-    for x, y, pilot in _defaded(lattice, slices, seed, nu_det):
+    for pilot, x, y, *_ in slices:
         kept += x.size
         if pilot is not None:
             x, y = x[~pilot], y[~pilot]
@@ -390,12 +390,6 @@ def _chunk_words(column, fmt):
         return lambda rows, n: fmt(column[rows]).reshape(n, -1)
     words = fmt(np.array([column])).reshape(1, -1)
     return lambda rows, n: np.broadcast_to(words, (n, words.shape[1]))
-
-
-def write_dump(handle, chunks) -> None:
-    """Write the pairs of chunks to the binary handle (dumped)."""
-    for _ in dumped(handle, chunks):
-        pass
 
 
 def dumped(handle, chunks):

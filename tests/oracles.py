@@ -21,11 +21,11 @@ against. No command calls them.
   standard-library draws.
 * `simulate_block` draws a whole constant-channel block, x and the noise
   each chunk at once (`serial_normals`), and keeps it: the block that
-  `cvqkd.simulate.simulate_estimators` reduces and `simulate_chunks` yields
-  one slice at a time.
+  `cvqkd.simulate.simulate_estimators` reduces on threads, and whose slices
+  `simulate_chunks` yields in order to a `--dump` row's one pass.
 * `empirical_estimators` reduces whole arrays of disclosed pairs over the
   SLICE-sized slices of a streamed row: the reference for the rows that
-  `cvqkd.simulate.simulate_estimators` and `defaded_estimators` reduce as
+  `cvqkd.simulate.simulate_estimators` and `slice_estimators` reduce as
   they draw.
 * `emit_csv_oracle` and `emit_json_oracle` write rows by column, one cell at
   a time: the writers that `cvqkd.cli.emit_csv` and `emit_json` replace with

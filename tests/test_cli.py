@@ -10,6 +10,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -932,13 +933,14 @@ def _csv_writer_cell(value) -> str:
 
 
 def _json_cell_rule(value):
-    """The JSON cell rule before the float fast path."""
+    """The JSON cell rule without the float fast path: NaN and +-inf, which
+    JSON lacks, become null."""
     if isinstance(value, str):
         return value
     if isinstance(value, Integral) and not isinstance(value, bool):
         return int(value)
     value = float(value)
-    return None if math.isnan(value) else value
+    return value if math.isfinite(value) else None
 
 
 ODD_STRINGS = ("a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\n", "\r", "",
@@ -1076,6 +1078,19 @@ class TestEmitters:
             got, want = _json_cell(value), _json_cell_rule(value)
             assert type(got) is type(want), value
             assert json.dumps(got) == json.dumps(want), value
+
+    def test_infinite_cell_is_json_null(self, tmp_path):
+        # n_b = 1e308 is finite and in its domain, but the row's n_hi
+        # overflows: csv prints inf, and JSON, which has no inf, null, with
+        # csv's exit code
+        text = set_key((CONFIGS / "fiber_fixed_loss.ini").read_text(encoding="utf-8"),
+                       "physics", "n_b", "1e308")
+        csv_code, csv_out = run_cli(tmp_path, text, ["rate"])
+        assert read_csv(csv_out)[0]["n_hi"] == "inf"
+        json_code, json_out = run_cli(tmp_path, text, ["rate", "--format", "json"])
+        assert json_code == csv_code
+        doc = json.loads(json_out)
+        assert doc["rows"][0][doc["columns"].index("n_hi")] is None
 
 
 class TestSharedParser:
@@ -1365,9 +1380,8 @@ class TestImportFloor:
         assert "numpy" in imported and "dataclasses" not in imported
 
     def test_cli_imports_no_numpy(self):
-        # the simulate rows leave their arrays to cvqkd.simulate: a mobile row
-        # reads them through SimBlock, and a constant-channel dump passes the
-        # chunks of simulate_chunks to write_dump unread
+        # the simulate rows leave their arrays to cvqkd.simulate: a row passes
+        # the slices it draws, through dumped, to slice_estimators unread
         tree = ast.parse((ROOT / "src" / "cvqkd" / "cli.py").read_text(encoding="utf-8"))
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                     for alias in node.names} | {
@@ -1423,24 +1437,60 @@ class TestImportFloor:
             ("simulate", "coverage.ini"), ("simulate", "mobile.ini"),
             ("coverage", "coverage.ini")}
 
+    def test_commands_match_on_other_interpreters(self):
+        # rate and sweep on every shipped config and coverage on coverage.ini
+        # give the running interpreter's exit codes and stdout bytes under
+        # each of 3.10, 3.12 and 3.13 on the PATH (3.12+ take the _sha2
+        # branch of the built-in sha256). A launcher that starts no
+        # interpreter is not one
+        flat = [*self.rate_and_sweep_runs(), "coverage", str(CONFIGS / "coverage.ini")]
+        probe = ("import contextlib, io, os, sys\n"
+                 "print('started', flush=True)\n"
+                 "import cvqkd.cli\n"
+                 "for cmd, cfg in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+                 "    out = io.StringIO()\n"
+                 "    with contextlib.redirect_stdout(out):\n"
+                 "        code = cvqkd.cli.main([cmd, '--config', cfg])\n"
+                 "    print(cmd, os.path.basename(cfg), code, repr(out.getvalue()))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        run = lambda exe: subprocess.run([exe, "-B", "-c", probe, *flat], env=env,
+                                         capture_output=True, text=True)
+        want = run(sys.executable)
+        assert want.returncode == 0, want.stderr
+        assert [line.split()[2] for line in want.stdout.splitlines()[1:]] == [
+            "0"] * (len(flat) // 2)
+        ran = []
+        for name in ("python3.10", "python3.12", "python3.13"):
+            exe = shutil.which(name)
+            got = exe and run(exe)
+            if not got or not got.stdout.startswith("started\n"):
+                continue
+            assert (got.returncode, got.stdout) == (0, want.stdout), (name, got.stderr)
+            ran.append(name)
+        if not ran:
+            pytest.skip("no python3.10, python3.12 or python3.13 on the PATH")
+
     def test_single_chunk_simulate_starts_no_pool(self, tmp_path):
         # a block of one chunk is drawn and reduced inline; one of several
-        # chunks goes to a thread pool
+        # chunks goes to a thread pool, unless --dump writes and reduces its
+        # slices in order, in one pass
         probe = ("import sys, cvqkd.cli\n"
                  "codes = [cvqkd.cli.main(['simulate', '--config', sys.argv[2], "
-                 "'--out', sys.argv[1]])]\n"
+                 "'--out', sys.argv[1]] + sys.argv[3:])]\n"
                  + LOADED.format(names=("concurrent",)))
         text = (CONFIGS / "coverage.ini").read_text(encoding="utf-8")
         lines = {}
-        for pulses in ("30000", "500000"):
+        for pulses, *dump in (("30000",), ("500000",), ("500000", "--dump", os.devnull)):
             path = tmp_path / f"{pulses}.ini"
             path.write_text(text.replace("pulses = 500000", f"pulses = {pulses}"),
                             encoding="utf-8")
-            lines[pulses] = fresh_interpreter(probe, str(tmp_path / "row.csv"),
-                                              str(path))
-        assert lines["30000"] == "[0] []"
+            lines[(pulses, *dump)] = fresh_interpreter(
+                probe, str(tmp_path / "row.csv"), str(path), *dump)
+        assert lines[("30000",)] == "[0] []"
+        assert lines[("500000", "--dump", os.devnull)] == "[0] []"
         if _workers() > 1:
-            assert "'concurrent.futures'" in lines["500000"]
+            assert "'concurrent.futures'" in lines[("500000",)]
 
     def test_package_import_loads_no_numpy(self):
         # the package holds only __version__: importing it loads no cvqkd
@@ -1628,8 +1678,8 @@ class TestBlockDump:
 
     def test_failed_mobile_row_writes_no_dump(self, tmp_path):
         # seed 4 deflects the one pulse out of the window: the row fails
-        # after the block is drawn, and the dump is written only for a row
-        # that succeeds, as on a constant channel
+        # after its one pass has written the dump, and the dump, a file this
+        # run created, is removed
         text = set_key((CONFIGS / "mobile.ini").read_text(encoding="utf-8"),
                        "simulate", "pulses", "1")
         dump = tmp_path / "d.csv"

@@ -1,4 +1,4 @@
-"""The `simulate --dump` writer (`simulate.write_dump`) against Python's own
+"""The `simulate --dump` writer (`simulate.dumped`) against Python's own
 %-formatting in the running interpreter: its number formatters against
 "%.17g" and "%d" value by value, and whole dumps against the %-format
 writer that it replaced, which is kept here as the oracle."""
@@ -17,7 +17,7 @@ from cvqkd.simulate import (
     _float_words,
     _int_words,
     _scaled_digits,
-    write_dump,
+    dumped,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -25,7 +25,7 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
 
 
 def percent_dump(pilot, x, y, tau, bins) -> bytes:
-    """The %-format writer that write_dump replaced, 1024 rows per write."""
+    """The %-format writer that dumped replaced, 1024 rows per write."""
     out = io.StringIO()
     out.write("index,pilot_flag,x,y,tau_sample,bin\n")
     for start in range(0, len(x), 1024):
@@ -173,12 +173,15 @@ class TestWholeDump:
     def test_matches_percent_writer(self, count, fading):
         columns = block(count, count, fading)
         out = io.BytesIO()
-        write_dump(out, [columns])
+        list(dumped(out, [columns]))
         assert out.getvalue() == percent_dump(*columns)
-        # chunks of any length, DUMP_CHUNK-aligned or not, index on
+        # chunks of any length, DUMP_CHUNK-aligned or not, index on, and
+        # each is passed on as it was given, once written
         split = io.BytesIO()
-        write_dump(split, [tuple(c[a:b] for c in columns)
-                           for a, b in ((0, count // 3), (count // 3, count))])
+        chunks = [tuple(c[a:b] for c in columns)
+                  for a, b in ((0, count // 3), (count // 3, count))]
+        for given_chunk, passed in zip(chunks, dumped(split, chunks), strict=True):
+            assert passed is given_chunk
         assert split.getvalue() == out.getvalue()
 
     @pytest.mark.parametrize("count", (0, 1, DUMP_CHUNK, 3 * DUMP_CHUNK + 7))
@@ -190,11 +193,11 @@ class TestWholeDump:
                      (pilot, x, y, 5e-324, bins), (pilot, x, y, math.inf, -12345)):
             flags = np.zeros(count, dtype=bool) if cols[0] is None else cols[0]
             out = io.BytesIO()
-            write_dump(out, [cols])
+            list(dumped(out, [cols]))
             assert out.getvalue() == percent_dump(
                 flags, x, y, *(np.broadcast_to(c, count) for c in cols[3:]))
 
     def test_empty_block_writes_the_header(self):
         out = io.BytesIO()
-        write_dump(out, [block(0, 0, True)])
+        list(dumped(out, [block(0, 0, True)]))
         assert out.getvalue() == percent_dump(*block(0, 0, True))

@@ -9,6 +9,7 @@ CSV writer formats only their two text cells one by one."""
 import functools
 import inspect
 import itertools
+import os
 from collections import Counter
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvqkd import Record, cli, config, finite_size
+from cvqkd import Record, cli, config, finite_size, simulate
 from cvqkd.cli import RATE_COLUMNS, evaluate_rate_point, run_sweep
 from cvqkd.config import ConfigError, resolve_scenario
 from oracles import rate_row_oracle
@@ -249,6 +250,30 @@ def test_mobile_row_assigns_each_bin_once(monkeypatch, tmp_path, dump):
                               dump=str(tmp_path / "block.csv") if dump else None)
     assert row[-1] == ""
     assert counts == {"assign": 1}
+
+
+@pytest.mark.parametrize("dump", [False, True])
+@pytest.mark.parametrize("config", ["coverage.ini", "mobile.ini"])
+def test_row_builds_each_stream_once(monkeypatch, config, dump):
+    # a dump is written from the row's one pass, not drawn again: each
+    # (seed, stream) key is built once, the pair streams at every chunk start
+    keys = []
+    stream_rng = simulate.stream_rng
+    monkeypatch.setattr(simulate, "stream_rng", lambda seed, stream: (
+        keys.append((seed, stream)), stream_rng(seed, stream))[1])
+    scenario = resolve_scenario((CONFIGS / config).read_text(encoding="utf-8"))
+    row = cli._simulation_row(scenario, scenario.point[1], seed=3,
+                              dump=os.devnull if dump else None)
+    assert row[-1] == ""
+    pairs = scenario.nu_det * scenario.simulate["pulses"]
+    assert len(keys) == len(set(keys))
+    assert {(3, base + start) for base in (simulate.X, simulate.NOISE)
+            for start in range(0, pairs, simulate.CHUNK)} <= set(keys)
+    if config == "coverage.ini":  # 4 chunks of x and of noise
+        assert (pairs, len(keys)) == (1_000_000, 8)
+    else:  # and one deflection, pilot and de-fading stream each
+        assert {(3, simulate.DEFLECTIONS), (3, simulate.PILOTS),
+                (4, simulate.DEFADE)} <= set(keys)
 
 
 @pytest.mark.parametrize("text", [

@@ -36,13 +36,13 @@ from cvqkd.simulate import (
     X,
     _defaded,
     defade_block,
+    dumped,
     estimator_coverage_experiment,
     fading_slices,
     simulate_chunks,
     simulate_estimators,
     simulate_fading_block,
     stream_rng,
-    write_dump,
 )
 from oracles import (
     empirical_estimators,
@@ -240,20 +240,21 @@ def oracle_block(text: str) -> tuple:
 
 
 def oracle_dump(text: str) -> bytes:
-    """write_dump of the whole block at the config's point (oracle_block), as
+    """The dump of the whole block at the config's point (oracle_block), as
     one chunk: the bytes that simulate --seed 5 --dump should write."""
     block, tau, fs = oracle_block(text)
     chunk = ((None, block.x, block.y, tau, -1) if fs is None else
              (block.pilot_mask, block.x, block.y, tau, fs.lattice.assign(tau)))
     out = io.BytesIO()
-    write_dump(out, [chunk])
+    list(dumped(out, [chunk]))
     return out.getvalue()
 
 
 class TestStreamedRows:
     """A simulate row draws and reduces one slice at a time, on a constant
-    channel and a mobile one; --dump draws the slices again and writes each
-    in turn. Neither keeps the block, and --dump changes no byte of the row."""
+    channel and a mobile one; with --dump, each slice is written as it is
+    reduced, in the row's one pass. Neither keeps the block, and --dump
+    changes no byte of the row."""
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("config, pulses, protocol", [
@@ -435,7 +436,7 @@ class TestPinnedStreams:
         # the streamed slices de-fade to the block's bits, slice by slice
         streamed = list(_defaded(lat, ((pilot, x, y, tau, lat.assign(tau)) for x, y, tau, pilot
                                        in fading_slices(*law)), 4, 2))
-        for whole, column in ((faded.x, 0), (faded.y, 1), (faded.pilot_mask, 2)):
+        for whole, column in ((faded.pilot_mask, 0), (faded.x, 1), (faded.y, 2)):
             assert np.array_equal(np.concatenate([s[column] for s in streamed]), whole)
 
 
