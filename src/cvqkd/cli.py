@@ -418,6 +418,14 @@ def _json_cell(value):
     return value if math.isfinite(value) else None
 
 
+def _json_echo(value):
+    """The scenario echo with each non-finite float null, as _json_cell does
+    for rows; scenario_hash keeps hashing the echo itself."""
+    if isinstance(value, dict):
+        return {key: _json_echo(item) for key, item in value.items()}
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def emit_json(rows: list, columns: tuple, echo: dict, provenance: dict,
               command: str, out) -> None:
     """The JSON document; each row ends with the provenance cells."""
@@ -428,7 +436,7 @@ def emit_json(rows: list, columns: tuple, echo: dict, provenance: dict,
         "command": command,
         "seed": provenance["seed"],
         "scenario_hash": provenance["scenario_hash"],
-        "scenario": echo,
+        "scenario": _json_echo(echo),
         "columns": [*columns, *provenance],
         "rows": [[*map(_json_cell, row), *tail] for row in rows],
     }

@@ -15,6 +15,7 @@ The O(1)-per-round coverage sampler of finite_size uses random, not numpy.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from collections.abc import Callable
@@ -280,13 +281,15 @@ K_MIN, K_MAX = -293, 341  # k = 16 - X for every finite double's exponent X
 def _dump_tables():
     """Words of 4-digit groups n at v * 10000 + n, NUL for zeros left of the
     first nonzero digit (v = LEAD; UNITS keeps the last) or right of the last
-    (TRAIL); 10**j in int64; per k in K_MIN..K_MAX, the words of "e%+03d" %
-    (16 - k) and 10**k = (t_hi + t_lo) 2**s, t_lo = 0 where 10**k is exact."""
+    (TRAIL); of ",", "-" and %d of n < 100 at n + 100 * negative; 10**j in
+    int64; per k in K_MIN..K_MAX, the words of "e%+03d" % (16 - k) and 10**k =
+    (t_hi + t_lo) 2**s, t_lo = 0 where 10**k is exact."""
     n = np.arange(10000, dtype=np.uint16)[:, None]
     place = np.array([1000, 100, 10, 1], np.uint16)
     nul = np.stack((n < 0 * place, n < place, (n < place) & (place > 1),
                     n % (10 * place) == 0))
     text = np.where(nul, 0, (n // place % 10 + ord("0")).astype(np.uint8))
+    small = b"".join((b",%s%d" % (s, i)).ljust(4, b"\0") for s in (b"", b"-") for i in range(100))
     ks = range(K_MIN, K_MAX + 1)
     suffix = b"".join((b"e%+03d" % (16 - k)).ljust(8, b"\0") for k in ks)
     scaled = []
@@ -296,26 +299,34 @@ def _dump_tables():
         scaled.append((float(m), float(m - int(float(m))), s))
     t_hi, t_lo, shift = np.array(scaled).T
     # bytes viewed and written back in native order: no byte-order dependence
-    return (text.view(np.uint32).ravel(), 10 ** np.arange(19, dtype=np.int64),
-            np.frombuffer(suffix, np.uint32).reshape(-1, 2), t_hi / 2 ** 119,
-            t_lo / 2 ** 119, shift.astype(np.int64))
+    return (text.view(np.uint32).ravel(), np.frombuffer(small, np.uint32),
+            10 ** np.arange(19, dtype=np.int64), np.frombuffer(suffix, np.uint32).reshape(-1, 2),
+            t_hi / 2 ** 119, t_lo / 2 ** 119, shift.astype(np.int32))
 
 
-def _word(text: bytes) -> np.uint32:
-    return np.frombuffer(text.ljust(4, b"\0"), np.uint32)[0]
+def _word(text: bytes) -> np.ndarray:
+    """text in native words, NUL-padded to at least one."""
+    return np.frombuffer(text.ljust(max(4, len(text) + -len(text) % 4), b"\0"), np.uint32)
 
 
-def _int_words(n: np.ndarray, sep: bytes, negative: np.ndarray) -> np.ndarray:
-    """Fields of words on a new last axis: sep, "-" if negative, %d of |n|."""
-    words = _dump_tables()[0]
-    n = np.abs(n.astype(np.int64))
+def _int_words(n: np.ndarray, sep: bytes, negative) -> tuple:
+    """(width, fill) of the fields of n: fill(out), out of shape n.shape +
+    (width,), writes the words of sep, "-" if negative and %d of |n|, in one
+    word where sep is "," and |n| < 100."""
+    words, small = _dump_tables()[:2]
+    n = np.abs(n, dtype=np.int64)
+    if sep == b"," and n.max() < 100:
+        return 1, lambda out: np.copyto(out[..., 0], small.take(n + 100 * negative))
     groups = (len(str(int(n.max()))) + 3) // 4
-    out = np.empty(n.shape + (1 + groups,), np.uint32)
-    out[..., 0] = np.where(negative, _word(sep + b"-"), _word(sep))
-    for i in range(groups):  # i = 0 is the units group
-        top = np.where(n < 10 ** (4 * i + 4), LEAD if i else UNITS, FULL)
-        out[..., -1 - i] = words.take(n // 10 ** (4 * i) % 10000 + 10000 * top)
-    return out
+
+    def fill(out):
+        out[..., 0] = np.where(negative, _word(sep + b"-"), _word(sep))
+        for i in range(groups):  # i = 0 is the units group
+            q = n // 10 ** (4 * i)
+            r = q // 10000 if i + 1 < groups else 0  # the groups left of it
+            out[..., -1 - i] = words.take(q - r * 10000 + (r == 0) * (LEAD if i else UNITS) * 10000)
+
+    return 1 + groups, fill
 
 
 def _scaled_digits(a: np.ndarray) -> tuple:
@@ -323,73 +334,74 @@ def _scaled_digits(a: np.ndarray) -> tuple:
     rounded half to even, exact where t_lo = 0 (Dekker's product of a 2**s
     and t_hi), else off by under 1e-13 and not sure within 1e-9 of a tie,
     10**16 or 10**17."""
-    _, _, _, t_hi, t_lo, shift = _dump_tables()
+    *_, t_hi, t_lo, shift = _dump_tables()
     exp = np.floor(np.log10(a)).astype(np.int64)
     for again in (True, False):  # log10 can be one off next to 10**X
-        i = 16 - exp - K_MIN
-        b, b_lo, m = t_hi[i], t_lo[i], np.ldexp(a, shift[i])  # m is exact
+        i = (16 - K_MIN) - exp
+        b, b_lo, m = t_hi.take(i), t_lo.take(i), np.ldexp(a, shift.take(i))  # m is exact
         hi = m * b
         m_hi, b_hi = m * 134217729.0, b * 134217729.0  # Veltkamp splits
-        m_hi, b_hi = m_hi - (m_hi - m), b_hi - (b_hi - b)
+        m_hi -= m_hi - m
+        b_hi -= b_hi - b
         m_lo, b_mid = m - m_hi, b - b_hi
         lo = (((m_hi * b_hi - hi) + m_hi * b_mid + m_lo * b_hi)
               + m_lo * b_mid) + m * b_lo
-        d16, d17 = (hi - 1e16) + lo, (hi - 1e17) + lo  # D below / too big
-        move = (d17 >= 0).astype(np.int64) - (d16 < 0)
+        edge = hi.min() < 1e16 + 64 or hi.max() > 1e17 - 64  # else D is well inside
+        d16, d17 = ((hi - 1e16) + lo, (hi - 1e17) + lo) if edge else (1.0, -1.0)  # D under / over
+        move = np.subtract(d17 >= 0, d16 < 0, dtype=np.int64)
         if not (again and move.any()):
             break
         exp += move
     units = np.rint(lo)  # hi >= 2**53 is even where D >= 10**16
-    sure = (b_lo == 0) | ((np.abs(lo - units) < 0.5 - 1e-9)
-                          & (np.abs(d16) > 1e-9) & (np.abs(d17) > 1e-9))
+    sure = b_lo == 0  # else not within 1e-9 of a tie, 10**16 or 10**17
+    if not sure.all():
+        sure |= (np.abs(lo - units) < 0.5 - 1e-9) & (np.abs(d16) > 1e-9) & (np.abs(d17) > 1e-9)
     return hi.astype(np.int64) + units.astype(np.int64), exp, sure & (move == 0)
 
 
-def _float_words(v: np.ndarray, sep: bytes) -> np.ndarray:
-    """Fields of words on a new last axis: sep, then %.17g of v. Python
-    formats inf, nan and the values whose rounding is not sure."""
-    words, p10, suffix = _dump_tables()[:3]
+def _float_words(v: np.ndarray, sep: bytes) -> tuple:
+    """(width, fill) of the fields of v, as _int_words: sep, then %.17g of v.
+    Python formats inf, nan and the values whose rounding is not sure."""
+    words, _, p10, suffix = _dump_tables()[:4]
     ok, zero = np.isfinite(v), v == 0
-    digits, exp, sure = _scaled_digits(np.where(ok & ~zero, np.abs(v), 1.0))
+    digits, exp, sure = _scaled_digits(np.where(ok & ~zero, np.abs(v), 2.0))  # 2: not 10**X
     ok &= sure & (digits < 10 ** 17)  # Python rounds 9.99..95 up to 10**X
-    digits[zero] = 0
+    np.putmask(digits, zero, 0)
     fixed = ok & (exp >= -4) & (exp <= 16)
     k = np.where(fixed, 16 - exp, 16)  # digits after the point, 0..20
     whole, frac = np.divmod(digits, p10[np.minimum(k, 17)])
-    over = np.maximum(k - 12, 0)  # 20 fraction digits: 12 in f_hi, 8 in f_lo
-    f_hi, f_lo = np.divmod(frac, p10[over])
-    f_hi, f_lo = f_hi * p10[12 - k + over], f_lo * p10[12 - over]  # 12 each
-    groups = (int(k[ok].max()) + 3) // 4 if ok.any() else 0
-    sci = ok & ~fixed
+    point, head = _int_words(whole, sep, ok & np.signbit(v))
+    groups = (int(k.max(where=ok, initial=0)) + 3) // 4
+    sci = ok & ~fixed  # 16 digits after the point: the suffix may take a fifth group's word
     tail = 1 + int(np.abs(exp[sci]).max() >= 100) if sci.any() else 0
-    head = _int_words(whole, sep, ok & np.signbit(v))
-    point = head.shape[-1]
-    odd = [("%.17g" % value).encode() for value in v[~ok].tolist()]
-    width = max([point + groups + tail] + [(len(t) + 3) // 4 for t in odd])
-    out = np.zeros(v.shape + (1 + width,), np.uint32)
-    out[..., :point] = head
-    out[..., point] = np.where(frac != 0, _word(b"."), 0)
-    zero_after = True
-    for j in reversed(range(groups)):  # trailing fraction zeros go
-        g = (f_hi, f_lo)[j // 3] // 10 ** (8 - 4 * (j % 3)) % 10000
-        out[..., point + 1 + j] = words.take(g + 10000 * TRAIL * zero_after)
-        zero_after &= g == 0
-    if tail:
-        out[..., point + 1 + groups:][..., :tail] = np.where(
-            sci[..., None], suffix[16 - exp - K_MIN, :tail], 0)
-    if odd:  # NUL-padded by the bytes dtype
-        out[~ok, 1:] = np.array(odd, f"S{4 * width}").view(
-            np.uint32).reshape(-1, width)
-    return out
+    suffixes = suffix[(16 - K_MIN) - exp[sci], :tail]
+    odd = [sep + b"%.17g" % value for value in v[~ok].tolist()] if not ok.all() else []
+    width = max([point + 1 + max(groups, tail and 4 + tail)] + [(len(t) + 3) // 4 for t in odd])
+
+    def fill(out):
+        head(out[..., :point])
+        over = np.maximum(k - 12, 0)  # 20 fraction digits: 12 in f_hi, 8 in f_lo
+        f_hi, f_lo = np.divmod(frac, p10[over])
+        f_hi, f_lo = f_hi * p10[12 - k + over], f_lo * p10[8 - over]
+        q_hi, q_lo = f_hi // 10000, f_lo // 10000
+        top = q_hi // 10000
+        parts = (top, q_hi - top * 10000, f_hi - q_hi * 10000, q_lo, f_lo - q_lo * 10000)
+        trail = 10000 * TRAIL
+        for j in reversed(range(groups)):  # trailing fraction zeros go
+            out[..., point + 1 + j] = words.take(parts[j] + trail)
+            trail = np.where(parts[j] == 0, trail, 0)  # TRAIL while every later group is 0
+        out[..., point] = np.where(trail, 0, _word(b"."))
+        out[..., point + 1 + groups:] = 0
+        out[sci, point + 5:point + 5 + tail] = suffixes
+        out[~ok] = np.array(odd, f"S{4 * width}").view(np.uint32).reshape(-1, width)  # NUL-padded
+
+    return width, fill
 
 
-def _chunk_words(column, fmt):
-    """(rows, n) -> the words of column[rows] on n lines: a scalar column's
-    are formatted once and broadcast to every chunk."""
-    if np.ndim(column):
-        return lambda rows, n: fmt(column[rows]).reshape(n, -1)
-    words = fmt(np.array([column])).reshape(1, -1)
-    return lambda rows, n: np.broadcast_to(words, (n, words.shape[1]))
+def _span(column) -> int:
+    """Rows one value fills: 2 where column repeats in pairs, bit for bit."""
+    bits = column.view(f"u{column.itemsize}")
+    return 2 if len(bits) % 2 == 0 and np.array_equal(bits[::2], bits[1::2]) else 1
 
 
 def dumped(handle, chunks):
@@ -397,26 +409,34 @@ def dumped(handle, chunks):
     on once its pairs are written to the binary handle as CSV: a header, then
     a line index,pilot_flag,x,y,tau_sample,bin per pair (%d and %.17g, byte
     for byte), indexed across the chunks; tau and bins may be scalars, pilot
-    None."""
+    None. Python formats a run of scalar columns once a chunk, a column that
+    repeats in pairs is formatted once a pulse, and alike columns together."""
     handle.write(b"index,pilot_flag,x,y,tau_sample,bin\n")
-    ints = lambda v: _int_words(v, b",", v < 0)
-    floats = lambda v: _float_words(v, b",")
-    index = 0
+    ints, floats = (lambda v: _int_words(v, b",", v < 0)), (lambda v: _float_words(v, b","))
+    taus = lambda v: _float_words(v, b",")  # never with x and y: its zeros and exponents cost
+    index, buffer = 0, bytearray()  # one buffer, kept while the group size holds
     for chunk in chunks:
-        pilot, x, y, tau, bins = chunk
-        per_pulse = [c for c in (x, y, tau) if np.ndim(c)]  # formatted in one call
-        fields = [_chunk_words(False if pilot is None else pilot, ints),
-                  lambda rows, n: floats(np.column_stack([c[rows] for c in per_pulse]))
-                  .reshape(n, -1),
-                  *([] if np.ndim(tau) else [_chunk_words(tau, floats)]),
-                  _chunk_words(bins, ints)]
+        pilot, x, *_ = chunk
+        cells = [((fmt, _span(c)), c) if np.ndim(c) else ((None, 1), p % c) for c, fmt, p in zip(
+            (False if pilot is None else pilot, *chunk[1:]), (ints, floats, floats, taus, ints),
+            (b",%d", b",%.17g", b",%.17g", b",%.17g", b",%d"))] + [((None, 1), b"\n")]
+        runs = [(kind, [c for _, c in cs] if kind[0] else _word(b"".join(c for _, c in cs)))
+                for kind, cs in itertools.groupby(cells, lambda cell: cell[0])]
         for start in range(0, len(x), DUMP_CHUNK):
-            rows = slice(start, start + DUMP_CHUNK)
-            n = len(x[rows])
-            # no name holds the fields or the matrix: each copy frees the last
-            handle.write(np.hstack([_int_words(np.arange(index, index + n), b"", False),
-                                    *(field(rows, n) for field in fields),
-                                    np.full((n, 1), _word(b"\n"))]).tobytes().translate(
-                                        None, b"\0"))
+            n = min(DUMP_CHUNK, len(x) - start)
+            fields = [(1, 1, _int_words(np.arange(index, index + n)[:, None], b"", False))] + [
+                (span, len(cs), fmt(np.column_stack([c[start:start + n:span] for c in cs])))
+                if fmt else (1, 1, (cs.size, functools.partial(np.copyto, src=cs)))
+                for (fmt, span), cs in runs]
+            size = 4 * n * sum(columns * width for _, columns, (width, _) in fields)
+            buffer = buffer if len(buffer) == size else bytearray(size)
+            line, col = np.frombuffer(buffer, np.uint32).reshape(n, -1), 0
+            for span, columns, (width, fill) in fields:
+                block = line[:, col:col + columns * width].reshape(-1, span, columns, width)
+                fill(block[:, 0])
+                block[:, 1:] = block[:, :1]  # the pulse's other row
+                col += columns * width
+            del fields  # its arrays go before the next group's and the text
+            handle.write(buffer.translate(None, b"\0"))
             index += n
         yield chunk

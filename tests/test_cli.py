@@ -1092,6 +1092,26 @@ class TestEmitters:
         doc = json.loads(json_out)
         assert doc["rows"][0][doc["columns"].index("n_hi")] is None
 
+    @pytest.mark.parametrize("name, command, key, overflowed", (
+        ("fiber_fixed_loss.ini", "rate", "l_w", ("theta_ph", "xi_llo")),
+        ("coverage.ini", "simulate", "l_w", ("theta_ph", "xi_llo")),
+        ("mobile.ini", "simulate", "l_w", ("theta_ph", "xi_llo")),
+        ("microwave.ini", "rate", "t", ("n_th",))))
+    def test_infinite_echo_is_json_null(self, tmp_path, name, command, key, overflowed):
+        # the key at 1e308 is finite and in its domain, but derived values
+        # overflow: the JSON echo shows them as null, with csv's exit code and
+        # the scenario hash of the echo as csv prints it
+        text = set_key((CONFIGS / name).read_text(encoding="utf-8"), "physics", key, "1e308")
+        if command == "simulate":
+            text = set_key(text, "simulate", "pulses", "20000")
+        csv_code, csv_out = run_cli(tmp_path, text, [command])
+        json_code, json_out = run_cli(tmp_path, text, [command, "--format", "json"])
+        assert json_code == csv_code
+        doc = json.loads(json_out)
+        assert [doc["scenario"]["derived"][d] for d in overflowed] == [None] * len(overflowed)
+        assert doc["scenario_hash"] == read_csv(csv_out)[0]["scenario_hash"]
+        jsonschema.validate(doc, TestJsonSchema().schema())
+
 
 class TestSharedParser:
     """One parser serves every main() call in a process: alternating calls

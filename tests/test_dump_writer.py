@@ -5,6 +5,8 @@ writer that it replaced, which is kept here as the oracle."""
 
 import io
 import math
+import os
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -12,12 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvqkd.simulate
+from cvqkd.channel import BeamConfig, FadingModel
+from cvqkd.finite_size import FadingLattice
 from cvqkd.simulate import (
     DUMP_CHUNK,
+    SLICE,
     _float_words,
     _int_words,
     _scaled_digits,
     dumped,
+    fading_slices,
+    simulate_chunks,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -38,16 +46,19 @@ def percent_dump(pilot, x, y, tau, bins) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def written(fields: np.ndarray) -> list:
-    """The text of each field of a word formatter's output."""
-    text = fields.tobytes().translate(None, b"\0").decode("ascii")
+def written(field, shape: tuple) -> list:
+    """The text of each field of a word formatter's (width, fill) for values
+    of the given shape, written over stale bytes, as in a reused buffer."""
+    width, fill = field
+    out = np.full(shape + (width,), 0xFFFFFFFF, np.uint32)
+    fill(out)
+    text = out.tobytes().translate(None, b"\0").decode("ascii")
     return text.split(",")[1:]
 
 
 def assert_g17(values):
-    values = [float(v) for v in values]
-    assert written(_float_words(np.array(values)[:, None], b",")) \
-        == ["%.17g" % v for v in values]
+    v = np.array([float(v) for v in values])[:, None]
+    assert written(_float_words(v, b","), v.shape) == ["%.17g" % v for v in v[:, 0]]
 
 
 def ties(exponent: int, count: int, rng) -> list:
@@ -142,11 +153,11 @@ class TestIntFormatter:
             values += [10 ** k - 1, 10 ** k, 10 ** k + 1]
         values += [-v for v in values]
         n = np.array(values, dtype=np.int64)
-        assert written(_int_words(n, b",", n < 0)) == ["%d" % v for v in values]
+        assert written(_int_words(n, b",", n < 0), n.shape) == ["%d" % v for v in values]
 
     def test_bools(self):
-        assert written(_int_words(np.array([True, False, True]), b",",
-                                  False)) == ["1", "0", "1"]
+        assert written(_int_words(np.array([True, False, True]), b",", False),
+                       (3,)) == ["1", "0", "1"]
 
 
 def block(count: int, seed: int, fading: bool):
@@ -201,3 +212,83 @@ class TestWholeDump:
         out = io.BytesIO()
         list(dumped(out, [block(0, 0, True)]))
         assert out.getvalue() == percent_dump(*block(0, 0, True))
+
+
+def mobile_chunks(pairs: int, nu_det: int, pilot_rate: float) -> list:
+    """The (pilot, x, y, tau, bins) slices of a mobile block of at least pairs
+    pairs, whole pulses, as a mobile simulate row passes them to dumped."""
+    fading = FadingModel.from_geometry(BeamConfig(wavelength=800e-9, waist=1e-3), 5.0, 1e-2,
+                                       1.745e-3, 0.7)
+    lattice = FadingLattice(tau_min=0.8 * fading.eta, tau_max=fading.eta, bins=50)
+    return [(pilot, x, y, tau, lattice.assign(tau)) for x, y, tau, pilot in fading_slices(
+        fading, lambda t: 0.02 + 0.01 * t, nu_det, 9.0, -(-pairs // nu_det), 3, pilot_rate)]
+
+
+def joined(chunks: list) -> tuple:
+    """One chunk's columns for percent_dump: the chunks' joined, pilot None as
+    zeros."""
+    pilot, x, y, tau, bins = (np.concatenate(c) if c[0] is not None else None
+                              for c in zip(*chunks))
+    return np.zeros(x.size, bool) if pilot is None else pilot, x, y, tau, bins
+
+
+class TestPulseColumns:
+    """On a mobile link, tau_sample, bin and pilot_flag repeat for the pairs of
+    a heterodyne pulse: dumped formats them once per pulse, with the bytes of
+    the %-format writer."""
+
+    @pytest.mark.parametrize("pairs", (DUMP_CHUNK - 1, DUMP_CHUNK + 1, SLICE + 3))
+    @pytest.mark.parametrize("nu_det", (1, 2))
+    @pytest.mark.parametrize("pilot_rate", (0.0, 0.05))
+    def test_mobile_dump_matches_percent_writer(self, pairs, nu_det, pilot_rate):
+        chunks = mobile_chunks(pairs, nu_det, pilot_rate)
+        assert (chunks[0][0] is None) == (pilot_rate == 0.0)
+        out = io.BytesIO()
+        assert all(passed is given for passed, given in zip(dumped(out, chunks), chunks,
+                                                            strict=True))
+        assert out.getvalue() == percent_dump(*joined(chunks))
+
+    @pytest.mark.parametrize("pair", ((0.0, -0.0), (math.nan, math.nan)))
+    def test_pairs_repeat_bit_for_bit(self, pair):
+        # a pair that is equal but prints apart (0 and -0), or is not equal
+        # to itself, is not a pulse's; nor is a column of odd length
+        pilot, x, y, tau, bins = block(2 * DUMP_CHUNK + 6, 5, True)
+        tau = np.repeat(tau[::2], 2)
+        tau[10:12] = pair
+        for cols in ((pilot, x, y, tau, bins), tuple(c[:-1] for c in (pilot, x, y, tau, bins))):
+            out = io.BytesIO()
+            list(dumped(out, [cols]))
+            assert out.getvalue() == percent_dump(*cols)
+
+    @pytest.mark.parametrize("nu_det", (1, 2))
+    def test_tau_is_formatted_once_per_pulse(self, monkeypatch, nu_det):
+        # x and y once per pair, tau once per pulse: a count of the values
+        # given to the float formatter, so no timer is needed
+        formatted = []
+        real = cvqkd.simulate._float_words
+        monkeypatch.setattr(cvqkd.simulate, "_float_words",
+                            lambda v, sep: formatted.append(v.size) or real(v, sep))
+        chunks = mobile_chunks(3 * DUMP_CHUNK + 2, nu_det, 0.05)
+        list(dumped(io.BytesIO(), chunks))
+        pairs = sum(c[1].size for c in chunks)
+        assert sum(formatted) == 2 * pairs + pairs // nu_det
+
+
+class TestTemporaries:
+    @pytest.mark.parametrize("link", ("constant", "heterodyne", "homodyne"))
+    def test_one_slice_stays_under_a_megabyte(self, link):
+        # DUMP_CHUNK keeps the writer's own allocations, above the chunk's
+        # arrays, under 1 MB: its group buffer, temporaries and text
+        chunk = ((None, *next(simulate_chunks(0.3, 0.02, 2, 9.0, SLICE, seed=7)), 0.3, -1)
+                 if link == "constant" else
+                 mobile_chunks(SLICE, 2 if link == "heterodyne" else 1, 0.05)[0])
+        assert chunk[1].size == SLICE
+        with open(os.devnull, "wb") as sink:
+            list(dumped(sink, [chunk]))  # the tables are cached once
+            tracemalloc.start()
+            try:
+                list(dumped(sink, [chunk]))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1 << 20
