@@ -272,13 +272,13 @@ def evaluate_rate_point(scenario: Scenario, x: float, clamp: bool) -> dict:
 
 
 def _dump_block(path: str, write):
-    """write(handle) on the binary file at path, the dump of a block; a row
-    that fails (ValueError) removes the file only if this call created it."""
+    """write(handle) on the binary file at path, the dump of a block; a row that
+    fails (ValueError, ArithmeticError) removes the file if this call made it."""
     existed = os.path.lexists(path)
     try:
         with open(path, "wb") as handle:
             return write(handle)
-    except ValueError:
+    except (ValueError, ArithmeticError):
         if not existed and os.path.isfile(path):
             os.remove(path)
         raise
@@ -286,8 +286,7 @@ def _dump_block(path: str, write):
 
 def _simulation_row(scenario: Scenario, x: float, seed: int,
                     dump: str) -> tuple:
-    from .simulate import (_defaded, dumped, fading_slices, simulate_chunks,
-                           simulate_estimators, slice_estimators)
+    from .simulate import simulate_estimators, simulate_fading_estimators
 
     pulses, nu = scenario.simulate["pulses"], scenario.nu_det
     pt = _model_point(scenario, x)
@@ -296,24 +295,19 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
         fs = mobile_worst_case(scenario.params, pt["fading"], n_b=p["n_b"],
                                n_other=p.get("n_other", 0.0), bins=scenario.bins,
                                **_window_args(scenario))
-        slices = ((pilot, *pair, tau, fs.lattice.assign(tau)) for *pair, tau, pilot
-                  in fading_slices(pt["fading"], fs.noise, nu, scenario.sigma_x2, pulses,
-                                   seed, scenario.simulate.get("pilot_rate", 0.0)))
 
-        def row(slices) -> tuple:
-            snap, kept, defade_var = slice_estimators(
-                _defaded(fs.lattice, slices, seed + 1, nu), nu)
+        def row(handle) -> tuple:
+            snap, kept, defade_var = simulate_fading_estimators(
+                pt["fading"], fs, nu, scenario.sigma_x2, pulses, seed,
+                scenario.simulate.get("pilot_rate", 0.0), handle)
             return (x, pulses, kept, fs.p_delta, kept / (nu * pulses), fs.lattice.tau_min,
                     fs.n_star, fs.lattice.tau_min * scenario.sigma_x2 + 2.0 * fs.n_star + nu,
                     snap.tau_hat, snap.n_hat, defade_var, ";".join(fs.warnings), "")
     else:
         tau, nbar, warnings = pt["tau"], pt["nbar"], pt["warnings"]
-        law = (tau, nbar, nu, scenario.sigma_x2, pulses, seed)
-        slices = ((None, *pair, tau, -1) for pair in simulate_chunks(*law))
 
-        def row(slices) -> tuple:
-            # no dump: simulate_estimators gives the same bits, a chunk per thread
-            snap = slice_estimators(slices, nu)[0] if dump else simulate_estimators(*law)
+        def row(handle) -> tuple:
+            snap = simulate_estimators(tau, nbar, nu, scenario.sigma_x2, pulses, seed, handle)
             tau_lo, tau_hi, n_hi, _, floored = worst_case_bounds(
                 snap.tau_hat, max(snap.n_hat, 0.0), scenario.sigma_x2, snap.sigma_z2_hat,
                 snap.m_p, scenario.params.w)
@@ -321,9 +315,7 @@ def _simulation_row(scenario: Scenario, x: float, seed: int,
                 warnings.append("tau_lo_floored")
             return (x, pulses, snap.m_p, tau, nbar, snap.tau_hat, snap.sigma_z2_hat,
                     snap.n_hat, tau_lo, tau_hi, n_hi, ";".join(warnings), "")
-    # with --dump, each slice is written as it is reduced: one pass
-    return _dump_block(dump, lambda handle: row(dumped(handle, slices))) if dump \
-        else row(slices)
+    return _dump_block(dump, row) if dump else row(None)
 
 
 def _coverage_row(scenario: Scenario, x: float, seed: int) -> tuple:

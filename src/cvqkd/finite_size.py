@@ -47,7 +47,8 @@ def confidence_w(eps_pe: float) -> float:
         raise ValueError("eps_pe must lie in (0, 0.5]")
     if eps_pe > ERFINV_FLOOR:
         return 0.0 - _normal_dist_inv_cdf(eps_pe, 0.0, 1.0)  # +0.0, not -0.0, at 1/2
-    return math.sqrt(2.0 * math.log(1.0 / eps_pe))
+    inverse = 1.0 / eps_pe  # inf below 1 / DBL_MAX, where -log(eps_pe) is still finite
+    return math.sqrt(2.0 * (math.log(inverse) if inverse < math.inf else -math.log(eps_pe)))
 
 
 class ProtocolParams(Record):

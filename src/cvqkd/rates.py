@@ -31,8 +31,10 @@ def entropic_h(x: float) -> float:
     """Bosonic entropy h(x) = ((x+1)/2)log2((x+1)/2) - ((x-1)/2)log2((x-1)/2).
 
     Values inside [1 - BONA_FIDE_TOL, 1) are clamped to 1 (spectral
-    round-off); anything lower is a domain error.
+    round-off); anything lower, or not finite, is a domain error.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"entropic_h domain error: symplectic value not finite: {float(x)}")
     if x < 1.0 - BONA_FIDE_TOL:
         raise ValueError(f"entropic_h domain error: symplectic value below 1: {float(x)}")
     if x <= 1.0:

@@ -3,11 +3,11 @@
 Randomness uses the counter-based Philox generator keyed by (seed, stream):
 a block is drawn in CHUNK-sized chunks keyed by their pair-index range, so it
 is bit-identical however the chunks are scheduled. This module owns that
-chunk law: only _normals keys a stream by pair index, and only _pair_slices
-draws pairs, SLICE at a time, by a per-slice law: constant (simulate_estimators
-reduces the slices on threads, simulate_chunks yields them in order) or fading
-(fading_slices, de-faded by _defaded). slice_estimators reduces ordered slices
-as they are drawn, and as dumped writes them in a row with a dump: one pass.
+chunk law and every stream key: only _normals keys a stream by pair index,
+and only _pair_slices draws pairs, SLICE at a time, as (pilot, x, y, tau,
+bins) records of a constant or a fading law (fading_slices). A row's pass
+is one call per channel, given its --dump handle or None: simulate_estimators
+(on threads, or in order as dumped writes) or simulate_fading_estimators.
 No block is kept but by simulate_fading_block and defade_block.
 The O(1)-per-round coverage sampler of finite_size uses random, not numpy.
 """
@@ -61,6 +61,7 @@ def map_chunks(fn: Callable, count: int) -> list:
         return list(pool.map(fn, starts, stops))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # combine_chunks rejects what overflows
 def chunk_sums(x, y) -> tuple:
     """(Sxx, Sxy, RSS, t) of one slice of pairs, x and y float arrays: sums
     by np.add.reduce, so that no BLAS or thread count enters, and RSS the
@@ -73,16 +74,19 @@ def chunk_sums(x, y) -> tuple:
     return sxx, sxy, residual.sum(), t
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def combine_chunks(chunks: list, m: int, nu_det: int) -> EstimatorSnapshot:
     """The estimators of m pairs from chunks, each the list of the chunk_sums
     of its SLICE-sized slices in pair order: fsums Sxx and Sxy, T_hat = Sxy /
     Sxx, and the residual sums combined exactly by the pairwise update of
     Chan, Golub & LeVeque (Am. Stat. 37, 242, 1983), RSS = fsum_s [RSS_s +
-    (t_s - T_hat)^2 Sxx_s]. sigma_z2_hat = RSS / m."""
+    (t_s - T_hat)^2 Sxx_s]. sigma_z2_hat = RSS / m; both must be finite."""
     sums = [s for chunk in chunks for s in chunk]
     sxx, sxy = math.fsum(s[0] for s in sums), math.fsum(s[1] for s in sums)
     t_hat = sxy / sxx
     s2 = math.fsum(rss + (t - t_hat) ** 2 * c_xx for c_xx, _, rss, t in sums) / m
+    if not math.isfinite(t_hat) or not math.isfinite(s2):
+        raise ValueError(f"estimators not finite: T_hat {t_hat}, sigma_z2_hat {s2}")
     return EstimatorSnapshot(t_hat, s2, t_hat * t_hat, (s2 - nu_det) / 2.0, m)
 
 
@@ -112,20 +116,20 @@ def _normals(seed: int, base: int, at: int) -> Callable:
 
 
 def _pair_slices(seed: int, sigma_x: float, law: Callable, start: int, stop: int):
-    """(x, y, *extra) of the pairs [start, stop), start a chunk's, SLICE at a
-    time: law(size) gives (gain, sigma_z, *extra) of the slice's pairs,
-    x = sigma_x N(0, 1) and y = gain x + sigma_z N(0, 1) from the pair
+    """(pilot, x, y, tau, bins) of the pairs [start, stop), start a chunk's,
+    SLICE at a time: law(size) gives (pilot, tau, bins, gain, sigma_z) of the
+    slice, x = sigma_x N(0, 1) and y = gain x + sigma_z N(0, 1) from the pair
     streams X and NOISE (_normals), each slice drawn on from the last (the
     bits of one draw of each chunk) when it is asked for."""
     x_normals, z_normals = _normals(seed, X, start), _normals(seed, NOISE, start)
     for a in range(start, stop, SLICE):
-        gain, sigma_z, *extra = law(min(SLICE, stop - a))
+        pilot, tau, bins, gain, sigma_z = law(min(SLICE, stop - a))
         x = x_normals(min(SLICE, stop - a))
         x *= sigma_x
         y = z_normals(x.size)
         y *= sigma_z
         y += gain * x
-        yield x, y, *extra
+        yield pilot, x, y, tau, bins
 
 
 class SimBlock(Record):
@@ -139,43 +143,32 @@ class SimBlock(Record):
                              pilot_mask=pilot_mask)
 
 
-def _constant_law(tau: float, nbar: float, nu_det: int, sigma_x2: float,
-                  pulses: int) -> tuple:
-    """(sigma_x, law, pairs) of y = sqrt(tau) x + z, var z = 2 nbar + nu_det:
-    law gives every slice the scalars (gain, sigma_z)."""
-    _check_block(tau, nbar, nu_det, sigma_x2, pulses)
-    scalars = (math.sqrt(tau), math.sqrt(2.0 * nbar + nu_det))
-    return math.sqrt(sigma_x2), lambda size: scalars, nu_det * pulses
-
-
 def simulate_estimators(tau: float, nbar: float, nu_det: int, sigma_x2: float,
-                        pulses: int, seed: int) -> EstimatorSnapshot:
+                        pulses: int, seed: int, dump) -> EstimatorSnapshot:
     """Empirical estimators of a block y = sqrt(tau) x + z with var x =
     sigma_x2 and var z = 2 nbar + nu_det, nu_det disclosed pairs per pulse
     (heterodyne reveals both quadratures of each pulse). No block is kept:
     each slice is drawn and reduced to its chunk_sums while it is in cache,
-    one chunk per worker, and combine_chunks joins them."""
-    sigma_x, law, pairs = _constant_law(tau, nbar, nu_det, sigma_x2, pulses)
+    one chunk per worker, and combine_chunks joins them; or, with a dump
+    handle (not None), in order as dumped writes (None, x, y, tau, -1) of
+    each pair (slice_estimators): the same bits."""
+    _check_block(tau, nbar, nu_det, sigma_x2, pulses)
+    pairs, scalars = nu_det * pulses, (None, tau, -1, math.sqrt(tau), math.sqrt(2 * nbar + nu_det))
     if pairs < 2:
         raise ValueError("at least two disclosed pairs required")
-    return combine_chunks(map_chunks(lambda a, b: [chunk_sums(*pair) for pair in (
-        _pair_slices(seed, sigma_x, law, a, b))], pairs), pairs, nu_det)
-
-
-def simulate_chunks(tau: float, nbar: float, nu_det: int, sigma_x2: float,
-                    pulses: int, seed: int):
-    """(x, y) of each slice of the pairs that simulate_estimators reduces,
-    in pair order (_pair_slices)."""
-    sigma_x, law, pairs = _constant_law(tau, nbar, nu_det, sigma_x2, pulses)
-    return _pair_slices(seed, sigma_x, law, 0, pairs)
+    slices = functools.partial(_pair_slices, seed, math.sqrt(sigma_x2), lambda size: scalars)
+    if dump is not None:
+        return slice_estimators(dumped(dump, slices(0, pairs)), nu_det)[0]
+    return combine_chunks(map_chunks(lambda a, b: [
+        chunk_sums(x, y) for _, x, y, _, _ in slices(a, b)], pairs), pairs, nu_det)
 
 
 def fading_slices(fading: FadingModel, n_of_tau, nu_det: int, sigma_x2: float,
-                  pulses: int, seed: int, pilot_rate: float):
-    """(x, y, tau, pilot) of each slice of a beam-wandering block, in order:
-    per pulse, tau(r) of a Weibull deflection r (stream DEFLECTIONS), noise
-    photons n_of_tau(tau), a pilot at pilot_rate (stream PILOTS, None at rate
-    0), each repeated per quadrature, and y = sqrt(tau) x + z."""
+                  pulses: int, seed: int, pilot_rate: float, lattice: FadingLattice):
+    """(pilot, x, y, tau, bins) of each slice of a beam-wandering block, in
+    order: per pulse, tau(r) of a Weibull deflection r (stream DEFLECTIONS),
+    noise photons n_of_tau(tau), a pilot at pilot_rate (stream PILOTS, None at
+    0) and a bin in lattice (or None), per quadrature; y = sqrt(tau) x + z."""
     if nu_det not in (1, 2) or sigma_x2 <= 0.0 or pulses < 1 or not 0.0 <= pilot_rate < 1.0:
         raise ValueError("need nu_det 1 or 2, sigma_x2 > 0, pulses >= 1, pilot_rate in [0, 1)")
     deflections, pilots = stream_rng(seed, DEFLECTIONS), stream_rng(seed, PILOTS)
@@ -192,7 +185,7 @@ def fading_slices(fading: FadingModel, n_of_tau, nu_det: int, sigma_x2: float,
             raise ValueError("n_of_tau must map tau samples to non-negative photons")
         pilot = np.repeat(pilots.random(tau.size) < pilot_rate, nu_det) if pilot_rate else None
         tau = np.repeat(tau, nu_det)
-        return np.sqrt(tau), sigma_z, tau, pilot
+        return pilot, tau, None if lattice is None else lattice.assign(tau), np.sqrt(tau), sigma_z
 
     return _pair_slices(seed, math.sqrt(sigma_x2), law, 0, nu_det * pulses)
 
@@ -201,11 +194,23 @@ def simulate_fading_block(fading: FadingModel, n_of_tau, nu_det: int,
                           sigma_x2: float, pulses: int, seed: int,
                           pilot_rate: float = 0.0) -> SimBlock:
     """The whole beam-wandering block of fading_slices, its slices joined."""
-    x, y, tau, pilot = zip(*fading_slices(fading, n_of_tau, nu_det, sigma_x2,
-                                          pulses, seed, pilot_rate))
+    pilot, x, y, tau, _ = zip(*fading_slices(fading, n_of_tau, nu_det, sigma_x2,
+                                             pulses, seed, pilot_rate, None))
     return SimBlock(x=np.concatenate(x), y=np.concatenate(y), nu_det=nu_det,
                     tau_samples=np.concatenate(tau),
                     pilot_mask=np.concatenate(pilot) if pilot_rate else None)
+
+
+def simulate_fading_estimators(fading: FadingModel, window, nu_det: int, sigma_x2: float,
+                               pulses: int, seed: int, pilot_rate: float, dump) -> tuple:
+    """(estimators, kept pairs, mean disclosed y~^2) of a beam-wandering block
+    post-selected in window (a FadingEstimatorSet), in one ordered pass: its
+    fading_slices, written to a dump handle (dumped) unless None, de-faded on
+    stream seed + 1 (_defaded) and reduced (slice_estimators)."""
+    slices = fading_slices(fading, window.noise, nu_det, sigma_x2, pulses, seed, pilot_rate,
+                           window.lattice)
+    slices = slices if dump is None else dumped(dump, slices)
+    return slice_estimators(_defaded(window.lattice, slices, seed + 1, nu_det), nu_det)
 
 
 def _defaded(lattice: FadingLattice, slices, seed: int, nu_det: int):
@@ -235,6 +240,7 @@ def defade_block(block: SimBlock, lattice: FadingLattice, seed: int) -> SimBlock
     return SimBlock(x=x, y=y, nu_det=block.nu_det, pilot_mask=pilot)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the slices drawn for it too
 def slice_estimators(slices, nu_det: int) -> tuple:
     """(estimators, pairs, mean disclosed y^2) of ordered (pilot, x, y, ...)
     slices: each slice's disclosed pairs, pilots (a mask or None) left out,
@@ -266,7 +272,7 @@ def estimator_coverage_experiment(tau: float, nbar: float, nu_det: int,
     if rounds < 1:
         raise ValueError("at least one round required")
     snaps = (simulate_estimators(tau, nbar, nu_det, sigma_x2, pulses,
-                                 seed=(seed + 977 * k) & _MASK64)
+                                 (seed + 977 * k) & _MASK64, None)
              for k in range(rounds))
     return _coverage_report(((s.t_hat, s.sigma_z2_hat) for s in snaps), tau,
                             nbar, nu_det, sigma_x2, pulses, rounds, eps_pe)
@@ -312,21 +318,23 @@ def _word(text: bytes) -> np.ndarray:
 def _int_words(n: np.ndarray, sep: bytes, negative) -> tuple:
     """(width, fill) of the fields of n: fill(out), out of shape n.shape +
     (width,), writes the words of sep, "-" if negative and %d of |n|, in one
-    word where sep is "," and |n| < 100."""
+    word where sep is "," and |n| < 100, and with no word for sep and sign
+    where sep is empty and no n is negative."""
     words, small = _dump_tables()[:2]
     n = np.abs(n, dtype=np.int64)
     if sep == b"," and n.max() < 100:
         return 1, lambda out: np.copyto(out[..., 0], small.take(n + 100 * negative))
-    groups = (len(str(int(n.max()))) + 3) // 4
+    lead, groups = 1 if sep or np.any(negative) else 0, (len(str(int(n.max()))) + 3) // 4
 
     def fill(out):
-        out[..., 0] = np.where(negative, _word(sep + b"-"), _word(sep))
+        if lead:
+            out[..., 0] = np.where(negative, _word(sep + b"-"), _word(sep))
         for i in range(groups):  # i = 0 is the units group
             q = n // 10 ** (4 * i)
             r = q // 10000 if i + 1 < groups else 0  # the groups left of it
             out[..., -1 - i] = words.take(q - r * 10000 + (r == 0) * (LEAD if i else UNITS) * 10000)
 
-    return 1 + groups, fill
+    return lead + groups, fill
 
 
 def _scaled_digits(a: np.ndarray) -> tuple:

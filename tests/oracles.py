@@ -21,8 +21,8 @@ against. No command calls them.
   standard-library draws.
 * `simulate_block` draws a whole constant-channel block, x and the noise
   each chunk at once (`serial_normals`), and keeps it: the block that
-  `cvqkd.simulate.simulate_estimators` reduces on threads, and whose slices
-  `simulate_chunks` yields in order to a `--dump` row's one pass.
+  `cvqkd.simulate.simulate_estimators` reduces on threads, or in order in
+  a `--dump` row's one pass.
 * `empirical_estimators` reduces whole arrays of disclosed pairs over the
   SLICE-sized slices of a streamed row: the reference for the rows that
   `cvqkd.simulate.simulate_estimators` and `slice_estimators` reduce as
@@ -55,6 +55,7 @@ from cvqkd.cli import (
 from cvqkd.finite_size import (
     P_DELTA_MIN,
     FadingLattice,
+    _check_block,
     composable_terms,
     general_attack_extension,
     total_epsilon,
@@ -86,7 +87,6 @@ from cvqkd.simulate import (
     X,
     EstimatorSnapshot,
     SimBlock,
-    _constant_law,
     chunk_sums,
     combine_chunks,
     map_chunks,
@@ -457,10 +457,10 @@ def simulate_block(tau: float, nbar: float, nu_det: int, sigma_x2: float,
     nu_det pairs per pulse, kept whole (16 bytes per pair): x and z each
     drawn over the block from the pair streams (seed, X + start) and
     (seed, NOISE + start)."""
-    sigma_x, law, pairs = _constant_law(tau, nbar, nu_det, sigma_x2, pulses)
-    gain, sigma_z = law(pairs)
-    x = serial_normals(seed, X, sigma_x, pairs)
-    return SimBlock(x, gain * x + serial_normals(seed, NOISE, sigma_z, pairs), nu_det)
+    _check_block(tau, nbar, nu_det, sigma_x2, pulses)
+    pairs, sigma_z = nu_det * pulses, math.sqrt(2.0 * nbar + nu_det)
+    x = serial_normals(seed, X, math.sqrt(sigma_x2), pairs)
+    return SimBlock(x, math.sqrt(tau) * x + serial_normals(seed, NOISE, sigma_z, pairs), nu_det)
 
 
 def empirical_estimators(x, y, nu_det: int) -> EstimatorSnapshot:

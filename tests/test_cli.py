@@ -1081,16 +1081,19 @@ class TestEmitters:
 
     def test_infinite_cell_is_json_null(self, tmp_path):
         # n_b = 1e308 is finite and in its domain, but the row's n_hi
-        # overflows: csv prints inf, and JSON, which has no inf, null, with
+        # overflows and its Holevo term is not finite: the row fails, csv
+        # prints its cells nan, and JSON, which has no nan or inf, null, with
         # csv's exit code
         text = set_key((CONFIGS / "fiber_fixed_loss.ini").read_text(encoding="utf-8"),
                        "physics", "n_b", "1e308")
         csv_code, csv_out = run_cli(tmp_path, text, ["rate"])
-        assert read_csv(csv_out)[0]["n_hi"] == "inf"
+        row = read_csv(csv_out)[0]
+        assert (csv_code, row["n_hi"], row["rate"]) == (2, "nan", "nan")
+        assert row["reason"].startswith("ValueError: entropic_h")
         json_code, json_out = run_cli(tmp_path, text, ["rate", "--format", "json"])
         assert json_code == csv_code
         doc = json.loads(json_out)
-        assert doc["rows"][0][doc["columns"].index("n_hi")] is None
+        assert [doc["rows"][0][doc["columns"].index(c)] for c in ("n_hi", "rate")] == [None] * 2
 
     @pytest.mark.parametrize("name, command, key, overflowed", (
         ("fiber_fixed_loss.ini", "rate", "l_w", ("theta_ph", "xi_llo")),
@@ -1111,6 +1114,40 @@ class TestEmitters:
         assert [doc["scenario"]["derived"][d] for d in overflowed] == [None] * len(overflowed)
         assert doc["scenario_hash"] == read_csv(csv_out)[0]["scenario_hash"]
         jsonschema.validate(doc, TestJsonSchema().schema())
+
+
+@pytest.mark.parametrize("name, command, key, value", (
+    ("coverage.ini", "rate", "l_w", "1e308"),
+    ("fiber_fixed_loss.ini", "rate", "nep", "1e150 W/rtHz"),
+    ("coverage.ini", "rate", "n_b", "1e308"),
+    ("microwave.ini", "rate", "t", "1e308"),
+    ("coverage.ini", "simulate", "l_w", "1e308"),
+    ("mobile.ini", "simulate", "l_w", "1e308"),
+    ("coverage.ini", "simulate", "n_b", "1e308")))
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_non_finite_row_fails_with_a_reason(tmp_path, monkeypatch, name, command, key,
+                                            value, fmt):
+    # finite keys in their domains whose rows printed nan or inf, exit 0: the
+    # row fails with a reason, no numpy warning, and a dump it made is gone;
+    # simulate reduces over CHUNK pairs on threads in csv, in order in json
+    monkeypatch.setattr("cvqkd.simulate._workers", lambda: 3)
+    text = set_key((CONFIGS / name).read_text(encoding="utf-8"), "physics", key, value)
+    dump = tmp_path / "pairs.csv"
+    tail = ["--dump", str(dump)] if command == "simulate" and fmt == "json" else []
+    if command == "simulate":
+        text = set_key(text, "simulate", "pulses", "140000")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(tmp_path, text, [command, "--format", fmt, *tail])
+    assert (code, caught) == (2, [])
+    if fmt == "csv":
+        reason = read_csv(out)[0]["reason"]
+    else:
+        doc = json.loads(out)
+        reason = doc["rows"][0][doc["columns"].index("reason")]
+    assert reason.startswith("ValueError: entropic_h" if command == "rate" else
+                             "ValueError: estimators not finite"), reason
+    assert not dump.exists()
 
 
 class TestSharedParser:
@@ -1400,8 +1437,8 @@ class TestImportFloor:
         assert "numpy" in imported and "dataclasses" not in imported
 
     def test_cli_imports_no_numpy(self):
-        # the simulate rows leave their arrays to cvqkd.simulate: a row passes
-        # the slices it draws, through dumped, to slice_estimators unread
+        # the simulate rows leave their arrays to cvqkd.simulate: a row takes
+        # its estimators from one call per channel
         tree = ast.parse((ROOT / "src" / "cvqkd" / "cli.py").read_text(encoding="utf-8"))
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                     for alias in node.names} | {
@@ -1710,6 +1747,18 @@ class TestBlockDump:
             "ValueError: post-selection removed every pair")
         assert not dump.exists()
 
+    def test_overflowing_row_writes_no_dump(self, tmp_path):
+        # mu = 5e303 is in its domain, but the slices' sums of x^2 add up past
+        # the largest double: the row fails in its join, and the dump it
+        # created is removed
+        text = set_key(set_key((CONFIGS / "coverage.ini").read_text(encoding="utf-8"),
+                               "protocol", "mu", "5e303"), "simulate", "pulses", "20000")
+        dump = tmp_path / "d.csv"
+        code, out = run_cli(tmp_path, text, ["simulate", "--dump", str(dump)])
+        assert code == 2
+        assert read_csv(out)[0]["reason"] == "OverflowError: intermediate overflow in fsum"
+        assert not dump.exists()
+
     @pytest.mark.parametrize("target", ["file", "fifo"])
     def test_failed_mobile_row_keeps_what_was_at_the_dump_path(self, tmp_path, target):
         # the failing row of test_failed_mobile_row_writes_no_dump: a file the
@@ -1780,6 +1829,13 @@ class TestNoDeadCode:
 
     def test_every_definition_has_a_caller_or_is_a_gate_oracle(self):
         assert self.uncalled() == self.GATE_ORACLES
+
+    def test_cli_takes_two_row_passes_from_simulate(self):
+        # the slice records, stream keys and reducers stay behind them
+        tree = ast.parse((ROOT / "src" / "cvqkd" / "cli.py").read_text(encoding="utf-8"))
+        assert [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "simulate" for alias in node.names] == [
+            "simulate_estimators", "simulate_fading_estimators"]
 
     @staticmethod
     def sources() -> dict:

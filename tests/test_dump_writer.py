@@ -25,7 +25,6 @@ from cvqkd.simulate import (
     _scaled_digits,
     dumped,
     fading_slices,
-    simulate_chunks,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -159,6 +158,16 @@ class TestIntFormatter:
         assert written(_int_words(np.array([True, False, True]), b",", False),
                        (3,)) == ["1", "0", "1"]
 
+    def test_no_word_for_an_empty_separator_and_sign(self):
+        # the dump's index column: its groups' words alone, a sign its own
+        n = np.array([0, 9999, 10000, 123456789], dtype=np.int64)[:, None]
+        width, fill = _int_words(n, b"", False)
+        assert (width, _int_words(n, b"", n > 0)[0], _int_words(n, b",", False)[0]) == (3, 4, 4)
+        out = np.full(n.shape + (width,), 0xFFFFFFFF, np.uint32)
+        fill(out)
+        assert [line.tobytes().translate(None, b"\0") for line in out] == [
+            b"%d" % v for v in n[:, 0]]
+
 
 def block(count: int, seed: int, fading: bool):
     rng = np.random.default_rng(seed)
@@ -220,8 +229,8 @@ def mobile_chunks(pairs: int, nu_det: int, pilot_rate: float) -> list:
     fading = FadingModel.from_geometry(BeamConfig(wavelength=800e-9, waist=1e-3), 5.0, 1e-2,
                                        1.745e-3, 0.7)
     lattice = FadingLattice(tau_min=0.8 * fading.eta, tau_max=fading.eta, bins=50)
-    return [(pilot, x, y, tau, lattice.assign(tau)) for x, y, tau, pilot in fading_slices(
-        fading, lambda t: 0.02 + 0.01 * t, nu_det, 9.0, -(-pairs // nu_det), 3, pilot_rate)]
+    return list(fading_slices(fading, lambda t: 0.02 + 0.01 * t, nu_det, 9.0,
+                              -(-pairs // nu_det), 3, pilot_rate, lattice))
 
 
 def joined(chunks: list) -> tuple:
@@ -279,8 +288,7 @@ class TestTemporaries:
     def test_one_slice_stays_under_a_megabyte(self, link):
         # DUMP_CHUNK keeps the writer's own allocations, above the chunk's
         # arrays, under 1 MB: its group buffer, temporaries and text
-        chunk = ((None, *next(simulate_chunks(0.3, 0.02, 2, 9.0, SLICE, seed=7)), 0.3, -1)
-                 if link == "constant" else
+        chunk = ((None, *block(SLICE, 7, False)[1:3], 0.3, -1) if link == "constant" else
                  mobile_chunks(SLICE, 2 if link == "heterodyne" else 1, 0.05)[0])
         assert chunk[1].size == SLICE
         with open(os.devnull, "wb") as sink:

@@ -17,7 +17,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcinv
 
@@ -123,7 +123,8 @@ print(_normal_dist_inv_cdf.__module__, "_statistics" in sys.modules,
 def normal_dist_w(eps: float) -> float:
     if eps > ERFINV_FLOOR:
         return 0.0 - statistics.NormalDist().inv_cdf(eps)
-    return math.sqrt(2.0 * math.log(1.0 / eps))
+    # ln(1/eps), or -ln(eps) where 1/eps overflows (eps below 1 / DBL_MAX)
+    return math.sqrt(2.0 * (math.log(1.0 / eps) if math.isfinite(1.0 / eps) else -math.log(eps)))
 
 
 class TestConfidenceKernel:
@@ -137,8 +138,10 @@ class TestConfidenceKernel:
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=2000)
     @given(st.floats(min_value=0.0, max_value=0.5, exclude_min=True))
+    @example(5e-324)
     def test_sweep_bit_identical(self, eps):
         assert confidence_w(eps).hex() == normal_dist_w(eps).hex()
+        assert math.isfinite(confidence_w(eps))
 
     @pytest.mark.parametrize("mode, kernel", [("allow", "_statistics"),
                                               ("refuse", "statistics")])

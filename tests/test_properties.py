@@ -360,13 +360,23 @@ class TestConfigFuzz:
         @example(edits=({"sigma_p": "0 mrad"}, {}))
         @example(edits=({"w0": "0 mm"}, {}))
         @example(edits=({"a_r": "-1 cm"}, {}))
+        # finite keys in their domains whose rows were NaN with no reason
+        @example(edits=({"l_w": "1e308"}, {}))
+        @example(edits=({"nep": "1e150 W/rtHz"}, {}))
+        @example(edits=({"n_b": "1e308"}, {}))
+        @example(edits=({"t": "1e308"}, {}))
+        @example(edits=({}, {"eps": "5e-324"}))
         def check(edits):
             try:
                 scenario = resolve_scenario(edited(config, edits))
             except ConfigError:
                 return
             assert isinstance(scenario, Scenario)
-            reasons = rate_reasons(scenario)
+            rows = [evaluate_rate_point(scenario, x, clamp=False) for x in abscissas(scenario)]
+            # a row without a reason evaluated: its rates are numbers
+            assert all(math.isfinite(row["r_pe"]) and math.isfinite(row["rate_raw"])
+                       for row in rows if not row["reason"]), rows
+            reasons = {row["reason"] for row in rows}
             if len(reasons) == 1:
                 reason = reasons.pop()
                 assert not reason.startswith("ValueError") or kernel_fault(scenario, reason), \

@@ -39,7 +39,6 @@ from cvqkd.simulate import (
     dumped,
     estimator_coverage_experiment,
     fading_slices,
-    simulate_chunks,
     simulate_estimators,
     simulate_fading_block,
     stream_rng,
@@ -110,7 +109,7 @@ class TestChunkedThreads:
         monkeypatch.setattr(cvqkd.simulate, "_workers", lambda: 3)
 
     @pytest.mark.parametrize("count", EDGE_SIZES)
-    def test_threaded_draw_equals_serial_loop(self, count):
+    def test_threaded_draw_equals_serial_loop(self, count, monkeypatch):
         block = simulate_block(0.3, 0.02, 1, 9.0, count, seed=7)
         x = serial_normals(7, X, 3.0, count)
         noise = serial_normals(7, NOISE, math.sqrt(2.0 * 0.02 + 1), count)
@@ -119,13 +118,17 @@ class TestChunkedThreads:
         assert np.array_equal(block.y, y)
         # the dump's pieces: the same pairs, drawn SLICE at a time from each
         # chunk's streams, in order; the serial loop draws each chunk at once
-        chunks = list(simulate_chunks(0.3, 0.02, 1, 9.0, count, seed=7))
-        assert [c.size for c, _ in chunks] == [
+        chunks = []
+        monkeypatch.setattr(cvqkd.simulate, "dumped", lambda handle, slices: (
+            chunks.append(s) or s for s in slices))
+        simulate_estimators(0.3, 0.02, 1, 9.0, count, 7, io.BytesIO())
+        assert [c[1].size for c in chunks] == [
             min(SLICE, stop - start) for chunk in range(0, count, CHUNK)
             for stop in [min(chunk + CHUNK, count)]
             for start in range(chunk, stop, SLICE)]
-        assert np.array_equal(np.concatenate([c for c, _ in chunks]), x)
-        assert np.array_equal(np.concatenate([c for _, c in chunks]), y)
+        assert {(c[0], c[3], c[4]) for c in chunks} == {(None, 0.3, -1)}
+        assert np.array_equal(np.concatenate([c[1] for c in chunks]), x)
+        assert np.array_equal(np.concatenate([c[2] for c in chunks]), y)
 
     def test_defade_equals_serial_loop(self):
         fad = fading_at(5.0)
@@ -152,7 +155,7 @@ class TestChunkedThreads:
         t_hat = math.fsum(x * y) / math.fsum(x * x)
         residual = y - t_hat * x
         sigma_z2_hat = math.fsum(residual * residual) / count
-        streamed = simulate_estimators(0.3, 0.02, 1, 9.0, count, seed=count)
+        streamed = simulate_estimators(0.3, 0.02, 1, 9.0, count, count, None)
         whole = empirical_estimators(x, y, 1)
         for snap in (whole, streamed):
             assert abs(snap.t_hat - t_hat) <= 8 * math.ulp(t_hat)
@@ -319,7 +322,7 @@ class TestStreamedRows:
 class TestEstimatorConsistency:
     def test_tau_and_noise_within_five_se(self):
         tau, nbar, sx2, nu = 0.3, 0.05, 9.0, 2
-        snap = simulate_estimators(tau, nbar, nu, sx2, 200_000, seed=21)
+        snap = simulate_estimators(tau, nbar, nu, sx2, 200_000, 21, None)
         sz2 = 2.0 * nbar + nu
         se_tau = math.sqrt((2.0 * tau**2 + tau * sz2 / sx2) / snap.m_p)
         assert abs(snap.tau_hat - tau) < 5.0 * se_tau
@@ -328,7 +331,7 @@ class TestEstimatorConsistency:
         assert snap.m_p == nu * 200_000
 
     def test_vacuum_noise_floor(self):
-        snap = simulate_estimators(0.3, 0.0, 2, 9.0, 200_000, seed=23)
+        snap = simulate_estimators(0.3, 0.0, 2, 9.0, 200_000, 23, None)
         se_n = 2.0 / math.sqrt(2.0 * snap.m_p)
         assert abs(snap.n_hat) < 5.0 * se_n
 
@@ -350,12 +353,13 @@ class TestEstimatorConsistency:
         assert i_hat == pytest.approx(mutual_information(point), rel=0.01)
 
     def test_validation(self):
-        first_chunk = lambda *law: next(simulate_chunks(*law))
-        for simulate in (simulate_estimators, first_chunk):
+        # with a dump or without, before a pair is drawn
+        for dump in (None, io.BytesIO()):
             for law in ((0.0, 0.05, 2, 9.0, 100, 1), (0.3, -0.1, 2, 9.0, 100, 1),
-                        (0.3, 0.05, 3, 9.0, 100, 1)):
+                        (0.3, 0.05, 3, 9.0, 100, 1), (0.3, 0.05, 1, 9.0, 1, 1)):
                 with pytest.raises(ValueError):
-                    simulate(*law)
+                    simulate_estimators(*law, dump)
+            assert dump is None or dump.getvalue() == b""
 
 
 class TestFadingBlocks:
@@ -434,8 +438,7 @@ class TestPinnedStreams:
         assert (int(block.pilot_mask.sum()), faded.x.size,
                 int(faded.pilot_mask.sum())) == (52414, 273194, 27078)
         # the streamed slices de-fade to the block's bits, slice by slice
-        streamed = list(_defaded(lat, ((pilot, x, y, tau, lat.assign(tau)) for x, y, tau, pilot
-                                       in fading_slices(*law)), 4, 2))
+        streamed = list(_defaded(lat, fading_slices(*law, lat), 4, 2))
         for whole, column in ((faded.pilot_mask, 0), (faded.x, 1), (faded.y, 2)):
             assert np.array_equal(np.concatenate([s[column] for s in streamed]), whole)
 
@@ -632,7 +635,7 @@ class TestSufficientStatisticsSampler:
         per_pulse = np.array([
             (snap.t_hat, snap.sigma_z2_hat) for snap in (
                 simulate_estimators(self.TAU, self.NBAR, self.NU, self.SX2,
-                                    self.PULSES, seed=50_000 + k)
+                                    self.PULSES, 50_000 + k, None)
                 for k in range(3_000))])
         sampled = self.sampled(3_000, seed=23)
         for col in (0, 1):  # T_hat, sigma_z2_hat
