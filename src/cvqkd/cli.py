@@ -474,10 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None)
         cmd.add_argument("--format", choices=("csv", "json"), default="csv")
         cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--jobs", type=int, default=1,
-                         help="accepted for compatibility; has no effect "
-                              "(sweeps run in one process)")
-        cmd.add_argument("--clamp", choices=("on", "off"), default="on")
+    sub.choices["sweep"].add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility; has no effect (sweeps run in one process)")
     sub.choices["simulate"].add_argument(
         "--dump", default=None, metavar="PATH",
         help="write the raw simulated pairs (index, pilot_flag, x, y, "
@@ -499,7 +498,7 @@ def main(argv=None) -> int:
         grid = _grid(scenario, args.command)
         mobile = scenario.channel == "optical-mobile"
         if args.command in ("rate", "sweep"):
-            evaluate, base = _rate_plan(scenario, args.clamp == "on"), RATE_COLUMNS
+            evaluate, base = _rate_plan(scenario, True), RATE_COLUMNS
         elif args.command == "simulate":
             evaluate = functools.partial(_simulation_row, scenario, seed=args.seed,
                                          dump=args.dump)

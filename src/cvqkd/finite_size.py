@@ -361,7 +361,8 @@ def general_attack_extension(params: ProtocolParams, n_transmit: float, eps: flo
     n_eff = n * p_delta
     m_et = params.f_et * n
     d_et, _ = energy_test_threshold(n_transmit, m_et)
-    theta = math.log(8.0 / eps) / (2.0 * n_eff)
+    ratio = 8.0 / eps  # inf below 8 / DBL_MAX, where log(8) - log(eps) is still finite
+    theta = (math.log(ratio) if ratio < math.inf else math.log(8.0) - math.log(eps)) / (2.0 * n_eff)
     denom = 1.0 - 2.0 * math.sqrt(theta / params.f_et)
     if denom <= 0.0:
         raise ValueError("energy-test failure probability too large: block too short")

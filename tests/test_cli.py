@@ -581,9 +581,9 @@ def assert_rule_error(capsys, argv, rule):
 
 
 class TestUsageErrors:
-    """A command whose config lacks a section it reads, and coverage on a
-    fading link, exit 1 with no output and a one-line error that ends with
-    its rule."""
+    """A command whose config lacks a section it reads, an option the command
+    does not read, and coverage on a fading link exit 1 with no output and a
+    one-line error that ends with its rule."""
 
     @pytest.mark.parametrize("command, text, rule", [
         ("rate", without_section(fiber(), "point"), "command-needs-section"),
@@ -598,6 +598,16 @@ class TestUsageErrors:
         path = tmp_path / "scenario.ini"
         path.write_text(text)
         assert_rule_error(capsys, [command, "--config", str(path)], rule)
+
+    @pytest.mark.parametrize("command, option", [
+        (command, ("--clamp", value)) for command in ("rate", "sweep", "simulate", "coverage")
+        for value in ("on", "off")] + [
+        (command, ("--jobs", "2")) for command in ("rate", "simulate", "coverage")])
+    def test_unread_option_is_a_usage_error(self, tmp_path, capsys, command, option):
+        # a command takes only the options it reads: no --clamp, --jobs on sweep alone
+        path = tmp_path / "scenario.ini"
+        path.write_text(fiber())
+        assert_rule_error(capsys, [command, "--config", str(path), *option], "usage")
 
 
 FIBER_INI = (CONFIGS / "fiber_fixed_loss.ini").read_text(encoding="utf-8")
@@ -827,13 +837,23 @@ class TestRateCommand:
         assert rates[3] <= rates[2] <= rates[1]
 
     def test_clamp_flag(self, tmp_path):
+        # rates are clamped at 0 like the figures, rate_raw keeps the value,
+        # and --clamp is no option of the command
         text = fiber(trust=3, loss_db="20")
-        code_on, blob_on = run_cli(tmp_path, text, ["rate", "--clamp", "on"])
-        code_off, blob_off = run_cli(tmp_path, text, ["rate", "--clamp", "off"])
-        row_on, row_off = read_csv(blob_on)[0], read_csv(blob_off)[0]
-        assert float(row_on["rate_raw"]) < 0.0
-        assert float(row_on["rate"]) == 0.0
-        assert float(row_off["rate"]) == float(row_off["rate_raw"])
+        code, blob = run_cli(tmp_path, text, ["rate"])
+        row = read_csv(blob)[0]
+        assert (code, float(row["rate"])) == (0, 0.0) and float(row["rate_raw"]) < 0.0
+        for value in ("on", "off"):
+            assert run_cli(tmp_path, text, ["rate", "--clamp", value])[0] == 1
+
+    def test_general_attack_at_subnormal_eps(self, tmp_path):
+        # 8 / eps overflows to inf below 8 / DBL_MAX; the energy test still holds
+        text = set_key((CONFIGS / "wireless_general.ini").read_text(encoding="utf-8"),
+                       "protocol", "eps", "5e-324")
+        code, blob = run_cli(tmp_path, text, ["rate"])
+        row = read_csv(blob)[0]
+        assert (code, row["reason"]) == (0, "")
+        assert 0.0 < float(row["epsilon"]) < 1e-290 and math.isfinite(float(row["rate_raw"]))
 
     def test_microwave_plob_column(self, tmp_path):
         code, blob = run_cli(
@@ -1159,7 +1179,7 @@ class TestSharedParser:
         good.write_text(fiber(points=4))
         bad = tmp_path / "bad.ini"
         bad.write_text(fiber().replace("mu = 10", "mu = 1"))
-        calls = [["rate", "--config", str(good), "--clamp", "off"],
+        calls = [["rate", "--config", str(good)],
                  ["sweep", "--config", str(good), "--format", "json",
                   "--seed", "9"],
                  ["simulate", "--config", str(good), "--seed", "3"],

@@ -541,6 +541,41 @@ class TestGeneralAttackExtension:
         with pytest.raises(ValueError):
             general_attack_extension(COLLECTIVE, 4.5, 1e-43)  # f_et = 0
 
+    @staticmethod
+    def k_cutoff(terms, log_ratio: float) -> float:
+        """The cutoff K of GENERAL's terms, at theta = log_ratio / (2 n_eff)."""
+        theta = log_ratio / (2.0 * terms.n_eff)
+        return max(1.0, 2.0 * terms.n_eff * terms.d_et
+                   * (1.0 + 2.0 * math.sqrt(theta) + 2.0 * theta)
+                   / (1.0 - 2.0 * math.sqrt(theta / GENERAL.f_et)))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.floats(min_value=8.0 / sys.float_info.max, max_value=1.0, exclude_max=True),
+           st.floats(0.5, 0.99))
+    @example(1e-43, 0.5)
+    @example(4e-308, 0.9)
+    def test_same_bits_where_eight_over_eps_is_finite(self, eps, margin):
+        # p_delta puts theta at margin * f_et / 4, near where the energy test
+        # fails, so that K moves with the last bit of ln(8 / eps)
+        if 8.0 / eps < math.inf:
+            log_ratio = math.log(8.0 / eps)
+            p_delta = min(1.0, 2.0 * log_ratio / (GENERAL.f_et * GENERAL.n * margin))
+            terms = general_attack_extension(GENERAL, 4.5, eps, p_delta)
+            want = self.k_cutoff(terms, log_ratio)
+            assert terms.k_cutoff.hex() == want.hex()
+            assert terms.eps_prime.hex() == (want ** 4 * eps / 50.0).hex()
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-320, 2.2e-308, 4.4e-308])
+    def test_finite_terms_where_eight_over_eps_overflows(self, eps):
+        # ln(8 / eps) = ln 8 - ln eps stays finite where 8 / eps is inf
+        assert 8.0 / eps == math.inf
+        terms = general_attack_extension(GENERAL, 4.5, eps)
+        with mpmath.workdps(50):
+            log_ratio = float(mpmath.log(8 / mpmath.mpf(eps)))
+        assert terms.k_cutoff == pytest.approx(self.k_cutoff(terms, log_ratio), rel=1e-14)
+        assert all(map(math.isfinite, (terms.k_cutoff, terms.phi)))
+        assert 0.0 < terms.eps_prime == terms.k_cutoff ** 4 * eps / 50.0
+
     def test_short_block_rejected(self):
         tiny = ProtocolParams(n_total=1300.0, m=100.0, beta=0.95, p_ec=0.1,
                               eps_pe=1e-43, eps_s=1e-43, eps_h=1e-43,

@@ -29,26 +29,29 @@ SHIPPED = sorted(path.name for path in CONFIGS.glob("*.ini"))
 
 
 def variants(config: str) -> list:
-    """(name, scenario) for every trust, security, LO, detection and attack
-    choice on the shipped config that resolves; f_et is 0.2 under general
-    attacks and 0 under collective ones."""
+    """(name, scenario) for every trust, security, LO, detection, attack and
+    AEP prefactor choice on the shipped config that resolves; f_et is 0.2
+    under general attacks and 0 under collective ones, and the name of an
+    improved_aep = true variant ends in -improved_aep."""
     text = (CONFIGS / config).read_text(encoding="utf-8")
     microwave = resolve_scenario(text).channel == "microwave"
     out = []
-    for trust, security, lo, protocol, attack in itertools.product(
+    for trust, security, lo, protocol, attack, improved in itertools.product(
             "123", ("standard", "los"), (None,) if microwave else ("tlo", "llo"),
-            ("homodyne", "heterodyne"), ("collective", "general")):
+            ("homodyne", "heterodyne"), ("collective", "general"), (False, True)):
         edit = text
         for key, value in (("trust", trust), ("security", security), ("lo", lo),
                            ("protocol", protocol), ("attack", attack)):
             if value is not None:
                 edit = set_key(edit, "scenario", key, value)
         edit = set_key(edit, "protocol", "f_et", "0.2" if attack == "general" else "0")
+        edit = set_key(edit, "protocol", "improved_aep", str(improved).lower())
         try:
             scenario = resolve_scenario(edit)
         except ConfigError:
             continue
-        out.append((f"{config}-{trust}-{security}-{lo}-{protocol}-{attack}", scenario))
+        out.append((f"{config}-{trust}-{security}-{lo}-{protocol}-{attack}"
+                    + ("-improved_aep" if improved else ""), scenario))
     return out
 
 
@@ -72,13 +75,15 @@ def assert_rows_match(scenario, x: float) -> dict:
 
 
 def test_every_shipped_config_has_variants():
-    # both attacks, both securities and all three trust levels resolve somewhere
+    # both attacks, both securities, all three trust levels and both AEP
+    # prefactors resolve somewhere
     assert {name.split(".ini")[0] for name, _ in VARIANTS} == {c[:-4] for c in SHIPPED}
-    choices = {(s.trust, s.security, s.attack, s.nu_det) for _, s in VARIANTS}
+    choices = {(s.trust, s.security, s.attack, s.nu_det, s.improved_aep) for _, s in VARIANTS}
     assert {c[0] for c in choices} == {1, 2, 3}
     assert {c[1] for c in choices} == {"standard", "los"}
     assert {c[2] for c in choices} == {"collective", "general"}
     assert {c[3] for c in choices} == {1, 2}
+    assert {c[4] for c in choices} == {False, True}
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=600)
